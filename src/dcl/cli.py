@@ -87,6 +87,7 @@ def parse_manifest(payload):
     }
     try:
         flow_config = FlowConfig(**solver_keys)
+        steps = flow_config.n_steps()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad flow config: {exc}") from exc
     stride = payload.get("stride", 1)
@@ -95,7 +96,6 @@ def parse_manifest(payload):
         raise ConfigError("stride must be a positive integer")
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    steps = flow_config.n_steps()
     if steps and steps % stride:
         raise ConfigError(
             f"stride {stride} does not divide the step count {steps}"

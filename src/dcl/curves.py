@@ -40,8 +40,7 @@ class ClosedCurve:
             )
         if n < 16 or n & (n - 1):
             raise ValueError("grid size must be a power of two >= 16")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
+        require_finite(self.samples)
 
     @property
     def n(self):
@@ -51,15 +50,8 @@ class ClosedCurve:
         return ClosedCurve(samples, self.manifold)
 
     def winding(self):
-        """Integer winding vector of the unwrapped chart lift.
-
-        Zero for embedded targets.  Recovery from samples assumes every
-        step increment is below half a period, which holds for any
-        resolved curve.
-        """
-        if self.manifold is not CHART_FLAT_TORUS2:
-            return np.zeros(self.manifold.ambient_dim)
-        return np.rint(self.samples[-1] - self.samples[0])
+        """Integer winding vector of the unwrapped chart lift."""
+        return lift_winding(self.samples, self.manifold)
 
     def trend(self):
         """Linear winding part W*x of the samples (chart torus only)."""
@@ -70,12 +62,7 @@ class ClosedCurve:
 
     def velocity(self):
         """Spectral first derivative of the position, winding-aware."""
-        w = self.winding()
-        if w.any():
-            return w[None, :] + spectral.spectral_derivative(
-                self.samples - self.trend()
-            )
-        return spectral.spectral_derivative(self.samples)
+        return lifted_velocity(self.samples, self.manifold)
 
     def velocity_field(self):
         return TangentFieldOnCurve(self.velocity(), self, validate=False)
@@ -114,6 +101,37 @@ class TangentFieldOnCurve:
                     f"normal component {res:.3e} exceeds "
                     f"{ON_MANIFOLD_TOL:.0e} * {scale:.3e}"
                 )
+
+
+def require_finite(samples):
+    """Reject sample arrays holding NaN or infinity (any shape)."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+
+
+def lift_winding(samples, manifold):
+    """Integer winding vectors of (..., N, d) chart-lift samples.
+
+    Zero for embedded targets.  Recovery from samples assumes every step
+    increment is below half a period, which holds for any resolved curve.
+    """
+    if manifold is not CHART_FLAT_TORUS2:
+        return np.zeros(samples.shape[:-2] + (manifold.ambient_dim,))
+    return np.rint(samples[..., -1, :] - samples[..., 0, :])
+
+
+def lifted_velocity(samples, manifold):
+    """Winding-aware spectral first derivative of (..., N, d) samples.
+
+    On the chart torus each member's trend W*x is removed before
+    differentiating and its winding W added back; any leading axes are a
+    batch of curves on one grid.
+    """
+    w = lift_winding(samples, manifold)
+    if w.any():
+        trend = spectral.grid(samples.shape[-2])[:, None] * w[..., None, :]
+        return w[..., None, :] + spectral.spectral_derivative(samples - trend)
+    return spectral.spectral_derivative(samples)
 
 
 def tangency_residual(curve, vectors):

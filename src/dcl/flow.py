@@ -24,6 +24,8 @@ Integrators
                    viable at all.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
                    by the fourth-order heat semigroup; requires eps > 0.
+                   Each iteration evaluates the nonlinearity at all Gauss
+                   nodes in one batched call.
                    States may sit slightly off the target (inside the
                    tube); their normal part then decays monotonically.
 ``IMEX``           First-order integrating-factor Euler step (same L),
@@ -34,12 +36,18 @@ by the N/4 rule; the mask is part of the spatial discretization and is
 applied identically by every integrator.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import spectral
-from .curves import h1_distance, tangency_residual
+from .curves import (
+    h1_distance,
+    lifted_velocity,
+    require_finite,
+    tangency_residual,
+)
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -77,6 +85,9 @@ class FlowConfig:
             raise ValueError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
+        for name in ("a", "b", "epsilon", "dt", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.integrator == "DuhamelPicard" and self.epsilon <= 0:
@@ -169,6 +180,22 @@ def dispersive_rhs(curve, a, b, check_tangency=True):
     return rhs
 
 
+def _regularized_nonlinearity(manifold, proj, pvx, cfg):
+    """-eps*(S3 - v_xxxx) + a*S2 + J S1 + b|v_x|^2 v_x at projected points.
+
+    ``proj`` are on-target samples and ``pvx`` their velocity, both of
+    shape (..., N, d); any leading axes are a batch of curves.
+    """
+    _, s1, s2, s3 = _gauss_tower(manifold, proj, pvx, 3)
+    proj4 = spectral.spectral_derivative(pvx, 3)
+    return (
+        -cfg.epsilon * (s3 - proj4)
+        + cfg.a * s2
+        + manifold.complex_structure(proj, s1)
+        + cfg.b * _sq(pvx) * pvx
+    )
+
+
 def regularized_rhs(curve, cfg, check_tangency=False):
     """Velocity of the eps-regularized flow; valid slightly off the target.
 
@@ -180,16 +207,10 @@ def regularized_rhs(curve, cfg, check_tangency=False):
     m.require_in_tube(curve.samples)
     proj = curve.with_samples(m.project(curve.samples))
     pvx = proj.velocity()
-    _, s1, s2, s3 = _gauss_tower(m, proj.samples, pvx, 3)
-    proj4 = spectral.spectral_derivative(pvx, 3)
-    nonlinear = (
-        -eps * (s3 - proj4)
-        + cfg.a * s2
-        + m.complex_structure(proj.samples, s1)
-        + cfg.b * _sq(pvx) * pvx
-    )
+    nonlinear = _regularized_nonlinearity(m, proj.samples, pvx, cfg)
     if check_tangency:
         # the tangent object is the full covariant assembly, -eps*S3 + ...
+        proj4 = spectral.spectral_derivative(pvx, 3)
         res = tangency_residual(proj, nonlinear - eps * proj4)
         scale = max(1.0, float(np.max(np.abs(nonlinear))))
         if res > RHS_TANGENCY_TOL * scale:
@@ -372,92 +393,68 @@ def nl_masked(curve, cfg, st):
 
 
 class _PicardWorkspace:
-    """Nodes, weights and semigroup multipliers reused across steps."""
+    """Nodes, fused quadrature kernel and semigroup decay reused across steps.
+
+    Targets s_i are the q Gauss nodes of [0, dt] and dt.  ``kernel[i, j, k]``
+    maps mode k of the nonlinearity at node j to the Duhamel integral at
+    s_i (inner Gauss rule on [0, s_i] of the Lagrange interpolant, times
+    the decay over s_i - tau); ``prop0[i]`` is the masked decay over s_i.
+    """
 
     def __init__(self, cfg, n):
-        self.cfg = cfg
         q = cfg.quadrature_nodes
-        dt = cfg.dt
-        self.nodes, _ = spectral.gauss_legendre(q, 0.0, dt)
-        self.targets = np.append(self.nodes, dt)
+        self.nodes, _ = spectral.gauss_legendre(q, 0.0, cfg.dt)
+        targets = np.append(self.nodes, cfg.dt)
         k4 = (TWO_PI * spectral.wavenumbers(n)) ** 4
-        keep = mode_cutoff(cfg, 1.0)
-        self.mask = (spectral.wavenumbers(n) <= keep).astype(float)
-        # target-dependent inner quadrature on [0, s]
-        self.inner_nodes = []
-        self.inner_weights = []
-        self.interp = []
-        self.mults = []
-        for s in self.targets:
+        mask = (spectral.wavenumbers(n) <= mode_cutoff(cfg, 1.0)).astype(float)
+
+        def decay(t):
+            return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
+
+        self.kernel = np.empty((targets.size, q, k4.size))
+        for i, s in enumerate(targets):
             tau, w = spectral.gauss_legendre(q, 0.0, s)
-            self.inner_nodes.append(tau)
-            self.inner_weights.append(w)
-            self.interp.append(spectral.lagrange_matrix(self.nodes, tau))
-            self.mults.append(
-                np.exp(-cfg.epsilon * (s - tau)[:, None] * k4[None, :]) *
-                self.mask[None, :]
-            )
-        self.prop0 = [
-            np.exp(-cfg.epsilon * s * k4) * self.mask for s in self.targets
-        ]
+            interp = spectral.lagrange_matrix(self.nodes, tau)
+            self.kernel[i] = np.einsum("t,tk,tj->jk", w, decay(s - tau), interp)
+        self.prop0 = decay(targets)
 
 
 def _picard_step(curve, cfg, ws):
-    """Solve the mild form on [0, dt]; returns (state at dt, iterations)."""
+    """Solve the mild form on [0, dt]; returns (state at dt, iterations).
+
+    Each iteration advances all targets at once from one batched
+    nonlinearity on the stack of node states.
+    """
     m = curve.manifold
     n = curve.n
+    q = ws.nodes.size
     trend = curve.trend()
-    dev0 = curve.samples - trend
-    dev0_hat = np.fft.rfft(dev0, axis=0)
-
-    def f_hat_at(dev):
-        state = curve.with_samples(trend + dev)
-        m.require_in_tube(state.samples)
-        proj = state.with_samples(m.project(state.samples))
-        pvx = proj.velocity()
-        _, s1, s2, s3 = _gauss_tower(m, proj.samples, pvx, 3)
-        proj4 = spectral.spectral_derivative(pvx, 3)
-        f_val = (
-            -cfg.epsilon * (s3 - proj4)
-            + cfg.a * s2
-            + m.complex_structure(proj.samples, s1)
-            + cfg.b * _sq(pvx) * pvx
-        )
-        return np.fft.rfft(f_val, axis=0) * ws.mask[:, None]
-
-    n_targets = ws.targets.size
     # initial guess: pure semigroup evolution of the data
-    devs = [
-        np.fft.irfft(ws.prop0[i][:, None] * dev0_hat, n=n, axis=0)
-        for i in range(n_targets)
-    ]
+    free = ws.prop0[:, :, None] * np.fft.rfft(curve.samples - trend, axis=0)
+    devs = np.fft.irfft(free, n=n, axis=-2)
 
     for iteration in range(1, cfg.picard_max_iter + 1):
-        f_nodes = np.stack([f_hat_at(devs[i]) for i in range(len(ws.nodes))])
-        new_devs = []
-        for i in range(n_targets):
-            f_interp = np.einsum("tj,jkd->tkd", ws.interp[i], f_nodes)
-            integral = np.einsum(
-                "t,tkd->kd", ws.inner_weights[i], ws.mults[i][:, :, None] * f_interp
-            )
-            coef = ws.prop0[i][:, None] * dev0_hat + integral
-            new_devs.append(np.fft.irfft(coef, n=n, axis=0))
-        delta = max(
-            _h1_of_field(new_devs[i] - devs[i]) for i in range(n_targets)
+        states = trend + devs[:q]
+        require_finite(states)
+        m.require_in_tube(states)
+        proj = m.project(states)
+        f_val = _regularized_nonlinearity(
+            m, proj, lifted_velocity(proj, m), cfg
         )
+        f_hat = np.fft.rfft(f_val, axis=-2)
+        coef = free + np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
+        new_devs = np.fft.irfft(coef, n=n, axis=-2)
+        update = new_devs - devs
+        dupdate = spectral.spectral_derivative(update)
+        # H1 norm of each target's update; the largest decides convergence
+        h1_sq = _sq(update).mean(axis=(-2, -1)) + _sq(dupdate).mean(axis=(-2, -1))
+        delta = float(np.sqrt(h1_sq.max()))
         devs = new_devs
         if delta <= cfg.picard_tol:
             return curve.with_samples(trend + devs[-1]), iteration
     raise NoContraction(
         f"no fixed point after {cfg.picard_max_iter} iterations "
         f"(last update {delta:.3e}); reduce dt for this epsilon"
-    )
-
-
-def _h1_of_field(arr):
-    darr = spectral.spectral_derivative(arr)
-    return float(
-        np.sqrt(spectral.l2_inner(arr, arr) + spectral.l2_inner(darr, darr))
     )
 
 

@@ -1,10 +1,15 @@
 """Fourier plumbing for periodic fields sampled on the uniform grid x_i = i/N.
 
-All fields are real arrays whose first axis is the sample axis; trailing
-axes (ambient components) are carried along unchanged.  Quadrature is the
-uniform trapezoid rule, which on a periodic grid is the plain mean and is
-exact for resolved modes.
+Fields are real arrays of shape (N,) or (..., N, d): a 1-D field is its
+own sample axis, and otherwise axis -2 holds the samples and the last
+axis the ambient components, so any leading axes form a batch (one
+member per curve or quadrature node) that the transforms treat
+independently.  The quadratures (``integrate``, ``l2_inner``) take one
+unbatched field.  Quadrature is the uniform trapezoid rule, which on a
+periodic grid is the plain mean and is exact for resolved modes.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,35 +26,53 @@ def wavenumbers(n):
     return np.fft.rfftfreq(n, d=1.0 / n)
 
 
+def _sample_axis(f):
+    """Axis holding the samples: 0 for a 1-D field, else -2."""
+    return 0 if f.ndim == 1 else -2
+
+
 def _col(mult, ndim):
-    return np.asarray(mult).reshape((-1,) + (1,) * (ndim - 1))
+    return mult if ndim == 1 else mult[:, None]
+
+
+@lru_cache(maxsize=None)
+def _derivative_multiplier(n, order):
+    """Read-only Fourier multiplier (i*2*pi*k)^order of the rfft layout.
+
+    The Nyquist mode is zeroed for odd orders (its derivative has no real
+    representative on the grid).
+    """
+    mult = (1j * TWO_PI * wavenumbers(n)) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        mult[-1] = 0.0
+    mult.flags.writeable = False
+    return mult
 
 
 def spectral_derivative(f, order=1):
-    """Differentiate a periodic sampled field along axis 0.
+    """Differentiate a periodic sampled field along its sample axis.
 
-    Exact for band-limited input.  The Nyquist mode is zeroed for odd
-    orders (its derivative has no real representative on the grid).
-    Orders above 4 never occur in the flow and are rejected.
+    Exact for band-limited input.  Orders above 4 never occur in the flow
+    and are rejected.
     """
     if not 1 <= order <= 4:
         raise ValueError("derivative order must lie in [1, 4]")
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    coef = np.fft.rfft(f, axis=0)
-    mult = (1j * TWO_PI * wavenumbers(n)) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult[-1] = 0.0
-    return np.fft.irfft(coef * _col(mult, f.ndim), n=n, axis=0)
+    axis = _sample_axis(f)
+    n = f.shape[axis]
+    coef = np.fft.rfft(f, axis=axis)
+    mult = _derivative_multiplier(n, order)
+    return np.fft.irfft(coef * _col(mult, f.ndim), n=n, axis=axis)
 
 
 def lowpass(f, keep):
     """Zero every mode with |frequency| > keep."""
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    coef = np.fft.rfft(f, axis=0)
-    coef[wavenumbers(n) > keep] = 0.0
-    return np.fft.irfft(coef, n=n, axis=0)
+    axis = _sample_axis(f)
+    n = f.shape[axis]
+    coef = np.fft.rfft(f, axis=axis)
+    coef *= _col(wavenumbers(n) <= keep, f.ndim)
+    return np.fft.irfft(coef, n=n, axis=axis)
 
 
 def dealias_keep(n):
@@ -91,10 +114,11 @@ def semigroup_apply(eps, t, f):
     f = np.asarray(f, dtype=float)
     if t == 0 or eps == 0:
         return f.copy()
-    n = f.shape[0]
-    coef = np.fft.rfft(f, axis=0)
+    axis = _sample_axis(f)
+    n = f.shape[axis]
+    coef = np.fft.rfft(f, axis=axis)
     coef *= _col(heat4_multiplier(n, eps, t), f.ndim)
-    return np.fft.irfft(coef, n=n, axis=0)
+    return np.fft.irfft(coef, n=n, axis=axis)
 
 
 def gauss_legendre(n, a, b):

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dcl
 from dcl.cli import main, parse_report_csv
 from dcl.curves import sup_distance
 from dcl.invariants import EnergyReport, oracle_latitude_circle
@@ -228,3 +233,26 @@ def test_converge_thread_env(tmp_path, monkeypatch):
 
 def test_missing_manifest_is_config_error(tmp_path):
     assert main(["simulate", "--manifest", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"dt": float("nan")}, {"a": float("nan")}, {"T": 1.005e-3}],
+    ids=["dt-nan", "a-nan", "T-not-multiple-of-dt"],
+)
+def test_bad_numbers_exit_config_error(tmp_path, overrides):
+    manifest = base_manifest(tmp_path / "out", config=overrides)
+    manifest["stride"] = 1
+    path = write_manifest(tmp_path, manifest)
+    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcl.cli", "simulate", "--manifest", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr

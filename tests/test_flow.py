@@ -8,15 +8,19 @@ from dcl.curves import (
     ClosedCurve,
     covariant_tower,
     h1_distance,
+    lifted_velocity,
     sup_distance,
     tangency_residual,
 )
-from dcl.errors import NoContraction
+from dcl.errors import NoContraction, OutOfTubularNeighborhood
 from dcl.flow import (
     FlowConfig,
+    _PicardWorkspace,
+    _regularized_nonlinearity,
     dispersive_rhs,
     epsilon_continuation,
     evolve,
+    mode_cutoff,
     picard_solve,
     regularized_rhs,
     semigroup_apply,
@@ -50,6 +54,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(dt=1e-2, T=1e-3)
     FlowConfig(dt=1e-3, T=0.0)  # zero-horizon runs are allowed
+
+
+@pytest.mark.parametrize("name", ["a", "b", "epsilon", "dt", "T"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FlowConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +155,33 @@ def test_regularized_off_manifold_input():
     assert np.all(np.isfinite(rhs))
 
 
+@pytest.mark.parametrize(
+    "manifold", [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2],
+    ids=lambda m: m.name,
+)
+def test_batched_nonlinearity_matches_single_curves(manifold):
+    # an (8, 64, d) stack of slightly inflated states, reassembled into
+    # the regularized rhs, against 8 single-curve regularized_rhs calls
+    cfg = FlowConfig(a=0.7, b=0.3, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
+                     integrator="DuhamelPicard")
+    inflate = 1.0 if manifold is CHART_FLAT_TORUS2 else 1.0005
+    curves = [
+        random_smooth(manifold, 64, seed=s, decay=1.5, amplitude=0.3)
+        for s in range(8)
+    ]
+    curves = [c.with_samples(c.samples * inflate) for c in curves]
+    stack = np.stack([c.samples for c in curves])
+    proj = manifold.project(stack)
+    nonlinear = _regularized_nonlinearity(
+        manifold, proj, lifted_velocity(proj, manifold), cfg
+    )
+    raw4 = spectral.spectral_derivative(lifted_velocity(stack, manifold), 3)
+    batched = -cfg.epsilon * raw4 + nonlinear
+    assert batched.shape == stack.shape
+    for c, got in zip(curves, batched):
+        assert np.max(np.abs(got - regularized_rhs(c, cfg))) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # semigroup
 # ---------------------------------------------------------------------------
@@ -219,6 +257,49 @@ def test_picard_no_contraction():
         out = state
         for _ in range(cfg.n_steps()):
             out = picard_solve(out, cfg).final
+
+
+def test_fused_quadrature_matches_per_target_loop():
+    # reference: interpolate the node values to each target's inner Gauss
+    # nodes, apply the semigroup decay, sum with the inner weights
+    cfg = FlowConfig(a=0.3, b=0.2, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
+                     integrator="DuhamelPicard")
+    ws = _PicardWorkspace(cfg, 64)
+    q = cfg.quadrature_nodes
+    k4 = (TWO_PI * spectral.wavenumbers(64)) ** 4
+    mask = spectral.wavenumbers(64) <= mode_cutoff(cfg, 1.0)
+    rng = np.random.default_rng(7)
+    f_hat = rng.standard_normal((q, 33, 3)) + 1j * rng.standard_normal((q, 33, 3))
+    fused = np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
+    for i, s in enumerate(np.append(ws.nodes, cfg.dt)):
+        tau, w = spectral.gauss_legendre(q, 0.0, s)
+        f_interp = np.einsum(
+            "tj,jkd->tkd", spectral.lagrange_matrix(ws.nodes, tau), f_hat
+        )
+        mults = np.exp(-cfg.epsilon * (s - tau)[:, None] * k4) * mask
+        want = np.einsum("t,tkd->kd", w, mults[:, :, None] * f_interp)
+        assert np.max(np.abs(fused[i] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(ws.prop0[i], np.exp(-cfg.epsilon * s * k4) * mask)
+
+
+def test_picard_iterations_on_maximum_principle_input():
+    c = great_circle(64)
+    bump = 1.0 + 1e-4 * np.cos(TWO_PI * spectral.grid(64))
+    c = c.with_samples(c.samples * bump[:, None])
+    cfg = FlowConfig(a=0.0, b=0.0, epsilon=1e-2, N_g=64, dt=1e-4, T=6e-4,
+                     integrator="DuhamelPicard")
+    traj = evolve(c, cfg, stride=1)
+    assert traj.failure is None
+    assert traj.picard_iterations == [3, 4, 4, 4, 4, 4]
+
+
+def test_picard_tube_guard():
+    c = great_circle(32)
+    far = c.with_samples(c.samples * 1.6)  # distance 0.6 > tubular radius 0.5
+    cfg = FlowConfig(a=0.0, b=0.0, epsilon=1e-2, N_g=32, dt=1e-4, T=1e-4,
+                     integrator="DuhamelPicard")
+    with pytest.raises(OutOfTubularNeighborhood):
+        picard_solve(far, cfg)
 
 
 def test_picard_requires_positive_eps():

@@ -42,6 +42,23 @@ def test_multicomponent_shape():
     assert spectral.spectral_derivative(f, 2).shape == (32, 4)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_batched_derivative_matches_members_bitwise(order):
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((5, 64, 3))
+    batched = spectral.spectral_derivative(stack, order)
+    for member, out in zip(stack, batched):
+        assert np.array_equal(out, spectral.spectral_derivative(member, order))
+
+
+def test_derivative_multipliers_cached_read_only():
+    mult = spectral._derivative_multiplier(64, 3)
+    assert mult is spectral._derivative_multiplier(64, 3)
+    assert not mult.flags.writeable
+    assert mult[-1] == 0.0  # odd order: no real Nyquist representative
+    assert spectral._derivative_multiplier(64, 2)[-1] != 0.0
+
+
 def test_discrete_integration_by_parts():
     # exact for sampled fields: the DFT pairing of D is skew
     rng = np.random.default_rng(2)
