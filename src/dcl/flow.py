@@ -21,15 +21,18 @@ Integrators
                    the factor the third-derivative term makes every mode
                    above a handful linearly unstable at production step
                    sizes, so the factor is what makes an explicit scheme
-                   viable at all.
+                   viable at all.  State and stage slopes live in rfft
+                   coefficients: a step makes 25 transform calls, and each
+                   stage checks its point once (tube, then on-target after
+                   projection) before running unchecked geometry kernels.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
                    by the fourth-order heat semigroup; requires eps > 0.
                    Each iteration evaluates the nonlinearity at all Gauss
                    nodes in one batched call.
                    States may sit slightly off the target (inside the
                    tube); their normal part then decays monotonically.
-``IMEX``           First-order integrating-factor Euler step (same L),
-                   projected at the step end.  Cheap, for smoke runs.
+``IMEX``           First-order integrating-factor Euler step (same L and
+                   stage), projected at the step end.  Cheap, for smoke runs.
 
 Products of fields are cubic, so state and nonlinear terms are dealiased
 by the N/4 rule; the mask is part of the spatial discretization and is
@@ -42,12 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .curves import (
-    h1_distance,
-    lifted_velocity,
-    require_finite,
-    tangency_residual,
-)
+from .curves import h1_distance, lifted_velocity, tangency_residual
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -221,32 +219,6 @@ def regularized_rhs(curve, cfg, check_tangency=False):
     return -eps * raw4 + nonlinear
 
 
-def _nonstiff_remainder(curve, cfg):
-    """Full RHS minus the constant-coefficient part L v, assembled directly.
-
-    For an on-manifold curve this equals regularized_rhs - (a v_xxx -
-    eps v_xxxx) but is built without the cancellation of large terms:
-    only differences of second-fundamental-form corrections appear.
-    """
-    m = curve.manifold
-    v = curve.samples
-    vx = curve.velocity()
-    order = 3 if cfg.epsilon else 2
-    tower = _gauss_tower(m, v, vx, order)
-    s1, s2 = tower[1], tower[2]
-    # t2 = (image of cov^2 u_x) - v_xxx, lower-order by construction
-    t2 = -spectral.spectral_derivative(
-        m.second_fundamental_form(v, vx, vx)
-    ) - m.second_fundamental_form(v, s1, vx)
-    out = cfg.a * t2 + m.complex_structure(v, s1) + cfg.b * _sq(vx) * vx
-    if cfg.epsilon:
-        t3 = spectral.spectral_derivative(t2) - m.second_fundamental_form(
-            v, s2, vx
-        )
-        out -= cfg.epsilon * t3
-    return out
-
-
 def semigroup_apply(eps, t, f):
     """Fourth-order heat semigroup on a periodic sampled field."""
     return spectral.semigroup_apply(eps, t, f)
@@ -291,40 +263,63 @@ def mode_cutoff(cfg, speed):
 
 
 class _Stepper:
-    """Shared spectral precomputation for one (config, grid) pair."""
+    """Spectral precomputation and the stage slope for one (config, grid) pair.
+
+    Multipliers are columns over the rfft modes: the retained-band mask,
+    the masked integrating factors over a full and a half step, and d/dx
+    with its powers 1..3 (Nyquist zeroed, as repeated first derivatives
+    zero it).
+    """
 
     def __init__(self, cfg, manifold, n, speed=1.0):
         self.cfg = cfg
         self.manifold = manifold
         self.n = n
-        k = spectral.wavenumbers(n)
+        k = spectral.wavenumbers(n)[:, None]
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - cfg.epsilon * (TWO_PI * k) ** 4
-        if n % 2 == 0:
-            # odd-order multiplier has no real Nyquist representative
-            lam[-1] = lam[-1].real
-        self.keep = mode_cutoff(cfg, speed)
-        mask = (k <= self.keep).astype(float)
-        self.e_full = np.exp(cfg.dt * lam) * mask
-        self.e_half = np.exp(0.5 * cfg.dt * lam) * mask
-        self.mask = mask
+        # odd-order multipliers have no real Nyquist representative (n even)
+        lam[-1] = lam[-1].real
+        self.mask = (k <= mode_cutoff(cfg, speed)).astype(float)
+        self.e_full = np.exp(cfg.dt * lam) * self.mask
+        self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
+        self.d1 = 1j * TWO_PI * k
+        self.d1[-1] = 0.0
+        self.d123 = np.stack([self.d1, self.d1**2, self.d1**3])
 
-    def _apply(self, mult, arr):
-        coef = np.fft.rfft(arr, axis=0)
-        coef *= mult[:, None]
-        return np.fft.irfft(coef, n=self.n, axis=0)
+    def slope(self, samples, trend, winding):
+        """Masked rfft coefficients of the non-stiff remainder at a stage.
 
-    def prop_full(self, arr):
-        return self._apply(self.e_full, arr)
+        The remainder is the RHS minus L v, assembled at the projection P
+        of the stage point without cancelling large terms (A is the second
+        fundamental form at P, s1 = v_xx - A(v_x, v_x)):
 
-    def prop_half(self, arr):
-        return self._apply(self.e_half, arr)
+            t2 = -D A(v_x, v_x) - A(s1, v_x),  t3 = D t2 - A(v_xxx + t2, v_x),
+            a t2 + J s1 + b |v_x|^2 v_x - eps t3.
 
-    def filt(self, arr):
-        return self._apply(self.mask, arr)
-
-    def project_state(self, samples):
-        self.manifold.require_in_tube(samples)
-        return self.manifold.project(samples)
+        The stage point is tube-checked and P checked on the target once;
+        the geometric kernels then run unchecked.  Five transform calls.
+        """
+        cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
+        m.require_in_tube(samples)
+        proj = m.project(samples)
+        m.require_on_manifold(proj)
+        coef = np.fft.rfft(proj - trend, axis=0)
+        vx, vxx, vxxx = np.fft.irfft(self.d123 * coef, n=n, axis=-2)
+        if winding.any():
+            vx = winding + vx
+        a0 = m._sff(proj, vx, vx)
+        s1 = vxx - a0
+        a1 = m._sff(proj, s1, vx)
+        a0_hat, a1_hat = np.fft.rfft(np.stack([a0, a1]), axis=-2)
+        da0_hat = d1 * a0_hat
+        da0, dt2 = np.fft.irfft(
+            np.stack([da0_hat, -d1 * (da0_hat + a1_hat)]), n=n, axis=-2
+        )
+        t2 = -da0 - a1
+        out = cfg.a * t2 + m._j(proj, s1) + cfg.b * _sq(vx) * vx
+        if cfg.epsilon:
+            out -= cfg.epsilon * (dt2 - m._sff(proj, vxxx + t2, vx))
+        return self.mask * np.fft.rfft(out, axis=0)
 
 
 def step_projected_rk4(curve, cfg):
@@ -343,48 +338,47 @@ def step_projected_rk4(curve, cfg):
 
 
 def _rk4_step(curve, cfg, st):
+    """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
+
+    The periodic part V0 of the state and the stage slopes stay in
+    coefficient space; each stage point and the step end is one irfft.
+    """
     h = cfg.dt
-    trend = curve.trend()
-    v0 = curve.samples
+    trend, winding = curve.trend(), curve.winding()
+    v0 = np.fft.rfft(curve.samples - trend, axis=0)
+    half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
-    def pos_full(samples):
-        return trend + st.prop_full(samples - trend)
+    def slope(coef):
+        point = trend + np.fft.irfft(coef, n=st.n, axis=0)
+        return st.slope(point, trend, winding)
 
-    def pos_half(samples):
-        return trend + st.prop_half(samples - trend)
-
-    def nl(samples):
-        stage = curve.with_samples(st.project_state(samples))
-        return st.filt(_nonstiff_remainder(stage, cfg))
-
-    m1 = nl(v0)
-    g2 = pos_half(v0 + (0.5 * h) * m1)
-    m2 = nl(g2)
-    g3 = pos_half(v0) + (0.5 * h) * m2
-    m3 = nl(g3)
-    g4 = pos_full(v0) + h * st.prop_half(m3)
-    m4 = nl(g4)
-    pre = pos_full(v0) + (h / 6.0) * (
-        st.prop_full(m1) + 2.0 * st.prop_half(m2 + m3) + m4
+    m1 = st.slope(curve.samples, trend, winding)
+    m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
+    m3 = slope(half_v0 + (0.5 * h) * m2)
+    m4 = slope(full_v0 + h * (st.e_half * m3))
+    end = full_v0 + (h / 6.0) * (
+        st.e_full * m1 + 2.0 * (st.e_half * (m2 + m3)) + m4
     )
-    residual = float(np.max(curve.manifold.constraint_residual(pre)))
-    out = curve.with_samples(st.project_state(pre))
-    return out, residual
+    return _step_end(curve, st, trend, end)
 
 
 def _imex_step(curve, cfg, st):
     """Integrating-factor Euler step (first order), projected at the end."""
     trend = curve.trend()
-    pre = trend + st.prop_full(
-        curve.samples - trend + cfg.dt * nl_masked(curve, cfg, st)
-    )
-    residual = float(np.max(curve.manifold.constraint_residual(pre)))
-    return curve.with_samples(st.project_state(pre)), residual
+    v0 = np.fft.rfft(curve.samples - trend, axis=0)
+    m1 = st.slope(curve.samples, trend, curve.winding())
+    return _step_end(curve, st, trend, st.e_full * (v0 + cfg.dt * m1))
 
 
-def nl_masked(curve, cfg, st):
-    stage = curve.with_samples(st.project_state(curve.samples))
-    return st.filt(_nonstiff_remainder(stage, cfg))
+def _step_end(curve, st, trend, coef):
+    """Guarded projection of trend + irfft(coef); (curve, residual before)."""
+    m = curve.manifold
+    pre = trend + np.fft.irfft(coef, n=st.n, axis=0)
+    residual = float(np.max(m.constraint_residual(pre)))
+    if not np.all(np.isfinite(pre)):
+        raise StepSizeUnstable("non-finite state")
+    m.require_in_tube(pre)
+    return curve.with_samples(m.project(pre)), residual
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +429,8 @@ def _picard_step(curve, cfg, ws):
 
     for iteration in range(1, cfg.picard_max_iter + 1):
         states = trend + devs[:q]
-        require_finite(states)
+        if not np.all(np.isfinite(states)):
+            raise StepSizeUnstable("non-finite state")
         m.require_in_tube(states)
         proj = m.project(states)
         f_val = _regularized_nonlinearity(
@@ -484,22 +479,25 @@ def _extrinsic_h2(curve):
     """H2 norm of the velocity by plain spectral derivatives.
 
     Valid for states slightly off the target (unlike the covariant norm),
-    which is all the blow-up guard needs.
+    which is all the blow-up guard needs.  By Parseval on one transform
+    of the periodic part: |W|^2 plus the power of D^j of it for j = 1..3,
+    Nyquist mode dropped as odd-order derivatives drop it.
     """
-    vx = curve.velocity()
-    total = 0.0
-    for _ in range(3):
-        total += spectral.l2_inner(vx, vx)
-        vx = spectral.spectral_derivative(vx)
-    return float(np.sqrt(total))
+    n = curve.n
+    coef = np.fft.rfft(curve.samples - curve.trend(), axis=0)
+    k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
+    k2[-1] = 0.0
+    power = (coef.real**2 + coef.imag**2).sum(axis=-1) * (k2 + k2**2 + k2**3)
+    winding = curve.winding()
+    return float(np.sqrt(winding @ winding + 2.0 * power.sum() / n**2))
 
 
 def evolve(u0, cfg, stride=1):
     """March the flow to T, snapshotting every ``stride`` steps.
 
-    Guard trips (tube exit, failed contraction, runaway H2 growth) abort
-    the march and are reported through ``Trajectory.failure`` while the
-    partial trajectory is preserved.
+    Guard trips (tube exit, failed contraction, runaway H2 growth, a
+    non-finite step) abort the march and are reported through
+    ``Trajectory.failure`` while the partial trajectory is preserved.
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
@@ -522,16 +520,13 @@ def evolve(u0, cfg, stride=1):
         step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
 
         def advance(c):
-            out, residual = step_fn(c, cfg, st)
-            return out, residual
+            return step_fn(c, cfg, st)
 
     state = u0
     guard_norm = _extrinsic_h2(u0)
     try:
         for k in range(1, n_steps + 1):
             state, diag = advance(state)
-            if not np.all(np.isfinite(state.samples)):
-                raise StepSizeUnstable("non-finite state")
             if cfg.integrator == "DuhamelPicard":
                 traj.picard_iterations.append(diag)
                 traj.step_residuals.append(state.off_manifold())

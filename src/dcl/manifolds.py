@@ -8,8 +8,14 @@ Three constant-curvature targets are provided:
 * ``ChartFlatTorus2`` -- the flat torus worked directly in chart
   coordinates R^2/Z^2 (no constraint; coordinates wrap mod 1 lazily).
 
-Every operation is a pure function of its inputs and is vectorized over a
-leading axis of points, so calls are safe to issue concurrently.
+Every operation is a pure function of its inputs and is vectorized over
+leading axes of points, so calls are safe to issue concurrently.  The
+public ``tangent_project``, ``second_fundamental_form`` and
+``complex_structure`` check the shape of their points and that the base
+points lie on the target (``PointOffManifold`` otherwise).  Each has an
+unchecked kernel (``_tangent``, ``_sff``, ``_j``) holding only the
+formula, for callers such as the flow's stages that check their points
+once and then make many calls on them.
 
 Convention note: ``second_fundamental_form`` returns the normal component
 of the ambient directional derivative D_X Y (for the sphere this is
@@ -34,7 +40,7 @@ def _dot(a, b):
 
 
 class _Manifold:
-    """Shared validation helpers; concrete geometry lives in subclasses."""
+    """Checked public operators; the formulas live in subclass kernels."""
 
     name = ""
     ambient_dim = 0
@@ -64,6 +70,22 @@ class _Manifold:
                 f"{self.name}: distance {dist:.3e} >= tubular radius "
                 f"{self.tubular_radius:.3e}"
             )
+
+    def _on_manifold(self, base):
+        base = self._check_points(base)
+        self.require_on_manifold(base)
+        return base
+
+    def tangent_project(self, base, vec):
+        return self._tangent(self._on_manifold(base), self._check_points(vec))
+
+    def second_fundamental_form(self, base, x, y):
+        return self._sff(
+            self._on_manifold(base), np.asarray(x, float), np.asarray(y, float)
+        )
+
+    def complex_structure(self, base, vec):
+        return self._j(self._on_manifold(base), np.asarray(vec, dtype=float))
 
     def normal_project(self, base, vec):
         return np.asarray(vec, dtype=float) - self.tangent_project(base, vec)
@@ -99,21 +121,16 @@ class Sphere2(_Manifold):
             )
         return pts / norm[..., None]
 
-    def tangent_project(self, base, vec):
-        base = self._check_points(base)
-        vec = self._check_points(vec)
-        self.require_on_manifold(base)
+    def _tangent(self, base, vec):
         return vec - _dot(vec, base)[..., None] * base
 
-    def second_fundamental_form(self, base, x, y):
-        base = self._check_points(base)
-        self.require_on_manifold(base)
-        return -_dot(np.asarray(x, float), np.asarray(y, float))[..., None] * base
+    def _sff(self, base, x, y):
+        return -_dot(x, y)[..., None] * base
 
-    def complex_structure(self, base, vec):
-        base = self._check_points(base)
-        self.require_on_manifold(base)
-        return np.cross(base, np.asarray(vec, dtype=float))
+    def _j(self, base, vec):
+        # base x vec; np.cross costs twice as much per call
+        i, j = [1, 2, 0], [2, 0, 1]
+        return base[..., i] * vec[..., j] - base[..., j] * vec[..., i]
 
 
 class CliffordTorus2(_Manifold):
@@ -166,20 +183,13 @@ class CliffordTorus2(_Manifold):
         tau2[..., 3] = base[..., 2] / self.radius
         return tau1, tau2
 
-    def tangent_project(self, base, vec):
-        base = self._check_points(base)
-        vec = self._check_points(vec)
-        self.require_on_manifold(base)
+    def _tangent(self, base, vec):
         tau1, tau2 = self._frame(base)
         return (
             _dot(vec, tau1)[..., None] * tau1 + _dot(vec, tau2)[..., None] * tau2
         )
 
-    def second_fundamental_form(self, base, x, y):
-        base = self._check_points(base)
-        self.require_on_manifold(base)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def _sff(self, base, x, y):
         r2 = self.radius**2
         out = np.empty_like(base)
         c1 = -_dot(x[..., 0:2], y[..., 0:2]) / r2
@@ -188,10 +198,7 @@ class CliffordTorus2(_Manifold):
         out[..., 2:4] = c2[..., None] * base[..., 2:4]
         return out
 
-    def complex_structure(self, base, vec):
-        base = self._check_points(base)
-        self.require_on_manifold(base)
-        vec = np.asarray(vec, dtype=float)
+    def _j(self, base, vec):
         tau1, tau2 = self._frame(base)
         return _dot(vec, tau1)[..., None] * tau2 - _dot(vec, tau2)[..., None] * tau1
 
@@ -239,17 +246,13 @@ class ChartFlatTorus2(_Manifold):
     def project(self, pts, check_tube=False):
         return self._check_points(pts).copy()
 
-    def tangent_project(self, base, vec):
-        self._check_points(base)
-        return np.asarray(vec, dtype=float).copy()
+    def _tangent(self, base, vec):
+        return vec.copy()
 
-    def second_fundamental_form(self, base, x, y):
-        base = self._check_points(base)
+    def _sff(self, base, x, y):
         return np.zeros_like(base)
 
-    def complex_structure(self, base, vec):
-        self._check_points(base)
-        vec = np.asarray(vec, dtype=float)
+    def _j(self, base, vec):
         out = np.empty_like(vec)
         out[..., 0] = -vec[..., 1]
         out[..., 1] = vec[..., 0]

@@ -256,3 +256,31 @@ def test_bad_numbers_exit_config_error(tmp_path, overrides):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
+
+
+def test_blow_up_to_non_finite_exits_3(tmp_path):
+    # the chart torus has no tube, so this run overflows to non-finite
+    # samples long before its only H2 check at step 200
+    out_dir = tmp_path / "out"
+    manifest = base_manifest(
+        out_dir,
+        config={"a": 1, "b": 5, "epsilon": 0, "N_g": 64, "dt": 1e-3,
+                "T": 0.2, "manifold": "ChartFlatTorus2", "mode_cutoff": 16,
+                "initial_condition": "random_smooth:3,1.1,0.18"},
+    )
+    manifest["stride"] = 200
+    path = write_manifest(tmp_path, manifest)
+    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcl.cli", "simulate", "--manifest", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    echo = json.loads((out_dir / "manifest.json").read_text())
+    assert echo["exit_status"] == 3
+    assert echo["failure"].startswith("StepSizeUnstable")

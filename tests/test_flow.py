@@ -15,6 +15,7 @@ from dcl.curves import (
 from dcl.errors import NoContraction, OutOfTubularNeighborhood
 from dcl.flow import (
     FlowConfig,
+    _extrinsic_h2,
     _PicardWorkspace,
     _regularized_nonlinearity,
     dispersive_rhs,
@@ -242,15 +243,23 @@ def test_picard_no_contraction():
     # the dispersive term is explicit in the Duhamel integrand; past its
     # per-mode gain edge the iteration stalls and the step reports failure
     # (this mirrors the smallness condition on the regularized existence
-    # time: the remedy is a smaller dt or a smaller retained band)
-    c = great_circle(64)
-    bump = 1.0 + 1e-4 * np.cos(TWO_PI * np.arange(64) / 64)
-    c = c.with_samples(c.samples * bump[:, None])
+    # time: the remedy is a smaller dt or a smaller retained band).  A
+    # 1e-8 wiggle at mode 10, beyond the edge but inside the band, seeds
+    # the growth: the smallest update of the first step is about 5e-7,
+    # over three decades above picard_tol, so the step it fails at does
+    # not depend on roundoff
+    x = spectral.grid(64)
+    bump = 1.0 + 1e-4 * np.cos(TWO_PI * x)
+    samples = great_circle(64).samples * bump[:, None]
+    samples[:, 2] += 1e-8 * np.cos(TWO_PI * 10 * x)
+    c = ClosedCurve(samples, SPHERE2)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=5e-3,
-                     integrator="DuhamelPicard", picard_tol=1e-13,
+                     integrator="DuhamelPicard", picard_tol=1e-10,
                      picard_max_iter=25, mode_cutoff=16)
     traj = evolve(c, cfg, stride=1)
     assert traj.failure is not None and "NoContraction" in traj.failure
+    # it fails in the first step
+    assert traj.picard_iterations == [] and len(traj.states) == 1
     # and the stepwise entry point raises the same condition
     state = traj.states[-1]
     with pytest.raises(NoContraction):
@@ -382,6 +391,48 @@ def test_evolve_blowup_guard_trips():
     traj = evolve(c, cfg, stride=10)
     assert traj.failure is not None
     assert len(traj.states) >= 1
+
+
+@pytest.mark.parametrize("integrator", ["ProjectedRK4", "DuhamelPicard"])
+def test_evolve_non_finite_state_is_step_size_unstable(integrator):
+    # the chart torus has no tube to leave, so a blow-up overflows to
+    # non-finite samples before the strided H2 guard runs
+    c = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1, amplitude=0.18)
+    if integrator == "ProjectedRK4":
+        cfg = FlowConfig(a=1.0, b=5.0, epsilon=0.0, N_g=64, dt=1e-3, T=0.2,
+                         mode_cutoff=16)
+    else:
+        c = random_smooth(CHART_FLAT_TORUS2, 32, seed=3, decay=1.1,
+                          amplitude=0.18)
+        cfg = FlowConfig(a=0.0, b=50.0, epsilon=1e-4, N_g=32, dt=1e-3,
+                         T=4e-3, integrator=integrator, mode_cutoff=8)
+    with np.errstate(all="ignore"):
+        traj = evolve(c, cfg, stride=cfg.n_steps())
+    assert traj.failure == "StepSizeUnstable: non-finite state"
+    assert traj.times == [0.0]
+
+
+def parent_extrinsic_h2(curve):
+    # ||v_x||^2 + ||D v_x||^2 + ||D^2 v_x||^2 by repeated derivatives
+    vx = curve.velocity()
+    total = 0.0
+    for _ in range(3):
+        total += spectral.l2_inner(vx, vx)
+        vx = spectral.spectral_derivative(vx)
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize(
+    "manifold", [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2],
+    ids=lambda m: m.name,
+)
+def test_extrinsic_h2_matches_derivative_chain(manifold):
+    for n, seed in ((16, 0), (64, 1), (256, 2)):
+        c = random_smooth(manifold, n, seed=seed, decay=0.5, amplitude=0.3)
+        if manifold is CHART_FLAT_TORUS2:
+            assert c.winding().any()
+        want = parent_extrinsic_h2(c)
+        assert abs(_extrinsic_h2(c) - want) <= 1e-13 * want
 
 
 def test_evolve_time_reversal():

@@ -124,6 +124,36 @@ def test_point_off_manifold_raises():
         SPHERE2.tangent_project(bad, np.array([0.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2], ids=str)
+def test_checked_operators_reject_off_manifold_base(manifold):
+    bad = 1.5 * random_on(manifold, 4, seed=0)
+    vec = np.ones_like(bad)
+    with pytest.raises(PointOffManifold):
+        manifold.tangent_project(bad, vec)
+    with pytest.raises(PointOffManifold):
+        manifold.second_fundamental_form(bad, vec, vec)
+    with pytest.raises(PointOffManifold):
+        manifold.complex_structure(bad, vec)
+
+
+@pytest.mark.parametrize("manifold", list(MANIFOLDS.values()), ids=str)
+def test_unchecked_kernels_equal_public_operators(manifold):
+    base = random_on(manifold, 64, seed=1)
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal((2,) + base.shape)
+    assert np.array_equal(
+        manifold._tangent(base, x), manifold.tangent_project(base, x)
+    )
+    assert np.array_equal(
+        manifold._sff(base, x, y), manifold.second_fundamental_form(base, x, y)
+    )
+    assert np.array_equal(
+        manifold._j(base, x), manifold.complex_structure(base, x)
+    )
+    if manifold is SPHERE2:
+        assert np.array_equal(manifold._j(base, x), np.cross(base, x))
+
+
 # ---------------------------------------------------------------------------
 # second fundamental form
 # ---------------------------------------------------------------------------
