@@ -11,12 +11,10 @@ has the fixed column schema
 with ``nt_quantity`` blank off the sphere, and ``manifest.json`` echoes
 the resolved configuration as canonical JSON (sorted keys) together with
 the row checksum and exit status.  Identical manifest and seed give a
-byte-identical report.  The environment variable ``DCL_THREADS`` caps the
-parallelism of convergence sweeps (default 1, the reference mode).
+byte-identical report.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
@@ -238,13 +236,6 @@ def cmd_verify(suite, grids=(64, 128), seed=0):
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("DCL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_converge(manifest, mode, levels=3):
     """Self-refinement study in epsilon, grid size, or time step."""
     if levels < 3:
@@ -316,18 +307,20 @@ def cmd_converge(manifest, mode, levels=3):
 
 
 def _run_levels(manifest, configs):
-    def one(level_cfg):
-        u0 = make_initial(
-            manifest.initial_condition, manifest.manifold,
-            level_cfg.N_g, manifest.seed,
-        )
-        return evolve(u0, level_cfg, stride=level_cfg.n_steps() or 1)
+    """One ``evolve`` per level, all from the same initial curve.
 
-    workers = _threads()
-    if workers == 1:
-        return [one(c) for c in configs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, configs))
+    The curve is built once on the finest grid and resampled onto each
+    level's grid, so levels differ only in their discretization (a preset
+    drawn at each N separately need not be the same curve).
+    """
+    u0 = make_initial(
+        manifest.initial_condition, manifest.manifold,
+        max(c.N_g for c in configs), manifest.seed,
+    )
+    return [
+        evolve(resample(u0, c.N_g), c, stride=c.n_steps() or 1)
+        for c in configs
+    ]
 
 
 def build_parser():

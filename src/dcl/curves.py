@@ -55,10 +55,7 @@ class ClosedCurve:
 
     def trend(self):
         """Linear winding part W*x of the samples (chart torus only)."""
-        w = self.winding()
-        if not w.any():
-            return np.zeros_like(self.samples)
-        return spectral.grid(self.n)[:, None] * w[None, :]
+        return lift_trend(self.samples, self.manifold)[0]
 
     def velocity(self):
         """Spectral first derivative of the position, winding-aware."""
@@ -118,6 +115,14 @@ def lift_winding(samples, manifold):
     if manifold is not CHART_FLAT_TORUS2:
         return np.zeros(samples.shape[:-2] + (manifold.ambient_dim,))
     return np.rint(samples[..., -1, :] - samples[..., 0, :])
+
+
+def lift_trend(samples, manifold):
+    """(trend W*x, winding W) of (..., N, d) samples; both zero off the chart."""
+    w = lift_winding(samples, manifold)
+    if not w.any():
+        return np.zeros_like(samples), w
+    return spectral.grid(samples.shape[-2])[:, None] * w[..., None, :], w
 
 
 def lifted_velocity(samples, manifold):

@@ -25,6 +25,10 @@ Integrators
                    coefficients: a step makes 25 transform calls, and each
                    stage checks its point once (tube, then on-target after
                    projection) before running unchecked geometry kernels.
+                   The step acts on one curve (N, d) or on a stack
+                   (B, N, d) whose members may carry their own eps; the
+                   epsilon continuation marches its baseline and all
+                   levels as one such stack.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
                    by the fourth-order heat semigroup; requires eps > 0.
                    Each iteration evaluates the nonlinearity at all Gauss
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .curves import h1_distance, lifted_velocity, tangency_residual
+from .curves import h1_distance, lift_trend, lifted_velocity, tangency_residual
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -268,17 +272,24 @@ class _Stepper:
     Multipliers are columns over the rfft modes: the retained-band mask,
     the masked integrating factors over a full and a half step, and d/dx
     with its powers 1..3 (Nyquist zeroed, as repeated first derivatives
-    zero it).
+    zero it).  ``eps`` defaults to ``cfg.epsilon``; a sequence of B levels
+    gives the integrating factors a leading member axis, (B, K, 1), for
+    stepping a (B, N, d) stack whose member i carries eps[i].  The band
+    and the derivative multipliers are shared by all members.
     """
 
-    def __init__(self, cfg, manifold, n, speed=1.0):
+    def __init__(self, cfg, manifold, n, speed=1.0, eps=None):
         self.cfg = cfg
         self.manifold = manifold
         self.n = n
+        if eps is None:
+            self.eps = cfg.epsilon
+        else:
+            self.eps = np.asarray(eps, dtype=float)[:, None, None]
         k = spectral.wavenumbers(n)[:, None]
-        lam = cfg.a * (1j * TWO_PI * k) ** 3 - cfg.epsilon * (TWO_PI * k) ** 4
+        lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
-        lam[-1] = lam[-1].real
+        lam[..., -1, :] = lam[..., -1, :].real
         self.mask = (k <= mode_cutoff(cfg, speed)).astype(float)
         self.e_full = np.exp(cfg.dt * lam) * self.mask
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
@@ -296,17 +307,19 @@ class _Stepper:
             t2 = -D A(v_x, v_x) - A(s1, v_x),  t3 = D t2 - A(v_xxx + t2, v_x),
             a t2 + J s1 + b |v_x|^2 v_x - eps t3.
 
-        The stage point is tube-checked and P checked on the target once;
-        the geometric kernels then run unchecked.  Five transform calls.
+        Arrays are (..., N, d) with ``winding`` (..., d).  The stage points
+        are tube-checked and P checked on the target once; the geometric
+        kernels then run unchecked.  Five transform calls.
         """
         cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
         m.require_in_tube(samples)
         proj = m.project(samples)
         m.require_on_manifold(proj)
-        coef = np.fft.rfft(proj - trend, axis=0)
-        vx, vxx, vxxx = np.fft.irfft(self.d123 * coef, n=n, axis=-2)
+        coef = np.fft.rfft(proj - trend, axis=-2)
+        d123 = self.d123.reshape((3,) + (1,) * (coef.ndim - 2) + d1.shape)
+        vx, vxx, vxxx = np.fft.irfft(d123 * coef, n=n, axis=-2)
         if winding.any():
-            vx = winding + vx
+            vx = winding[..., None, :] + vx
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
         a1 = m._sff(proj, s1, vx)
@@ -317,9 +330,10 @@ class _Stepper:
         )
         t2 = -da0 - a1
         out = cfg.a * t2 + m._j(proj, s1) + cfg.b * _sq(vx) * vx
-        if cfg.epsilon:
-            out -= cfg.epsilon * (dt2 - m._sff(proj, vxxx + t2, vx))
-        return self.mask * np.fft.rfft(out, axis=0)
+        if np.any(self.eps):
+            # a member at eps = 0 subtracts 0 * (...), which leaves it as is
+            out -= self.eps * (dt2 - m._sff(proj, vxxx + t2, vx))
+        return self.mask * np.fft.rfft(out, axis=-2)
 
 
 def step_projected_rk4(curve, cfg):
@@ -330,55 +344,54 @@ def step_projected_rk4(curve, cfg):
     off-manifold residual before that final projection is available via
     :func:`evolve` diagnostics.
     """
-    speed = float(np.max(np.abs(curve.velocity())))
-    new_curve, _ = _rk4_step(
-        curve, cfg, _Stepper(cfg, curve.manifold, curve.n, speed)
-    )
-    return new_curve
+    st = _Stepper(cfg, curve.manifold, curve.n, _speed(curve))
+    return curve.with_samples(_rk4_step(curve.samples, cfg, st)[0])
 
 
-def _rk4_step(curve, cfg, st):
+def _rk4_step(samples, cfg, st):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
+    ``samples`` is one curve (N, d) or a stack (..., N, d) on one grid.
     The periodic part V0 of the state and the stage slopes stay in
     coefficient space; each stage point and the step end is one irfft.
+    Returns the projected state and the largest residual before projection.
     """
     h = cfg.dt
-    trend, winding = curve.trend(), curve.winding()
-    v0 = np.fft.rfft(curve.samples - trend, axis=0)
+    trend, winding = lift_trend(samples, st.manifold)
+    v0 = np.fft.rfft(samples - trend, axis=-2)
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
-        point = trend + np.fft.irfft(coef, n=st.n, axis=0)
+        point = trend + np.fft.irfft(coef, n=st.n, axis=-2)
         return st.slope(point, trend, winding)
 
-    m1 = st.slope(curve.samples, trend, winding)
+    m1 = st.slope(samples, trend, winding)
     m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
     m4 = slope(full_v0 + h * (st.e_half * m3))
     end = full_v0 + (h / 6.0) * (
         st.e_full * m1 + 2.0 * (st.e_half * (m2 + m3)) + m4
     )
-    return _step_end(curve, st, trend, end)
+    return _step_end(st, trend, end)
 
 
-def _imex_step(curve, cfg, st):
+def _imex_step(samples, cfg, st):
     """Integrating-factor Euler step (first order), projected at the end."""
-    trend = curve.trend()
-    v0 = np.fft.rfft(curve.samples - trend, axis=0)
-    m1 = st.slope(curve.samples, trend, curve.winding())
-    return _step_end(curve, st, trend, st.e_full * (v0 + cfg.dt * m1))
+    trend, winding = lift_trend(samples, st.manifold)
+    v0 = np.fft.rfft(samples - trend, axis=-2)
+    m1 = st.slope(samples, trend, winding)
+    return _step_end(st, trend, st.e_full * (v0 + cfg.dt * m1))
 
 
-def _step_end(curve, st, trend, coef):
-    """Guarded projection of trend + irfft(coef); (curve, residual before)."""
-    m = curve.manifold
-    pre = trend + np.fft.irfft(coef, n=st.n, axis=0)
+def _step_end(st, trend, coef):
+    """Guarded projection of trend + irfft(coef); (samples, residual before)."""
+    m = st.manifold
+    pre = trend + np.fft.irfft(coef, n=st.n, axis=-2)
     residual = float(np.max(m.constraint_residual(pre)))
     if not np.all(np.isfinite(pre)):
         raise StepSizeUnstable("non-finite state")
     m.require_in_tube(pre)
-    return curve.with_samples(m.project(pre)), residual
+    return m.project(pre), residual
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +488,32 @@ def picard_solve(curve, cfg):
 BLOWUP_FACTOR = 10.0
 
 
-def _extrinsic_h2(curve):
+def _extrinsic_h2(samples, manifold):
     """H2 norm of the velocity by plain spectral derivatives.
 
     Valid for states slightly off the target (unlike the covariant norm),
     which is all the blow-up guard needs.  By Parseval on one transform
     of the periodic part: |W|^2 plus the power of D^j of it for j = 1..3,
-    Nyquist mode dropped as odd-order derivatives drop it.
+    Nyquist mode dropped as odd-order derivatives drop it.  One norm per
+    curve of a (..., N, d) stack.
     """
-    n = curve.n
-    coef = np.fft.rfft(curve.samples - curve.trend(), axis=0)
+    n = samples.shape[-2]
+    trend, winding = lift_trend(samples, manifold)
+    coef = np.fft.rfft(samples - trend, axis=-2)
     k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
     k2[-1] = 0.0
     power = (coef.real**2 + coef.imag**2).sum(axis=-1) * (k2 + k2**2 + k2**3)
-    winding = curve.winding()
-    return float(np.sqrt(winding @ winding + 2.0 * power.sum() / n**2))
+    total = (winding * winding).sum(axis=-1) + 2.0 * power.sum(axis=-1) / n**2
+    return np.sqrt(total)
+
+
+# The failures a march records in ``Trajectory.failure`` instead of raising.
+_GUARD_TRIPS = (OutOfTubularNeighborhood, NoContraction, StepSizeUnstable,
+               TangencyViolation)
+
+
+def _h2_blowup(norm, guard_norm):
+    return norm > BLOWUP_FACTOR * max(guard_norm, 1e-30)
 
 
 def evolve(u0, cfg, stride=1):
@@ -499,8 +523,7 @@ def evolve(u0, cfg, stride=1):
     non-finite step) abort the march and are reported through
     ``Trajectory.failure`` while the partial trajectory is preserved.
     """
-    if u0.n != cfg.N_g:
-        raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
+    _check_grid(u0, cfg)
     n_steps = cfg.n_steps()
     if stride < 1 or (n_steps and n_steps % stride):
         raise ValueError("stride must divide the step count")
@@ -509,21 +532,22 @@ def evolve(u0, cfg, stride=1):
     if n_steps == 0:
         return traj
 
+    m = u0.manifold
     if cfg.integrator == "DuhamelPicard":
         ws = _PicardWorkspace(cfg, u0.n)
 
         def advance(c):
             return _picard_step(c, cfg, ws)
     else:
-        speed = float(np.max(np.abs(u0.velocity())))
-        st = _Stepper(cfg, u0.manifold, u0.n, speed)
+        st = _Stepper(cfg, m, u0.n, _speed(u0))
         step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
 
         def advance(c):
-            return step_fn(c, cfg, st)
+            samples, residual = step_fn(c.samples, cfg, st)
+            return c.with_samples(samples), residual
 
     state = u0
-    guard_norm = _extrinsic_h2(u0)
+    guard_norm = float(_extrinsic_h2(u0.samples, m))
     try:
         for k in range(1, n_steps + 1):
             state, diag = advance(state)
@@ -533,18 +557,49 @@ def evolve(u0, cfg, stride=1):
             else:
                 traj.step_residuals.append(diag)
             if k % stride == 0:
-                norm = _extrinsic_h2(state)
-                if norm > BLOWUP_FACTOR * max(guard_norm, 1e-30):
+                norm = float(_extrinsic_h2(state.samples, m))
+                if _h2_blowup(norm, guard_norm):
                     raise StepSizeUnstable(
                         f"H2 norm grew {norm / guard_norm:.1f}x within one stride"
                     )
                 guard_norm = norm
                 traj.times.append(k * cfg.dt)
                 traj.states.append(state)
-    except (OutOfTubularNeighborhood, NoContraction, StepSizeUnstable,
-            TangencyViolation) as exc:
+    except _GUARD_TRIPS as exc:
         traj.failure = f"{type(exc).__name__}: {exc}"
     return traj
+
+
+def _check_grid(u0, cfg):
+    if u0.n != cfg.N_g:
+        raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
+
+
+def _speed(u0):
+    """Largest |v_x| of the data, which fixes the RK4 stability band."""
+    return float(np.max(np.abs(u0.velocity())))
+
+
+def _march_members(u0, cfg, levels):
+    """Finals of the RK4 flow from u0 at each eps level, as one stack.
+
+    Member i of a (B, N, d) stack carries eps = levels[i]; every step
+    advances all members at once.  The H2 blow-up guard is applied to
+    each member at the end, as :func:`evolve` does at stride = n_steps.
+    Returns None when any guard trips, for any member.
+    """
+    m = u0.manifold
+    st = _Stepper(cfg, m, u0.n, _speed(u0), eps=levels)
+    samples = np.stack([u0.samples] * len(levels))
+    try:
+        for _ in range(cfg.n_steps()):
+            samples, _ = _rk4_step(samples, cfg, st)
+    except _GUARD_TRIPS:
+        return None
+    guard_norm = float(_extrinsic_h2(u0.samples, m))
+    if np.any(_h2_blowup(_extrinsic_h2(samples, m), guard_norm)):
+        return None
+    return [u0.with_samples(s) for s in samples]
 
 
 def epsilon_continuation(u0, cfg, eps_list):
@@ -553,32 +608,45 @@ def epsilon_continuation(u0, cfg, eps_list):
     Rows are ordered by eps (largest first).  Per-run failures are
     recorded in their row; the table is returned regardless.  All runs use
     the projected RK4 stepper so that the eps = 0 baseline is admissible.
+    The baseline and the levels march as one (B, N, d) stack with
+    per-member integrating factors.  If any guard trips for any member,
+    every level is run again on its own with :func:`evolve`, so each row
+    carries the failure that level alone hits.
     """
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps levels must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps levels must be strictly decreasing")
+    _check_grid(u0, cfg)
+    cfg = replace(cfg, integrator="ProjectedRK4")
+    levels = [0.0, *eps_list]
 
-    def run(eps):
-        cfg_eps = replace(cfg, epsilon=eps, integrator="ProjectedRK4")
-        return evolve(u0, cfg_eps, stride=cfg.n_steps())
+    finals = _march_members(u0, cfg, levels)
+    if finals is None:
+        runs = [
+            evolve(u0, replace(cfg, epsilon=eps), stride=cfg.n_steps())
+            for eps in levels
+        ]
+        finals = [traj.final for traj in runs]
+        failures = [traj.failure for traj in runs]
+    else:
+        failures = [None] * len(levels)
 
-    base = run(0.0)
+    base_final, base_failure = finals[0], failures[0]
     rows = []
     prev_final = None
-    for eps in eps_list:
-        traj = run(eps)
+    for eps, final, failure in zip(eps_list, finals[1:], failures[1:]):
         row = {
             "epsilon": eps,
             "h1_to_zero": np.nan,
             "h1_to_prev": np.nan,
-            "failure": traj.failure or (base.failure and f"baseline {base.failure}"),
+            "failure": failure or (base_failure and f"baseline {base_failure}"),
         }
-        if traj.failure is None and base.failure is None:
-            row["h1_to_zero"] = h1_distance(traj.final, base.final)
+        if failure is None and base_failure is None:
+            row["h1_to_zero"] = h1_distance(final, base_final)
             if prev_final is not None:
-                row["h1_to_prev"] = h1_distance(traj.final, prev_final)
-            prev_final = traj.final
+                row["h1_to_prev"] = h1_distance(final, prev_final)
+            prev_final = final
         rows.append(row)
     return rows

@@ -218,17 +218,71 @@ def test_converge_grid_mode(tmp_path):
 
 
 def test_converge_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DCL_THREADS", "2")
-    out = tmp_path / "convthreads"
+    # DCL_THREADS is no longer read: the table is the same with or without it
+    tables = []
+    for name, threads in (("convthreads", "2"), ("convplain", None)):
+        if threads is None:
+            monkeypatch.delenv("DCL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DCL_THREADS", threads)
+        out = tmp_path / name
+        manifest = base_manifest(
+            out,
+            config={"dt": 2e-5, "T": 4e-4, "N_g": 32,
+                    "initial_condition": "latitude:0.9"},
+        )
+        manifest["stride"] = 20
+        path = write_manifest(tmp_path, manifest, name=f"{name}.json")
+        assert main(["converge", "--manifest", path, "--mode", "grid",
+                     "--levels", "3"]) == 0
+        tables.append((out / "converge_grid.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize(
+    "manifold", ["Sphere2", "CliffordTorus2", "ChartFlatTorus2"]
+)
+def test_converge_grid_levels_share_initial_curve(tmp_path, manifold):
+    # random_smooth draws a different curve at each N; a zero-horizon study
+    # must still compare one curve, resampled onto each grid
+    out = tmp_path / "gridzero"
     manifest = base_manifest(
         out,
-        config={"dt": 2e-5, "T": 4e-4, "N_g": 32,
-                "initial_condition": "latitude:0.9"},
+        config={"a": 1.0, "b": 0.5, "T": 0.0, "manifold": manifold,
+                "initial_condition": "random_smooth:3,1.0,0.18"},
     )
-    manifest["stride"] = 20
+    manifest["stride"] = 1
     path = write_manifest(tmp_path, manifest)
     assert main(["converge", "--manifest", path, "--mode", "grid",
                  "--levels", "3"]) == 0
+    table = (out / "converge_grid.csv").read_text().strip().splitlines()
+    diffs = [float(line.split(",")[1]) for line in table[1:]]
+    assert len(diffs) == 3 and max(diffs) <= 1e-12
+
+
+def test_converge_epsilon_zero_horizon_exits_0(tmp_path):
+    out = tmp_path / "epszero"
+    manifest = base_manifest(
+        out,
+        config={"a": 1.0, "b": 0.5, "T": 0.0,
+                "initial_condition": "random_smooth:3,1.0,0.18"},
+    )
+    manifest["stride"] = 1
+    path = write_manifest(tmp_path, manifest)
+    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcl.cli", "converge", "--manifest", path,
+         "--mode", "epsilon", "--levels", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    table = (out / "converge_epsilon.csv").read_text().strip().splitlines()
+    assert [line.split(",")[1] for line in table[1:]] == ["0", "0", "0"]
 
 
 def test_missing_manifest_is_config_error(tmp_path):

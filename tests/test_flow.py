@@ -432,7 +432,7 @@ def test_extrinsic_h2_matches_derivative_chain(manifold):
         if manifold is CHART_FLAT_TORUS2:
             assert c.winding().any()
         want = parent_extrinsic_h2(c)
-        assert abs(_extrinsic_h2(c) - want) <= 1e-13 * want
+        assert abs(_extrinsic_h2(c.samples, c.manifold) - want) <= 1e-13 * want
 
 
 def test_evolve_time_reversal():
@@ -516,6 +516,14 @@ def test_epsilon_continuation_monotone():
     dists = [r["h1_to_zero"] for r in rows]
     assert all(np.isfinite(dists))
     assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+def test_epsilon_continuation_zero_horizon():
+    u0 = random_smooth(SPHERE2, 64, seed=3, decay=1.0, amplitude=0.18)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=64, dt=1e-5, T=0.0)
+    rows = epsilon_continuation(u0, cfg, [1e-3, 5e-4, 2.5e-4])
+    assert [r["h1_to_zero"] for r in rows] == [0.0, 0.0, 0.0]
+    assert all(r["failure"] is None for r in rows)
 
 
 def test_epsilon_continuation_validates_levels():
