@@ -41,7 +41,6 @@ from .flow import (
     evolve,
     picard_solve,
     regularized_rhs,
-    semigroup_apply,
     step_projected_rk4,
 )
 from .invariants import (
@@ -62,7 +61,7 @@ from .manifolds import (
     by_name,
 )
 from .presets import great_circle, latitude_circle, make_initial, random_smooth, torus_geodesic
-from .spectral import spectral_derivative
+from .spectral import semigroup_apply, spectral_derivative
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -179,14 +179,28 @@ def _checkpoint_payload(state, t):
     }
 
 
+def _initial_on_grid(manifest):
+    """The manifest's initial curve, which must have N_g samples.
+
+    A ``file:`` curve keeps the sample count of its file, which a run on
+    the config grid cannot use (grid and dt studies resample instead).
+    """
+    n = manifest.config.N_g
+    u0 = make_initial(
+        manifest.initial_condition, manifest.manifold, n, manifest.seed
+    )
+    if u0.n != n:
+        raise ConfigError(
+            f"initial curve has {u0.n} samples, config N_g is {n}"
+        )
+    return u0
+
+
 def cmd_simulate(manifest, checkpoints_every=0):
     """Run one simulation and write its artifact; returns the exit code."""
     out_dir = manifest.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    u0 = make_initial(
-        manifest.initial_condition, manifest.manifold,
-        manifest.config.N_g, manifest.seed,
-    )
+    u0 = _initial_on_grid(manifest)
     trajectory = evolve(u0, manifest.config, stride=manifest.stride)
     rows = report_rows(trajectory)
     csv_text = rows_to_csv(rows)
@@ -247,10 +261,7 @@ def cmd_converge(manifest, mode, levels=3):
     if mode == "epsilon":
         base_eps = cfg.epsilon if cfg.epsilon > 0 else 1e-3
         eps_list = [base_eps * 0.5**i for i in range(levels)]
-        u0 = make_initial(
-            manifest.initial_condition, manifest.manifold, cfg.N_g, manifest.seed
-        )
-        rows = epsilon_continuation(u0, cfg, eps_list)
+        rows = epsilon_continuation(_initial_on_grid(manifest), cfg, eps_list)
         header = ["epsilon", "h1_to_zero", "h1_to_prev", "failure"]
         table = [
             [

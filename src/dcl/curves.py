@@ -132,9 +132,8 @@ def lifted_velocity(samples, manifold):
     differentiating and its winding W added back; any leading axes are a
     batch of curves on one grid.
     """
-    w = lift_winding(samples, manifold)
+    trend, w = lift_trend(samples, manifold)
     if w.any():
-        trend = spectral.grid(samples.shape[-2])[:, None] * w[..., None, :]
         return w[..., None, :] + spectral.spectral_derivative(samples - trend)
     return spectral.spectral_derivative(samples)
 

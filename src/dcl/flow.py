@@ -32,7 +32,8 @@ Integrators
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
                    by the fourth-order heat semigroup; requires eps > 0.
                    Each iteration evaluates the nonlinearity at all Gauss
-                   nodes in one batched call.
+                   nodes in one call of the RK4 stage slope, which then
+                   also carries a*d_x^3.
                    States may sit slightly off the target (inside the
                    tube); their normal part then decays monotonically.
 ``IMEX``           First-order integrating-factor Euler step (same L and
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral
-from .curves import h1_distance, lift_trend, lifted_velocity, tangency_residual
+from .curves import h1_distance, lift_trend, tangency_residual
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -160,7 +161,7 @@ def _gauss_tower(manifold, samples, vx, order):
     return out
 
 
-def dispersive_rhs(curve, a, b, check_tangency=True):
+def dispersive_rhs(curve, a, b):
     """Velocity of the unregularized flow at an on-manifold curve.
 
     Raises TangencyViolation when the assembled field has a normal
@@ -171,61 +172,38 @@ def dispersive_rhs(curve, a, b, check_tangency=True):
     vx = curve.velocity()
     _, s1, s2 = _gauss_tower(m, v, vx, 2)
     rhs = a * s2 + m.complex_structure(v, s1) + b * _sq(vx) * vx
-    if check_tangency:
-        res = tangency_residual(curve, rhs)
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        if res > RHS_TANGENCY_TOL * scale:
-            raise TangencyViolation(
-                f"rhs normal component {res:.3e} exceeds "
-                f"{RHS_TANGENCY_TOL:.0e} * {scale:.3e}; raise the resolution"
-            )
+    res = tangency_residual(curve, rhs)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    if res > RHS_TANGENCY_TOL * scale:
+        raise TangencyViolation(
+            f"rhs normal component {res:.3e} exceeds "
+            f"{RHS_TANGENCY_TOL:.0e} * {scale:.3e}; raise the resolution"
+        )
     return rhs
 
 
-def _regularized_nonlinearity(manifold, proj, pvx, cfg):
-    """-eps*(S3 - v_xxxx) + a*S2 + J S1 + b|v_x|^2 v_x at projected points.
-
-    ``proj`` are on-target samples and ``pvx`` their velocity, both of
-    shape (..., N, d); any leading axes are a batch of curves.
-    """
-    _, s1, s2, s3 = _gauss_tower(manifold, proj, pvx, 3)
-    proj4 = spectral.spectral_derivative(pvx, 3)
-    return (
-        -cfg.epsilon * (s3 - proj4)
-        + cfg.a * s2
-        + manifold.complex_structure(proj, s1)
-        + cfg.b * _sq(pvx) * pvx
-    )
-
-
-def regularized_rhs(curve, cfg, check_tangency=False):
+def regularized_rhs(curve, cfg):
     """Velocity of the eps-regularized flow; valid slightly off the target.
 
     Computes -eps * v_xxxx on the raw state plus the full nonlinearity
-    evaluated at the nearest-point projection of the state.
+    evaluated at the nearest-point projection of the state; the checked
+    physical-space reference for the integrators' stage slope.
     """
     m = curve.manifold
     eps = cfg.epsilon
     m.require_in_tube(curve.samples)
-    proj = curve.with_samples(m.project(curve.samples))
-    pvx = proj.velocity()
-    nonlinear = _regularized_nonlinearity(m, proj.samples, pvx, cfg)
-    if check_tangency:
-        # the tangent object is the full covariant assembly, -eps*S3 + ...
-        proj4 = spectral.spectral_derivative(pvx, 3)
-        res = tangency_residual(proj, nonlinear - eps * proj4)
-        scale = max(1.0, float(np.max(np.abs(nonlinear))))
-        if res > RHS_TANGENCY_TOL * scale:
-            raise TangencyViolation(
-                f"regularized rhs normal component {res:.3e} too large"
-            )
+    proj = m.project(curve.samples)
+    pvx = curve.with_samples(proj).velocity()
+    _, s1, s2, s3 = _gauss_tower(m, proj, pvx, 3)
+    proj4 = spectral.spectral_derivative(pvx, 3)
+    nonlinear = (
+        -eps * (s3 - proj4)
+        + cfg.a * s2
+        + m.complex_structure(proj, s1)
+        + cfg.b * _sq(pvx) * pvx
+    )
     raw4 = spectral.spectral_derivative(curve.velocity(), 3)
     return -eps * raw4 + nonlinear
-
-
-def semigroup_apply(eps, t, f):
-    """Fourth-order heat semigroup on a periodic sampled field."""
-    return spectral.semigroup_apply(eps, t, f)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +254,11 @@ class _Stepper:
     gives the integrating factors a leading member axis, (B, K, 1), for
     stepping a (B, N, d) stack whose member i carries eps[i].  The band
     and the derivative multipliers are shared by all members.
+
+    The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
+    Duhamel propagator is the fourth-order heat semigroup alone, so for
+    DuhamelPicard a*d_x^3 stays in the slope and the integrating factors
+    go unused.
     """
 
     def __init__(self, cfg, manifold, n, speed=1.0, eps=None):
@@ -286,6 +269,7 @@ class _Stepper:
             self.eps = cfg.epsilon
         else:
             self.eps = np.asarray(eps, dtype=float)[:, None, None]
+        self.dispersion_in_slope = cfg.integrator == "DuhamelPicard"
         k = spectral.wavenumbers(n)[:, None]
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
@@ -302,10 +286,12 @@ class _Stepper:
 
         The remainder is the RHS minus L v, assembled at the projection P
         of the stage point without cancelling large terms (A is the second
-        fundamental form at P, s1 = v_xx - A(v_x, v_x)):
+        fundamental form at P, s1 = v_xx - A(v_x, v_x), S2 = v_xxx + t2):
 
-            t2 = -D A(v_x, v_x) - A(s1, v_x),  t3 = D t2 - A(v_xxx + t2, v_x),
-            a t2 + J s1 + b |v_x|^2 v_x - eps t3.
+            t2 = -D A(v_x, v_x) - A(s1, v_x),  t3 = D t2 - A(S2, v_x),
+            a t2 + J s1 + b |v_x|^2 v_x - eps t3,
+
+        with a S2 in place of a t2 when a*d_x^3 is not part of L.
 
         Arrays are (..., N, d) with ``winding`` (..., d).  The stage points
         are tube-checked and P checked on the target once; the geometric
@@ -329,10 +315,15 @@ class _Stepper:
             np.stack([da0_hat, -d1 * (da0_hat + a1_hat)]), n=n, axis=-2
         )
         t2 = -da0 - a1
-        out = cfg.a * t2 + m._j(proj, s1) + cfg.b * _sq(vx) * vx
+        s2 = vxxx + t2
+        out = (
+            cfg.a * (s2 if self.dispersion_in_slope else t2)
+            + m._j(proj, s1)
+            + cfg.b * _sq(vx) * vx
+        )
         if np.any(self.eps):
             # a member at eps = 0 subtracts 0 * (...), which leaves it as is
-            out -= self.eps * (dt2 - m._sff(proj, vxxx + t2, vx))
+            out -= self.eps * (dt2 - m._sff(proj, s2, vx))
         return self.mask * np.fft.rfft(out, axis=-2)
 
 
@@ -400,20 +391,22 @@ def _step_end(st, trend, coef):
 
 
 class _PicardWorkspace:
-    """Nodes, fused quadrature kernel and semigroup decay reused across steps.
+    """Stage slope, nodes, fused quadrature kernel and semigroup decay.
 
     Targets s_i are the q Gauss nodes of [0, dt] and dt.  ``kernel[i, j, k]``
     maps mode k of the nonlinearity at node j to the Duhamel integral at
     s_i (inner Gauss rule on [0, s_i] of the Lagrange interpolant, times
     the decay over s_i - tau); ``prop0[i]`` is the masked decay over s_i.
+    The nonlinearity is ``stepper.slope``, whose band mask the decay uses.
     """
 
-    def __init__(self, cfg, n):
+    def __init__(self, cfg, manifold, n):
+        self.stepper = _Stepper(cfg, manifold, n)
         q = cfg.quadrature_nodes
         self.nodes, _ = spectral.gauss_legendre(q, 0.0, cfg.dt)
         targets = np.append(self.nodes, cfg.dt)
         k4 = (TWO_PI * spectral.wavenumbers(n)) ** 4
-        mask = (spectral.wavenumbers(n) <= mode_cutoff(cfg, 1.0)).astype(float)
+        mask = self.stepper.mask[:, 0]
 
         def decay(t):
             return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
@@ -429,13 +422,12 @@ class _PicardWorkspace:
 def _picard_step(curve, cfg, ws):
     """Solve the mild form on [0, dt]; returns (state at dt, iterations).
 
-    Each iteration advances all targets at once from one batched
-    nonlinearity on the stack of node states.
+    Each iteration advances all targets at once from one stage slope of
+    the (q, N, d) stack of node states.
     """
-    m = curve.manifold
     n = curve.n
     q = ws.nodes.size
-    trend = curve.trend()
+    trend, winding = lift_trend(curve.samples, curve.manifold)
     # initial guess: pure semigroup evolution of the data
     free = ws.prop0[:, :, None] * np.fft.rfft(curve.samples - trend, axis=0)
     devs = np.fft.irfft(free, n=n, axis=-2)
@@ -444,12 +436,7 @@ def _picard_step(curve, cfg, ws):
         states = trend + devs[:q]
         if not np.all(np.isfinite(states)):
             raise StepSizeUnstable("non-finite state")
-        m.require_in_tube(states)
-        proj = m.project(states)
-        f_val = _regularized_nonlinearity(
-            m, proj, lifted_velocity(proj, m), cfg
-        )
-        f_hat = np.fft.rfft(f_val, axis=-2)
+        f_hat = ws.stepper.slope(states, trend, winding)
         coef = free + np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
         new_devs = np.fft.irfft(coef, n=n, axis=-2)
         update = new_devs - devs
@@ -470,7 +457,7 @@ def picard_solve(curve, cfg):
     """One Duhamel fixed-point step over [0, dt], returned as a Trajectory."""
     if cfg.epsilon <= 0:
         raise ValueError("picard_solve requires epsilon > 0")
-    ws = _PicardWorkspace(cfg, curve.n)
+    ws = _PicardWorkspace(cfg, curve.manifold, curve.n)
     out, iterations = _picard_step(curve, cfg, ws)
     return Trajectory(
         times=[0.0, cfg.dt],
@@ -534,7 +521,7 @@ def evolve(u0, cfg, stride=1):
 
     m = u0.manifold
     if cfg.integrator == "DuhamelPicard":
-        ws = _PicardWorkspace(cfg, u0.n)
+        ws = _PicardWorkspace(cfg, m, u0.n)
 
         def advance(c):
             return _picard_step(c, cfg, ws)

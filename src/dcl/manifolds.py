@@ -110,10 +110,8 @@ class Sphere2(_Manifold):
         pts = self._check_points(pts)
         return np.abs(np.sqrt(_dot(pts, pts)) - 1.0)
 
-    def project(self, pts, check_tube=False):
+    def project(self, pts):
         pts = self._check_points(pts)
-        if check_tube:
-            self.require_in_tube(pts)
         norm = np.sqrt(_dot(pts, pts))
         if np.any(norm < 1e-12):
             raise OutOfTubularNeighborhood(
@@ -159,10 +157,8 @@ class CliffordTorus2(_Manifold):
         n12, n34 = self._pair_norms(pts)
         return np.hypot(n12 - self.radius, n34 - self.radius)
 
-    def project(self, pts, check_tube=False):
+    def project(self, pts):
         pts = self._check_points(pts)
-        if check_tube:
-            self.require_in_tube(pts)
         n12, n34 = self._pair_norms(pts)
         if np.any(n12 < 1e-12) or np.any(n34 < 1e-12):
             raise OutOfTubularNeighborhood(
@@ -243,7 +239,7 @@ class ChartFlatTorus2(_Manifold):
     def distance(self, pts):
         return self.constraint_residual(pts)
 
-    def project(self, pts, check_tube=False):
+    def project(self, pts):
         return self._check_points(pts).copy()
 
     def _tangent(self, base, vec):

@@ -42,6 +42,19 @@ def write_manifest(tmp_path, manifest, name="manifest_in.json"):
     return str(path)
 
 
+def run_cli(*argv):
+    """Run ``python -m dcl.cli`` on this checkout's sources."""
+    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "dcl.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_simulate_happy_path(tmp_path):
     out = tmp_path / "run"
     path = write_manifest(tmp_path, base_manifest(out))
@@ -269,16 +282,8 @@ def test_converge_epsilon_zero_horizon_exits_0(tmp_path):
     )
     manifest["stride"] = 1
     path = write_manifest(tmp_path, manifest)
-    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcl.cli", "converge", "--manifest", path,
-         "--mode", "epsilon", "--levels", "3"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("converge", "--manifest", path, "--mode", "epsilon",
+                   "--levels", "3")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     table = (out / "converge_epsilon.csv").read_text().strip().splitlines()
@@ -298,15 +303,7 @@ def test_bad_numbers_exit_config_error(tmp_path, overrides):
     manifest = base_manifest(tmp_path / "out", config=overrides)
     manifest["stride"] = 1
     path = write_manifest(tmp_path, manifest)
-    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcl.cli", "simulate", "--manifest", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("simulate", "--manifest", path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
@@ -324,17 +321,44 @@ def test_blow_up_to_non_finite_exits_3(tmp_path):
     )
     manifest["stride"] = 200
     path = write_manifest(tmp_path, manifest)
-    src = str(pathlib.Path(dcl.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcl.cli", "simulate", "--manifest", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("simulate", "--manifest", path)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     echo = json.loads((out_dir / "manifest.json").read_text())
     assert echo["exit_status"] == 3
     assert echo["failure"].startswith("StepSizeUnstable")
+
+
+def file_curve_manifest(tmp_path, n):
+    # a file: initial condition keeps the sample count of its file
+    curve = tmp_path / "curve.json"
+    samples = oracle_latitude_circle(0.9, 0.0, 0.0, 0.0, n).samples
+    curve.write_text(json.dumps({"samples": samples.tolist()}))
+    manifest = base_manifest(
+        tmp_path / "out",
+        config={"N_g": 64, "dt": 1e-5, "T": 2e-4,
+                "initial_condition": f"file:{curve}"},
+    )
+    return write_manifest(tmp_path, manifest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["converge", "--mode", "epsilon", "--levels", "3"]],
+    ids=["simulate", "converge-epsilon"],
+)
+def test_file_curve_off_grid_exits_config_error(tmp_path, argv):
+    path = file_curve_manifest(tmp_path, 32)
+    proc = run_cli(*argv, "--manifest", path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config error: initial curve has 32 samples" in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["grid", "dt"])
+def test_file_curve_off_grid_resampled_by_studies(tmp_path, mode):
+    path = file_curve_manifest(tmp_path, 32)
+    assert main(["converge", "--manifest", path, "--mode", mode,
+                 "--levels", "3"]) == 0
+    table = (tmp_path / "out" / f"converge_{mode}.csv").read_text()
+    assert len(table.strip().splitlines()) == 4

@@ -73,7 +73,7 @@ def test_project_idempotent_in_tube():
 
 def test_project_tube_check():
     with pytest.raises(OutOfTubularNeighborhood):
-        SPHERE2.project(np.array([2.0, 0.0, 0.0]), check_tube=True)
+        SPHERE2.require_in_tube(np.array([2.0, 0.0, 0.0]))
     with pytest.raises(OutOfTubularNeighborhood):
         SPHERE2.project(np.zeros(3))
 
