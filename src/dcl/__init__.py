@@ -52,6 +52,7 @@ from .invariants import (
     nt_quantity,
     oracle_latitude_circle,
     oracle_torus_line,
+    trajectory_reports,
 )
 from .manifolds import (
     CHART_FLAT_TORUS2,

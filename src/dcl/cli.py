@@ -28,7 +28,7 @@ import numpy as np
 from .curves import h1_distance, resample, sup_distance
 from .errors import ConfigError, DclError
 from .flow import FlowConfig, epsilon_continuation, evolve
-from .invariants import energy_report
+from .invariants import trajectory_reports
 from .manifolds import by_name
 from .presets import make_initial
 from .verify import SUITES, run_suite
@@ -119,7 +119,7 @@ def load_manifest(path):
 
 
 def _fmt(value):
-    return f"{float(value):.17g}"
+    return "" if value is None else f"{float(value):.17g}"
 
 
 def _atomic_write(path, data):
@@ -131,24 +131,12 @@ def _atomic_write(path, data):
 
 
 def report_rows(trajectory):
-    rows = []
-    for t, state in zip(trajectory.times, trajectory.states):
-        rep = energy_report(state, t)
-        rows.append(
-            {
-                "t": _fmt(rep.t),
-                "l2_ux": _fmt(rep.l2_ux),
-                "E": _fmt(rep.E),
-                "h1": _fmt(rep.hm_norms[0]),
-                "h2": _fmt(rep.hm_norms[1]),
-                "h3": _fmt(rep.hm_norms[2]),
-                "off_manifold": _fmt(rep.off_manifold),
-                "nt_quantity": (
-                    _fmt(rep.nt_quantity) if rep.nt_quantity is not None else ""
-                ),
-            }
-        )
-    return rows
+    """One dict of CSV_COLUMNS strings per snapshot (blank: no nt_quantity)."""
+    return [
+        dict(zip(CSV_COLUMNS, map(_fmt, (
+            r.t, r.l2_ux, r.E, *r.hm_norms, r.off_manifold, r.nt_quantity))))
+        for r in trajectory_reports(trajectory)
+    ]
 
 
 def rows_to_csv(rows):

@@ -217,13 +217,16 @@ def regularized_rhs(curve, cfg):
 STABILITY_EDGE = 2.5
 
 
-def mode_cutoff(cfg, speed):
-    """Highest retained frequency for one run.
+def mode_cutoff(cfg, manifold, speed):
+    """Highest retained frequency for one run on ``manifold``.
 
     The explicit stages see an effective second-order operator; modes
     beyond the stability edge of the classical four-stage scheme must be
     masked or roundoff there is amplified by orders of magnitude per
-    step.  ``speed`` is the largest |v_x| of the data.
+    step.  ``speed`` is the largest |v_x| of the data.  The remainder
+    terms carry the target's second fundamental form, so their
+    coefficient grows with its largest principal curvature (floored at
+    1, which leaves the sphere and the flat chart as they were).
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
@@ -238,7 +241,9 @@ def mode_cutoff(cfg, speed):
             edge = int(0.5 * abs(cfg.a) / (TWO_PI * cfg.epsilon))
             keep = min(keep, max(edge, 2))
     else:
-        coeff = 1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)
+        coeff = (1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)) * max(
+            manifold.principal_curvature, 1.0
+        )
         edge = int(np.sqrt(STABILITY_EDGE / (cfg.dt * coeff)) / TWO_PI)
         keep = min(keep, max(edge, 2))
     return keep
@@ -274,7 +279,7 @@ class _Stepper:
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
         lam[..., -1, :] = lam[..., -1, :].real
-        self.mask = (k <= mode_cutoff(cfg, speed)).astype(float)
+        self.mask = (k <= mode_cutoff(cfg, manifold, speed)).astype(float)
         self.e_full = np.exp(cfg.dt * lam) * self.mask
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
         self.d1 = 1j * TWO_PI * k
@@ -417,6 +422,13 @@ class _PicardWorkspace:
             interp = spectral.lagrange_matrix(self.nodes, tau)
             self.kernel[i] = np.einsum("t,tk,tj->jk", w, decay(s - tau), interp)
         self.prop0 = decay(targets)
+        # H1 norm squared by Parseval on rfft coefficients: 1 + (2 pi k)^2,
+        # doubled for the modes with a conjugate twin, the Nyquist mode
+        # without its derivative (as d/dx drops it)
+        k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
+        k2[-1] = 0.0
+        self.h1_weights = (1.0 + k2) / n**2
+        self.h1_weights[1:-1] *= 2.0
 
 
 def _picard_step(curve, cfg, ws):
@@ -431,6 +443,7 @@ def _picard_step(curve, cfg, ws):
     # initial guess: pure semigroup evolution of the data
     free = ws.prop0[:, :, None] * np.fft.rfft(curve.samples - trend, axis=0)
     devs = np.fft.irfft(free, n=n, axis=-2)
+    prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
         states = trend + devs[:q]
@@ -438,13 +451,12 @@ def _picard_step(curve, cfg, ws):
             raise StepSizeUnstable("non-finite state")
         f_hat = ws.stepper.slope(states, trend, winding)
         coef = free + np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
-        new_devs = np.fft.irfft(coef, n=n, axis=-2)
-        update = new_devs - devs
-        dupdate = spectral.spectral_derivative(update)
+        devs = np.fft.irfft(coef, n=n, axis=-2)
         # H1 norm of each target's update; the largest decides convergence
-        h1_sq = _sq(update).mean(axis=(-2, -1)) + _sq(dupdate).mean(axis=(-2, -1))
-        delta = float(np.sqrt(h1_sq.max()))
-        devs = new_devs
+        update = coef - prev
+        power = (update.real**2 + update.imag**2).sum(axis=-1)
+        delta = float(np.sqrt((power @ ws.h1_weights).max()))
+        prev = coef
         if delta <= cfg.picard_tol:
             return curve.with_samples(trend + devs[-1]), iteration
     raise NoContraction(

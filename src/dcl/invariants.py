@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .curves import ClosedCurve, covariant_tower
+from .curves import ClosedCurve, lifted_velocity
 from .errors import UnsupportedCoefficients, WrongManifold
-from .manifolds import SPHERE2
+from .manifolds import CHART_FLAT_TORUS2, SPHERE2, _dot
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,18 +46,67 @@ class EnergyReport:
             raise ValueError("H^k norms must be nondecreasing in k")
 
 
+def _reports(curves, times, k):
+    """EnergyReports of curves on one target and grid, E at curvature k.
+
+    One tower t0 = u_x, t1 = P u_xx, t2 = P D t1, t3 = P D t2 (D = d/dx,
+    P the unchecked tangential projection) and, on the sphere, u_xxx: five
+    derivative transforms and one on-target check for the whole stack.
+    Reductions sum the ambient axis, then average the samples, as one
+    curve's quadrature does, so each snapshot's values stand alone.
+    """
+    manifold = curves[0].manifold
+    samples = np.stack([c.samples for c in curves])
+    manifold.require_on_manifold(samples)
+    t0 = lifted_velocity(samples, manifold)
+    uxx = spectral.spectral_derivative(t0)
+    t1 = manifold._tangent(samples, uxx)
+    t2 = manifold._tangent(samples, spectral.spectral_derivative(t1))
+    t3 = manifold._tangent(samples, spectral.spectral_derivative(t2))
+    g00, g11 = _dot(t0, t0), _dot(t1, t1)
+    sq = np.stack([g00, g11, _dot(t2, t2), _dot(t3, t3)]).mean(axis=-1)
+    cubic = (g00**3).mean(axis=-1)
+    e = sq[2] + (k**2 / 8.0) * cubic - k * (_dot(t0, t1) ** 2).mean(axis=-1)
+    e -= (1.5 * k) * (g00 * g11).mean(axis=-1)
+    nt = [None] * len(times)
+    if manifold is SPHERE2:
+        uxxx = spectral.spectral_derivative(uxx)
+        nt = (
+            _dot(uxxx, uxxx).mean(axis=-1)
+            - 3.5 * (g00 * _dot(uxx, uxx)).mean(axis=-1)
+            - 14.0 * (_dot(t0, uxx) ** 2).mean(axis=-1)
+            + (21.0 / 8.0) * cubic
+        ).tolist()
+    hm = map(tuple, np.sqrt(np.cumsum(sq, axis=0)[1:]).T.tolist())
+    off = manifold.constraint_residual(samples).max(axis=-1)
+    rows = zip(sq[0].tolist(), e.tolist(), hm, off.tolist(), nt)
+    return [EnergyReport(float(t), *row) for t, row in zip(times, rows)]
+
+
+_BLOCK = 64  # snapshots per tower; a tower holds ~10 arrays of its stack's size
+
+
+def trajectory_reports(trajectory):
+    """EnergyReport of every snapshot of a trajectory, one tower per block."""
+    times, states = trajectory.times, trajectory.states
+    if not states:
+        raise ValueError("trajectory is empty")
+    k = states[0].manifold.gaussian_curvature
+    return [
+        report
+        for i in range(0, len(states), _BLOCK)
+        for report in _reports(states[i : i + _BLOCK], times[i : i + _BLOCK], k)
+    ]
+
+
+def energy_report(curve, t=0.0):
+    """EnergyReport of a single curve state."""
+    return _reports([curve], [t], curve.manifold.gaussian_curvature)[0]
+
+
 def energy(curve, k_gauss):
     """The conserved functional E for curvature K, by exact transcription."""
-    t0, t1, t2 = (f.vectors for f in covariant_tower(curve, 2))
-    g00 = (t0 * t0).sum(axis=-1)
-    g01 = (t0 * t1).sum(axis=-1)
-    g11 = (t1 * t1).sum(axis=-1)
-    return float(
-        spectral.l2_inner(t2, t2)
-        + (k_gauss**2 / 8.0) * spectral.integrate(g00**3)
-        - k_gauss * spectral.integrate(g01**2)
-        - (1.5 * k_gauss) * spectral.integrate(g00 * g11)
-    )
+    return _reports([curve], [0.0], k_gauss)[0].E
 
 
 def nt_quantity(curve):
@@ -68,34 +117,7 @@ def nt_quantity(curve):
     """
     if curve.manifold is not SPHERE2:
         raise WrongManifold("nt_quantity is defined for Sphere2 curves only")
-    ux = curve.velocity()
-    uxx = spectral.spectral_derivative(ux)
-    uxxx = spectral.spectral_derivative(uxx)
-    sq_x = (ux * ux).sum(axis=-1)
-    sq_xx = (uxx * uxx).sum(axis=-1)
-    mixed = (ux * uxx).sum(axis=-1)
-    return float(
-        spectral.l2_inner(uxxx, uxxx)
-        - 3.5 * spectral.integrate(sq_x * sq_xx)
-        - 14.0 * spectral.integrate(mixed**2)
-        + (21.0 / 8.0) * spectral.integrate(sq_x**3)
-    )
-
-
-def energy_report(curve, t=0.0, m=3):
-    """EnergyReport of a single curve state."""
-    tower = covariant_tower(curve, m)
-    sq = [spectral.l2_inner(f.vectors, f.vectors) for f in tower]
-    hm = tuple(float(np.sqrt(sum(sq[: k + 1]))) for k in range(1, m + 1))
-    nt = nt_quantity(curve) if curve.manifold is SPHERE2 else None
-    return EnergyReport(
-        t=float(t),
-        l2_ux=float(sq[0]),
-        E=energy(curve, curve.manifold.gaussian_curvature),
-        hm_norms=hm,
-        off_manifold=curve.off_manifold(),
-        nt_quantity=nt,
-    )
+    return energy_report(curve).nt_quantity
 
 
 @dataclass
@@ -127,19 +149,10 @@ def _relative(value, ref):
 
 def drift_report(trajectory):
     """Relative drift of ||u_x||^2 and E along a trajectory."""
-    if not trajectory.states:
-        raise ValueError("trajectory is empty")
-    reports = [
-        energy_report(s, t) for t, s in zip(trajectory.times, trajectory.states)
-    ]
+    reports = trajectory_reports(trajectory)
     l2_0, e_0 = reports[0].l2_ux, reports[0].E
     rows = [
-        DriftRow(
-            t=r.t,
-            l2_drift=_relative(r.l2_ux, l2_0),
-            e_drift=_relative(r.E, e_0),
-            off_manifold=r.off_manifold,
-        )
+        DriftRow(r.t, _relative(r.l2_ux, l2_0), _relative(r.E, e_0), r.off_manifold)
         for r in reports
     ]
     return DriftReport(
@@ -220,8 +233,6 @@ def oracle_torus_line(b, t, winding=(1, 0), n=32):
     term pushes the line along itself at speed b*|w|^2 in chart
     coordinates (for the unit winding (1,0) this is (x + b t, 0)).
     """
-    from .manifolds import CHART_FLAT_TORUS2
-
     m1, m2 = winding
     x = spectral.grid(n)
     shift = b * float(m1 * m1 + m2 * m2) * t

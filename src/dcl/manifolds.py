@@ -45,6 +45,8 @@ class _Manifold:
     name = ""
     ambient_dim = 0
     gaussian_curvature = 0.0
+    # largest principal curvature: the bound of |A(X, X)| / |X|^2
+    principal_curvature = 0.0
     tubular_radius = np.inf
 
     def _check_points(self, pts):
@@ -100,6 +102,7 @@ class Sphere2(_Manifold):
     name = "Sphere2"
     ambient_dim = 3
     gaussian_curvature = 1.0
+    principal_curvature = 1.0
     tubular_radius = 0.5  # safely inside the focal distance 1
 
     def constraint_residual(self, pts):
@@ -138,6 +141,7 @@ class CliffordTorus2(_Manifold):
     ambient_dim = 4
     gaussian_curvature = 0.0
     radius = 1.0 / _TWO_PI
+    principal_curvature = _TWO_PI  # each circle has curvature 1 / radius
     tubular_radius = 0.5 / _TWO_PI
 
     def _pair_norms(self, pts):

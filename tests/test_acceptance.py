@@ -253,7 +253,7 @@ def test_criterion_9_continuous_dependence():
 
 def test_criterion_10_dt_convergence(conservation_run):
     u0, cfg, traj, _ = conservation_run
-    keep = mode_cutoff(cfg, float(np.max(np.abs(u0.velocity()))))
+    keep = mode_cutoff(cfg, u0.manifold, float(np.max(np.abs(u0.velocity()))))
     finals = [traj.final]
     for i in (1, 2, 3):
         level = replace(cfg, dt=cfg.dt * 0.5**i, mode_cutoff=keep)

@@ -277,7 +277,7 @@ def test_fused_quadrature_matches_per_target_loop():
     ws = _PicardWorkspace(cfg, SPHERE2, 64)
     q = cfg.quadrature_nodes
     k4 = (TWO_PI * spectral.wavenumbers(64)) ** 4
-    mask = spectral.wavenumbers(64) <= mode_cutoff(cfg, 1.0)
+    mask = spectral.wavenumbers(64) <= mode_cutoff(cfg, SPHERE2, 1.0)
     rng = np.random.default_rng(7)
     f_hat = rng.standard_normal((q, 33, 3)) + 1j * rng.standard_normal((q, 33, 3))
     fused = np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
@@ -392,6 +392,18 @@ def test_evolve_blowup_guard_trips():
     traj = evolve(c, cfg, stride=10)
     assert traj.failure is not None
     assert len(traj.states) >= 1
+
+
+def test_automatic_band_holds_on_clifford_torus():
+    # the Clifford circles have curvature 2 pi; a band that ignores it keeps
+    # all 32 dealiased modes here and the run leaves the tube within 30 steps
+    u0 = random_smooth(CLIFFORD_TORUS2, 128, seed=5, decay=1.0, amplitude=0.2)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=128, dt=1e-5, T=3e-4)
+    traj = evolve(u0, cfg, stride=cfg.n_steps())
+    assert traj.failure is None
+    speed = float(np.max(np.abs(u0.velocity())))
+    assert mode_cutoff(cfg, CLIFFORD_TORUS2, speed) < mode_cutoff(cfg, SPHERE2, speed)
+    assert mode_cutoff(cfg, CHART_FLAT_TORUS2, speed) == mode_cutoff(cfg, SPHERE2, speed)
 
 
 @pytest.mark.parametrize("integrator", ["ProjectedRK4", "DuhamelPicard"])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dcl import spectral
+from dcl import invariants, spectral
 from dcl.curves import ClosedCurve, covariant_tower, sup_distance
-from dcl.errors import UnsupportedCoefficients, WrongManifold
-from dcl.flow import FlowConfig, dispersive_rhs, evolve
+from dcl.errors import PointOffManifold, UnsupportedCoefficients, WrongManifold
+from dcl.flow import FlowConfig, Trajectory, dispersive_rhs, evolve
 from dcl.invariants import (
+    EnergyReport,
     drift_report,
     energy,
     energy_report,
@@ -16,8 +17,9 @@ from dcl.invariants import (
     oracle_torus_line,
     smoothing_constant_exact,
     smoothing_constant_numeric,
+    trajectory_reports,
 )
-from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2
+from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import great_circle, latitude_circle, random_smooth, torus_geodesic
 
 TWO_PI = 2.0 * np.pi
@@ -186,6 +188,95 @@ def test_energy_drift_order_in_dt():
         drifts.append(drift_report(traj).max_e_drift)
     slopes = [np.log2(drifts[i] / drifts[i + 1]) for i in range(2)]
     assert min(slopes) >= 3.0
+
+
+def _per_row_report(curve, t):
+    """One snapshot's report by separate per-curve calls, as rows once were.
+
+    Builds the covariant tower through the checked public calls, E from a
+    second tower and nt_quantity from its own derivatives.
+    """
+    tower = [f.vectors for f in covariant_tower(curve, 3)]
+    sq = [spectral.l2_inner(f, f) for f in tower]
+    t0, t1, t2 = (f.vectors for f in covariant_tower(curve, 2))
+    g00 = (t0 * t0).sum(axis=-1)
+    g01 = (t0 * t1).sum(axis=-1)
+    g11 = (t1 * t1).sum(axis=-1)
+    k = curve.manifold.gaussian_curvature
+    e = (
+        spectral.l2_inner(t2, t2)
+        + (k**2 / 8.0) * spectral.integrate(g00**3)
+        - k * spectral.integrate(g01**2)
+        - (1.5 * k) * spectral.integrate(g00 * g11)
+    )
+    nt = None
+    if curve.manifold is SPHERE2:
+        ux = curve.velocity()
+        uxx = spectral.spectral_derivative(ux)
+        uxxx = spectral.spectral_derivative(uxx)
+        sq_x = (ux * ux).sum(axis=-1)
+        nt = float(
+            spectral.l2_inner(uxxx, uxxx)
+            - 3.5 * spectral.integrate(sq_x * (uxx * uxx).sum(axis=-1))
+            - 14.0 * spectral.integrate((ux * uxx).sum(axis=-1) ** 2)
+            + (21.0 / 8.0) * spectral.integrate(sq_x**3)
+        )
+    return EnergyReport(
+        t=float(t),
+        l2_ux=float(sq[0]),
+        E=float(e),
+        hm_norms=tuple(float(np.sqrt(sum(sq[: j + 1]))) for j in (1, 2, 3)),
+        off_manifold=curve.off_manifold(),
+        nt_quantity=nt,
+    )
+
+
+def _winding_chart_curve(n=64):
+    c = torus_geodesic(CHART_FLAT_TORUS2, 2, 1, n=n)
+    x = spectral.grid(n)
+    wiggle = 0.03 * np.stack([np.sin(TWO_PI * x), np.cos(2 * TWO_PI * x)], axis=-1)
+    return c.with_samples(c.samples + wiggle)
+
+
+@pytest.mark.parametrize(
+    "u0, cfg",
+    [
+        (random_smooth(SPHERE2, 128, seed=3, decay=1.0, amplitude=0.3),
+         FlowConfig(a=1.0, b=0.5, N_g=128, dt=1e-5, T=2e-4)),
+        (random_smooth(CLIFFORD_TORUS2, 64, seed=2, decay=1.0, amplitude=0.1),
+         FlowConfig(a=1.0, N_g=64, dt=1e-5, T=1e-4)),
+        (_winding_chart_curve(),
+         FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-4)),
+        (random_smooth(SPHERE2, 64, seed=1), FlowConfig(a=1.0, N_g=64, T=0.0)),
+    ],
+    ids=["Sphere2", "CliffordTorus2", "ChartFlatTorus2-winding", "one-snapshot"],
+)
+def test_trajectory_reports_bitwise_equal_per_row(u0, cfg, monkeypatch):
+    # blocks of 8 snapshots: rows must not depend on how the stack is cut
+    monkeypatch.setattr(invariants, "_BLOCK", 8)
+    traj = evolve(u0, cfg)
+    assert traj.failure is None
+    expected = [_per_row_report(s, t) for t, s in zip(traj.times, traj.states)]
+    assert trajectory_reports(traj) == expected
+    assert [energy_report(s, t) for t, s in zip(traj.times, traj.states)] == expected
+
+    drift = drift_report(traj)
+    l2_0, e_0 = expected[0].l2_ux, expected[0].E
+    assert [(r.t, r.l2_drift, r.e_drift, r.off_manifold) for r in drift.rows] == [
+        (r.t, abs(r.l2_ux - l2_0) / abs(l2_0), abs(r.E - e_0) / abs(e_0),
+         r.off_manifold)
+        for r in expected
+    ]
+
+
+def test_trajectory_reports_reject_off_target_snapshot():
+    c = random_smooth(SPHERE2, 64, seed=4, decay=1.0, amplitude=0.3)
+    off = c.with_samples(1.01 * c.samples)
+    traj = Trajectory(times=[0.0, 0.1, 0.2], states=[c, off, c], config=FlowConfig())
+    with pytest.raises(PointOffManifold):
+        trajectory_reports(traj)
+    with pytest.raises(PointOffManifold):
+        drift_report(traj)
 
 
 # ---------------------------------------------------------------------------
