@@ -25,6 +25,8 @@ Integrators
                    coefficients: a step makes 25 transform calls, and each
                    stage checks its point once (tube, then on-target after
                    projection) before running unchecked geometry kernels.
+                   A stage transforms 9 rows, or 7 when every member has
+                   eps = 0: v_xxx and D t2 only feed the eps term.
                    The step acts on one curve (N, d) or on a stack
                    (B, N, d) whose members may carry their own eps; the
                    epsilon continuation marches its baseline and all
@@ -33,7 +35,9 @@ Integrators
                    by the fourth-order heat semigroup; requires eps > 0.
                    Each iteration evaluates the nonlinearity at all Gauss
                    nodes in one call of the RK4 stage slope, which then
-                   also carries a*d_x^3.
+                   also carries a*d_x^3 (all 9 rows).  The band keeps the
+                   modes below the first whose linear gain per iteration
+                   exceeds 1/2.
                    States may sit slightly off the target (inside the
                    tube); their normal part then decays monotonically.
 ``IMEX``           First-order integrating-factor Euler step (same L and
@@ -57,6 +61,7 @@ from .errors import (
     StepSizeUnstable,
     TangencyViolation,
 )
+from .manifolds import _ambient_sum, _dot
 
 TWO_PI = 2.0 * np.pi
 
@@ -142,7 +147,7 @@ class Trajectory:
 
 
 def _sq(v):
-    return (v * v).sum(axis=-1, keepdims=True)
+    return _dot(v, v)[..., None]
 
 
 def _gauss_tower(manifold, samples, vx, order):
@@ -216,6 +221,10 @@ def regularized_rhs(curve, cfg):
 # rotation plus the curvature corrections scaling with |a| |v_x|).
 STABILITY_EDGE = 2.5
 
+# The Picard band keeps modes whose linear gain per iteration is at most
+# this, so the iteration shrinks their error about twofold or more each time.
+PICARD_GAIN = 0.5
+
 
 def mode_cutoff(cfg, manifold, speed):
     """Highest retained frequency for one run on ``manifold``.
@@ -227,6 +236,10 @@ def mode_cutoff(cfg, manifold, speed):
     terms carry the target's second fundamental form, so their
     coefficient grows with its largest principal curvature (floored at
     1, which leaves the sphere and the flat chart as they were).
+
+    For DuhamelPicard the band is instead the run of modes 0, 1, ... up
+    to the last one before the first whose :func:`picard_gain` exceeds
+    PICARD_GAIN.
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
@@ -234,12 +247,15 @@ def mode_cutoff(cfg, manifold, speed):
     if cfg.dealias:
         keep = spectral.dealias_keep(cfg.N_g)
     if cfg.integrator == "DuhamelPicard":
-        # the third-derivative term is explicit in the Duhamel integrand;
-        # its per-iteration gain at frequency k scales like |a|/(eps*k),
-        # so the fixed point is only reached well inside that edge
+        # the third-derivative term is explicit in the Duhamel integrand.
+        # Its gain rises from 0 at k = 0, peaks and falls again where the
+        # semigroup smooths; modes past the peak stay out even where their
+        # gain is small again, which keeps the band one run of modes
         if cfg.a:
-            edge = int(0.5 * abs(cfg.a) / (TWO_PI * cfg.epsilon))
-            keep = min(keep, max(edge, 2))
+            gain = picard_gain(cfg, np.arange(keep + 1))
+            over = np.flatnonzero(gain > PICARD_GAIN)
+            if over.size:
+                keep = int(over[0]) - 1
     else:
         coeff = (1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)) * max(
             manifold.principal_curvature, 1.0
@@ -254,11 +270,12 @@ class _Stepper:
 
     Multipliers are columns over the rfft modes: the retained-band mask,
     the masked integrating factors over a full and a half step, and d/dx
-    with its powers 1..3 (Nyquist zeroed, as repeated first derivatives
-    zero it).  ``eps`` defaults to ``cfg.epsilon``; a sequence of B levels
-    gives the integrating factors a leading member axis, (B, K, 1), for
-    stepping a (B, N, d) stack whose member i carries eps[i].  The band
-    and the derivative multipliers are shared by all members.
+    with its powers 1..3, or 1..2 when no slope term needs v_xxx (Nyquist
+    zeroed, as repeated first derivatives zero it).  ``eps`` defaults to
+    ``cfg.epsilon``; a sequence of B levels gives the integrating factors
+    a leading member axis, (B, K, 1), for stepping a (B, N, d) stack whose
+    member i carries eps[i].  The band and the derivative multipliers are
+    shared by all members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
     Duhamel propagator is the fourth-order heat semigroup alone, so for
@@ -275,6 +292,10 @@ class _Stepper:
         else:
             self.eps = np.asarray(eps, dtype=float)[:, None, None]
         self.dispersion_in_slope = cfg.integrator == "DuhamelPicard"
+        self.regularized = bool(np.any(self.eps))
+        # v_xxx and D t2 feed only a*S2 and the eps term: without both, a
+        # stage transforms 7 rows instead of 9
+        self.third_order = self.dispersion_in_slope or self.regularized
         k = spectral.wavenumbers(n)[:, None]
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
@@ -284,7 +305,9 @@ class _Stepper:
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
         self.d1 = 1j * TWO_PI * k
         self.d1[-1] = 0.0
-        self.d123 = np.stack([self.d1, self.d1**2, self.d1**3])
+        self.d_pows = np.stack([self.d1, self.d1**2, self.d1**3])
+        if not self.third_order:
+            self.d_pows = self.d_pows[:2]
 
     def slope(self, samples, trend, winding):
         """Masked rfft coefficients of the non-stiff remainder at a stage.
@@ -300,15 +323,21 @@ class _Stepper:
 
         Arrays are (..., N, d) with ``winding`` (..., d).  The stage points
         are tube-checked and P checked on the target once; the geometric
-        kernels then run unchecked.  Five transform calls.
+        kernels then run unchecked.  Five transform calls on 9 rows (v,
+        v_x, v_xx, v_xxx, A0, A1, D A0, D t2 and the slope), or on 7 when
+        every member has eps = 0 outside Picard: v_xxx and D t2 are then
+        not formed.
         """
         cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
         m.require_in_tube(samples)
         proj = m.project(samples)
         m.require_on_manifold(proj)
         coef = np.fft.rfft(proj - trend, axis=-2)
-        d123 = self.d123.reshape((3,) + (1,) * (coef.ndim - 2) + d1.shape)
-        vx, vxx, vxxx = np.fft.irfft(d123 * coef, n=n, axis=-2)
+        d_pows = self.d_pows.reshape(
+            self.d_pows.shape[:1] + (1,) * (coef.ndim - 2) + d1.shape
+        )
+        rows = np.fft.irfft(d_pows * coef, n=n, axis=-2)
+        vx, vxx = rows[0], rows[1]
         if winding.any():
             vx = winding[..., None, :] + vx
         a0 = m._sff(proj, vx, vx)
@@ -316,17 +345,20 @@ class _Stepper:
         a1 = m._sff(proj, s1, vx)
         a0_hat, a1_hat = np.fft.rfft(np.stack([a0, a1]), axis=-2)
         da0_hat = d1 * a0_hat
-        da0, dt2 = np.fft.irfft(
-            np.stack([da0_hat, -d1 * (da0_hat + a1_hat)]), n=n, axis=-2
-        )
-        t2 = -da0 - a1
-        s2 = vxxx + t2
+        if self.third_order:
+            da0, dt2 = np.fft.irfft(
+                np.stack([da0_hat, -d1 * (da0_hat + a1_hat)]), n=n, axis=-2
+            )
+            t2 = -da0 - a1
+            s2 = rows[2] + t2
+        else:
+            t2 = -np.fft.irfft(da0_hat, n=n, axis=-2) - a1
         out = (
             cfg.a * (s2 if self.dispersion_in_slope else t2)
             + m._j(proj, s1)
             + cfg.b * _sq(vx) * vx
         )
-        if np.any(self.eps):
+        if self.regularized:
             # a member at eps = 0 subtracts 0 * (...), which leaves it as is
             out -= self.eps * (dt2 - m._sff(proj, s2, vx))
         return self.mask * np.fft.rfft(out, axis=-2)
@@ -395,33 +427,60 @@ def _step_end(st, trend, coef):
 # ---------------------------------------------------------------------------
 
 
+def _duhamel_quadrature(cfg, k, mask=1.0):
+    """Gauss nodes, fused quadrature kernel and decay at wavenumbers ``k``.
+
+    Targets s_i are the q Gauss nodes of [0, dt] and dt.  ``kernel[i, j, m]``
+    maps mode k[m] of the nonlinearity at node j to the Duhamel integral at
+    s_i (inner Gauss rule on [0, s_i] of the Lagrange interpolant, times
+    the decay over s_i - tau); the decay over s_i is returned as the third
+    item.  Both carry ``mask``.
+    """
+    q = cfg.quadrature_nodes
+    nodes, _ = spectral.gauss_legendre(q, 0.0, cfg.dt)
+    targets = np.append(nodes, cfg.dt)
+    k4 = (TWO_PI * k) ** 4
+
+    def decay(t):
+        return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
+
+    kernel = np.empty((targets.size, q, k4.size))
+    for i, s in enumerate(targets):
+        tau, w = spectral.gauss_legendre(q, 0.0, s)
+        interp = spectral.lagrange_matrix(nodes, tau)
+        kernel[i] = np.einsum("t,tk,tj->jk", w, decay(s - tau), interp)
+    return nodes, kernel, decay(targets)
+
+
+def picard_gain(cfg, k):
+    """Linear gain of one Picard iteration at each wavenumber ``k``.
+
+    The iteration maps the node values of mode k through
+    a (2 pi i k)^3 kernel[:q, :, k]; its spectral radius is the factor by
+    which the error of that mode shrinks (or grows) per iteration.  This
+    is the discrete face of the smoothing bound
+    ||d_x^3 exp(-eps t d_x^4)|| <= C (eps t)^(-3/4).
+    """
+    q = cfg.quadrature_nodes
+    _, kernel, _ = _duhamel_quadrature(cfg, k)
+    blocks = np.moveaxis(kernel[:q], -1, 0)
+    radius = np.abs(np.linalg.eigvals(blocks)).max(axis=-1)
+    return abs(cfg.a) * (TWO_PI * k) ** 3 * radius
+
+
 class _PicardWorkspace:
     """Stage slope, nodes, fused quadrature kernel and semigroup decay.
 
-    Targets s_i are the q Gauss nodes of [0, dt] and dt.  ``kernel[i, j, k]``
-    maps mode k of the nonlinearity at node j to the Duhamel integral at
-    s_i (inner Gauss rule on [0, s_i] of the Lagrange interpolant, times
-    the decay over s_i - tau); ``prop0[i]`` is the masked decay over s_i.
-    The nonlinearity is ``stepper.slope``, whose band mask the decay uses.
+    ``kernel`` and ``prop0`` are those of :func:`_duhamel_quadrature` on
+    the rfft modes, masked by the band of ``stepper``, whose ``slope`` is
+    the nonlinearity.
     """
 
     def __init__(self, cfg, manifold, n):
         self.stepper = _Stepper(cfg, manifold, n)
-        q = cfg.quadrature_nodes
-        self.nodes, _ = spectral.gauss_legendre(q, 0.0, cfg.dt)
-        targets = np.append(self.nodes, cfg.dt)
-        k4 = (TWO_PI * spectral.wavenumbers(n)) ** 4
-        mask = self.stepper.mask[:, 0]
-
-        def decay(t):
-            return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
-
-        self.kernel = np.empty((targets.size, q, k4.size))
-        for i, s in enumerate(targets):
-            tau, w = spectral.gauss_legendre(q, 0.0, s)
-            interp = spectral.lagrange_matrix(self.nodes, tau)
-            self.kernel[i] = np.einsum("t,tk,tj->jk", w, decay(s - tau), interp)
-        self.prop0 = decay(targets)
+        self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(
+            cfg, spectral.wavenumbers(n), self.stepper.mask[:, 0]
+        )
         # H1 norm squared by Parseval on rfft coefficients: 1 + (2 pi k)^2,
         # doubled for the modes with a conjugate twin, the Nyquist mode
         # without its derivative (as d/dx drops it)
@@ -454,7 +513,7 @@ def _picard_step(curve, cfg, ws):
         devs = np.fft.irfft(coef, n=n, axis=-2)
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev
-        power = (update.real**2 + update.imag**2).sum(axis=-1)
+        power = _ambient_sum(update.real**2 + update.imag**2)
         delta = float(np.sqrt((power @ ws.h1_weights).max()))
         prev = coef
         if delta <= cfg.picard_tol:
@@ -501,8 +560,8 @@ def _extrinsic_h2(samples, manifold):
     coef = np.fft.rfft(samples - trend, axis=-2)
     k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
     k2[-1] = 0.0
-    power = (coef.real**2 + coef.imag**2).sum(axis=-1) * (k2 + k2**2 + k2**3)
-    total = (winding * winding).sum(axis=-1) + 2.0 * power.sum(axis=-1) / n**2
+    power = _ambient_sum(coef.real**2 + coef.imag**2) * (k2 + k2**2 + k2**3)
+    total = _dot(winding, winding) + 2.0 * power.sum(axis=-1) / n**2
     return np.sqrt(total)
 
 

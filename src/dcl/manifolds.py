@@ -35,8 +35,23 @@ ON_MANIFOLD_TOL = 1e-8
 _TWO_PI = 2.0 * np.pi
 
 
+def _ambient_sum(p):
+    """Sum over the last (ambient) axis as whole-array adds of its columns.
+
+    p0 + p1, then + p2 and so on: for d <= 4 these are the additions of
+    ``p.sum(axis=-1)`` in its order, so the result is bitwise the same
+    (save a row of -0.0 entries, which sums to -0.0 here and to 0.0
+    there), while a reduction over an axis this short costs about five
+    times as much.
+    """
+    out = p[..., 0] + p[..., 1]
+    for i in range(2, p.shape[-1]):
+        out += p[..., i]
+    return out
+
+
 def _dot(a, b):
-    return (a * b).sum(axis=-1)
+    return _ambient_sum(a * b)
 
 
 class _Manifold:
@@ -129,9 +144,13 @@ class Sphere2(_Manifold):
         return -_dot(x, y)[..., None] * base
 
     def _j(self, base, vec):
-        # base x vec; np.cross costs twice as much per call
-        i, j = [1, 2, 0], [2, 0, 1]
-        return base[..., i] * vec[..., j] - base[..., j] * vec[..., i]
+        # base x vec, one column at a time into one output: no gathered
+        # copies of the inputs (np.cross costs twice as much per call)
+        out = np.empty(np.broadcast_shapes(base.shape, vec.shape))
+        for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.subtract(base[..., i] * vec[..., j], base[..., j] * vec[..., i],
+                        out=out[..., c])
+        return out
 
 
 class CliffordTorus2(_Manifold):

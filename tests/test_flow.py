@@ -19,10 +19,12 @@ from dcl.flow import (
     FlowConfig,
     _extrinsic_h2,
     _PicardWorkspace,
+    _Stepper,
     dispersive_rhs,
     epsilon_continuation,
     evolve,
     mode_cutoff,
+    picard_gain,
     picard_solve,
     regularized_rhs,
     step_projected_rk4,
@@ -269,6 +271,32 @@ def test_picard_no_contraction():
             out = picard_solve(out, cfg).final
 
 
+def test_picard_band_from_contraction_factor():
+    # the input of test_picard_no_contraction with the automatic band: the
+    # edge 0.5|a|/(2 pi eps) kept 7 modes, whose gain per iteration is 0.96
+    # at dt = 2e-4, and the steps took 5, 5, 5, 17 and 29 iterations before
+    # step 6 failed with NoContraction.  The band now ends below the first
+    # mode whose gain exceeds 1/2
+    x = spectral.grid(64)
+    bump = 1.0 + 1e-4 * np.cos(TWO_PI * x)
+    samples = great_circle(64).samples * bump[:, None]
+    samples[:, 2] += 1e-8 * np.cos(TWO_PI * 10 * x)
+    c = ClosedCurve(samples, SPHERE2)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=4e-3,
+                     integrator="DuhamelPicard", picard_tol=1e-10)
+    gain = picard_gain(cfg, np.arange(17))
+    assert gain[0] == 0.0 and gain[5] <= 0.5 < gain[6] and gain[7] > 0.9
+    assert mode_cutoff(cfg, SPHERE2, 1.0) == 5
+    assert mode_cutoff(replace(cfg, dt=1e-4), SPHERE2, 1.0) == 6
+    # a pinned band wins; without the third-derivative term the gain is 0
+    assert mode_cutoff(replace(cfg, mode_cutoff=16), SPHERE2, 1.0) == 16
+    assert mode_cutoff(replace(cfg, a=0.0), SPHERE2, 1.0) == 16
+    traj = evolve(c, cfg, stride=1)
+    assert traj.failure is None
+    assert len(traj.picard_iterations) == 20
+    assert max(traj.picard_iterations) <= 11
+
+
 def test_fused_quadrature_matches_per_target_loop():
     # reference: interpolate the node values to each target's inner Gauss
     # nodes, apply the semigroup decay, sum with the inner weights
@@ -321,6 +349,24 @@ def test_picard_requires_positive_eps():
 # ---------------------------------------------------------------------------
 # projected RK4 stepper
 # ---------------------------------------------------------------------------
+
+
+def test_stage_forms_third_order_rows_only_when_used():
+    # v_xxx and D t2 feed only a*S2 (Picard) and the eps term, so an RK4 or
+    # IMEX stage whose members all have eps = 0 transforms 2 derivative
+    # rows instead of 3
+    base = dict(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
+
+    def rows(cfg, eps=None):
+        return _Stepper(cfg, SPHERE2, 64, eps=eps).d_pows.shape[0]
+
+    assert rows(FlowConfig(**base)) == 2
+    assert rows(FlowConfig(integrator="IMEX", **base)) == 2
+    assert rows(FlowConfig(**base), eps=[0.0, 0.0]) == 2
+    assert rows(FlowConfig(epsilon=1e-4, **base)) == 3
+    assert rows(FlowConfig(**base), eps=[0.0, 1e-4]) == 3
+    assert rows(FlowConfig(epsilon=1e-2, integrator="DuhamelPicard",
+                           **base)) == 3
 
 
 def test_rk4_constant_curve_fixed():

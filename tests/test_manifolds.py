@@ -7,6 +7,7 @@ from dcl.manifolds import (
     CLIFFORD_TORUS2,
     MANIFOLDS,
     SPHERE2,
+    _dot,
     by_name,
 )
 
@@ -266,6 +267,57 @@ def test_clifford_complex_structure_is_chart_pushforward():
             ) / (2 * h)
             got = CLIFFORD_TORUS2.complex_structure(base, push)
             assert np.max(np.abs(got - push_j)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# component kernels
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "lead", [(64,), (5, 64), (3, 1, 64)], ids=["N", "B-N", "3-1-N"]
+)
+def test_dot_bitwise_equals_axis_sum(d, lead):
+    # entries spread over 16 decades, so a change of summation order shows
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((2,) + lead + (d,))
+    a *= 10.0 ** rng.integers(-8, 8, a.shape)
+    assert same_bits(_dot(a, b), (a * b).sum(axis=-1))
+    assert same_bits(_dot(a, a), (a * a).sum(axis=-1))
+
+
+@pytest.mark.parametrize(
+    "lead", [(64,), (5, 64), (3, 1, 64)], ids=["N", "B-N", "3-1-N"]
+)
+def test_dot_bitwise_on_clifford_pair_slices(lead):
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal(lead + (4,)) * 10.0 ** rng.integers(-8, 8, 4)
+    vec = rng.standard_normal(lead + (4,))
+    for pair in (slice(0, 2), slice(2, 4)):
+        x, y = pts[..., pair], vec[..., pair]
+        assert same_bits(_dot(x, x), (x * x).sum(axis=-1))
+        assert same_bits(_dot(x, y), (x * y).sum(axis=-1))
+
+
+@pytest.mark.parametrize(
+    "lead", [(64,), (5, 64), (3, 1, 64)], ids=["N", "B-N", "3-1-N"]
+)
+def test_sphere_j_bitwise_equals_gather_formula(lead):
+    rng = np.random.default_rng(5)
+    base = SPHERE2.project(rng.standard_normal(lead + (3,)))
+    vec = rng.standard_normal(lead + (3,))
+    i, j = [1, 2, 0], [2, 0, 1]
+    want = base[..., i] * vec[..., j] - base[..., j] * vec[..., i]
+    assert same_bits(SPHERE2._j(base, vec), want)
+    # one base point against many vectors broadcasts as before
+    point = base.reshape(-1, 3)[0]
+    want = point[i] * vec[..., j] - point[j] * vec[..., i]
+    assert same_bits(SPHERE2._j(point, vec), want)
 
 
 # ---------------------------------------------------------------------------
