@@ -163,7 +163,7 @@ def _checkpoint_payload(state, t):
     return {
         "t": t,
         "manifold": state.manifold.name,
-        "samples": [[float(x) for x in row] for row in state.output_samples()],
+        "samples": state.output_samples().tolist(),
     }
 
 

@@ -22,11 +22,13 @@ Integrators
                    above a handful linearly unstable at production step
                    sizes, so the factor is what makes an explicit scheme
                    viable at all.  State and stage slopes live in rfft
-                   coefficients: a step makes 25 transform calls, and each
-                   stage checks its point once (tube, then on-target after
-                   projection) before running unchecked geometry kernels.
-                   A stage transforms 9 rows, or 7 when every member has
-                   eps = 0: v_xxx and D t2 only feed the eps term.
+                   coefficients, and so do the slope's linear terms (D A0,
+                   D t2): when every member has eps = 0 a stage makes 3
+                   transform calls on 5 rows and a step 17; otherwise t2
+                   is needed pointwise and a stage makes 5 calls on 8
+                   rows, a step 25.  Each stage checks its point once
+                   (tube, then on-target after projection) before running
+                   unchecked geometry kernels.
                    The step acts on one curve (N, d) or on a stack
                    (B, N, d) whose members may carry their own eps; the
                    epsilon continuation marches its baseline and all
@@ -35,9 +37,10 @@ Integrators
                    by the fourth-order heat semigroup; requires eps > 0.
                    Each iteration evaluates the nonlinearity at all Gauss
                    nodes in one call of the RK4 stage slope, which then
-                   also carries a*d_x^3 (all 9 rows).  The band keeps the
-                   modes below the first whose linear gain per iteration
-                   exceeds 1/2.
+                   also carries a*d_x^3 (5 calls on 8 rows).  The band
+                   keeps the modes below the first whose linear gain per
+                   iteration exceeds 1/2; a run where that is mode 1
+                   fails with NoContraction.
                    States may sit slightly off the target (inside the
                    tube); their normal part then decays monotonically.
 ``IMEX``           First-order integrating-factor Euler step (same L and
@@ -239,7 +242,8 @@ def mode_cutoff(cfg, manifold, speed):
 
     For DuhamelPicard the band is instead the run of modes 0, 1, ... up
     to the last one before the first whose :func:`picard_gain` exceeds
-    PICARD_GAIN.
+    PICARD_GAIN; when that is mode 1, no band can contract and
+    NoContraction is raised.
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
@@ -256,6 +260,11 @@ def mode_cutoff(cfg, manifold, speed):
             over = np.flatnonzero(gain > PICARD_GAIN)
             if over.size:
                 keep = int(over[0]) - 1
+            if keep < 1:
+                raise NoContraction(
+                    f"Picard band keeps no mode k >= 1: rho_1 = {gain[1]:.3f} "
+                    f"exceeds PICARD_GAIN = {PICARD_GAIN}; reduce dt"
+                )
     else:
         coeff = (1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)) * max(
             manifold.principal_curvature, 1.0
@@ -273,14 +282,16 @@ class _Stepper:
     with its powers 1..3, or 1..2 when no slope term needs v_xxx (Nyquist
     zeroed, as repeated first derivatives zero it).  ``eps`` defaults to
     ``cfg.epsilon``; a sequence of B levels gives the integrating factors
-    a leading member axis, (B, K, 1), for stepping a (B, N, d) stack whose
-    member i carries eps[i].  The band and the derivative multipliers are
-    shared by all members.
+    and the slope's multipliers a leading member axis, (B, K, 1), for
+    stepping a (B, N, d) stack whose member i carries eps[i].  The band and
+    the derivative multipliers are shared by all members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
     Duhamel propagator is the fourth-order heat semigroup alone, so for
     DuhamelPicard a*d_x^3 stays in the slope and the integrating factors
-    go unused.
+    go unused.  The slope's linear terms act on rfft coefficients:
+    ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and, for
+    DuhamelPicard, ``c_v`` = a*d_x^3 on the state.
     """
 
     def __init__(self, cfg, manifold, n, speed=1.0, eps=None):
@@ -293,8 +304,8 @@ class _Stepper:
             self.eps = np.asarray(eps, dtype=float)[:, None, None]
         self.dispersion_in_slope = cfg.integrator == "DuhamelPicard"
         self.regularized = bool(np.any(self.eps))
-        # v_xxx and D t2 feed only a*S2 and the eps term: without both, a
-        # stage transforms 7 rows instead of 9
+        # v_xxx and t2 in physical space feed only a*S2 and the eps term:
+        # without both, a stage makes 3 transform calls instead of 5
         self.third_order = self.dispersion_in_slope or self.regularized
         k = spectral.wavenumbers(n)[:, None]
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
@@ -308,6 +319,14 @@ class _Stepper:
         self.d_pows = np.stack([self.d1, self.d1**2, self.d1**3])
         if not self.third_order:
             self.d_pows = self.d_pows[:2]
+        # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
+        # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
+        self.c_a0 = -cfg.a * self.d1
+        if self.regularized:
+            self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
+            self.c_a1 = self.eps * self.d1
+        if self.dispersion_in_slope:
+            self.c_v = cfg.a * self.d_pows[2]
 
     def slope(self, samples, trend, winding):
         """Masked rfft coefficients of the non-stiff remainder at a stage.
@@ -319,14 +338,17 @@ class _Stepper:
             t2 = -D A(v_x, v_x) - A(s1, v_x),  t3 = D t2 - A(S2, v_x),
             a t2 + J s1 + b |v_x|^2 v_x - eps t3,
 
-        with a S2 in place of a t2 when a*d_x^3 is not part of L.
+        with a S2 in place of a t2 when a*d_x^3 is not part of L.  The
+        derivatives of A0 = A(v_x, v_x) and A1 = A(s1, v_x), and a v_xxx,
+        enter as multipliers on rfft coefficients; the rest,
+        J s1 + b |v_x|^2 v_x - a A1 (plus eps A(S2, v_x)), is pointwise.
 
         Arrays are (..., N, d) with ``winding`` (..., d).  The stage points
         are tube-checked and P checked on the target once; the geometric
-        kernels then run unchecked.  Five transform calls on 9 rows (v,
-        v_x, v_xx, v_xxx, A0, A1, D A0, D t2 and the slope), or on 7 when
-        every member has eps = 0 outside Picard: v_xxx and D t2 are then
-        not formed.
+        kernels then run unchecked.  When every member has eps = 0 outside
+        Picard, three transform calls on 5 rows: P, [v_x, v_xx] and
+        [A0, rest].  Otherwise t2 is needed pointwise for A(S2, v_x): five
+        calls on 8 rows, P, [v_x, v_xx, v_xxx], A0, D A0 and [A1, rest].
         """
         cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
         m.require_in_tube(samples)
@@ -343,25 +365,19 @@ class _Stepper:
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
         a1 = m._sff(proj, s1, vx)
-        a0_hat, a1_hat = np.fft.rfft(np.stack([a0, a1]), axis=-2)
-        da0_hat = d1 * a0_hat
-        if self.third_order:
-            da0, dt2 = np.fft.irfft(
-                np.stack([da0_hat, -d1 * (da0_hat + a1_hat)]), n=n, axis=-2
-            )
-            t2 = -da0 - a1
-            s2 = rows[2] + t2
-        else:
-            t2 = -np.fft.irfft(da0_hat, n=n, axis=-2) - a1
-        out = (
-            cfg.a * (s2 if self.dispersion_in_slope else t2)
-            + m._j(proj, s1)
-            + cfg.b * _sq(vx) * vx
-        )
-        if self.regularized:
-            # a member at eps = 0 subtracts 0 * (...), which leaves it as is
-            out -= self.eps * (dt2 - m._sff(proj, s2, vx))
-        return self.mask * np.fft.rfft(out, axis=-2)
+        rest = m._j(proj, s1) + cfg.b * _sq(vx) * vx - cfg.a * a1
+        if not self.third_order:
+            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]), axis=-2)
+            return self.mask * (rest_hat + self.c_a0 * a0_hat)
+        a0_hat = np.fft.rfft(a0, axis=-2)
+        s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n, axis=-2) - a1
+        # a member at eps = 0 adds 0 * (...), which leaves it as is
+        rest = rest + self.eps * m._sff(proj, s2, vx)
+        a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]), axis=-2)
+        out = rest_hat + self.c_a0 * a0_hat + self.c_a1 * a1_hat
+        if self.dispersion_in_slope:
+            out += self.c_v * coef
+        return self.mask * out
 
 
 def step_projected_rk4(curve, cfg):
@@ -444,11 +460,14 @@ def _duhamel_quadrature(cfg, k, mask=1.0):
     def decay(t):
         return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
 
+    # row i holds the inner rule on [0, s_i]; one interpolation call for all
+    tau, w = spectral.gauss_legendre(q, 0.0, targets[:, None])
+    interp = spectral.lagrange_matrix(nodes, tau.ravel()).reshape(-1, q, q)
     kernel = np.empty((targets.size, q, k4.size))
     for i, s in enumerate(targets):
-        tau, w = spectral.gauss_legendre(q, 0.0, s)
-        interp = spectral.lagrange_matrix(nodes, tau)
-        kernel[i] = np.einsum("t,tk,tj->jk", w, decay(s - tau), interp)
+        kernel[i] = np.einsum(
+            "t,tk,tj->jk", w[i], decay(s - tau[i]), interp[i]
+        )
     return nodes, kernel, decay(targets)
 
 
@@ -591,22 +610,23 @@ def evolve(u0, cfg, stride=1):
         return traj
 
     m = u0.manifold
-    if cfg.integrator == "DuhamelPicard":
-        ws = _PicardWorkspace(cfg, m, u0.n)
-
-        def advance(c):
-            return _picard_step(c, cfg, ws)
-    else:
-        st = _Stepper(cfg, m, u0.n, _speed(u0))
-        step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
-
-        def advance(c):
-            samples, residual = step_fn(c.samples, cfg, st)
-            return c.with_samples(samples), residual
-
     state = u0
     guard_norm = float(_extrinsic_h2(u0.samples, m))
     try:
+        # the automatic Picard band raises NoContraction when it is empty
+        if cfg.integrator == "DuhamelPicard":
+            ws = _PicardWorkspace(cfg, m, u0.n)
+
+            def advance(c):
+                return _picard_step(c, cfg, ws)
+        else:
+            st = _Stepper(cfg, m, u0.n, _speed(u0))
+            step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
+
+            def advance(c):
+                samples, residual = step_fn(c.samples, cfg, st)
+                return c.with_samples(samples), residual
+
         for k in range(1, n_steps + 1):
             state, diag = advance(state)
             if cfg.integrator == "DuhamelPicard":

@@ -121,9 +121,22 @@ def semigroup_apply(eps, t, f):
     return np.fft.irfft(coef, n=n, axis=axis)
 
 
-def gauss_legendre(n, a, b):
-    """Gauss-Legendre nodes and weights on [a, b]."""
+@lru_cache(maxsize=None)
+def _legendre_rule(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n, a, b):
+    """Gauss-Legendre nodes and weights on [a, b].
+
+    ``a`` and ``b`` may be arrays broadcasting against the n nodes, e.g.
+    ends of shape (m, 1) give m rules as rows.
+    """
+    x, w = _legendre_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

@@ -154,6 +154,30 @@ def test_simulate_solver_failure_keeps_partial_artifact(tmp_path):
     assert (out / "report.csv").exists()
 
 
+def test_simulate_picard_without_contracting_band_exits_3(tmp_path):
+    # no Picard band of modes k >= 1 contracts at this dt: the run writes
+    # its one-row artifacts and exits 3 without a traceback
+    out = tmp_path / "band"
+    manifest = base_manifest(
+        out,
+        config={
+            "initial_condition": "great_circle", "N_g": 32, "a": 1.0,
+            "b": 0.5, "epsilon": 1e-2, "dt": 3e-2, "T": 3e-2,
+            "integrator": "DuhamelPicard",
+        },
+    )
+    manifest["stride"] = 1
+    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "NoContraction" in proc.stderr and "reduce dt" in proc.stderr
+    echo = json.loads((out / "manifest.json").read_text())
+    assert echo["exit_status"] == 3 and echo["snapshots"] == 1
+    assert echo["failure"].startswith("NoContraction")
+    assert len(parse_report_csv((out / "report.csv").read_text())) == 1
+    assert (out / "checkpoint_final.json").exists()
+
+
 def test_simulate_checkpoints_flag(tmp_path):
     out = tmp_path / "ck"
     path = write_manifest(tmp_path, base_manifest(out))

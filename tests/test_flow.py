@@ -297,6 +297,21 @@ def test_picard_band_from_contraction_factor():
     assert max(traj.picard_iterations) <= 11
 
 
+def test_picard_band_without_a_contracting_mode_fails_early():
+    # rho_1 = 0.635 > 1/2: no band of modes k >= 1 contracts.  The band
+    # used to collapse to the mean, the initial guess onto it, and the
+    # step left the tube (distance 1); now the set-up names the cause
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=32, dt=3e-2, T=3e-2,
+                     integrator="DuhamelPicard")
+    assert picard_gain(cfg, np.arange(2))[1] > 0.5
+    with pytest.raises(NoContraction, match="reduce dt"):
+        mode_cutoff(cfg, SPHERE2, 1.0)
+    traj = evolve(great_circle(32), cfg)
+    assert traj.failure.startswith("NoContraction")
+    assert "rho_1 = 0.635" in traj.failure and "PICARD_GAIN" in traj.failure
+    assert len(traj.states) == 1 and traj.picard_iterations == []
+
+
 def test_fused_quadrature_matches_per_target_loop():
     # reference: interpolate the node values to each target's inner Gauss
     # nodes, apply the semigroup decay, sum with the inner weights
