@@ -16,6 +16,7 @@ byte-identical report.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -194,22 +195,25 @@ def cmd_simulate(manifest, checkpoints_every=0):
     csv_text = rows_to_csv(rows)
     _atomic_write(os.path.join(out_dir, "report.csv"), csv_text.encode())
 
+    final_text = None
     if checkpoints_every:
+        last = len(trajectory.states) - 1
         for idx, (t, state) in enumerate(
             zip(trajectory.times, trajectory.states)
         ):
             if idx % checkpoints_every == 0:
+                text = json.dumps(_checkpoint_payload(state, t), sort_keys=True)
                 _atomic_write(
-                    os.path.join(out_dir, f"checkpoint_{idx}.json"),
-                    json.dumps(_checkpoint_payload(state, t), sort_keys=True),
+                    os.path.join(out_dir, f"checkpoint_{idx}.json"), text
                 )
-    _atomic_write(
-        os.path.join(out_dir, "checkpoint_final.json"),
-        json.dumps(
+                if idx == last:
+                    final_text = text
+    if final_text is None:
+        final_text = json.dumps(
             _checkpoint_payload(trajectory.final, trajectory.times[-1]),
             sort_keys=True,
-        ),
-    )
+        )
+    _atomic_write(os.path.join(out_dir, "checkpoint_final.json"), final_text)
 
     status = 0 if trajectory.failure is None else 3
     echo = {
@@ -348,9 +352,14 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of ``main``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             manifest = load_manifest(args.manifest)

@@ -26,9 +26,12 @@ Integrators
                    D t2): when every member has eps = 0 a stage makes 3
                    transform calls on 5 rows and a step 17; otherwise t2
                    is needed pointwise and a stage makes 5 calls on 8
-                   rows, a step 25.  Each stage checks its point once
-                   (tube, then on-target after projection) before running
-                   unchecked geometry kernels.
+                   rows, a step 25.  Each stage retracts its point once
+                   (``retract``: tube check and projection from one
+                   squared norm per point) and checks the projection on
+                   the target before running unchecked geometry kernels;
+                   the step end's residual before projection comes from
+                   the squared norms of its own retraction.
                    The step acts on one curve (N, d) or on a stack
                    (B, N, d) whose members may carry their own eps; the
                    epsilon continuation marches its baseline and all
@@ -46,13 +49,21 @@ Integrators
 ``IMEX``           First-order integrating-factor Euler step (same L and
                    stage), projected at the step end.  Cheap, for smoke runs.
 
+``evolve`` transforms each accepted state once (:func:`_lift`): that rfft
+of its periodic part feeds the H2 blow-up guard and the next step's V0,
+or the Picard free term, so at stride 1 the guard costs no transform of
+its own.  Off the chart torus the trend is zero and is neither added nor
+subtracted.
+
 Products of fields are cubic, so state and nonlinear terms are dealiased
 by the N/4 rule; the mask is part of the spatial discretization and is
 applied identically by every integrator.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +120,15 @@ class FlowConfig:
             raise ValueError("T must be nonnegative")
         if self.T and self.dt > self.T * (1 + 1e-12):
             raise ValueError("dt must not exceed the horizon T")
+        for name, low in (("quadrature_nodes", 1), ("picard_max_iter", 1),
+                          ("mode_cutoff", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}")
+        if not self.picard_tol > 0:
+            raise ValueError("picard_tol must be positive")
 
     def n_steps(self):
         if self.T == 0:
@@ -229,7 +249,7 @@ STABILITY_EDGE = 2.5
 PICARD_GAIN = 0.5
 
 
-def mode_cutoff(cfg, manifold, speed):
+def mode_cutoff(cfg, manifold, speed, kernel=None):
     """Highest retained frequency for one run on ``manifold``.
 
     The explicit stages see an effective second-order operator; modes
@@ -243,7 +263,9 @@ def mode_cutoff(cfg, manifold, speed):
     For DuhamelPicard the band is instead the run of modes 0, 1, ... up
     to the last one before the first whose :func:`picard_gain` exceeds
     PICARD_GAIN; when that is mode 1, no band can contract and
-    NoContraction is raised.
+    NoContraction is raised.  ``kernel`` is the caller's unmasked fused
+    quadrature kernel on modes 0..N/2, from which the gains are read
+    instead of building the quadrature again.
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
@@ -256,7 +278,11 @@ def mode_cutoff(cfg, manifold, speed):
         # semigroup smooths; modes past the peak stay out even where their
         # gain is small again, which keeps the band one run of modes
         if cfg.a:
-            gain = picard_gain(cfg, np.arange(keep + 1))
+            k = np.arange(keep + 1)
+            if kernel is None:
+                gain = picard_gain(cfg, k)
+            else:
+                gain = _gain(cfg, kernel[..., : keep + 1], k)
             over = np.flatnonzero(gain > PICARD_GAIN)
             if over.size:
                 keep = int(over[0]) - 1
@@ -294,7 +320,7 @@ class _Stepper:
     DuhamelPicard, ``c_v`` = a*d_x^3 on the state.
     """
 
-    def __init__(self, cfg, manifold, n, speed=1.0, eps=None):
+    def __init__(self, cfg, manifold, n, speed=1.0, eps=None, kernel=None):
         self.cfg = cfg
         self.manifold = manifold
         self.n = n
@@ -311,7 +337,8 @@ class _Stepper:
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
         lam[..., -1, :] = lam[..., -1, :].real
-        self.mask = (k <= mode_cutoff(cfg, manifold, speed)).astype(float)
+        keep = mode_cutoff(cfg, manifold, speed, kernel)
+        self.mask = (k <= keep).astype(float)
         self.e_full = np.exp(cfg.dt * lam) * self.mask
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
         self.d1 = 1j * TWO_PI * k
@@ -344,23 +371,24 @@ class _Stepper:
         J s1 + b |v_x|^2 v_x - a A1 (plus eps A(S2, v_x)), is pointwise.
 
         Arrays are (..., N, d) with ``winding`` (..., d).  The stage points
-        are tube-checked and P checked on the target once; the geometric
-        kernels then run unchecked.  When every member has eps = 0 outside
-        Picard, three transform calls on 5 rows: P, [v_x, v_xx] and
-        [A0, rest].  Otherwise t2 is needed pointwise for A(S2, v_x): five
-        calls on 8 rows, P, [v_x, v_xx, v_xxx], A0, D A0 and [A1, rest].
+        are retracted (tube check, then P) and P checked on the target
+        once; the geometric kernels then run unchecked.  When every member
+        has eps = 0 outside Picard, three transform calls on 5 rows: P,
+        [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed pointwise for
+        A(S2, v_x): five calls on 8 rows, P, [v_x, v_xx, v_xxx], A0, D A0
+        and [A1, rest].
         """
         cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
-        m.require_in_tube(samples)
-        proj = m.project(samples)
+        proj, _ = m.retract(samples)
         m.require_on_manifold(proj)
-        coef = np.fft.rfft(proj - trend, axis=-2)
+        winds = winding.any()
+        coef = np.fft.rfft(proj - trend if winds else proj, axis=-2)
         d_pows = self.d_pows.reshape(
             self.d_pows.shape[:1] + (1,) * (coef.ndim - 2) + d1.shape
         )
         rows = np.fft.irfft(d_pows * coef, n=n, axis=-2)
         vx, vxx = rows[0], rows[1]
-        if winding.any():
+        if winds:
             vx = winding[..., None, :] + vx
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
@@ -392,22 +420,35 @@ def step_projected_rk4(curve, cfg):
     return curve.with_samples(_rk4_step(curve.samples, cfg, st)[0])
 
 
-def _rk4_step(samples, cfg, st):
+def _lift(samples, manifold):
+    """(trend, winding, rfft of the periodic part) of (..., N, d) samples.
+
+    Off the chart torus, and on it for a curve that does not wind, the
+    trend is zero and the samples are transformed as they are (x - 0.0
+    is x bitwise).
+    """
+    trend, winding = lift_trend(samples, manifold)
+    periodic = samples - trend if winding.any() else samples
+    return trend, winding, np.fft.rfft(periodic, axis=-2)
+
+
+def _rk4_step(samples, cfg, st, lifted=None):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
-    ``samples`` is one curve (N, d) or a stack (..., N, d) on one grid.
-    The periodic part V0 of the state and the stage slopes stay in
-    coefficient space; each stage point and the step end is one irfft.
-    Returns the projected state and the largest residual before projection.
+    ``samples`` is one curve (N, d) or a stack (..., N, d) on one grid;
+    ``lifted`` is its :func:`_lift`, when the caller has it.  The periodic
+    part V0 of the state and the stage slopes stay in coefficient space;
+    each stage point and the step end is one irfft.  Returns the projected
+    state and the largest residual before projection.
     """
     h = cfg.dt
-    trend, winding = lift_trend(samples, st.manifold)
-    v0 = np.fft.rfft(samples - trend, axis=-2)
+    trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
+    winds = winding.any()
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
-        point = trend + np.fft.irfft(coef, n=st.n, axis=-2)
-        return st.slope(point, trend, winding)
+        point = np.fft.irfft(coef, n=st.n, axis=-2)
+        return st.slope(trend + point if winds else point, trend, winding)
 
     m1 = st.slope(samples, trend, winding)
     m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
@@ -416,26 +457,26 @@ def _rk4_step(samples, cfg, st):
     end = full_v0 + (h / 6.0) * (
         st.e_full * m1 + 2.0 * (st.e_half * (m2 + m3)) + m4
     )
-    return _step_end(st, trend, end)
+    return _step_end(st, trend, winding, end)
 
 
-def _imex_step(samples, cfg, st):
+def _imex_step(samples, cfg, st, lifted=None):
     """Integrating-factor Euler step (first order), projected at the end."""
-    trend, winding = lift_trend(samples, st.manifold)
-    v0 = np.fft.rfft(samples - trend, axis=-2)
+    trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
     m1 = st.slope(samples, trend, winding)
-    return _step_end(st, trend, st.e_full * (v0 + cfg.dt * m1))
+    return _step_end(st, trend, winding, st.e_full * (v0 + cfg.dt * m1))
 
 
-def _step_end(st, trend, coef):
+def _step_end(st, trend, winding, coef):
     """Guarded projection of trend + irfft(coef); (samples, residual before)."""
     m = st.manifold
-    pre = trend + np.fft.irfft(coef, n=st.n, axis=-2)
-    residual = float(np.max(m.constraint_residual(pre)))
+    pre = np.fft.irfft(coef, n=st.n, axis=-2)
+    if winding.any():
+        pre = trend + pre
     if not np.all(np.isfinite(pre)):
         raise StepSizeUnstable("non-finite state")
-    m.require_in_tube(pre)
-    return m.project(pre), residual
+    proj, sq = m.retract(pre)
+    return proj, float(np.max(m._residual(sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +521,12 @@ def picard_gain(cfg, k):
     is the discrete face of the smoothing bound
     ||d_x^3 exp(-eps t d_x^4)|| <= C (eps t)^(-3/4).
     """
+    return _gain(cfg, _duhamel_quadrature(cfg, k)[1], k)
+
+
+def _gain(cfg, kernel, k):
+    """:func:`picard_gain` read off an unmasked kernel at wavenumbers ``k``."""
     q = cfg.quadrature_nodes
-    _, kernel, _ = _duhamel_quadrature(cfg, k)
     blocks = np.moveaxis(kernel[:q], -1, 0)
     radius = np.abs(np.linalg.eigvals(blocks)).max(axis=-1)
     return abs(cfg.a) * (TWO_PI * k) ** 3 * radius
@@ -492,14 +537,17 @@ class _PicardWorkspace:
 
     ``kernel`` and ``prop0`` are those of :func:`_duhamel_quadrature` on
     the rfft modes, masked by the band of ``stepper``, whose ``slope`` is
-    the nonlinearity.
+    the nonlinearity.  The quadrature is built once: the automatic band
+    reads its gains off the unmasked kernel.
     """
 
     def __init__(self, cfg, manifold, n):
-        self.stepper = _Stepper(cfg, manifold, n)
-        self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(
-            cfg, spectral.wavenumbers(n), self.stepper.mask[:, 0]
+        self.nodes, kernel, prop0 = _duhamel_quadrature(
+            cfg, spectral.wavenumbers(n)
         )
+        self.stepper = _Stepper(cfg, manifold, n, kernel=kernel)
+        mask = self.stepper.mask[:, 0]
+        self.kernel, self.prop0 = kernel * mask, prop0 * mask
         # H1 norm squared by Parseval on rfft coefficients: 1 + (2 pi k)^2,
         # doubled for the modes with a conjugate twin, the Nyquist mode
         # without its derivative (as d/dx drops it)
@@ -509,26 +557,34 @@ class _PicardWorkspace:
         self.h1_weights[1:-1] *= 2.0
 
 
-def _picard_step(curve, cfg, ws):
+def _picard_step(curve, cfg, ws, lifted=None):
     """Solve the mild form on [0, dt]; returns (state at dt, iterations).
 
     Each iteration advances all targets at once from one stage slope of
-    the (q, N, d) stack of node states.
+    the (q, N, d) stack of node states.  ``lifted`` is the curve's
+    :func:`_lift`, when the caller has it.
     """
     n = curve.n
     q = ws.nodes.size
-    trend, winding = lift_trend(curve.samples, curve.manifold)
+    if lifted is None:
+        lifted = _lift(curve.samples, curve.manifold)
+    trend, winding, v0 = lifted
+    winds = winding.any()
     # initial guess: pure semigroup evolution of the data
-    free = ws.prop0[:, :, None] * np.fft.rfft(curve.samples - trend, axis=0)
+    free = ws.prop0[:, :, None] * v0
     devs = np.fft.irfft(free, n=n, axis=-2)
     prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
-        states = trend + devs[:q]
+        states = trend + devs[:q] if winds else devs[:q]
         if not np.all(np.isfinite(states)):
             raise StepSizeUnstable("non-finite state")
         f_hat = ws.stepper.slope(states, trend, winding)
-        coef = free + np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
+        # the kernel is real: contracting the float view of f_hat gives
+        # the complex contraction bitwise, at about two thirds of its cost
+        coef = free + np.einsum(
+            "ijk,jkd->ikd", ws.kernel, f_hat.view(float)
+        ).view(complex)
         devs = np.fft.irfft(coef, n=n, axis=-2)
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev
@@ -536,7 +592,9 @@ def _picard_step(curve, cfg, ws):
         delta = float(np.sqrt((power @ ws.h1_weights).max()))
         prev = coef
         if delta <= cfg.picard_tol:
-            return curve.with_samples(trend + devs[-1]), iteration
+            # a copy: a view would keep the whole node stack alive
+            end = trend + devs[-1] if winds else devs[-1].copy()
+            return curve.with_samples(end), iteration
     raise NoContraction(
         f"no fixed point after {cfg.picard_max_iter} iterations "
         f"(last update {delta:.3e}); reduce dt for this epsilon"
@@ -565,21 +623,31 @@ def picard_solve(curve, cfg):
 BLOWUP_FACTOR = 10.0
 
 
-def _extrinsic_h2(samples, manifold):
+@lru_cache(maxsize=None)
+def _h2_weights(n):
+    """Read-only Parseval weights k2 + k2^2 + k2^3 of D^1..D^3, k2 = (2 pi k)^2.
+
+    The Nyquist mode is dropped, as odd-order derivatives drop it.
+    """
+    k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
+    k2[-1] = 0.0
+    weights = k2 + k2**2 + k2**3
+    weights.setflags(write=False)
+    return weights
+
+
+def _extrinsic_h2(samples, manifold, lifted=None):
     """H2 norm of the velocity by plain spectral derivatives.
 
     Valid for states slightly off the target (unlike the covariant norm),
     which is all the blow-up guard needs.  By Parseval on one transform
-    of the periodic part: |W|^2 plus the power of D^j of it for j = 1..3,
-    Nyquist mode dropped as odd-order derivatives drop it.  One norm per
-    curve of a (..., N, d) stack.
+    of the periodic part (``lifted``, the :func:`_lift` of the samples,
+    when the caller has it): |W|^2 plus the power of D^j of it for
+    j = 1..3.  One norm per curve of a (..., N, d) stack.
     """
     n = samples.shape[-2]
-    trend, winding = lift_trend(samples, manifold)
-    coef = np.fft.rfft(samples - trend, axis=-2)
-    k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
-    k2[-1] = 0.0
-    power = _ambient_sum(coef.real**2 + coef.imag**2) * (k2 + k2**2 + k2**3)
+    _, winding, coef = _lift(samples, manifold) if lifted is None else lifted
+    power = _ambient_sum(coef.real**2 + coef.imag**2) * _h2_weights(n)
     total = _dot(winding, winding) + 2.0 * power.sum(axis=-1) / n**2
     return np.sqrt(total)
 
@@ -611,31 +679,34 @@ def evolve(u0, cfg, stride=1):
 
     m = u0.manifold
     state = u0
-    guard_norm = float(_extrinsic_h2(u0.samples, m))
+    # one transform per state: the H2 guard and the next step share it
+    lifted = _lift(u0.samples, m)
+    guard_norm = float(_extrinsic_h2(u0.samples, m, lifted))
     try:
         # the automatic Picard band raises NoContraction when it is empty
         if cfg.integrator == "DuhamelPicard":
             ws = _PicardWorkspace(cfg, m, u0.n)
 
-            def advance(c):
-                return _picard_step(c, cfg, ws)
+            def advance(c, lifted):
+                return _picard_step(c, cfg, ws, lifted)
         else:
             st = _Stepper(cfg, m, u0.n, _speed(u0))
             step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
 
-            def advance(c):
-                samples, residual = step_fn(c.samples, cfg, st)
+            def advance(c, lifted):
+                samples, residual = step_fn(c.samples, cfg, st, lifted)
                 return c.with_samples(samples), residual
 
         for k in range(1, n_steps + 1):
-            state, diag = advance(state)
+            state, diag = advance(state, lifted)
             if cfg.integrator == "DuhamelPicard":
                 traj.picard_iterations.append(diag)
                 traj.step_residuals.append(state.off_manifold())
             else:
                 traj.step_residuals.append(diag)
+            lifted = _lift(state.samples, m)
             if k % stride == 0:
-                norm = float(_extrinsic_h2(state.samples, m))
+                norm = float(_extrinsic_h2(state.samples, m, lifted))
                 if _h2_blowup(norm, guard_norm):
                     raise StepSizeUnstable(
                         f"H2 norm grew {norm / guard_norm:.1f}x within one stride"

@@ -15,7 +15,9 @@ public ``tangent_project``, ``second_fundamental_form`` and
 points lie on the target (``PointOffManifold`` otherwise).  Each has an
 unchecked kernel (``_tangent``, ``_sff``, ``_j``) holding only the
 formula, for callers such as the flow's stages that check their points
-once and then make many calls on them.
+once and then make many calls on them.  ``retract`` is
+``require_in_tube`` followed by ``project`` from one squared norm per
+point, which also gives the constraint residual before projection.
 
 Convention note: ``second_fundamental_form`` returns the normal component
 of the ambient directional derivative D_X Y (for the sphere this is
@@ -81,12 +83,43 @@ class _Manifold:
             )
 
     def require_in_tube(self, pts):
-        dist = np.max(self.distance(pts))
+        self._require_tube(self.distance(pts))
+
+    def _require_tube(self, dist):
+        dist = np.max(dist)
         if not np.isfinite(dist) or dist >= self.tubular_radius:
             raise OutOfTubularNeighborhood(
                 f"{self.name}: distance {dist:.3e} >= tubular radius "
                 f"{self.tubular_radius:.3e}"
             )
+
+    # Each target writes its formulas once, as kernels of its squared norms
+    # ``sq`` (``_sq_norms``) or of their square roots ``norm``:
+    # ``_residual(sq)``, ``_distance(norm)`` and ``_project(pts, norm)``,
+    # the last raising where the projection is undefined.
+
+    def constraint_residual(self, pts):
+        return self._residual(self._sq_norms(self._check_points(pts)))
+
+    def distance(self, pts):
+        return self._distance(np.sqrt(self._sq_norms(self._check_points(pts))))
+
+    def project(self, pts):
+        pts = self._check_points(pts)
+        return self._project(pts, np.sqrt(self._sq_norms(pts)))
+
+    def retract(self, pts):
+        """Nearest-point projection of tube points, from one |p|^2 per point.
+
+        Raises what ``require_in_tube`` and then ``project`` raise, and
+        returns ``(projection, sq)``: ``_residual(sq)`` is
+        ``constraint_residual(pts)``, the residual before projection.
+        """
+        pts = self._check_points(pts)
+        sq = self._sq_norms(pts)
+        norm = np.sqrt(sq)
+        self._require_tube(self._distance(norm))
+        return self._project(pts, norm), sq
 
     def _on_manifold(self, base):
         base = self._check_points(base)
@@ -120,17 +153,16 @@ class Sphere2(_Manifold):
     principal_curvature = 1.0
     tubular_radius = 0.5  # safely inside the focal distance 1
 
-    def constraint_residual(self, pts):
-        pts = self._check_points(pts)
-        return np.abs(_dot(pts, pts) - 1.0)
+    def _sq_norms(self, pts):
+        return _dot(pts, pts)
 
-    def distance(self, pts):
-        pts = self._check_points(pts)
-        return np.abs(np.sqrt(_dot(pts, pts)) - 1.0)
+    def _residual(self, sq):
+        return np.abs(sq - 1.0)
 
-    def project(self, pts):
-        pts = self._check_points(pts)
-        norm = np.sqrt(_dot(pts, pts))
+    def _distance(self, norm):
+        return np.abs(norm - 1.0)
+
+    def _project(self, pts, norm):
         if np.any(norm < 1e-12):
             raise OutOfTubularNeighborhood(
                 "Sphere2: cannot project a point at the center"
@@ -163,34 +195,25 @@ class CliffordTorus2(_Manifold):
     principal_curvature = _TWO_PI  # each circle has curvature 1 / radius
     tubular_radius = 0.5 / _TWO_PI
 
-    def _pair_norms(self, pts):
-        n12 = np.sqrt(_dot(pts[..., 0:2], pts[..., 0:2]))
-        n34 = np.sqrt(_dot(pts[..., 2:4], pts[..., 2:4]))
-        return n12, n34
+    def _sq_norms(self, pts):
+        """(..., 2) squared norms of the pairs (p1, p2) and (p3, p4)."""
+        return _ambient_sum((pts * pts).reshape(pts.shape[:-1] + (2, 2)))
 
-    def constraint_residual(self, pts):
-        pts = self._check_points(pts)
-        r2 = self.radius**2
-        g1 = np.abs(_dot(pts[..., 0:2], pts[..., 0:2]) - r2)
-        g2 = np.abs(_dot(pts[..., 2:4], pts[..., 2:4]) - r2)
-        return np.maximum(g1, g2)
+    def _residual(self, sq):
+        gap = np.abs(sq - self.radius**2)
+        return np.maximum(gap[..., 0], gap[..., 1])
 
-    def distance(self, pts):
-        pts = self._check_points(pts)
-        n12, n34 = self._pair_norms(pts)
-        return np.hypot(n12 - self.radius, n34 - self.radius)
+    def _distance(self, norm):
+        gap = norm - self.radius
+        return np.hypot(gap[..., 0], gap[..., 1])
 
-    def project(self, pts):
-        pts = self._check_points(pts)
-        n12, n34 = self._pair_norms(pts)
-        if np.any(n12 < 1e-12) or np.any(n34 < 1e-12):
+    def _project(self, pts, norm):
+        if np.any(norm < 1e-12):
             raise OutOfTubularNeighborhood(
                 "CliffordTorus2: cannot project from a circle axis"
             )
-        out = np.empty_like(pts)
-        out[..., 0:2] = pts[..., 0:2] * (self.radius / n12)[..., None]
-        out[..., 2:4] = pts[..., 2:4] * (self.radius / n34)[..., None]
-        return out
+        pairs = pts.reshape(norm.shape + (2,)) * (self.radius / norm)[..., None]
+        return pairs.reshape(pts.shape)
 
     def _frame(self, base):
         """Orthonormal tangent frame (tau1, tau2) at on-manifold points."""
@@ -255,15 +278,17 @@ class ChartFlatTorus2(_Manifold):
     gaussian_curvature = 0.0
     tubular_radius = np.inf
 
-    def constraint_residual(self, pts):
-        pts = self._check_points(pts)
+    def _sq_norms(self, pts):
         return np.zeros(pts.shape[:-1])
 
-    def distance(self, pts):
-        return self.constraint_residual(pts)
+    def _residual(self, sq):
+        return sq
 
-    def project(self, pts):
-        return self._check_points(pts).copy()
+    def _distance(self, norm):
+        return norm
+
+    def _project(self, pts, norm):
+        return pts.copy()
 
     def _tangent(self, base, vec):
         return vec.copy()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dcl
+from dcl import cli
 from dcl.cli import main, parse_report_csv
 from dcl.curves import sup_distance
 from dcl.invariants import EnergyReport, oracle_latitude_circle
@@ -187,6 +188,47 @@ def test_simulate_checkpoints_flag(tmp_path):
     assert not (out / "checkpoint_1.json").exists()
 
 
+def test_final_checkpoint_reuses_the_last_snapshot_text(tmp_path, monkeypatch):
+    # 6 snapshots (indices 0..5): with --checkpoints 5 the final state is
+    # also checkpoint_5, and its JSON is encoded once for both files
+    encoded = []
+    original = cli._checkpoint_payload
+
+    def counted(state, t):
+        encoded.append(t)
+        return original(state, t)
+
+    monkeypatch.setattr(cli, "_checkpoint_payload", counted)
+    out = tmp_path / "ck"
+    path = write_manifest(tmp_path, base_manifest(out))
+    assert main(["simulate", "--manifest", path, "--checkpoints", "5"]) == 0
+    final = (out / "checkpoint_final.json").read_bytes()
+    assert final == (out / "checkpoint_5.json").read_bytes()
+    assert len(encoded) == 2
+    # a final state that is no checkpoint is still written
+    out = tmp_path / "ck3"
+    path = write_manifest(tmp_path, base_manifest(out), name="m3.json")
+    assert main(["simulate", "--manifest", path, "--checkpoints", "3"]) == 0
+    assert not (out / "checkpoint_5.json").exists()
+    assert (out / "checkpoint_final.json").read_bytes() == final
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["verify", "--suite", "nonsense"]) == 2
+    assert len(built) == 1
+    cli._parser.cache_clear()
+
+
 def test_verify_known_and_unknown_suites(capsys):
     assert main(["verify", "--suite", "projections", "--grids", "32"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -331,6 +373,30 @@ def test_bad_numbers_exit_config_error(tmp_path, overrides):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"quadrature_nodes": 0}, "quadrature_nodes must be at least 1"),
+        ({"picard_max_iter": 0}, "picard_max_iter must be at least 1"),
+        ({"mode_cutoff": -1}, "mode_cutoff must be at least 0"),
+        ({"picard_tol": 0}, "picard_tol must be positive"),
+    ],
+    ids=["quadrature-nodes-0", "picard-max-iter-0", "mode-cutoff-negative",
+         "picard-tol-0"],
+)
+def test_bad_counts_exit_config_error(tmp_path, overrides, message):
+    # each used to end in a traceback (exit 1) or in a misleading tube exit
+    manifest = base_manifest(
+        tmp_path / "out",
+        config={"integrator": "DuhamelPicard", "epsilon": 1e-2, "dt": 1e-4,
+                "T": 1e-3, "initial_condition": "great_circle", **overrides},
+    )
+    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"config error: bad flow config: {message}" in proc.stderr
 
 
 def test_blow_up_to_non_finite_exits_3(tmp_path):

@@ -15,11 +15,19 @@ from dcl.curves import (
     tangency_residual,
 )
 from dcl.errors import NoContraction, OutOfTubularNeighborhood
+from dcl import flow
 from dcl.flow import (
     FlowConfig,
+    _duhamel_quadrature,
     _extrinsic_h2,
+    _gain,
+    _imex_step,
+    _lift,
+    _picard_step,
     _PicardWorkspace,
+    _rk4_step,
     _Stepper,
+    INTEGRATORS,
     dispersive_rhs,
     epsilon_continuation,
     evolve,
@@ -64,6 +72,29 @@ def test_config_validation():
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         FlowConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("quadrature_nodes", 0, "quadrature_nodes must be at least 1"),
+        ("quadrature_nodes", 2.5, "quadrature_nodes must be an integer"),
+        ("picard_max_iter", 0, "picard_max_iter must be at least 1"),
+        ("picard_max_iter", True, "picard_max_iter must be an integer"),
+        ("mode_cutoff", -1, "mode_cutoff must be at least 0"),
+        ("mode_cutoff", 16.0, "mode_cutoff must be an integer"),
+        ("picard_tol", 0.0, "picard_tol must be positive"),
+        ("picard_tol", np.nan, "picard_tol must be positive"),
+    ],
+)
+def test_config_rejects_bad_counts_and_tolerance(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        FlowConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = FlowConfig(quadrature_nodes=np.int64(4), mode_cutoff=np.int32(8))
+    assert cfg.quadrature_nodes == 4 and cfg.mode_cutoff == 8
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +366,54 @@ def test_fused_quadrature_matches_per_target_loop():
         assert np.array_equal(ws.prop0[i], np.exp(-cfg.epsilon * s * k4) * mask)
 
 
+def test_picard_workspace_builds_quadrature_once(monkeypatch):
+    # the automatic band at a != 0 reads its gains off the workspace's own
+    # kernel instead of building the quadrature a second time
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _duhamel_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_duhamel_quadrature", counted)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=2e-4,
+                     integrator="DuhamelPicard")
+    ws = _PicardWorkspace(cfg, SPHERE2, 64)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    keep = mode_cutoff(cfg, SPHERE2, 1.0)
+    assert keep == 5 and ws.stepper.mask[:, 0].sum() == keep + 1
+    k = spectral.wavenumbers(64)
+    want = _duhamel_quadrature(cfg, k, (k <= keep).astype(float))
+    for got, ref in zip((ws.nodes, ws.kernel, ws.prop0), want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "n,q,dt", [(64, 8, 2e-4), (64, 8, 1e-4), (256, 8, 1e-4), (32, 5, 1e-3)]
+)
+def test_picard_gain_read_off_full_kernel_bitwise(n, q, dt):
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=n, dt=dt, T=dt,
+                     integrator="DuhamelPicard", quadrature_nodes=q)
+    keep = spectral.dealias_keep(n)
+    k = np.arange(keep + 1)
+    _, kernel, _ = _duhamel_quadrature(cfg, spectral.wavenumbers(n))
+    got = _gain(cfg, kernel[..., : keep + 1], k)
+    assert got.tobytes() == picard_gain(cfg, k).tobytes()
+
+
+def test_picard_contraction_on_float_view_bitwise():
+    # a real kernel contracted with the float view of complex node values
+    # gives the complex contraction bit for bit
+    rng = np.random.default_rng(9)
+    kernel = rng.standard_normal((9, 8, 33))
+    f_hat = rng.standard_normal((8, 33, 3)) + 1j * rng.standard_normal((8, 33, 3))
+    f_hat *= 10.0 ** rng.integers(-8, 8, f_hat.shape)
+    want = np.einsum("ijk,jkd->ikd", kernel, f_hat)
+    got = np.einsum("ijk,jkd->ikd", kernel, f_hat.view(float)).view(complex)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_picard_iterations_on_maximum_principle_input():
     c = great_circle(64)
     bump = 1.0 + 1e-4 * np.cos(TWO_PI * spectral.grid(64))
@@ -438,6 +517,61 @@ def test_evolve_stride_must_divide():
         evolve(great_circle(32), cfg, stride=3)
 
 
+@pytest.mark.parametrize(
+    "integrator,want", [("ProjectedRK4", 17), ("IMEX", 5)]
+)
+def test_evolve_transforms_each_state_once(monkeypatch, integrator, want):
+    # each accepted state is transformed once: the H2 guard at stride 1
+    # and the next step share that rfft, so a step costs what it costs
+    # standalone (17 for an eps = 0 RK4 step, 5 for IMEX), not one more
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
+    counts = []
+    for steps in (1, 3):
+        cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=steps * 1e-5,
+                         integrator=integrator)
+        before = len(calls)
+        assert evolve(u0, cfg, stride=1).failure is None
+        counts.append(len(calls) - before)
+    assert (counts[1] - counts[0]) / 2 == want
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize(
+    "manifold", [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2],
+    ids=lambda m: m.name,
+)
+def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
+    # the march hands each step the transform it made of the state; the
+    # states are those of steps that transform it themselves
+    u0 = random_smooth(manifold, 64, seed=2, decay=1.2, amplitude=0.1)
+    cfg = FlowConfig(a=0.5, b=0.5, epsilon=1e-2 if integrator ==
+                     "DuhamelPicard" else 1e-4, N_g=64, dt=1e-5, T=4e-5,
+                     integrator=integrator)
+    traj = evolve(u0, cfg, stride=1)
+    assert traj.failure is None
+    samples = u0.samples
+    if integrator == "DuhamelPicard":
+        ws = _PicardWorkspace(cfg, manifold, 64)
+    else:
+        st = _Stepper(cfg, manifold, 64, float(np.max(np.abs(u0.velocity()))))
+    for state in traj.states[1:]:
+        if integrator == "DuhamelPicard":
+            samples = _picard_step(u0.with_samples(samples), cfg, ws)[0].samples
+        else:
+            step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
+            samples = step(samples, cfg, st)[0]
+        assert samples.tobytes() == state.samples.tobytes()
+
+
 def test_evolve_grid_mismatch():
     cfg = FlowConfig(a=0.0, b=0.0, epsilon=0.0, N_g=64, dt=1e-3, T=1e-2)
     with pytest.raises(ValueError):
@@ -507,6 +641,39 @@ def test_extrinsic_h2_matches_derivative_chain(manifold):
             assert c.winding().any()
         want = parent_extrinsic_h2(c)
         assert abs(_extrinsic_h2(c.samples, c.manifold) - want) <= 1e-13 * want
+        # the cached Parseval weights and a shared transform change no bit
+        k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
+        k2[-1] = 0.0
+        trend, winding = lift_trend(c.samples, manifold)
+        coef = np.fft.rfft(c.samples - trend, axis=-2)
+        power = ((coef.real**2 + coef.imag**2).sum(axis=-1)
+                 * (k2 + k2**2 + k2**3))
+        inline = np.sqrt((winding * winding).sum(axis=-1)
+                         + 2.0 * power.sum(axis=-1) / n**2)
+        got = _extrinsic_h2(c.samples, manifold)
+        assert got == inline
+        assert got == _extrinsic_h2(c.samples, manifold, _lift(c.samples, manifold))
+
+
+@pytest.mark.parametrize(
+    "eps,stride,snapshots,failure",
+    [
+        (0.0, 1, 2, "H2 norm grew 1659.2x within one stride"),
+        (1e-4, 1, 5, "H2 norm grew 35663109491.5x within one stride"),
+        (0.0, 2, 1, "H2 norm grew 4657.0x within one stride"),
+    ],
+)
+def test_h2_guard_trips_where_it_did(eps, stride, snapshots, failure):
+    # a winding chart curve far past the stability edge: the guard reads
+    # the transform the march shares with the next step, and trips at the
+    # step and with the growth factor of a guard that made its own
+    u0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1, amplitude=0.18)
+    cfg = FlowConfig(a=1.0, b=5.0, epsilon=eps, N_g=64, dt=1e-3, T=8e-3,
+                     mode_cutoff=16)
+    with np.errstate(all="ignore"):
+        traj = evolve(u0, cfg, stride=stride)
+    assert traj.failure == f"StepSizeUnstable: {failure}"
+    assert len(traj.states) == snapshots
 
 
 def test_evolve_time_reversal():

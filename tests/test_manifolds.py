@@ -321,6 +321,89 @@ def test_sphere_j_bitwise_equals_gather_formula(lead):
 
 
 # ---------------------------------------------------------------------------
+# retract: one squared norm per point for the tube check, the projection
+# and the residual before projection
+# ---------------------------------------------------------------------------
+
+
+def parent_clifford_formulas(pts):
+    """The pair formulas written with one ``_dot`` per pair and per call."""
+    r = CLIFFORD_TORUS2.radius
+    s12 = _dot(pts[..., 0:2], pts[..., 0:2])
+    s34 = _dot(pts[..., 2:4], pts[..., 2:4])
+    residual = np.maximum(np.abs(s12 - r**2), np.abs(s34 - r**2))
+    n12, n34 = np.sqrt(s12), np.sqrt(s34)
+    dist = np.hypot(n12 - r, n34 - r)
+    proj = np.empty_like(pts)
+    proj[..., 0:2] = pts[..., 0:2] * (r / n12)[..., None]
+    proj[..., 2:4] = pts[..., 2:4] * (r / n34)[..., None]
+    return residual, dist, proj
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["N-d", "B-N-d"])
+@pytest.mark.parametrize("manifold", list(MANIFOLDS.values()), ids=str)
+def test_retract_bitwise_equals_project_and_residual(manifold, lead):
+    pts = np.stack([tube_points(manifold, 64, seed) for seed in range(3)])
+    pts = pts[0] if lead == () else pts
+    proj, sq = manifold.retract(pts)
+    assert same_bits(proj, manifold.project(pts))
+    assert same_bits(manifold._residual(sq), manifold.constraint_residual(pts))
+    if manifold is CLIFFORD_TORUS2:
+        residual, dist, want = parent_clifford_formulas(pts)
+        assert same_bits(manifold.constraint_residual(pts), residual)
+        assert same_bits(manifold.distance(pts), dist)
+        assert same_bits(proj, want)
+
+
+def tube_then_project(manifold, pts):
+    manifold.require_in_tube(pts)
+    return manifold.project(pts)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["outside", "nan", "inf", "center-or-axis"],
+)
+@pytest.mark.parametrize("manifold", list(MANIFOLDS.values()), ids=str)
+def test_retract_raises_as_tube_check_then_project(manifold, bad):
+    pts = np.stack([tube_points(manifold, 16, seed) for seed in range(2)])
+    if bad == "outside":
+        pts[1, 5] *= 1.6 if manifold is SPHERE2 else 3.0
+    elif bad == "center-or-axis":
+        pts[0, 3, :2] = 0.0
+        if manifold is SPHERE2:
+            pts[0, 3] = 0.0
+    else:
+        pts[1, 7, 0] = float(bad)
+    want = raised(tube_then_project, manifold, pts)
+    assert raised(manifold.retract, pts) == want
+    if manifold is CHART_FLAT_TORUS2:
+        # no tube and no constraint: nothing is raised, the copy is returned
+        assert want is None
+        assert same_bits(manifold.retract(pts)[0], pts)
+    else:
+        assert want[0] is OutOfTubularNeighborhood
+
+
+@pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2], ids=str)
+def test_project_from_center_or_axis_still_raises(manifold):
+    pts = tube_points(manifold, 8, 1)
+    pts[2, :2] = 0.0
+    if manifold is SPHERE2:
+        pts[2] = 0.0
+    with pytest.raises(OutOfTubularNeighborhood, match="cannot project"):
+        manifold.project(pts)
+
+
+# ---------------------------------------------------------------------------
 # registry and constants
 # ---------------------------------------------------------------------------
 
