@@ -91,10 +91,12 @@ def parse_manifest(payload):
         raise ConfigError(f"bad flow config: {exc}") from exc
     stride = payload.get("stride", 1)
     seed = payload.get("seed", 0)
-    if not isinstance(stride, int) or stride < 1:
+    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
         raise ConfigError("stride must be a positive integer")
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
+    if not isinstance(payload["output_dir"], str):
+        raise ConfigError("output_dir must be a string")
     if steps and steps % stride:
         raise ConfigError(
             f"stride {stride} does not divide the step count {steps}"
@@ -150,14 +152,10 @@ def rows_to_csv(rows):
 
 def parse_report_csv(text):
     """Round-trip helper: rows of report.csv as dictionaries of floats."""
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        parsed = {
-            k: (float(v) if v != "" else None) for k, v in row.items()
-        }
-        out.append(parsed)
-    return out
+    return [
+        {k: (float(v) if v != "" else None) for k, v in row.items()}
+        for row in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def _checkpoint_payload(state, t):
@@ -185,10 +183,18 @@ def _initial_on_grid(manifest):
     return u0
 
 
+def _make_output_dir(manifest):
+    out_dir = manifest.output_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {out_dir!r}: {exc}") from exc
+    return out_dir
+
+
 def cmd_simulate(manifest, checkpoints_every=0):
     """Run one simulation and write its artifact; returns the exit code."""
-    out_dir = manifest.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_output_dir(manifest)
     u0 = _initial_on_grid(manifest)
     trajectory = evolve(u0, manifest.config, stride=manifest.stride)
     rows = report_rows(trajectory)
@@ -246,8 +252,7 @@ def cmd_converge(manifest, mode, levels=3):
     """Self-refinement study in epsilon, grid size, or time step."""
     if levels < 3:
         raise ConfigError("convergence studies need at least 3 levels")
-    out_dir = manifest.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_output_dir(manifest)
     cfg = manifest.config
 
     if mode == "epsilon":
@@ -268,8 +273,7 @@ def cmd_converge(manifest, mode, levels=3):
         configs = [replace(cfg, dt=cfg.dt * 0.5**i) for i in range(levels)]
         finals = _run_levels(manifest, configs)
         header = ["dt", "h1_diff_to_next", "observed_order", "failure"]
-        table = []
-        diffs = []
+        table, diffs = [], []
         for i, (level_cfg, traj) in enumerate(zip(configs, finals)):
             fail = traj.failure or ""
             diff = ""

@@ -5,7 +5,9 @@ targets.  Differentiation is spectral; the covariant derivative of a
 tangent field is the pointwise tangential projection of its spectral
 x-derivative.  On the chart torus the position samples may wind, so the
 velocity is computed from the periodic deviation plus the integer winding
-vector; all higher derivatives act on the (periodic) velocity.
+vector; all higher derivatives act on the (periodic) velocity.  The lift
+helpers take the flow's (..., d, N) rows; a curve transposes its (N, d)
+samples for them.
 """
 
 from dataclasses import dataclass, field
@@ -51,15 +53,15 @@ class ClosedCurve:
 
     def winding(self):
         """Integer winding vector of the unwrapped chart lift."""
-        return lift_winding(self.samples, self.manifold)
+        return lift_winding(self.samples.T, self.manifold)[:, 0]
 
     def trend(self):
         """Linear winding part W*x of the samples (chart torus only)."""
-        return lift_trend(self.samples, self.manifold)[0]
+        return lift_trend(self.samples.T, self.manifold)[0].T
 
     def velocity(self):
         """Spectral first derivative of the position, winding-aware."""
-        return lifted_velocity(self.samples, self.manifold)
+        return lifted_velocity(self.samples.T, self.manifold).T
 
     def velocity_field(self):
         return TangentFieldOnCurve(self.velocity(), self, validate=False)
@@ -107,26 +109,26 @@ def require_finite(samples):
 
 
 def lift_winding(samples, manifold):
-    """Integer winding vectors of (..., N, d) chart-lift samples.
+    """Integer winding vectors (..., d, 1) of (..., d, N) chart-lift rows.
 
     Zero for embedded targets.  Recovery from samples assumes every step
     increment is below half a period, which holds for any resolved curve.
     """
     if manifold is not CHART_FLAT_TORUS2:
-        return np.zeros(samples.shape[:-2] + (manifold.ambient_dim,))
-    return np.rint(samples[..., -1, :] - samples[..., 0, :])
+        return np.zeros(samples.shape[:-2] + (manifold.ambient_dim, 1))
+    return np.rint(samples[..., -1:] - samples[..., :1])
 
 
 def lift_trend(samples, manifold):
-    """(trend W*x, winding W) of (..., N, d) samples; both zero off the chart."""
+    """(trend W*x, winding W) of (..., d, N) rows; both zero off the chart."""
     w = lift_winding(samples, manifold)
     if not w.any():
         return np.zeros_like(samples), w
-    return spectral.grid(samples.shape[-2])[:, None] * w[..., None, :], w
+    return w * spectral.grid(samples.shape[-1]), w
 
 
 def lifted_velocity(samples, manifold):
-    """Winding-aware spectral first derivative of (..., N, d) samples.
+    """Winding-aware spectral first derivative of (..., d, N) rows.
 
     On the chart torus each member's trend W*x is removed before
     differentiating and its winding W added back; any leading axes are a
@@ -134,8 +136,8 @@ def lifted_velocity(samples, manifold):
     """
     trend, w = lift_trend(samples, manifold)
     if w.any():
-        return w[..., None, :] + spectral.spectral_derivative(samples - trend)
-    return spectral.spectral_derivative(samples)
+        return w + spectral._derivative(samples - trend)
+    return spectral._derivative(samples)
 
 
 def tangency_residual(curve, vectors):
@@ -154,18 +156,10 @@ def covariant_derivative(curve, vfield):
     For the velocity field this agrees with the extrinsic assembly
     v_xx - A(v)(v_x, v_x), where A is the second fundamental form.
     """
-    if isinstance(vfield, TangentFieldOnCurve):
-        arr = vfield.vectors
-    else:
-        arr = np.asarray(vfield, dtype=float)
-        res = tangency_residual(curve, arr)
-        scale = np.max(np.abs(arr)) or 1.0
-        if res > ON_MANIFOLD_TOL * scale:
-            raise TangencyViolation(
-                f"input field has normal component {res:.3e}"
-            )
+    if not isinstance(vfield, TangentFieldOnCurve):
+        vfield = TangentFieldOnCurve(vfield, curve)  # checks the tangency
     out = curve.manifold.tangent_project(
-        curve.samples, spectral.spectral_derivative(arr)
+        curve.samples, spectral.spectral_derivative(vfield.vectors)
     )
     return TangentFieldOnCurve(out, curve, validate=False)
 
@@ -342,25 +336,13 @@ def identity_residuals(
     k_gauss = curve.manifold.gaussian_curvature
     tower = covariant_tower(curve, l_max + 3)
 
-    third, third_rel = {}, {}
-    for l in range(l_max + 1):
-        a, b = tower[l + 3].vectors, tower[l].vectors
-        third[l] = abs(spectral.l2_inner(a, b))
-        third_rel[l] = third[l] / max(
-            spectral.l2_norm(a) * spectral.l2_norm(b), 1e-300
-        )
+    third, third_rel = _pairings(tower[3:], tower)
 
     j_field = curve.manifold.complex_structure(curve.samples, tower[1].vectors)
     j_tower = [TangentFieldOnCurve(j_field, curve, validate=False)]
     for _ in range(l_max + 1):
         j_tower.append(covariant_derivative(curve, j_tower[-1]))
-    jpair, jpair_rel = {}, {}
-    for l in range(l_max + 1):
-        a, b = j_tower[l + 1].vectors, tower[l].vectors
-        jpair[l] = abs(spectral.l2_inner(a, b))
-        jpair_rel[l] = jpair[l] / max(
-            spectral.l2_norm(a) * spectral.l2_norm(b), 1e-300
-        )
+    jpair, jpair_rel = _pairings(j_tower[1:], tower)
 
     rng = np.random.default_rng(seed)
     sym = 0.0
@@ -375,6 +357,16 @@ def identity_residuals(
 
     commutator = _commutator_residuals(curve, l_max, family, fd_step, seed)
     return IdentityReport(third, jpair, third_rel, jpair_rel, sym, commutator)
+
+
+def _pairings(fields, others):
+    """|(a, b)| and |(a, b)| / (|a| |b|) of the l-th fields of two towers."""
+    raw, rel = {}, {}
+    for l, (a, b) in enumerate(zip(fields, others)):
+        a, b = a.vectors, b.vectors
+        raw[l] = abs(spectral.l2_inner(a, b))
+        rel[l] = raw[l] / max(spectral.l2_norm(a) * spectral.l2_norm(b), 1e-300)
+    return raw, rel
 
 
 def _commutator_residuals(curve, l_max, family, h, seed):

@@ -32,8 +32,8 @@ Integrators
                    the target before running unchecked geometry kernels;
                    the step end's residual before projection comes from
                    the squared norms of its own retraction.
-                   The step acts on one curve (N, d) or on a stack
-                   (B, N, d) whose members may carry their own eps; the
+                   The step acts on one curve (d, N) or on a stack
+                   (B, d, N) whose members may carry their own eps; the
                    epsilon continuation marches its baseline and all
                    levels as one such stack.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
@@ -54,6 +54,14 @@ of its periodic part feeds the H2 blow-up guard and the next step's V0,
 or the Picard free term, so at stride 1 the guard costs no transform of
 its own.  Off the chart torus the trend is zero and is neither added nor
 subtracted.
+
+The march stores every state, stage point and slope in the row layout
+(..., d, N), components first and the samples on the contiguous last
+axis, so each transform runs on ``axis=-1``, and the stepper's
+multipliers are rows over the rfft modes.  ``evolve`` and
+``_march_members`` are where the layout changes: they take u0 as (N, d)
+once and return each snapshot as the transpose of its row state; the
+public references ``dispersive_rhs`` and ``regularized_rhs`` stay (N, d).
 
 Products of fields are cubic, so state and nonlinear terms are dealiased
 by the N/4 rule; the mask is part of the spatial discretization and is
@@ -108,7 +116,10 @@ class FlowConfig:
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
         for name in ("a", "b", "epsilon", "dt", "T"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
@@ -120,8 +131,10 @@ class FlowConfig:
             raise ValueError("T must be nonnegative")
         if self.T and self.dt > self.T * (1 + 1e-12):
             raise ValueError("dt must not exceed the horizon T")
-        for name, low in (("quadrature_nodes", 1), ("picard_max_iter", 1),
-                          ("mode_cutoff", 0)):
+        if not isinstance(self.dealias, (bool, np.bool_)):
+            raise ValueError("dealias must be true or false")
+        for name, low in (("N_g", 1), ("quadrature_nodes", 1),
+                          ("picard_max_iter", 1), ("mode_cutoff", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -133,7 +146,10 @@ class FlowConfig:
     def n_steps(self):
         if self.T == 0:
             return 0
-        steps = int(round(self.T / self.dt))
+        ratio = self.T / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError("T / dt overflows; T is too large for this dt")
+        steps = int(round(ratio))
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("T must be an integer multiple of dt")
         return steps
@@ -170,7 +186,8 @@ class Trajectory:
 
 
 def _sq(v):
-    return _dot(v, v)[..., None]
+    """|v|^2 of (..., d, N) rows, as a (..., 1, N) row."""
+    return _dot(v, v)[..., None, :]
 
 
 def _gauss_tower(manifold, samples, vx, order):
@@ -199,7 +216,7 @@ def dispersive_rhs(curve, a, b):
     v = curve.samples
     vx = curve.velocity()
     _, s1, s2 = _gauss_tower(m, v, vx, 2)
-    rhs = a * s2 + m.complex_structure(v, s1) + b * _sq(vx) * vx
+    rhs = a * s2 + m.complex_structure(v, s1) + b * _sq(vx.T).T * vx
     res = tangency_residual(curve, rhs)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if res > RHS_TANGENCY_TOL * scale:
@@ -228,7 +245,7 @@ def regularized_rhs(curve, cfg):
         -eps * (s3 - proj4)
         + cfg.a * s2
         + m.complex_structure(proj, s1)
-        + cfg.b * _sq(pvx) * pvx
+        + cfg.b * _sq(pvx.T).T * pvx
     )
     raw4 = spectral.spectral_derivative(curve.velocity(), 3)
     return -eps * raw4 + nonlinear
@@ -279,10 +296,8 @@ def mode_cutoff(cfg, manifold, speed, kernel=None):
         # gain is small again, which keeps the band one run of modes
         if cfg.a:
             k = np.arange(keep + 1)
-            if kernel is None:
-                gain = picard_gain(cfg, k)
-            else:
-                gain = _gain(cfg, kernel[..., : keep + 1], k)
+            gain = (picard_gain(cfg, k) if kernel is None
+                    else _gain(cfg, kernel[..., : keep + 1], k))
             over = np.flatnonzero(gain > PICARD_GAIN)
             if over.size:
                 keep = int(over[0]) - 1
@@ -303,13 +318,13 @@ def mode_cutoff(cfg, manifold, speed, kernel=None):
 class _Stepper:
     """Spectral precomputation and the stage slope for one (config, grid) pair.
 
-    Multipliers are columns over the rfft modes: the retained-band mask,
+    Multipliers are rows over the K rfft modes: the retained-band mask,
     the masked integrating factors over a full and a half step, and d/dx
     with its powers 1..3, or 1..2 when no slope term needs v_xxx (Nyquist
     zeroed, as repeated first derivatives zero it).  ``eps`` defaults to
     ``cfg.epsilon``; a sequence of B levels gives the integrating factors
-    and the slope's multipliers a leading member axis, (B, K, 1), for
-    stepping a (B, N, d) stack whose member i carries eps[i].  The band and
+    and the slope's multipliers a leading member axis, (B, 1, K), for
+    stepping a (B, d, N) stack whose member i carries eps[i].  The band and
     the derivative multipliers are shared by all members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
@@ -324,19 +339,17 @@ class _Stepper:
         self.cfg = cfg
         self.manifold = manifold
         self.n = n
-        if eps is None:
-            self.eps = cfg.epsilon
-        else:
-            self.eps = np.asarray(eps, dtype=float)[:, None, None]
+        self.eps = (cfg.epsilon if eps is None
+                    else np.asarray(eps, dtype=float)[:, None, None])
         self.dispersion_in_slope = cfg.integrator == "DuhamelPicard"
         self.regularized = bool(np.any(self.eps))
         # v_xxx and t2 in physical space feed only a*S2 and the eps term:
         # without both, a stage makes 3 transform calls instead of 5
         self.third_order = self.dispersion_in_slope or self.regularized
-        k = spectral.wavenumbers(n)[:, None]
+        k = spectral.wavenumbers(n)
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
-        lam[..., -1, :] = lam[..., -1, :].real
+        lam[..., -1] = lam[..., -1].real
         keep = mode_cutoff(cfg, manifold, speed, kernel)
         self.mask = (k <= keep).astype(float)
         self.e_full = np.exp(cfg.dt * lam) * self.mask
@@ -370,38 +383,36 @@ class _Stepper:
         enter as multipliers on rfft coefficients; the rest,
         J s1 + b |v_x|^2 v_x - a A1 (plus eps A(S2, v_x)), is pointwise.
 
-        Arrays are (..., N, d) with ``winding`` (..., d).  The stage points
-        are retracted (tube check, then P) and P checked on the target
-        once; the geometric kernels then run unchecked.  When every member
-        has eps = 0 outside Picard, three transform calls on 5 rows: P,
-        [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed pointwise for
-        A(S2, v_x): five calls on 8 rows, P, [v_x, v_xx, v_xxx], A0, D A0
-        and [A1, rest].
+        Arrays are (..., d, N) rows with ``winding`` (..., d, 1).  The
+        stage points are retracted (tube check, then P) and P checked on
+        the target once; the geometric kernels then run unchecked.  When
+        every member has eps = 0 outside Picard, three transform calls on
+        5 rows: P, [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
+        pointwise for A(S2, v_x): five calls on 8 rows, P, [v_x, v_xx,
+        v_xxx], A0, D A0 and [A1, rest].
         """
         cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
-        proj, _ = m.retract(samples)
-        m.require_on_manifold(proj)
+        proj, _ = m._retract(samples)
+        m._require_on(proj)
         winds = winding.any()
-        coef = np.fft.rfft(proj - trend if winds else proj, axis=-2)
-        d_pows = self.d_pows.reshape(
-            self.d_pows.shape[:1] + (1,) * (coef.ndim - 2) + d1.shape
-        )
-        rows = np.fft.irfft(d_pows * coef, n=n, axis=-2)
+        coef = np.fft.rfft(proj - trend if winds else proj)
+        d_pows = self.d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + d1.shape)
+        rows = np.fft.irfft(d_pows * coef, n=n)
         vx, vxx = rows[0], rows[1]
         if winds:
-            vx = winding[..., None, :] + vx
+            vx = winding + vx
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
         a1 = m._sff(proj, s1, vx)
         rest = m._j(proj, s1) + cfg.b * _sq(vx) * vx - cfg.a * a1
         if not self.third_order:
-            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]), axis=-2)
+            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]))
             return self.mask * (rest_hat + self.c_a0 * a0_hat)
-        a0_hat = np.fft.rfft(a0, axis=-2)
-        s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n, axis=-2) - a1
+        a0_hat = np.fft.rfft(a0)
+        s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n) - a1
         # a member at eps = 0 adds 0 * (...), which leaves it as is
         rest = rest + self.eps * m._sff(proj, s2, vx)
-        a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]), axis=-2)
+        a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]))
         out = rest_hat + self.c_a0 * a0_hat + self.c_a1 * a1_hat
         if self.dispersion_in_slope:
             out += self.c_v * coef
@@ -417,25 +428,28 @@ def step_projected_rk4(curve, cfg):
     :func:`evolve` diagnostics.
     """
     st = _Stepper(cfg, curve.manifold, curve.n, _speed(curve))
-    return curve.with_samples(_rk4_step(curve.samples, cfg, st)[0])
+    return curve.with_samples(_rk4_step(curve.samples.T, cfg, st)[0].T)
 
 
 def _lift(samples, manifold):
-    """(trend, winding, rfft of the periodic part) of (..., N, d) samples.
+    """(trend, winding, rfft of the periodic part) of (..., d, N) rows.
 
     Off the chart torus, and on it for a curve that does not wind, the
     trend is zero and the samples are transformed as they are (x - 0.0
-    is x bitwise).
+    is x bitwise).  A strided view (a transposed curve) is copied first,
+    so the coefficients, and all that the step derives from them, are
+    C-contiguous rows.
     """
+    samples = np.ascontiguousarray(samples)
     trend, winding = lift_trend(samples, manifold)
     periodic = samples - trend if winding.any() else samples
-    return trend, winding, np.fft.rfft(periodic, axis=-2)
+    return trend, winding, np.fft.rfft(periodic)
 
 
 def _rk4_step(samples, cfg, st, lifted=None):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
-    ``samples`` is one curve (N, d) or a stack (..., N, d) on one grid;
+    ``samples`` is one curve (d, N) or a stack (..., d, N) on one grid;
     ``lifted`` is its :func:`_lift`, when the caller has it.  The periodic
     part V0 of the state and the stage slopes stay in coefficient space;
     each stage point and the step end is one irfft.  Returns the projected
@@ -447,7 +461,7 @@ def _rk4_step(samples, cfg, st, lifted=None):
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
-        point = np.fft.irfft(coef, n=st.n, axis=-2)
+        point = np.fft.irfft(coef, n=st.n)
         return st.slope(trend + point if winds else point, trend, winding)
 
     m1 = st.slope(samples, trend, winding)
@@ -470,12 +484,12 @@ def _imex_step(samples, cfg, st, lifted=None):
 def _step_end(st, trend, winding, coef):
     """Guarded projection of trend + irfft(coef); (samples, residual before)."""
     m = st.manifold
-    pre = np.fft.irfft(coef, n=st.n, axis=-2)
+    pre = np.fft.irfft(coef, n=st.n)
     if winding.any():
         pre = trend + pre
     if not np.all(np.isfinite(pre)):
         raise StepSizeUnstable("non-finite state")
-    proj, sq = m.retract(pre)
+    proj, sq = m._retract(pre)
     return proj, float(np.max(m._residual(sq)))
 
 
@@ -538,7 +552,9 @@ class _PicardWorkspace:
     ``kernel`` and ``prop0`` are those of :func:`_duhamel_quadrature` on
     the rfft modes, masked by the band of ``stepper``, whose ``slope`` is
     the nonlinearity.  The quadrature is built once: the automatic band
-    reads its gains off the unmasked kernel.
+    reads its gains off the unmasked kernel.  ``pairs`` is ``kernel``
+    with each mode repeated for the real and the imaginary part, the
+    kernel of the float view of (..., d, K) complex rows.
     """
 
     def __init__(self, cfg, manifold, n):
@@ -546,8 +562,9 @@ class _PicardWorkspace:
             cfg, spectral.wavenumbers(n)
         )
         self.stepper = _Stepper(cfg, manifold, n, kernel=kernel)
-        mask = self.stepper.mask[:, 0]
+        mask = self.stepper.mask
         self.kernel, self.prop0 = kernel * mask, prop0 * mask
+        self.pairs = np.repeat(self.kernel, 2, axis=-1)
         # H1 norm squared by Parseval on rfft coefficients: 1 + (2 pi k)^2,
         # doubled for the modes with a conjugate twin, the Nyquist mode
         # without its derivative (as d/dx drops it)
@@ -557,35 +574,35 @@ class _PicardWorkspace:
         self.h1_weights[1:-1] *= 2.0
 
 
-def _picard_step(curve, cfg, ws, lifted=None):
+def _picard_step(samples, cfg, ws, lifted=None):
     """Solve the mild form on [0, dt]; returns (state at dt, iterations).
 
-    Each iteration advances all targets at once from one stage slope of
-    the (q, N, d) stack of node states.  ``lifted`` is the curve's
-    :func:`_lift`, when the caller has it.
+    ``samples`` is one curve's (d, N) rows.  Each iteration advances all
+    targets at once from one stage slope of the (q, d, N) stack of node
+    states.  ``lifted`` is the :func:`_lift` of ``samples``, when the
+    caller has it.
     """
-    n = curve.n
-    q = ws.nodes.size
-    if lifted is None:
-        lifted = _lift(curve.samples, curve.manifold)
-    trend, winding, v0 = lifted
+    st = ws.stepper
+    n, q = st.n, ws.nodes.size
+    trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
     winds = winding.any()
     # initial guess: pure semigroup evolution of the data
-    free = ws.prop0[:, :, None] * v0
-    devs = np.fft.irfft(free, n=n, axis=-2)
+    free = ws.prop0[:, None, :] * v0
+    devs = np.fft.irfft(free, n=n)
     prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
         states = trend + devs[:q] if winds else devs[:q]
         if not np.all(np.isfinite(states)):
             raise StepSizeUnstable("non-finite state")
-        f_hat = ws.stepper.slope(states, trend, winding)
-        # the kernel is real: contracting the float view of f_hat gives
-        # the complex contraction bitwise, at about two thirds of its cost
+        f_hat = st.slope(states, trend, winding)
+        # the kernel is real: contracting the float view of f_hat with it,
+        # repeated per real/imaginary pair, gives the complex contraction
+        # bitwise, at about two thirds of its cost
         coef = free + np.einsum(
-            "ijk,jkd->ikd", ws.kernel, f_hat.view(float)
+            "ijk,jdk->idk", ws.pairs, f_hat.view(float)
         ).view(complex)
-        devs = np.fft.irfft(coef, n=n, axis=-2)
+        devs = np.fft.irfft(coef, n=n)
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev
         power = _ambient_sum(update.real**2 + update.imag**2)
@@ -594,7 +611,7 @@ def _picard_step(curve, cfg, ws, lifted=None):
         if delta <= cfg.picard_tol:
             # a copy: a view would keep the whole node stack alive
             end = trend + devs[-1] if winds else devs[-1].copy()
-            return curve.with_samples(end), iteration
+            return end, iteration
     raise NoContraction(
         f"no fixed point after {cfg.picard_max_iter} iterations "
         f"(last update {delta:.3e}); reduce dt for this epsilon"
@@ -606,7 +623,8 @@ def picard_solve(curve, cfg):
     if cfg.epsilon <= 0:
         raise ValueError("picard_solve requires epsilon > 0")
     ws = _PicardWorkspace(cfg, curve.manifold, curve.n)
-    out, iterations = _picard_step(curve, cfg, ws)
+    end, iterations = _picard_step(curve.samples.T, cfg, ws)
+    out = curve.with_samples(end.T)
     return Trajectory(
         times=[0.0, cfg.dt],
         states=[curve, out],
@@ -643,12 +661,12 @@ def _extrinsic_h2(samples, manifold, lifted=None):
     which is all the blow-up guard needs.  By Parseval on one transform
     of the periodic part (``lifted``, the :func:`_lift` of the samples,
     when the caller has it): |W|^2 plus the power of D^j of it for
-    j = 1..3.  One norm per curve of a (..., N, d) stack.
+    j = 1..3.  One norm per curve of a (..., d, N) stack.
     """
-    n = samples.shape[-2]
+    n = samples.shape[-1]
     _, winding, coef = _lift(samples, manifold) if lifted is None else lifted
     power = _ambient_sum(coef.real**2 + coef.imag**2) * _h2_weights(n)
-    total = _dot(winding, winding) + 2.0 * power.sum(axis=-1) / n**2
+    total = _dot(winding, winding)[..., 0] + 2.0 * power.sum(axis=-1) / n**2
     return np.sqrt(total)
 
 
@@ -678,42 +696,40 @@ def evolve(u0, cfg, stride=1):
         return traj
 
     m = u0.manifold
-    state = u0
+    # the march state is (d, N) rows; a snapshot is its transpose
+    state = np.ascontiguousarray(u0.samples.T)
     # one transform per state: the H2 guard and the next step share it
-    lifted = _lift(u0.samples, m)
-    guard_norm = float(_extrinsic_h2(u0.samples, m, lifted))
+    lifted = _lift(state, m)
+    guard_norm = float(_extrinsic_h2(state, m, lifted))
     try:
         # the automatic Picard band raises NoContraction when it is empty
         if cfg.integrator == "DuhamelPicard":
             ws = _PicardWorkspace(cfg, m, u0.n)
 
-            def advance(c, lifted):
-                return _picard_step(c, cfg, ws, lifted)
+            def advance(rows, lifted):
+                rows, iterations = _picard_step(rows, cfg, ws, lifted)
+                traj.picard_iterations.append(iterations)
+                return rows, float(np.max(m._residual(m._sq_norms(rows))))
         else:
             st = _Stepper(cfg, m, u0.n, _speed(u0))
             step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
 
-            def advance(c, lifted):
-                samples, residual = step_fn(c.samples, cfg, st, lifted)
-                return c.with_samples(samples), residual
+            def advance(rows, lifted):
+                return step_fn(rows, cfg, st, lifted)
 
         for k in range(1, n_steps + 1):
-            state, diag = advance(state, lifted)
-            if cfg.integrator == "DuhamelPicard":
-                traj.picard_iterations.append(diag)
-                traj.step_residuals.append(state.off_manifold())
-            else:
-                traj.step_residuals.append(diag)
-            lifted = _lift(state.samples, m)
+            state, residual = advance(state, lifted)
+            traj.step_residuals.append(residual)
+            lifted = _lift(state, m)
             if k % stride == 0:
-                norm = float(_extrinsic_h2(state.samples, m, lifted))
+                norm = float(_extrinsic_h2(state, m, lifted))
                 if _h2_blowup(norm, guard_norm):
                     raise StepSizeUnstable(
                         f"H2 norm grew {norm / guard_norm:.1f}x within one stride"
                     )
                 guard_norm = norm
                 traj.times.append(k * cfg.dt)
-                traj.states.append(state)
+                traj.states.append(u0.with_samples(state.T))
     except _GUARD_TRIPS as exc:
         traj.failure = f"{type(exc).__name__}: {exc}"
     return traj
@@ -732,23 +748,24 @@ def _speed(u0):
 def _march_members(u0, cfg, levels):
     """Finals of the RK4 flow from u0 at each eps level, as one stack.
 
-    Member i of a (B, N, d) stack carries eps = levels[i]; every step
+    Member i of a (B, d, N) stack carries eps = levels[i]; every step
     advances all members at once.  The H2 blow-up guard is applied to
     each member at the end, as :func:`evolve` does at stride = n_steps.
     Returns None when any guard trips, for any member.
     """
     m = u0.manifold
     st = _Stepper(cfg, m, u0.n, _speed(u0), eps=levels)
-    samples = np.stack([u0.samples] * len(levels))
+    rows = u0.samples.T
+    samples = np.stack([rows] * len(levels))
     try:
         for _ in range(cfg.n_steps()):
             samples, _ = _rk4_step(samples, cfg, st)
     except _GUARD_TRIPS:
         return None
-    guard_norm = float(_extrinsic_h2(u0.samples, m))
+    guard_norm = float(_extrinsic_h2(rows, m))
     if np.any(_h2_blowup(_extrinsic_h2(samples, m), guard_norm)):
         return None
-    return [u0.with_samples(s) for s in samples]
+    return [u0.with_samples(s.T) for s in samples]
 
 
 def epsilon_continuation(u0, cfg, eps_list):
@@ -757,7 +774,7 @@ def epsilon_continuation(u0, cfg, eps_list):
     Rows are ordered by eps (largest first).  Per-run failures are
     recorded in their row; the table is returned regardless.  All runs use
     the projected RK4 stepper so that the eps = 0 baseline is admissible.
-    The baseline and the levels march as one (B, N, d) stack with
+    The baseline and the levels march as one (B, d, N) stack with
     per-member integrating factors.  If any guard trips for any member,
     every level is run again on its own with :func:`evolve`, so each row
     carries the failure that level alone hits.

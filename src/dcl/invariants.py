@@ -51,18 +51,19 @@ def _reports(curves, times, k):
 
     One tower t0 = u_x, t1 = P u_xx, t2 = P D t1, t3 = P D t2 (D = d/dx,
     P the unchecked tangential projection) and, on the sphere, u_xxx: five
-    derivative transforms and one on-target check for the whole stack.
+    derivative transforms and one on-target check for the whole stack,
+    stored as (S, d, N) rows (the transpose of each curve's samples).
     Reductions sum the ambient axis, then average the samples, as one
     curve's quadrature does, so each snapshot's values stand alone.
     """
     manifold = curves[0].manifold
-    samples = np.stack([c.samples for c in curves])
-    manifold.require_on_manifold(samples)
+    samples = np.stack([c.samples.T for c in curves])
+    manifold._require_on(samples)
     t0 = lifted_velocity(samples, manifold)
-    uxx = spectral.spectral_derivative(t0)
+    uxx = spectral._derivative(t0)
     t1 = manifold._tangent(samples, uxx)
-    t2 = manifold._tangent(samples, spectral.spectral_derivative(t1))
-    t3 = manifold._tangent(samples, spectral.spectral_derivative(t2))
+    t2 = manifold._tangent(samples, spectral._derivative(t1))
+    t3 = manifold._tangent(samples, spectral._derivative(t2))
     g00, g11 = _dot(t0, t0), _dot(t1, t1)
     sq = np.stack([g00, g11, _dot(t2, t2), _dot(t3, t3)]).mean(axis=-1)
     cubic = (g00**3).mean(axis=-1)
@@ -70,7 +71,7 @@ def _reports(curves, times, k):
     e -= (1.5 * k) * (g00 * g11).mean(axis=-1)
     nt = [None] * len(times)
     if manifold is SPHERE2:
-        uxxx = spectral.spectral_derivative(uxx)
+        uxxx = spectral._derivative(uxx)
         nt = (
             _dot(uxxx, uxxx).mean(axis=-1)
             - 3.5 * (g00 * _dot(uxx, uxx)).mean(axis=-1)
@@ -78,7 +79,7 @@ def _reports(curves, times, k):
             + (21.0 / 8.0) * cubic
         ).tolist()
     hm = map(tuple, np.sqrt(np.cumsum(sq, axis=0)[1:]).T.tolist())
-    off = manifold.constraint_residual(samples).max(axis=-1)
+    off = manifold._residual(manifold._sq_norms(samples)).max(axis=-1)
     rows = zip(sq[0].tolist(), e.tolist(), hm, off.tolist(), nt)
     return [EnergyReport(float(t), *row) for t, row in zip(times, rows)]
 

@@ -19,6 +19,15 @@ once and then make many calls on them.  ``retract`` is
 ``require_in_tube`` followed by ``project`` from one squared norm per
 point, which also gives the constraint residual before projection.
 
+Public methods take (..., d) points.  The kernels (``_sq_norms``,
+``_residual``, ``_distance``, ``_project``, ``_retract``,
+``_require_on``, ``_tangent``, ``_sff``, ``_j``) and ``_ambient_sum``
+take the row layout (..., d, N) of the flow and the reports: the
+components on axis -2, the samples on the contiguous last axis, so each
+component is one unstrided row.  ``_Manifold._rows`` is the one
+conversion: it views (..., d) points as (..., d, 1), rows of one
+sample, and each public method drops that axis again on the way out.
+
 Convention note: ``second_fundamental_form`` returns the normal component
 of the ambient directional derivative D_X Y (for the sphere this is
 -(X.Y) y).  The evolution equations are assembled from the tangential
@@ -38,17 +47,17 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _ambient_sum(p):
-    """Sum over the last (ambient) axis as whole-array adds of its columns.
+    """Sum over the ambient axis -2 of (..., d, N) rows as whole-row adds.
 
     p0 + p1, then + p2 and so on: for d <= 4 these are the additions of
-    ``p.sum(axis=-1)`` in its order, so the result is bitwise the same
-    (save a row of -0.0 entries, which sums to -0.0 here and to 0.0
-    there), while a reduction over an axis this short costs about five
-    times as much.
+    the component sum ``.sum(axis=-1)`` of the (..., d) points in its
+    order, so the result is bitwise the same (save a point of -0.0
+    entries, which sums to -0.0 here and to 0.0 there), while a
+    reduction over an axis this short costs about five times as much.
     """
-    out = p[..., 0] + p[..., 1]
-    for i in range(2, p.shape[-1]):
-        out += p[..., i]
+    out = p[..., 0, :] + p[..., 1, :]
+    for i in range(2, p.shape[-2]):
+        out += p[..., i, :]
     return out
 
 
@@ -75,8 +84,15 @@ class _Manifold:
             )
         return pts
 
+    def _rows(self, pts):
+        """Checked (..., d) points as a (..., d, 1) view: rows of one sample."""
+        return self._check_points(pts)[..., None]
+
     def require_on_manifold(self, pts, tol=ON_MANIFOLD_TOL):
-        res = np.max(self.constraint_residual(pts))
+        self._require_on(self._rows(pts), tol)
+
+    def _require_on(self, rows, tol=ON_MANIFOLD_TOL):
+        res = np.max(self._residual(self._sq_norms(rows)))
         if not np.isfinite(res) or res > tol:
             raise PointOffManifold(
                 f"{self.name}: constraint residual {res:.3e} exceeds {tol:.1e}"
@@ -99,43 +115,47 @@ class _Manifold:
     # the last raising where the projection is undefined.
 
     def constraint_residual(self, pts):
-        return self._residual(self._sq_norms(self._check_points(pts)))
+        return self._residual(self._sq_norms(self._rows(pts)))[..., 0]
 
     def distance(self, pts):
-        return self._distance(np.sqrt(self._sq_norms(self._check_points(pts))))
+        return self._distance(np.sqrt(self._sq_norms(self._rows(pts))))[..., 0]
 
     def project(self, pts):
-        pts = self._check_points(pts)
-        return self._project(pts, np.sqrt(self._sq_norms(pts)))
+        rows = self._rows(pts)
+        return self._project(rows, np.sqrt(self._sq_norms(rows)))[..., 0]
 
     def retract(self, pts):
         """Nearest-point projection of tube points, from one |p|^2 per point.
 
         Raises what ``require_in_tube`` and then ``project`` raise, and
-        returns ``(projection, sq)``: ``_residual(sq)`` is
-        ``constraint_residual(pts)``, the residual before projection.
+        returns ``(projection, sq)``: ``_residual(sq[..., None])[..., 0]``
+        is ``constraint_residual(pts)``, the residual before projection.
         """
-        pts = self._check_points(pts)
-        sq = self._sq_norms(pts)
+        proj, sq = self._retract(self._rows(pts))
+        return proj[..., 0], sq[..., 0]
+
+    def _retract(self, rows):
+        """:meth:`retract` of row-layout points; ``sq`` keeps the layout."""
+        sq = self._sq_norms(rows)
         norm = np.sqrt(sq)
         self._require_tube(self._distance(norm))
-        return self._project(pts, norm), sq
+        return self._project(rows, norm), sq
 
     def _on_manifold(self, base):
-        base = self._check_points(base)
-        self.require_on_manifold(base)
+        base = self._rows(base)
+        self._require_on(base)
         return base
 
     def tangent_project(self, base, vec):
-        return self._tangent(self._on_manifold(base), self._check_points(vec))
+        return self._tangent(self._on_manifold(base), self._rows(vec))[..., 0]
 
     def second_fundamental_form(self, base, x, y):
-        return self._sff(
-            self._on_manifold(base), np.asarray(x, float), np.asarray(y, float)
-        )
+        x, y = (np.asarray(v, dtype=float)[..., None] for v in (x, y))
+        return self._sff(self._on_manifold(base), x, y)[..., 0]
 
     def complex_structure(self, base, vec):
-        return self._j(self._on_manifold(base), np.asarray(vec, dtype=float))
+        vec = np.asarray(vec, dtype=float)[..., None]
+        return self._j(self._on_manifold(base), vec)[..., 0]
 
     def normal_project(self, base, vec):
         return np.asarray(vec, dtype=float) - self.tangent_project(base, vec)
@@ -167,21 +187,21 @@ class Sphere2(_Manifold):
             raise OutOfTubularNeighborhood(
                 "Sphere2: cannot project a point at the center"
             )
-        return pts / norm[..., None]
+        return pts / norm[..., None, :]
 
     def _tangent(self, base, vec):
-        return vec - _dot(vec, base)[..., None] * base
+        return vec - _dot(vec, base)[..., None, :] * base
 
     def _sff(self, base, x, y):
-        return -_dot(x, y)[..., None] * base
+        return -_dot(x, y)[..., None, :] * base
 
     def _j(self, base, vec):
-        # base x vec, one column at a time into one output: no gathered
-        # copies of the inputs (np.cross costs twice as much per call)
+        # base x vec, one component row at a time into one output: no
+        # gathered copies of the inputs (np.cross costs twice as much)
         out = np.empty(np.broadcast_shapes(base.shape, vec.shape))
         for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.subtract(base[..., i] * vec[..., j], base[..., j] * vec[..., i],
-                        out=out[..., c])
+            np.subtract(base[..., i, :] * vec[..., j, :],
+                        base[..., j, :] * vec[..., i, :], out=out[..., c, :])
         return out
 
 
@@ -196,53 +216,53 @@ class CliffordTorus2(_Manifold):
     tubular_radius = 0.5 / _TWO_PI
 
     def _sq_norms(self, pts):
-        """(..., 2) squared norms of the pairs (p1, p2) and (p3, p4)."""
-        return _ambient_sum((pts * pts).reshape(pts.shape[:-1] + (2, 2)))
+        """(..., 2, N) squared norms of the pairs (p1, p2) and (p3, p4)."""
+        pairs = pts.shape[:-2] + (2, 2) + pts.shape[-1:]
+        return _ambient_sum((pts * pts).reshape(pairs))
 
     def _residual(self, sq):
         gap = np.abs(sq - self.radius**2)
-        return np.maximum(gap[..., 0], gap[..., 1])
+        return np.maximum(gap[..., 0, :], gap[..., 1, :])
 
     def _distance(self, norm):
         gap = norm - self.radius
-        return np.hypot(gap[..., 0], gap[..., 1])
+        return np.hypot(gap[..., 0, :], gap[..., 1, :])
 
     def _project(self, pts, norm):
         if np.any(norm < 1e-12):
             raise OutOfTubularNeighborhood(
                 "CliffordTorus2: cannot project from a circle axis"
             )
-        pairs = pts.reshape(norm.shape + (2,)) * (self.radius / norm)[..., None]
-        return pairs.reshape(pts.shape)
+        pairs = pts.reshape(norm.shape[:-1] + (2,) + norm.shape[-1:])
+        return (pairs * (self.radius / norm)[..., None, :]).reshape(pts.shape)
 
     def _frame(self, base):
         """Orthonormal tangent frame (tau1, tau2) at on-manifold points."""
         tau1 = np.zeros_like(base)
-        tau1[..., 0] = -base[..., 1] / self.radius
-        tau1[..., 1] = base[..., 0] / self.radius
+        tau1[..., 0, :] = -base[..., 1, :] / self.radius
+        tau1[..., 1, :] = base[..., 0, :] / self.radius
         tau2 = np.zeros_like(base)
-        tau2[..., 2] = -base[..., 3] / self.radius
-        tau2[..., 3] = base[..., 2] / self.radius
+        tau2[..., 2, :] = -base[..., 3, :] / self.radius
+        tau2[..., 3, :] = base[..., 2, :] / self.radius
         return tau1, tau2
 
     def _tangent(self, base, vec):
         tau1, tau2 = self._frame(base)
-        return (
-            _dot(vec, tau1)[..., None] * tau1 + _dot(vec, tau2)[..., None] * tau2
-        )
+        return (_dot(vec, tau1)[..., None, :] * tau1
+                + _dot(vec, tau2)[..., None, :] * tau2)
 
     def _sff(self, base, x, y):
         r2 = self.radius**2
         out = np.empty_like(base)
-        c1 = -_dot(x[..., 0:2], y[..., 0:2]) / r2
-        c2 = -_dot(x[..., 2:4], y[..., 2:4]) / r2
-        out[..., 0:2] = c1[..., None] * base[..., 0:2]
-        out[..., 2:4] = c2[..., None] * base[..., 2:4]
+        for s in (slice(0, 2), slice(2, 4)):
+            c = -_dot(x[..., s, :], y[..., s, :]) / r2
+            out[..., s, :] = c[..., None, :] * base[..., s, :]
         return out
 
     def _j(self, base, vec):
         tau1, tau2 = self._frame(base)
-        return _dot(vec, tau1)[..., None] * tau2 - _dot(vec, tau2)[..., None] * tau1
+        return (_dot(vec, tau1)[..., None, :] * tau2
+                - _dot(vec, tau2)[..., None, :] * tau1)
 
     def embed_chart(self, chart_pts):
         """Isometric embedding of chart coordinates (y1, y2) into R^4."""
@@ -279,7 +299,7 @@ class ChartFlatTorus2(_Manifold):
     tubular_radius = np.inf
 
     def _sq_norms(self, pts):
-        return np.zeros(pts.shape[:-1])
+        return np.zeros(pts.shape[:-2] + pts.shape[-1:])
 
     def _residual(self, sq):
         return sq
@@ -298,8 +318,8 @@ class ChartFlatTorus2(_Manifold):
 
     def _j(self, base, vec):
         out = np.empty_like(vec)
-        out[..., 0] = -vec[..., 1]
-        out[..., 1] = vec[..., 0]
+        out[..., 0, :] = -vec[..., 1, :]
+        out[..., 1, :] = vec[..., 0, :]
         return out
 
     def wrap(self, pts):
@@ -317,9 +337,8 @@ MANIFOLDS = {
 
 
 def by_name(name):
-    try:
-        return MANIFOLDS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in MANIFOLDS:
         raise KeyError(
             f"unknown manifold {name!r}; choose from {sorted(MANIFOLDS)}"
-        ) from None
+        )
+    return MANIFOLDS[name]

@@ -110,12 +110,11 @@ def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
 
 
 def curve_from_file(path, manifold):
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
     try:
-        samples = np.asarray(payload["samples"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad curve file {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as handle:
+            samples = np.asarray(json.load(handle)["samples"], dtype=float)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad initial_condition file {path}: {exc}") from exc
     return ClosedCurve(samples, manifold)
 
 

@@ -1,12 +1,18 @@
 """Fourier plumbing for periodic fields sampled on the uniform grid x_i = i/N.
 
-Fields are real arrays of shape (N,) or (..., N, d): a 1-D field is its
-own sample axis, and otherwise axis -2 holds the samples and the last
-axis the ambient components, so any leading axes form a batch (one
+Public fields are real arrays of shape (N,) or (..., N, d): a 1-D field
+is its own sample axis, and otherwise axis -2 holds the samples and the
+last axis the ambient components, so any leading axes form a batch (one
 member per curve or quadrature node) that the transforms treat
 independently.  The quadratures (``integrate``, ``l2_inner``) take one
 unbatched field.  Quadrature is the uniform trapezoid rule, which on a
 periodic grid is the plain mean and is exact for resolved modes.
+
+Inside the package fields are stored in the row layout (..., d, N): the
+samples sit on the contiguous last axis, so every transform runs on
+``axis=-1`` without striding.  ``_rows`` is the one conversion: the
+public transforms swap axes with it on the way in and again on the way
+out, as views, and run the row-layout kernel (``_derivative``) between.
 """
 
 from functools import lru_cache
@@ -26,13 +32,9 @@ def wavenumbers(n):
     return np.fft.rfftfreq(n, d=1.0 / n)
 
 
-def _sample_axis(f):
-    """Axis holding the samples: 0 for a 1-D field, else -2."""
-    return 0 if f.ndim == 1 else -2
-
-
-def _col(mult, ndim):
-    return mult if ndim == 1 else mult[:, None]
+def _rows(f):
+    """(..., N, d) field as its (..., d, N) row view, and back; 1-D as is."""
+    return f if f.ndim == 1 else np.swapaxes(f, -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -57,22 +59,23 @@ def spectral_derivative(f, order=1):
     """
     if not 1 <= order <= 4:
         raise ValueError("derivative order must lie in [1, 4]")
-    f = np.asarray(f, dtype=float)
-    axis = _sample_axis(f)
-    n = f.shape[axis]
-    coef = np.fft.rfft(f, axis=axis)
-    mult = _derivative_multiplier(n, order)
-    return np.fft.irfft(coef * _col(mult, f.ndim), n=n, axis=axis)
+    return _rows(_derivative(_rows(np.asarray(f, dtype=float)), order))
+
+
+def _derivative(rows, order=1):
+    """:func:`spectral_derivative` of a row-layout field (samples last)."""
+    n = rows.shape[-1]
+    coef = np.fft.rfft(rows)
+    return np.fft.irfft(coef * _derivative_multiplier(n, order), n=n)
 
 
 def lowpass(f, keep):
     """Zero every mode with |frequency| > keep."""
-    f = np.asarray(f, dtype=float)
-    axis = _sample_axis(f)
-    n = f.shape[axis]
-    coef = np.fft.rfft(f, axis=axis)
-    coef *= _col(wavenumbers(n) <= keep, f.ndim)
-    return np.fft.irfft(coef, n=n, axis=axis)
+    rows = _rows(np.asarray(f, dtype=float))
+    n = rows.shape[-1]
+    coef = np.fft.rfft(rows)
+    coef *= wavenumbers(n) <= keep
+    return _rows(np.fft.irfft(coef, n=n))
 
 
 def dealias_keep(n):
@@ -114,11 +117,11 @@ def semigroup_apply(eps, t, f):
     f = np.asarray(f, dtype=float)
     if t == 0 or eps == 0:
         return f.copy()
-    axis = _sample_axis(f)
-    n = f.shape[axis]
-    coef = np.fft.rfft(f, axis=axis)
-    coef *= _col(heat4_multiplier(n, eps, t), f.ndim)
-    return np.fft.irfft(coef, n=n, axis=axis)
+    rows = _rows(f)
+    n = rows.shape[-1]
+    coef = np.fft.rfft(rows)
+    coef *= heat4_multiplier(n, eps, t)
+    return _rows(np.fft.irfft(coef, n=n))
 
 
 @lru_cache(maxsize=None)

@@ -62,53 +62,26 @@ def _tube_samples(manifold, rng, count):
 def suite_projections(grids=(64,), seed=0):
     rng = np.random.default_rng(seed)
     checks = []
-    count = max(grids)
     for name, m in sorted(MANIFOLDS.items()):
-        pts = _tube_samples(m, rng, count)
-        proj = m.project(pts)
-        twice = m.project(proj)
-        checks.append(
-            Check(f"{name}.project_idempotent",
-                  float(np.max(m.constraint_residual(proj))), 1e-12, "max")
-        )
-        checks.append(
-            Check(f"{name}.project_fixed_point",
-                  float(np.max(np.abs(twice - proj))), 1e-12, "max")
-        )
-        base = proj
-        x = rng.standard_normal(base.shape)
-        y = rng.standard_normal(base.shape)
-        px = m.tangent_project(base, x)
-        checks.append(
-            Check(f"{name}.p_plus_n_identity",
-                  float(np.max(np.abs(px + m.normal_project(base, x) - x))),
-                  1e-12, "max")
-        )
-        checks.append(
-            Check(f"{name}.p_idempotent",
-                  float(np.max(np.abs(m.tangent_project(base, px) - px))),
-                  1e-12, "max")
-        )
-        sym = np.abs(
-            (m.tangent_project(base, x) * y).sum(-1)
-            - (x * m.tangent_project(base, y)).sum(-1)
-        )
-        checks.append(Check(f"{name}.p_symmetric", float(np.max(sym)), 1e-12, "max"))
-        jx = m.complex_structure(base, px)
-        checks.append(
-            Check(f"{name}.j_squared",
-                  float(np.max(np.abs(m.complex_structure(base, jx) + px))),
-                  1e-12, "max")
-        )
-        py = m.tangent_project(base, y)
-        anti = np.abs(
-            (jx * py).sum(-1) + (px * m.complex_structure(base, py)).sum(-1)
-        )
-        checks.append(Check(f"{name}.j_antisymmetric", float(np.max(anti)), 1e-12, "max"))
-        iso = np.abs(
-            np.sqrt((jx * jx).sum(-1)) - np.sqrt((px * px).sum(-1))
-        )
-        checks.append(Check(f"{name}.j_isometry", float(np.max(iso)), 1e-12, "max"))
+        proj = m.project(_tube_samples(m, rng, max(grids)))
+        x, y = rng.standard_normal(proj.shape), rng.standard_normal(proj.shape)
+        px, py = m.tangent_project(proj, x), m.tangent_project(proj, y)
+        jx = m.complex_structure(proj, px)
+        errors = {
+            "project_idempotent": m.constraint_residual(proj),
+            "project_fixed_point": m.project(proj) - proj,
+            "p_plus_n_identity": px + m.normal_project(proj, x) - x,
+            "p_idempotent": m.tangent_project(proj, px) - px,
+            "p_symmetric": (px * y).sum(-1) - (x * py).sum(-1),
+            "j_squared": m.complex_structure(proj, jx) + px,
+            "j_antisymmetric": (jx * py).sum(-1)
+            + (px * m.complex_structure(proj, py)).sum(-1),
+            "j_isometry": np.sqrt((jx * jx).sum(-1)) - np.sqrt((px * px).sum(-1)),
+        }
+        checks += [
+            Check(f"{name}.{key}", float(np.max(np.abs(err))), 1e-12, "max")
+            for key, err in errors.items()
+        ]
     return checks
 
 
@@ -138,20 +111,12 @@ def suite_identities(grids=(64, 128), seed=0, decay=0.25, amplitude=0.4):
         reports[n] = identity_residuals(curve, l_max=2, seed=seed)
     coarse, fine = grids[0], grids[-1]
     for l in range(3):
-        checks.append(
-            _decade_check(
-                f"third_pairing_decades_l{l}",
-                reports[coarse].third_pairing_rel[l],
-                reports[fine].third_pairing_rel[l],
-            )
-        )
-        checks.append(
-            _decade_check(
-                f"j_pairing_decades_l{l}",
-                reports[coarse].j_pairing_rel[l],
-                reports[fine].j_pairing_rel[l],
-            )
-        )
+        for label in ("third_pairing", "j_pairing"):
+            checks.append(_decade_check(
+                f"{label}_decades_l{l}",
+                getattr(reports[coarse], f"{label}_rel")[l],
+                getattr(reports[fine], f"{label}_rel")[l],
+            ))
     checks.append(
         Check("curvature_symmetry", reports[fine].curvature_symmetry, 1e-12, "max")
     )

@@ -1,0 +1,129 @@
+"""Property: ``dcl.cli.main`` returns 0, 2 or 3 on any manifest, never raises.
+
+Hypothesis starts from a valid manifest (N in 16..64, at most 3 steps)
+and drops keys, adds unknown ones and replaces values by values of the
+wrong type or at the edges of their range.  The values are chosen so that
+no mutation can lengthen a run: a horizon can only become invalid, zero
+or overflowing, never a longer valid one.
+"""
+
+import json
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dcl import cli  # noqa: E402
+
+JUNK = [None, True, False, "x", "", [1], {"k": 1}, -1, 0, -0.0, 1e308,
+        float("nan"), float("inf")]
+COMMANDS = [["simulate"], ["simulate", "--checkpoints", "2"],
+            ["converge", "--mode", "epsilon"], ["converge", "--mode", "dt"],
+            ["converge", "--mode", "grid"]]
+
+
+@st.composite
+def manifests(draw):
+    n = draw(st.sampled_from([16, 32, 64]))
+    steps = draw(st.integers(0, 3))
+    dt = 1e-4
+    config = {
+        "a": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "b": draw(st.sampled_from([0.0, 0.5])),
+        "epsilon": draw(st.sampled_from([0.0, 1e-2])),
+        "N_g": n, "dt": dt, "T": steps * dt,
+        "integrator": draw(st.sampled_from(
+            ["ProjectedRK4", "IMEX", "DuhamelPicard"])),
+        "manifold": draw(st.sampled_from(
+            ["Sphere2", "CliffordTorus2", "ChartFlatTorus2"])),
+        "initial_condition": draw(st.sampled_from(
+            ["random_smooth:3,1.1,0.18", "great_circle",
+             "torus_geodesic:1,2", "latitude:1.0"])),
+    }
+    manifest = {"config": config, "output_dir": "out", "stride": 1,
+                "seed": 0}
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from([manifest, config]))
+        key = draw(st.sampled_from(sorted(where) + ["unknown", "dealias",
+                                                    "mode_cutoff"]))
+        action = draw(st.sampled_from(["replace", "drop"]))
+        if action == "drop":
+            where.pop(key, None)
+        else:
+            where[key] = draw(st.sampled_from(JUNK))
+    return manifest
+
+
+def run_main(manifest, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with open("manifest_in.json", "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle)
+            return cli.main(argv + ["--manifest", "manifest_in.json"])
+        finally:
+            os.chdir(cwd)
+
+
+VALID = {"a": 0.0, "b": 0.0, "epsilon": 0.0, "N_g": 32, "dt": 1e-4,
+         "T": 2e-4, "integrator": "ProjectedRK4", "manifold": "Sphere2",
+         "initial_condition": "great_circle"}
+
+
+def with_value(section, key, value):
+    manifest = {"config": dict(VALID), "output_dir": "out", "stride": 1,
+                "seed": 0}
+    (manifest["config"] if section == "config" else manifest)[key] = value
+    return manifest
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(manifest=manifests(), argv=st.sampled_from(COMMANDS))
+@example(manifest=with_value("config", "manifold", [1]), argv=["simulate"])
+@example(manifest=with_value("top", "output_dir", 5), argv=["simulate"])
+@example(manifest=with_value("top", "output_dir", "manifest_in.json"),
+         argv=["simulate"])
+@example(manifest=with_value("top", "output_dir", "manifest_in.json/out"),
+         argv=["converge", "--mode", "epsilon"])
+@example(manifest=with_value("config", "T", 1e308), argv=["simulate"])
+@example(manifest=with_value("config", "T", 1e308),
+         argv=["converge", "--mode", "epsilon"])
+@example(manifest=with_value("config", "initial_condition",
+                             "file:/missing.json"), argv=["simulate"])
+@example(manifest=with_value("config", "dealias", "no"), argv=["simulate"])
+@example(manifest=with_value("top", "stride", True), argv=["simulate"])
+@example(manifest=with_value("config", "N_g", 64.0), argv=["simulate"])
+def test_main_returns_a_documented_exit_code(manifest, argv):
+    assert run_main(manifest, argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("config", "manifold", [1], "unknown manifold [1]"),
+        ("top", "output_dir", 5, "output_dir must be a string"),
+        ("top", "output_dir", "manifest_in.json", "cannot create output_dir"),
+        ("top", "output_dir", "manifest_in.json/out",
+         "cannot create output_dir"),
+        ("config", "T", 1e308, "T / dt overflows"),
+        ("config", "initial_condition", "file:/missing.json",
+         "bad initial_condition file /missing.json"),
+        ("config", "dealias", "no", "dealias must be true or false"),
+        ("top", "stride", True, "stride must be a positive integer"),
+        ("top", "seed", False, "seed must be an integer"),
+        ("config", "N_g", 64.0, "N_g must be an integer"),
+        ("config", "T", True, "T must be a number"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_bad_manifest_value_exits_2_naming_it(capsys, section, key, value,
+                                              message, command):
+    argv = [command] + (["--mode", "epsilon"] if command == "converge" else [])
+    assert run_main(with_value(section, key, value), argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err

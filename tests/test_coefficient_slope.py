@@ -28,8 +28,13 @@ TWO_PI = 2.0 * np.pi
 TARGETS = [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2]
 
 
+def swap(a):
+    """(..., N, d) samples as the flow's (..., d, N) rows, and back."""
+    return np.swapaxes(a, -1, -2)
+
+
 def reference_slope(st, samples, trend, winding):
-    cfg, m, n, d1 = st.cfg, st.manifold, st.n, st.d1
+    cfg, m, n, d1 = st.cfg, st.manifold, st.n, st.d1[:, None]
     m.require_in_tube(samples)
     proj = m.project(samples)
     m.require_on_manifold(proj)
@@ -40,9 +45,9 @@ def reference_slope(st, samples, trend, winding):
     vx, vxx = rows[0], rows[1]
     if winding.any():
         vx = winding[..., None, :] + vx
-    a0 = m._sff(proj, vx, vx)
+    a0 = swap(m._sff(swap(proj), swap(vx), swap(vx)))
     s1 = vxx - a0
-    a1 = m._sff(proj, s1, vx)
+    a1 = swap(m._sff(swap(proj), swap(s1), swap(vx)))
     a0_hat, a1_hat = np.fft.rfft(np.stack([a0, a1]), axis=-2)
     da0_hat = d1 * a0_hat
     da0, dt2 = np.fft.irfft(
@@ -52,11 +57,11 @@ def reference_slope(st, samples, trend, winding):
     s2 = rows[2] + t2
     out = (
         cfg.a * (s2 if st.dispersion_in_slope else t2)
-        + m._j(proj, s1)
-        + cfg.b * _sq(vx) * vx
+        + swap(m._j(swap(proj), swap(s1)))
+        + cfg.b * swap(_sq(swap(vx))) * vx
     )
-    out -= st.eps * (dt2 - m._sff(proj, s2, vx))
-    return st.mask * np.fft.rfft(out, axis=-2)
+    out -= st.eps * (dt2 - swap(m._sff(swap(proj), swap(s2), swap(vx))))
+    return st.mask[:, None] * np.fft.rfft(out, axis=-2)
 
 
 def stage_points(manifold, seeds, n=64):
@@ -89,9 +94,9 @@ def test_slope_matches_physical_space_reference(manifold, case):
         cfg = FlowConfig(a=0.7, b=0.5, epsilon=1e-2, N_g=64, dt=1e-4,
                          T=1e-4, integrator="DuhamelPicard", mode_cutoff=16)
         st = _Stepper(cfg, manifold, 64, speed)
-    trend, winding = lift_trend(samples, manifold)
-    want = reference_slope(st, samples, trend, winding)
-    got = st.slope(samples, trend, winding)
+    trend, winding = lift_trend(swap(samples), manifold)
+    want = reference_slope(st, samples, swap(trend), winding[..., 0])
+    got = swap(st.slope(swap(samples), trend, winding))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -125,7 +130,7 @@ def test_step_transform_calls(fft_calls, integrator, eps, want):
     st = _Stepper(cfg, SPHERE2, 64)
     step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
     before = len(fft_calls)
-    step(u0.samples, cfg, st)
+    step(u0.samples.T, cfg, st)
     assert len(fft_calls) - before == want
 
 

@@ -115,11 +115,11 @@ def test_stacked_step_equals_member_steps(manifold, step_fn):
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=128, dt=1e-5, T=1e-5)
     levels = [0.0, 3e-5, 1e-4]
     speed = float(np.max(np.abs(members[0].velocity())))
-    stack = np.stack([u.samples for u in members])
+    stack = np.stack([u.samples.T for u in members])
     stepped = step_fn(stack, cfg, _Stepper(cfg, manifold, 128, speed,
                                            eps=levels))[0]
     for eps, u, got in zip(levels, members, stepped):
         cfg_eps = replace(cfg, epsilon=eps)
         st = _Stepper(cfg_eps, manifold, 128, speed)
-        want = step_fn(u.samples, cfg_eps, st)[0]
+        want = step_fn(u.samples.T, cfg_eps, st)[0]
         assert np.array_equal(got, want)

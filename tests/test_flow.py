@@ -208,13 +208,14 @@ def test_batched_nonlinearity_matches_single_curves(manifold):
         for s in range(8)
     ]
     curves = [c.with_samples(c.samples * inflate) for c in curves]
-    stack = np.stack([c.samples for c in curves])
-    slopes = st.slope(stack, *lift_trend(stack, manifold))
+    stack = np.stack([c.samples.T for c in curves])
+    slopes = st.slope(stack, *lift_trend(stack, manifold)).swapaxes(-1, -2)
     assert slopes.shape == (8, 33, manifold.ambient_dim)
     for c, got in zip(curves, slopes):
-        single = st.slope(c.samples, *lift_trend(c.samples, manifold))
+        single = st.slope(c.samples.T, *lift_trend(c.samples.T, manifold)).T
         assert np.array_equal(got, single)
-    raw4 = spectral.spectral_derivative(lifted_velocity(stack, manifold), 3)
+    raw4 = spectral.spectral_derivative(
+        lifted_velocity(stack, manifold).swapaxes(-1, -2), 3)
     batched = np.fft.irfft(slopes, n=64, axis=-2) - cfg.epsilon * raw4
     for c, got in zip(curves, batched):
         want = regularized_rhs(c, cfg)
@@ -382,7 +383,7 @@ def test_picard_workspace_builds_quadrature_once(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     keep = mode_cutoff(cfg, SPHERE2, 1.0)
-    assert keep == 5 and ws.stepper.mask[:, 0].sum() == keep + 1
+    assert keep == 5 and ws.stepper.mask.sum() == keep + 1
     k = spectral.wavenumbers(64)
     want = _duhamel_quadrature(cfg, k, (k <= keep).astype(float))
     for got, ref in zip((ws.nodes, ws.kernel, ws.prop0), want):
@@ -412,6 +413,22 @@ def test_picard_contraction_on_float_view_bitwise():
     want = np.einsum("ijk,jkd->ikd", kernel, f_hat)
     got = np.einsum("ijk,jkd->ikd", kernel, f_hat.view(float)).view(complex)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_picard_row_contraction_on_float_view_bitwise():
+    # in the row layout the float view interleaves real and imaginary
+    # parts along the modes, so the kernel is repeated once per pair
+    rng = np.random.default_rng(10)
+    kernel = rng.standard_normal((9, 8, 33))
+    f_hat = rng.standard_normal((8, 3, 33)) + 1j * rng.standard_normal((8, 3, 33))
+    f_hat *= 10.0 ** rng.integers(-8, 8, f_hat.shape)
+    want = np.einsum("ijk,jdk->idk", kernel, f_hat)
+    pairs = np.repeat(kernel, 2, axis=-1)
+    got = np.einsum("ijk,jdk->idk", pairs, f_hat.view(float)).view(complex)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # and it is the column-layout contraction of the same values
+    cols = np.einsum("ijk,jkd->ikd", kernel, np.swapaxes(f_hat, -1, -2).copy())
+    assert np.swapaxes(got, -1, -2).tobytes() == np.ascontiguousarray(cols).tobytes()
 
 
 def test_picard_iterations_on_maximum_principle_input():
@@ -565,10 +582,10 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
         st = _Stepper(cfg, manifold, 64, float(np.max(np.abs(u0.velocity()))))
     for state in traj.states[1:]:
         if integrator == "DuhamelPicard":
-            samples = _picard_step(u0.with_samples(samples), cfg, ws)[0].samples
+            samples = _picard_step(samples.T, cfg, ws)[0].T
         else:
             step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
-            samples = step(samples, cfg, st)[0]
+            samples = step(samples.T, cfg, st)[0].T
         assert samples.tobytes() == state.samples.tobytes()
 
 
@@ -640,19 +657,21 @@ def test_extrinsic_h2_matches_derivative_chain(manifold):
         if manifold is CHART_FLAT_TORUS2:
             assert c.winding().any()
         want = parent_extrinsic_h2(c)
-        assert abs(_extrinsic_h2(c.samples, c.manifold) - want) <= 1e-13 * want
+        assert abs(_extrinsic_h2(c.samples.T, c.manifold) - want) <= 1e-13 * want
         # the cached Parseval weights and a shared transform change no bit
         k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
         k2[-1] = 0.0
-        trend, winding = lift_trend(c.samples, manifold)
+        trend, winding = lift_trend(c.samples.T, manifold)
+        trend, winding = trend.T, winding[:, 0]
         coef = np.fft.rfft(c.samples - trend, axis=-2)
         power = ((coef.real**2 + coef.imag**2).sum(axis=-1)
                  * (k2 + k2**2 + k2**3))
         inline = np.sqrt((winding * winding).sum(axis=-1)
                          + 2.0 * power.sum(axis=-1) / n**2)
-        got = _extrinsic_h2(c.samples, manifold)
+        got = _extrinsic_h2(c.samples.T, manifold)
         assert got == inline
-        assert got == _extrinsic_h2(c.samples, manifold, _lift(c.samples, manifold))
+        assert got == _extrinsic_h2(c.samples.T, manifold,
+                                    _lift(c.samples.T, manifold))
 
 
 @pytest.mark.parametrize(

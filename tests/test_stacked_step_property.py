@@ -40,11 +40,11 @@ def test_stacked_step_equals_member_steps(manifold, step_fn, eps, seed):
     ]
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=N, dt=1e-5, T=1e-5)
     speed = float(np.max(np.abs(members[0].velocity())))
-    stack = np.stack([u.samples for u in members])
+    stack = np.stack([u.samples.T for u in members])
     st_stack = _Stepper(cfg, manifold, N, speed, eps=eps)
     stepped = step_fn(stack, cfg, st_stack)[0]
     for level, u, got in zip(eps, members, stepped):
         cfg_level = replace(cfg, epsilon=level)
-        want = step_fn(u.samples, cfg_level,
+        want = step_fn(u.samples.T, cfg_level,
                        _Stepper(cfg_level, manifold, N, speed))[0]
         assert np.array_equal(got, want)

@@ -32,7 +32,7 @@ def reference_remainder(curve, cfg):
     t2 = -spectral.spectral_derivative(
         m.second_fundamental_form(v, vx, vx)
     ) - m.second_fundamental_form(v, s1, vx)
-    out = cfg.a * t2 + m.complex_structure(v, s1) + cfg.b * _sq(vx) * vx
+    out = cfg.a * t2 + m.complex_structure(v, s1) + cfg.b * _sq(vx.T).T * vx
     if cfg.epsilon:
         t3 = spectral.spectral_derivative(t2) - m.second_fundamental_form(
             v, s2, vx
@@ -48,7 +48,7 @@ class Reference:
         self.st = st
 
     def apply(self, mult, arr):
-        coef = np.fft.rfft(arr, axis=0) * mult
+        coef = np.fft.rfft(arr, axis=0) * mult[..., None]
         return np.fft.irfft(coef, n=self.st.n, axis=0)
 
     def nl(self, curve, cfg, samples):
@@ -114,8 +114,8 @@ def test_step_matches_physical_space_reference(manifold, eps, integrator):
     st = _Stepper(cfg, manifold, 128, speed)
     ref = Reference(st)
     if integrator == "ProjectedRK4":
-        got, want = _rk4_step(u0.samples, cfg, st), ref.rk4_step(u0, cfg)
+        got, want = _rk4_step(u0.samples.T, cfg, st), ref.rk4_step(u0, cfg)
     else:
-        got, want = _imex_step(u0.samples, cfg, st), ref.imex_step(u0, cfg)
-    assert np.max(np.abs(got[0] - want[0].samples)) <= 1e-13
+        got, want = _imex_step(u0.samples.T, cfg, st), ref.imex_step(u0, cfg)
+    assert np.max(np.abs(got[0].T - want[0].samples)) <= 1e-13
     assert abs(got[1] - want[1]) <= 1e-13
