@@ -39,9 +39,7 @@ from .flow import (
     dispersive_rhs,
     epsilon_continuation,
     evolve,
-    picard_solve,
     regularized_rhs,
-    step_projected_rk4,
 )
 from .invariants import (
     EnergyReport,

@@ -320,13 +320,18 @@ def _run_levels(manifest, configs):
     level's grid, so levels differ only in their discretization (a preset
     drawn at each N separately need not be the same curve).
     """
+    try:
+        # a finer dt can take a level past MAX_STEPS
+        steps = [c.n_steps() for c in configs]
+    except ValueError as exc:
+        raise ConfigError(f"bad flow config: {exc}") from exc
     u0 = make_initial(
         manifest.initial_condition, manifest.manifold,
         max(c.N_g for c in configs), manifest.seed,
     )
     return [
-        evolve(resample(u0, c.N_g), c, stride=c.n_steps() or 1)
-        for c in configs
+        evolve(resample(u0, c.N_g), c, stride=n or 1)
+        for c, n in zip(configs, steps)
     ]
 
 

@@ -49,19 +49,21 @@ Integrators
 ``IMEX``           First-order integrating-factor Euler step (same L and
                    stage), projected at the step end.  Cheap, for smoke runs.
 
-``evolve`` transforms each accepted state once (:func:`_lift`): that rfft
-of its periodic part feeds the H2 blow-up guard and the next step's V0,
-or the Picard free term, so at stride 1 the guard costs no transform of
-its own.  Off the chart torus the trend is zero and is neither added nor
-subtracted.
+``_march`` is the one step loop: ``evolve`` is its single member, and
+``epsilon_continuation`` marches the eps = 0 baseline and every level as
+one stack with per-member guards.  It transforms each accepted state once
+(:func:`_lift`): that rfft of its periodic part feeds the H2 blow-up
+guard and the next step's V0, or the Picard free term, so at stride 1 the
+guard costs no transform of its own.  Off the chart torus the trend is
+zero and is neither added nor subtracted.
 
 The march stores every state, stage point and slope in the row layout
 (..., d, N), components first and the samples on the contiguous last
 axis, so each transform runs on ``axis=-1``, and the stepper's
-multipliers are rows over the rfft modes.  ``evolve`` and
-``_march_members`` are where the layout changes: they take u0 as (N, d)
-once and return each snapshot as the transpose of its row state; the
-public references ``dispersive_rhs`` and ``regularized_rhs`` stay (N, d).
+multipliers are rows over the rfft modes.  ``_march`` is where the
+layout changes: it takes u0 as (N, d) once and returns each snapshot as
+the transpose of its member's row state; the public references
+``dispersive_rhs`` and ``regularized_rhs`` stay (N, d).
 
 Products of fields are cubic, so state and nonlinear terms are dealiased
 by the N/4 rule; the mask is part of the spatial discretization and is
@@ -91,6 +93,10 @@ INTEGRATORS = ("DuhamelPicard", "ProjectedRK4", "IMEX")
 
 # Under-resolution guard threshold for the tangency of the assembled RHS.
 RHS_TANGENCY_TOL = 1e-6
+
+# The most steps a run may take: a longer horizon T / dt is a configuration
+# error rather than a march that does not end.
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -149,6 +155,9 @@ class FlowConfig:
         ratio = self.T / self.dt
         if not math.isfinite(ratio):
             raise ValueError("T / dt overflows; T is too large for this dt")
+        if ratio > MAX_STEPS:
+            raise ValueError(f"T = {self.T!r} over dt = {self.dt!r} takes "
+                             f"more than MAX_STEPS = {MAX_STEPS} steps")
         steps = int(round(ratio))
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("T must be an integer multiple of dt")
@@ -419,18 +428,6 @@ class _Stepper:
         return self.mask * out
 
 
-def step_projected_rk4(curve, cfg):
-    """One projected integrating-factor RK4 step; returns the new curve.
-
-    Each stage point is projected to the target before the nonlinearity is
-    evaluated, and the result is projected again at the step end; the
-    off-manifold residual before that final projection is available via
-    :func:`evolve` diagnostics.
-    """
-    st = _Stepper(cfg, curve.manifold, curve.n, _speed(curve))
-    return curve.with_samples(_rk4_step(curve.samples.T, cfg, st)[0].T)
-
-
 def _lift(samples, manifold):
     """(trend, winding, rfft of the periodic part) of (..., d, N) rows.
 
@@ -453,7 +450,7 @@ def _rk4_step(samples, cfg, st, lifted=None):
     ``lifted`` is its :func:`_lift`, when the caller has it.  The periodic
     part V0 of the state and the stage slopes stay in coefficient space;
     each stage point and the step end is one irfft.  Returns the projected
-    state and the largest residual before projection.
+    state and each curve's largest residual before projection.
     """
     h = cfg.dt
     trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
@@ -482,7 +479,7 @@ def _imex_step(samples, cfg, st, lifted=None):
 
 
 def _step_end(st, trend, winding, coef):
-    """Guarded projection of trend + irfft(coef); (samples, residual before)."""
+    """Guarded projection of trend + irfft(coef); (samples, residuals before)."""
     m = st.manifold
     pre = np.fft.irfft(coef, n=st.n)
     if winding.any():
@@ -490,7 +487,7 @@ def _step_end(st, trend, winding, coef):
     if not np.all(np.isfinite(pre)):
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)
-    return proj, float(np.max(m._residual(sq)))
+    return proj, m._residual(sq).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +615,6 @@ def _picard_step(samples, cfg, ws, lifted=None):
     )
 
 
-def picard_solve(curve, cfg):
-    """One Duhamel fixed-point step over [0, dt], returned as a Trajectory."""
-    if cfg.epsilon <= 0:
-        raise ValueError("picard_solve requires epsilon > 0")
-    ws = _PicardWorkspace(cfg, curve.manifold, curve.n)
-    end, iterations = _picard_step(curve.samples.T, cfg, ws)
-    out = curve.with_samples(end.T)
-    return Trajectory(
-        times=[0.0, cfg.dt],
-        states=[curve, out],
-        config=cfg,
-        step_residuals=[out.off_manifold()],
-        picard_iterations=[iterations],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Marching
 # ---------------------------------------------------------------------------
@@ -676,7 +657,7 @@ _GUARD_TRIPS = (OutOfTubularNeighborhood, NoContraction, StepSizeUnstable,
 
 
 def _h2_blowup(norm, guard_norm):
-    return norm > BLOWUP_FACTOR * max(guard_norm, 1e-30)
+    return norm > BLOWUP_FACTOR * np.maximum(guard_norm, 1e-30)
 
 
 def evolve(u0, cfg, stride=1):
@@ -686,86 +667,111 @@ def evolve(u0, cfg, stride=1):
     non-finite step) abort the march and are reported through
     ``Trajectory.failure`` while the partial trajectory is preserved.
     """
-    _check_grid(u0, cfg)
+    return _march(u0, cfg, stride)[0]
+
+
+def _march(u0, cfg, stride, levels=None):
+    """March u0 at each eps of ``levels``; one Trajectory per level.
+
+    ``levels`` defaults to ``[cfg.epsilon]``.  The members advance as one
+    (B, d, N) stack whose member i carries eps = levels[i]; DuhamelPicard
+    marches a single member.  Guards act per member: when a stacked step
+    trips one, each live member takes that step alone, which gives its
+    own result bit for bit as the stacked step does.  A member whose step
+    raises, or whose H2 norm grows BLOWUP_FACTOR-fold within a stride, is
+    frozen with its failure, and the others march on as a smaller stack.
+    """
+    if u0.n != cfg.N_g:
+        raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
     n_steps = cfg.n_steps()
     if stride < 1 or (n_steps and n_steps % stride):
         raise ValueError("stride must divide the step count")
-
-    traj = Trajectory(times=[0.0], states=[u0], config=cfg)
+    configs = ([cfg] if levels is None
+               else [replace(cfg, epsilon=eps) for eps in levels])
+    trajs = [Trajectory(times=[0.0], states=[u0], config=c) for c in configs]
     if n_steps == 0:
-        return traj
+        return trajs
+
+    def freeze(i, exc):
+        trajs[i].failure = f"{type(exc).__name__}: {exc}"
 
     m = u0.manifold
-    # the march state is (d, N) rows; a snapshot is its transpose
-    state = np.ascontiguousarray(u0.samples.T)
+    if cfg.integrator == "DuhamelPicard":
+        try:
+            # the automatic band raises NoContraction when it is empty
+            ws = _PicardWorkspace(cfg, m, u0.n)
+        except _GUARD_TRIPS as exc:
+            freeze(0, exc)
+            return trajs
+
+        def advance(rows, lifted, members):
+            end, iterations = _picard_step(rows[0], cfg, ws,
+                                           [x[0] for x in lifted])
+            trajs[0].picard_iterations.append(iterations)
+            end = end[None]
+            return end, m._residual(m._sq_norms(end)).max(axis=-1)
+    else:
+        # the largest |v_x| of the data fixes the RK4 stability band
+        speed = float(np.max(np.abs(u0.velocity())))
+        step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
+
+        # built once per set of live members
+        @lru_cache(maxsize=None)
+        def stepper(members):
+            eps = [configs[i].epsilon for i in members]
+            return _Stepper(cfg, m, u0.n, speed, eps=eps)
+
+        def advance(rows, lifted, members):
+            return step_fn(rows, cfg, stepper(tuple(members)), lifted)
+
+    # the march state is (B, d, N) rows; a snapshot is a member's transpose
+    live = list(range(len(trajs)))
+    state = np.stack([u0.samples.T] * len(live))
     # one transform per state: the H2 guard and the next step share it
     lifted = _lift(state, m)
-    guard_norm = float(_extrinsic_h2(state, m, lifted))
-    try:
-        # the automatic Picard band raises NoContraction when it is empty
-        if cfg.integrator == "DuhamelPicard":
-            ws = _PicardWorkspace(cfg, m, u0.n)
-
-            def advance(rows, lifted):
-                rows, iterations = _picard_step(rows, cfg, ws, lifted)
-                traj.picard_iterations.append(iterations)
-                return rows, float(np.max(m._residual(m._sq_norms(rows))))
-        else:
-            st = _Stepper(cfg, m, u0.n, _speed(u0))
-            step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
-
-            def advance(rows, lifted):
-                return step_fn(rows, cfg, st, lifted)
-
-        for k in range(1, n_steps + 1):
-            state, residual = advance(state, lifted)
-            traj.step_residuals.append(residual)
-            lifted = _lift(state, m)
-            if k % stride == 0:
-                norm = float(_extrinsic_h2(state, m, lifted))
-                if _h2_blowup(norm, guard_norm):
-                    raise StepSizeUnstable(
-                        f"H2 norm grew {norm / guard_norm:.1f}x within one stride"
-                    )
-                guard_norm = norm
-                traj.times.append(k * cfg.dt)
-                traj.states.append(u0.with_samples(state.T))
-    except _GUARD_TRIPS as exc:
-        traj.failure = f"{type(exc).__name__}: {exc}"
-    return traj
-
-
-def _check_grid(u0, cfg):
-    if u0.n != cfg.N_g:
-        raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
-
-
-def _speed(u0):
-    """Largest |v_x| of the data, which fixes the RK4 stability band."""
-    return float(np.max(np.abs(u0.velocity())))
-
-
-def _march_members(u0, cfg, levels):
-    """Finals of the RK4 flow from u0 at each eps level, as one stack.
-
-    Member i of a (B, d, N) stack carries eps = levels[i]; every step
-    advances all members at once.  The H2 blow-up guard is applied to
-    each member at the end, as :func:`evolve` does at stride = n_steps.
-    Returns None when any guard trips, for any member.
-    """
-    m = u0.manifold
-    st = _Stepper(cfg, m, u0.n, _speed(u0), eps=levels)
-    rows = u0.samples.T
-    samples = np.stack([rows] * len(levels))
-    try:
-        for _ in range(cfg.n_steps()):
-            samples, _ = _rk4_step(samples, cfg, st)
-    except _GUARD_TRIPS:
-        return None
-    guard_norm = float(_extrinsic_h2(rows, m))
-    if np.any(_h2_blowup(_extrinsic_h2(samples, m), guard_norm)):
-        return None
-    return [u0.with_samples(s.T) for s in samples]
+    guard = _extrinsic_h2(state, m, lifted)  # indexed by member
+    for k in range(1, n_steps + 1):
+        try:
+            state, residuals = advance(state, lifted, live)
+        except _GUARD_TRIPS as exc:
+            if len(live) == 1:
+                freeze(live[0], exc)
+                break
+            # alone, each member takes the step it takes in the stack
+            done = {}
+            for j, i in enumerate(live):
+                try:
+                    done[j] = advance(state[j:j + 1],
+                                      [x[j:j + 1] for x in lifted], [i])
+                except _GUARD_TRIPS as trip:
+                    freeze(i, trip)
+            live = [live[j] for j in done]
+            if not live:
+                break
+            state, residuals = (np.concatenate(x) for x in zip(*done.values()))
+        for i, residual in zip(live, residuals):
+            trajs[i].step_residuals.append(float(residual))
+        lifted = _lift(state, m)
+        if k % stride:
+            continue
+        norms = _extrinsic_h2(state, m, lifted)
+        blown = _h2_blowup(norms, guard[live])
+        for j, i in enumerate(live):
+            if blown[j]:
+                freeze(i, StepSizeUnstable(
+                    f"H2 norm grew {norms[j] / guard[i]:.1f}x within one stride"
+                ))
+            else:
+                trajs[i].times.append(k * cfg.dt)
+                trajs[i].states.append(u0.with_samples(state[j].T))
+        guard[live] = norms
+        if blown.any():
+            kept = np.flatnonzero(~blown)
+            live, state = [live[j] for j in kept], state[kept]
+            lifted = [x[kept] for x in lifted]
+            if not live:
+                break
+    return trajs
 
 
 def epsilon_continuation(u0, cfg, eps_list):
@@ -775,44 +781,29 @@ def epsilon_continuation(u0, cfg, eps_list):
     recorded in their row; the table is returned regardless.  All runs use
     the projected RK4 stepper so that the eps = 0 baseline is admissible.
     The baseline and the levels march as one (B, d, N) stack with
-    per-member integrating factors.  If any guard trips for any member,
-    every level is run again on its own with :func:`evolve`, so each row
-    carries the failure that level alone hits.
+    per-member integrating factors and guards: a level that trips a guard
+    is frozen with the failure it alone hits while the others march on.
     """
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps levels must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps levels must be strictly decreasing")
-    _check_grid(u0, cfg)
     cfg = replace(cfg, integrator="ProjectedRK4")
-    levels = [0.0, *eps_list]
-
-    finals = _march_members(u0, cfg, levels)
-    if finals is None:
-        runs = [
-            evolve(u0, replace(cfg, epsilon=eps), stride=cfg.n_steps())
-            for eps in levels
-        ]
-        finals = [traj.final for traj in runs]
-        failures = [traj.failure for traj in runs]
-    else:
-        failures = [None] * len(levels)
-
-    base_final, base_failure = finals[0], failures[0]
+    base, *runs = _march(u0, cfg, cfg.n_steps() or 1, [0.0, *eps_list])
     rows = []
     prev_final = None
-    for eps, final, failure in zip(eps_list, finals[1:], failures[1:]):
+    for eps, traj in zip(eps_list, runs):
         row = {
             "epsilon": eps,
             "h1_to_zero": np.nan,
             "h1_to_prev": np.nan,
-            "failure": failure or (base_failure and f"baseline {base_failure}"),
+            "failure": traj.failure or (base.failure and f"baseline {base.failure}"),
         }
-        if failure is None and base_failure is None:
-            row["h1_to_zero"] = h1_distance(final, base_final)
+        if traj.failure is None and base.failure is None:
+            row["h1_to_zero"] = h1_distance(traj.final, base.final)
             if prev_final is not None:
-                row["h1_to_prev"] = h1_distance(final, prev_final)
-            prev_final = final
+                row["h1_to_prev"] = h1_distance(traj.final, prev_final)
+            prev_final = traj.final
         rows.append(row)
     return rows

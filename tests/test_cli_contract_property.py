@@ -3,8 +3,9 @@
 Hypothesis starts from a valid manifest (N in 16..64, at most 3 steps)
 and drops keys, adds unknown ones and replaces values by values of the
 wrong type or at the edges of their range.  The values are chosen so that
-no mutation can lengthen a run: a horizon can only become invalid, zero
-or overflowing, never a longer valid one.
+no mutation can lengthen a run: a horizon can only become invalid, zero,
+overflowing or longer than ``flow.MAX_STEPS`` steps (a config error),
+never a longer valid one.
 """
 
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dcl import cli  # noqa: E402
 
-JUNK = [None, True, False, "x", "", [1], {"k": 1}, -1, 0, -0.0, 1e308,
+JUNK = [None, True, False, "x", "", [1], {"k": 1}, -1, 0, -0.0, 1e300, 1e308,
         float("nan"), float("inf")]
 COMMANDS = [["simulate"], ["simulate", "--checkpoints", "2"],
             ["converge", "--mode", "epsilon"], ["converge", "--mode", "dt"],
@@ -93,6 +94,11 @@ def with_value(section, key, value):
 @example(manifest=with_value("config", "T", 1e308), argv=["simulate"])
 @example(manifest=with_value("config", "T", 1e308),
          argv=["converge", "--mode", "epsilon"])
+@example(manifest=with_value("config", "T", 1e300), argv=["simulate"])
+@example(manifest=with_value("config", "T", 1e300),
+         argv=["converge", "--mode", "epsilon"])
+@example(manifest=with_value("config", "T", 500.0),
+         argv=["converge", "--mode", "dt"])
 @example(manifest=with_value("config", "initial_condition",
                              "file:/missing.json"), argv=["simulate"])
 @example(manifest=with_value("config", "dealias", "no"), argv=["simulate"])
@@ -111,6 +117,8 @@ def test_main_returns_a_documented_exit_code(manifest, argv):
         ("top", "output_dir", "manifest_in.json/out",
          "cannot create output_dir"),
         ("config", "T", 1e308, "T / dt overflows"),
+        ("config", "T", 1e300, "MAX_STEPS"),
+        ("config", "T", 1000.0001, "MAX_STEPS"),
         ("config", "initial_condition", "file:/missing.json",
          "bad initial_condition file /missing.json"),
         ("config", "dealias", "no", "dealias must be true or false"),
@@ -127,3 +135,11 @@ def test_bad_manifest_value_exits_2_naming_it(capsys, section, key, value,
     assert run_main(with_value(section, key, value), argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_converge_dt_level_past_max_steps_exits_2(capsys):
+    # 5e6 steps validate; the finest of three dt levels would take 2e7
+    argv = ["converge", "--mode", "dt"]
+    assert run_main(with_value("config", "T", 500.0), argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "MAX_STEPS" in err

@@ -14,7 +14,7 @@ from dcl.curves import (
     sup_distance,
     tangency_residual,
 )
-from dcl.errors import NoContraction, OutOfTubularNeighborhood
+from dcl.errors import NoContraction
 from dcl import flow
 from dcl.flow import (
     FlowConfig,
@@ -33,9 +33,7 @@ from dcl.flow import (
     evolve,
     mode_cutoff,
     picard_gain,
-    picard_solve,
     regularized_rhs,
-    step_projected_rk4,
 )
 from dcl.invariants import (
     oracle_latitude_circle,
@@ -249,7 +247,7 @@ def test_semigroup_matches_spectral_module():
 def test_picard_constant_curve_one_iteration():
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=32, dt=1e-3, T=1e-3,
                      integrator="DuhamelPicard")
-    traj = picard_solve(constant_curve(), cfg)
+    traj = evolve(constant_curve(), cfg)
     assert traj.picard_iterations == [1]
     assert sup_distance(traj.final, constant_curve()) <= 1e-14
 
@@ -257,7 +255,7 @@ def test_picard_constant_curve_one_iteration():
 def test_picard_agrees_with_rk4():
     gc = great_circle(32)
     base = dict(a=0.0, b=0.0, epsilon=1e-2, N_g=32, dt=1e-4, T=1e-4)
-    tp = picard_solve(gc, FlowConfig(integrator="DuhamelPicard", **base))
+    tp = evolve(gc, FlowConfig(integrator="DuhamelPicard", **base))
     tr = evolve(gc, FlowConfig(integrator="ProjectedRK4", **base), stride=1)
     assert h1_distance(tp.final, tr.final) <= 1e-10
 
@@ -265,10 +263,10 @@ def test_picard_agrees_with_rk4():
 def test_picard_tolerance_cauchy_property():
     c = random_smooth(SPHERE2, 32, seed=6, decay=1.5, amplitude=0.3)
     base = dict(a=0.0, b=0.3, epsilon=1e-2, N_g=32, dt=1e-4, T=1e-4)
-    coarse = picard_solve(
+    coarse = evolve(
         c, FlowConfig(integrator="DuhamelPicard", picard_tol=1e-6, **base)
     )
-    fine = picard_solve(
+    fine = evolve(
         c, FlowConfig(integrator="DuhamelPicard", picard_tol=5e-7, **base)
     )
     assert h1_distance(coarse.final, fine.final) <= 1e-6
@@ -295,12 +293,6 @@ def test_picard_no_contraction():
     assert traj.failure is not None and "NoContraction" in traj.failure
     # it fails in the first step
     assert traj.picard_iterations == [] and len(traj.states) == 1
-    # and the stepwise entry point raises the same condition
-    state = traj.states[-1]
-    with pytest.raises(NoContraction):
-        out = state
-        for _ in range(cfg.n_steps()):
-            out = picard_solve(out, cfg).final
 
 
 def test_picard_band_from_contraction_factor():
@@ -447,14 +439,8 @@ def test_picard_tube_guard():
     far = c.with_samples(c.samples * 1.6)  # distance 0.6 > tubular radius 0.5
     cfg = FlowConfig(a=0.0, b=0.0, epsilon=1e-2, N_g=32, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard")
-    with pytest.raises(OutOfTubularNeighborhood):
-        picard_solve(far, cfg)
-
-
-def test_picard_requires_positive_eps():
-    cfg = FlowConfig(a=0.0, b=0.0, epsilon=0.0, N_g=32, dt=1e-4, T=1e-4)
-    with pytest.raises(ValueError):
-        picard_solve(great_circle(32), cfg)
+    traj = evolve(far, cfg)
+    assert traj.failure.startswith("OutOfTubularNeighborhood")
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +468,14 @@ def test_stage_forms_third_order_rows_only_when_used():
 
 def test_rk4_constant_curve_fixed():
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=32, dt=1e-3, T=1e-3)
-    out = step_projected_rk4(constant_curve(), cfg)
+    out = evolve(constant_curve(), cfg).final
     assert sup_distance(out, constant_curve()) <= 1e-14
 
 
 def test_rk4_chart_line_exact_step():
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=32, dt=1e-4, T=1e-4)
     c = torus_geodesic(CHART_FLAT_TORUS2, 1, 0, n=32)
-    out = step_projected_rk4(c, cfg)
+    out = evolve(c, cfg).final
     expected = c.samples + np.array([0.5 * 1e-4, 0.0])
     assert np.max(np.abs(out.samples - expected)) <= 1e-12
 
@@ -500,7 +486,7 @@ def test_rk4_single_step_fifth_order_local_error():
     for dt in (4e-4, 2e-4):
         u0 = oracle_latitude_circle(theta, 0.0, 0.0, 0.0, 32)
         cfg = FlowConfig(a=0.0, b=0.0, epsilon=0.0, N_g=32, dt=dt, T=dt)
-        out = step_projected_rk4(u0, cfg)
+        out = evolve(u0, cfg).final
         errs.append(sup_distance(out, oracle_latitude_circle(theta, dt, 0.0, 0.0, 32)))
     # local error O(dt^5): halving dt shrinks it by about 32
     assert errs[0] / errs[1] >= 20
