@@ -146,8 +146,17 @@ def tangency_residual(curve, vectors):
     return float(np.max(np.abs(normal)))
 
 
-def _vectors(v):
-    return v.vectors if isinstance(v, TangentFieldOnCurve) else np.asarray(v, float)
+def _tower(manifold, base, field, j):
+    """[X, P D X, ..., (P D)^j X] of a (..., d, N) row field X along ``base``.
+
+    D is the spectral x-derivative and P the unchecked tangential
+    projection at the base rows: the one P D loop of the package, so its
+    callers check the base on the target once, at their entry.
+    """
+    out = [field]
+    for _ in range(j):
+        out.append(manifold._tangent(base, spectral._derivative(out[-1])))
+    return out
 
 
 def covariant_derivative(curve, vfield):
@@ -158,24 +167,26 @@ def covariant_derivative(curve, vfield):
     """
     if not isinstance(vfield, TangentFieldOnCurve):
         vfield = TangentFieldOnCurve(vfield, curve)  # checks the tangency
-    out = curve.manifold.tangent_project(
-        curve.samples, spectral.spectral_derivative(vfield.vectors)
-    )
-    return TangentFieldOnCurve(out, curve, validate=False)
+    rows = curve.samples.T
+    curve.manifold._require_on(rows)
+    out = _tower(curve.manifold, rows, vfield.vectors.T, 1)[1]
+    return TangentFieldOnCurve(out.T, curve, validate=False)
 
 
 def covariant_tower(curve, j):
     """[u_x, cov u_x, ..., cov^j u_x] by iterating the covariant derivative.
 
     Capped at j = 6: each level amplifies roundoff by one factor of the
-    top retained frequency, and nothing in the lab needs more.
+    top retained frequency, and nothing in the lab needs more.  One
+    on-target check (for j >= 1), then :func:`_tower`.
     """
     if not 0 <= j <= 6:
         raise ValueError("tower order must lie in [0, 6]")
-    fields = [curve.velocity_field()]
-    for _ in range(j):
-        fields.append(covariant_derivative(curve, fields[-1]))
-    return fields
+    m, rows = curve.manifold, curve.samples.T
+    if j:
+        m._require_on(rows)
+    return [TangentFieldOnCurve(f.T, curve, validate=False)
+            for f in _tower(m, rows, lifted_velocity(rows, m), j)]
 
 
 def sobolev_norm(curve, m):
@@ -189,19 +200,15 @@ def sobolev_norm(curve, m):
 
 def curvature_apply(k_gauss, x, y, z):
     """Constant-curvature tensor R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y), pointwise."""
-    bases = {id(v.base) for v in (x, y, z) if isinstance(v, TangentFieldOnCurve)}
-    if len(bases) > 1:
+    bases = [v.base for v in (x, y, z) if isinstance(v, TangentFieldOnCurve)]
+    if len({id(b) for b in bases}) > 1:
         raise ValueError("curvature arguments must share one base curve")
-    xv, yv, zv = _vectors(x), _vectors(y), _vectors(z)
+    xv, yv, zv = (v.vectors if isinstance(v, TangentFieldOnCurve)
+                  else np.asarray(v, float) for v in (x, y, z))
     gyz = (yv * zv).sum(axis=-1, keepdims=True)
     gxz = (xv * zv).sum(axis=-1, keepdims=True)
     out = k_gauss * (gyz * xv - gxz * yv)
-    base = next(
-        (v.base for v in (x, y, z) if isinstance(v, TangentFieldOnCurve)), None
-    )
-    if base is not None:
-        return TangentFieldOnCurve(out, base, validate=False)
-    return out
+    return TangentFieldOnCurve(out, bases[0], validate=False) if bases else out
 
 
 def h1_distance(c1, c2):
@@ -333,24 +340,20 @@ def identity_residuals(
     uses second-order centered differences in the family parameter and is
     O(fd_step^2).
     """
-    k_gauss = curve.manifold.gaussian_curvature
-    tower = covariant_tower(curve, l_max + 3)
+    m, base = curve.manifold, curve.samples.T
+    k_gauss = m.gaussian_curvature
+    tower = [f.vectors.T for f in covariant_tower(curve, l_max + 3)]  # checks
 
     third, third_rel = _pairings(tower[3:], tower)
 
-    j_field = curve.manifold.complex_structure(curve.samples, tower[1].vectors)
-    j_tower = [TangentFieldOnCurve(j_field, curve, validate=False)]
-    for _ in range(l_max + 1):
-        j_tower.append(covariant_derivative(curve, j_tower[-1]))
+    j_tower = _tower(m, base, m._j(base, tower[1]), l_max + 1)
     jpair, jpair_rel = _pairings(j_tower[1:], tower)
 
     rng = np.random.default_rng(seed)
     sym = 0.0
     for _ in range(n_quadruples):
         raw = rng.standard_normal((4,) + curve.samples.shape)
-        x, y, z, w = (
-            curve.manifold.tangent_project(curve.samples, r) for r in raw
-        )
+        x, y, z, w = (m._tangent(base, r.T).T for r in raw)
         lhs = (curvature_apply(k_gauss, x, y, z) * w).sum(axis=-1)
         rhs = (curvature_apply(k_gauss, w, z, y) * x).sum(axis=-1)
         sym = max(sym, float(np.max(np.abs(lhs - rhs))))
@@ -360,10 +363,10 @@ def identity_residuals(
 
 
 def _pairings(fields, others):
-    """|(a, b)| and |(a, b)| / (|a| |b|) of the l-th fields of two towers."""
+    """|(a, b)| and |(a, b)| / (|a| |b|) of the l-th rows of two towers."""
     raw, rel = {}, {}
     for l, (a, b) in enumerate(zip(fields, others)):
-        a, b = a.vectors, b.vectors
+        a, b = a.T, b.T
         raw[l] = abs(spectral.l2_inner(a, b))
         rel[l] = raw[l] / max(spectral.l2_norm(a) * spectral.l2_norm(b), 1e-300)
     return raw, rel
@@ -373,37 +376,26 @@ def _commutator_residuals(curve, l_max, family, h, seed):
     """L2 residuals of cov_t cov_x^l u_x = cov_x^{l+1} u_t + curvature terms."""
     if family is None:
         family = _default_family(curve, seed=seed)
-    manifold = curve.manifold
-    k_gauss = manifold.gaussian_curvature
-    center = family(0.0)
-    plus, minus = family(h), family(-h)
+    m, k_gauss = curve.manifold, curve.manifold.gaussian_curvature
+    center, plus, minus = family(0.0), family(h), family(-h)
+    base = center.samples.T
+    m._require_on(base)
+    u_t = m._tangent(base, (plus.samples - minus.samples).T / (2.0 * h))
 
-    def tangent(arr):
-        return manifold.tangent_project(center.samples, arr)
-
-    u_t = tangent((plus.samples - minus.samples) / (2.0 * h))
-    ut_field = TangentFieldOnCurve(u_t, center, validate=False)
-
-    tower_c = covariant_tower(center, l_max)
-    tower_p = covariant_tower(plus, l_max)
-    tower_m = covariant_tower(minus, l_max)
-
-    ut_tower = [ut_field]
-    for _ in range(l_max + 1):
-        ut_tower.append(covariant_derivative(center, ut_tower[-1]))
+    tower_c = _tower(m, base, lifted_velocity(base, m), l_max)
+    tower_p, tower_m = (
+        [f.vectors.T for f in covariant_tower(c, l_max)] for c in (plus, minus)
+    )
+    ut_tower = _tower(m, base, u_t, l_max + 1)
 
     out = {}
     for l in range(1, l_max + 1):
-        lhs = tangent(
-            (tower_p[l].vectors - tower_m[l].vectors) / (2.0 * h)
-        )
-        rhs = ut_tower[l + 1].vectors.copy()
+        lhs = m._tangent(base, (tower_p[l] - tower_m[l]) / (2.0 * h))
+        rhs = ut_tower[l + 1].copy()
         for j in range(l):
             term = curvature_apply(
-                k_gauss, ut_field, tower_c[0], tower_c[l - j - 1]
+                k_gauss, u_t.T, tower_c[0].T, tower_c[l - j - 1].T
             )
-            for _ in range(j):
-                term = covariant_derivative(center, term)
-            rhs += term.vectors
-        out[l] = float(spectral.l2_norm(lhs - rhs))
+            rhs += _tower(m, base, term.T, j)[-1]
+        out[l] = float(spectral.l2_norm((lhs - rhs).T))
     return out

@@ -45,7 +45,8 @@ Integrators
                    iteration exceeds 1/2; a run where that is mode 1
                    fails with NoContraction.
                    States may sit slightly off the target (inside the
-                   tube); their normal part then decays monotonically.
+                   tube); at a = b = 0 their normal part then decays
+                   monotonically (``dcl verify --suite maxprinciple``).
 ``IMEX``           First-order integrating-factor Euler step (same L and
                    stage), projected at the step end.  Cheap, for smoke runs.
 
@@ -62,8 +63,9 @@ The march stores every state, stage point and slope in the row layout
 axis, so each transform runs on ``axis=-1``, and the stepper's
 multipliers are rows over the rfft modes.  ``_march`` is where the
 layout changes: it takes u0 as (N, d) once and returns each snapshot as
-the transpose of its member's row state; the public references
-``dispersive_rhs`` and ``regularized_rhs`` stay (N, d).
+the transpose of its member's row state.  The public references
+``dispersive_rhs`` and ``regularized_rhs`` stay (N, d): each is one call
+of :func:`_assemble`, the one checked assembly of the reference RHS.
 
 Products of fields are cubic, so state and nonlinear terms are dealiased
 by the N/4 rule; the mask is part of the spatial discretization and is
@@ -78,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .curves import h1_distance, lift_trend, tangency_residual
+from .curves import h1_distance, lift_trend, lifted_velocity, tangency_residual
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -199,20 +201,35 @@ def _sq(v):
     return _dot(v, v)[..., None, :]
 
 
-def _gauss_tower(manifold, samples, vx, order):
+def _gauss_tower(manifold, base, vx, order):
     """Images of the covariant derivatives of u_x, assembled extrinsically.
 
     S[0] = v_x and S[k+1] = d_x S[k] - A(S[k], v_x) with A the second
-    fundamental form; each S[k] is tangent along the curve.
+    fundamental form; each S[k] is tangent along the curve.  Unchecked
+    (..., d, N) rows.
     """
     out = [vx]
     for _ in range(order):
-        cur = out[-1]
-        nxt = spectral.spectral_derivative(cur) - manifold.second_fundamental_form(
-            samples, cur, vx
-        )
-        out.append(nxt)
+        out.append(spectral._derivative(out[-1]) - manifold._sff(base, out[-1], vx))
     return out
+
+
+def _assemble(curve, a, b, eps=None):
+    """The reference RHS a S2 + J S1 + b |v_x|^2 v_x at an on-target curve.
+
+    The one assembly of both references: one on-target check, then the
+    unchecked kernels on the curve's (d, N) rows, returned as (N, d).  A
+    number ``eps``, 0 included, adds -eps (S3 - v_xxxx) first, the
+    lower-order part of the regularized flow's nonlinearity.
+    """
+    m, v = curve.manifold, curve.samples.T
+    m._require_on(v)
+    vx = lifted_velocity(v, m)
+    s = _gauss_tower(m, v, vx, 2 if eps is None else 3)
+    rhs = a * s[2]
+    if eps is not None:
+        rhs = -eps * (s[3] - spectral._derivative(vx, 3)) + rhs
+    return (rhs + m._j(v, s[1]) + b * _sq(vx) * vx).T
 
 
 def dispersive_rhs(curve, a, b):
@@ -221,11 +238,7 @@ def dispersive_rhs(curve, a, b):
     Raises TangencyViolation when the assembled field has a normal
     component beyond the under-resolution guard.
     """
-    m = curve.manifold
-    v = curve.samples
-    vx = curve.velocity()
-    _, s1, s2 = _gauss_tower(m, v, vx, 2)
-    rhs = a * s2 + m.complex_structure(v, s1) + b * _sq(vx.T).T * vx
+    rhs = _assemble(curve, a, b)
     res = tangency_residual(curve, rhs)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if res > RHS_TANGENCY_TOL * scale:
@@ -243,21 +256,10 @@ def regularized_rhs(curve, cfg):
     evaluated at the nearest-point projection of the state; the checked
     physical-space reference for the integrators' stage slope.
     """
-    m = curve.manifold
-    eps = cfg.epsilon
-    m.require_in_tube(curve.samples)
-    proj = m.project(curve.samples)
-    pvx = curve.with_samples(proj).velocity()
-    _, s1, s2, s3 = _gauss_tower(m, proj, pvx, 3)
-    proj4 = spectral.spectral_derivative(pvx, 3)
-    nonlinear = (
-        -eps * (s3 - proj4)
-        + cfg.a * s2
-        + m.complex_structure(proj, s1)
-        + cfg.b * _sq(pvx.T).T * pvx
-    )
+    proj, _ = curve.manifold.retract(curve.samples)
+    nonlinear = _assemble(curve.with_samples(proj), cfg.a, cfg.b, cfg.epsilon)
     raw4 = spectral.spectral_derivative(curve.velocity(), 3)
-    return -eps * raw4 + nonlinear
+    return -cfg.epsilon * raw4 + nonlinear
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .curves import ClosedCurve, lifted_velocity
+from .curves import ClosedCurve, _tower, lifted_velocity
 from .errors import UnsupportedCoefficients, WrongManifold
 from .manifolds import CHART_FLAT_TORUS2, SPHERE2, _dot
 
@@ -50,9 +50,10 @@ def _reports(curves, times, k):
     """EnergyReports of curves on one target and grid, E at curvature k.
 
     One tower t0 = u_x, t1 = P u_xx, t2 = P D t1, t3 = P D t2 (D = d/dx,
-    P the unchecked tangential projection) and, on the sphere, u_xxx: five
-    derivative transforms and one on-target check for the whole stack,
-    stored as (S, d, N) rows (the transpose of each curve's samples).
+    P the unchecked tangential projection; t1..t3 by ``curves._tower``)
+    and, on the sphere, u_xxx: five derivative transforms and one
+    on-target check for the whole stack, stored as (S, d, N) rows (the
+    transpose of each curve's samples).
     Reductions sum the ambient axis, then average the samples, as one
     curve's quadrature does, so each snapshot's values stand alone.
     """
@@ -61,9 +62,7 @@ def _reports(curves, times, k):
     manifold._require_on(samples)
     t0 = lifted_velocity(samples, manifold)
     uxx = spectral._derivative(t0)
-    t1 = manifold._tangent(samples, uxx)
-    t2 = manifold._tangent(samples, spectral._derivative(t1))
-    t3 = manifold._tangent(samples, spectral._derivative(t2))
+    t1, t2, t3 = _tower(manifold, samples, manifold._tangent(samples, uxx), 2)
     g00, g11 = _dot(t0, t0), _dot(t1, t1)
     sq = np.stack([g00, g11, _dot(t2, t2), _dot(t3, t3)]).mean(axis=-1)
     cubic = (g00**3).mean(axis=-1)

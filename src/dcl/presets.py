@@ -9,6 +9,9 @@ Descriptors:
                                       seeded curve with exponentially
                                       decaying spectrum
 * ``file:<path>``                     JSON file with a ``samples`` array
+
+Fields are comma-separated.  A descriptor with an empty, missing or
+extra field raises ConfigError, and so does one whose preset call fails.
 """
 
 import json
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import spectral
 from .curves import ClosedCurve
-from .errors import ConfigError
+from .errors import ConfigError, OutOfTubularNeighborhood
 from .manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 
 DEFAULT_DECAY = 0.5
@@ -113,40 +116,43 @@ def curve_from_file(path, manifold):
     try:
         with open(path, encoding="utf-8") as handle:
             samples = np.asarray(json.load(handle)["samples"], dtype=float)
+        return ClosedCurve(samples, manifold)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad initial_condition file {path}: {exc}") from exc
-    return ClosedCurve(samples, manifold)
+
+
+# (fewest, most) fields after the colon
+_FIELDS = {"great_circle": (0, 0), "latitude": (1, 1),
+           "torus_geodesic": (2, 2), "random_smooth": (0, 3)}
 
 
 def make_initial(descriptor, manifold, n, seed=0):
     """Resolve a descriptor string into a curve on ``manifold``."""
     if not isinstance(descriptor, str):
         raise ConfigError("initial-condition descriptor must be a string")
-    name, _, arg = descriptor.partition(":")
+    name, colon, arg = descriptor.partition(":")
+    if name == "file":
+        return curve_from_file(arg, manifold)
+    if name not in _FIELDS:
+        raise ConfigError(f"unknown initial-condition preset {name!r}")
+    fields = arg.split(",") if colon else []
+    low, high = _FIELDS[name]
+    if "" in fields or not low <= len(fields) <= high:
+        counts = str(low) if low == high else f"{low} to {high}"
+        raise ConfigError(f"bad initial_condition {descriptor!r}: {name} takes "
+                          f"{counts} nonempty fields after ':'")
+    if name in ("great_circle", "latitude") and manifold is not SPHERE2:
+        raise ConfigError(f"{name} lives on Sphere2")
     try:
         if name == "great_circle":
-            if manifold is not SPHERE2:
-                raise ConfigError("great_circle lives on Sphere2")
             return great_circle(n)
         if name == "latitude":
-            if manifold is not SPHERE2:
-                raise ConfigError("latitude lives on Sphere2")
-            return latitude_circle(float(arg), n)
+            return latitude_circle(float(fields[0]), n)
         if name == "torus_geodesic":
-            m1, m2 = (int(v) for v in arg.split(","))
-            return torus_geodesic(manifold, m1, m2, n)
-        if name == "random_smooth":
-            params = [v for v in arg.split(",") if v] if arg else []
-            use_seed = int(params[0]) if params else seed
-            decay = float(params[1]) if len(params) > 1 else DEFAULT_DECAY
-            amplitude = (
-                float(params[2]) if len(params) > 2 else DEFAULT_AMPLITUDE
-            )
-            return random_smooth(manifold, n, use_seed, decay, amplitude)
-        if name == "file":
-            return curve_from_file(arg, manifold)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad descriptor {descriptor!r}: {exc}") from exc
-    raise ConfigError(f"unknown initial-condition preset {name!r}")
+            return torus_geodesic(manifold, int(fields[0]), int(fields[1]), n)
+        numbers = [float(v) for v in fields[1:]]
+        decay, amplitude = numbers + [DEFAULT_DECAY, DEFAULT_AMPLITUDE][len(numbers):]
+        return random_smooth(manifold, n, int(fields[0]) if fields else seed,
+                             decay, amplitude)
+    except (ValueError, TypeError, OutOfTubularNeighborhood) as exc:
+        raise ConfigError(f"bad initial_condition {descriptor!r}: {exc}") from exc

@@ -360,6 +360,20 @@ def test_missing_manifest_is_config_error(tmp_path):
     assert main(["simulate", "--manifest", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("descriptor", [
+    "random_smooth:1,,2", "random_smooth:1,1,1,1", "great_circle:junk",
+    "random_smooth:1,1,1e308",
+])
+def test_bad_descriptor_exits_config_error(tmp_path, capsys, descriptor):
+    manifest = base_manifest(tmp_path / "out",
+                             config={"initial_condition": descriptor})
+    with np.errstate(all="ignore"):
+        code = main(["simulate", "--manifest", write_manifest(tmp_path, manifest)])
+    assert code == 2
+    assert f"config error: bad initial_condition {descriptor!r}" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"dt": float("nan")}, {"a": float("nan")}, {"T": 1.005e-3}],

@@ -27,7 +27,7 @@ def reference_remainder(curve, cfg):
     m = curve.manifold
     v = curve.samples
     vx = curve.velocity()
-    tower = _gauss_tower(m, v, vx, 3 if cfg.epsilon else 2)
+    tower = [s.T for s in _gauss_tower(m, v.T, vx.T, 3 if cfg.epsilon else 2)]
     s1, s2 = tower[1], tower[2]
     t2 = -spectral.spectral_derivative(
         m.second_fundamental_form(v, vx, vx)
