@@ -194,8 +194,8 @@ def _make_output_dir(manifest):
 
 def cmd_simulate(manifest, checkpoints_every=0):
     """Run one simulation and write its artifact; returns the exit code."""
-    out_dir = _make_output_dir(manifest)
     u0 = _initial_on_grid(manifest)
+    out_dir = _make_output_dir(manifest)
     trajectory = evolve(u0, manifest.config, stride=manifest.stride)
     rows = report_rows(trajectory)
     csv_text = rows_to_csv(rows)
@@ -249,16 +249,21 @@ def cmd_verify(suite, grids=(64, 128), seed=0):
 
 
 def cmd_converge(manifest, mode, levels=3):
-    """Self-refinement study in epsilon, grid size, or time step."""
+    """Self-refinement study in epsilon, grid size, or time step.
+
+    The output directory is made once the initial curve is built, so a
+    study that exits 2 on its configuration leaves nothing behind.
+    """
     if levels < 3:
         raise ConfigError("convergence studies need at least 3 levels")
-    out_dir = _make_output_dir(manifest)
     cfg = manifest.config
 
     if mode == "epsilon":
         base_eps = cfg.epsilon if cfg.epsilon > 0 else 1e-3
         eps_list = [base_eps * 0.5**i for i in range(levels)]
-        rows = epsilon_continuation(_initial_on_grid(manifest), cfg, eps_list)
+        u0 = _initial_on_grid(manifest)
+        _make_output_dir(manifest)
+        rows = epsilon_continuation(u0, cfg, eps_list)
         header = ["epsilon", "h1_to_zero", "h1_to_prev", "failure"]
         table = [
             [
@@ -308,7 +313,8 @@ def cmd_converge(manifest, mode, levels=3):
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(table)
-    _atomic_write(os.path.join(out_dir, f"converge_{mode}.csv"), buffer.getvalue())
+    _atomic_write(os.path.join(manifest.output_dir, f"converge_{mode}.csv"),
+                  buffer.getvalue())
     print(buffer.getvalue(), end="")
     return 0
 
@@ -318,7 +324,8 @@ def _run_levels(manifest, configs):
 
     The curve is built once on the finest grid and resampled onto each
     level's grid, so levels differ only in their discretization (a preset
-    drawn at each N separately need not be the same curve).
+    drawn at each N separately need not be the same curve).  The output
+    directory is made once the curve is built.
     """
     try:
         # a finer dt can take a level past MAX_STEPS
@@ -329,6 +336,7 @@ def _run_levels(manifest, configs):
         manifest.initial_condition, manifest.manifold,
         max(c.N_g for c in configs), manifest.seed,
     )
+    _make_output_dir(manifest)
     return [
         evolve(resample(u0, c.N_g), c, stride=n or 1)
         for c, n in zip(configs, steps)

@@ -32,6 +32,12 @@ Integrators
                    the target before running unchecked geometry kernels;
                    the step end's residual before projection comes from
                    the squared norms of its own retraction.
+                   The stability clamp, not N, sets the band, so the
+                   stages run on the stage grid: the smallest power of
+                   two M >= 16 that dealiases the band by the N/4 rule,
+                   capped at N.  Stage 1 slopes every (N/M)-th state
+                   sample and the step end zero-pads onto the curve grid;
+                   past N = 4 keep a step costs the same at every N.
                    The step acts on one curve (d, N) or on a stack
                    (B, d, N) whose members may carry their own eps; the
                    epsilon continuation marches its baseline and all
@@ -61,9 +67,13 @@ zero and is neither added nor subtracted.
 The march stores every state, stage point and slope in the row layout
 (..., d, N), components first and the samples on the contiguous last
 axis, so each transform runs on ``axis=-1``, and the stepper's
-multipliers are rows over the rfft modes.  ``_march`` is where the
-layout changes: it takes u0 as (N, d) once and returns each snapshot as
-the transpose of its member's row state.  The public references
+multipliers are rows over the stage grid's rfft modes.  States, their
+:func:`_lift`, the guards and the snapshots stay on the N curve
+samples; stage points and slopes live on the M stage samples, and a
+step moves between the grids only by strided views, an exact rescaling
+of coefficients and the zero-padding irfft of its end.  ``_march`` is
+where the layout changes: it takes u0 as (N, d) once and returns each
+snapshot as the transpose of its member's row state.  The public references
 ``dispersive_rhs`` and ``regularized_rhs`` stay (N, d): each is one call
 of :func:`_assemble`, the one checked assembly of the reference RHS.
 
@@ -326,30 +336,50 @@ def mode_cutoff(cfg, manifold, speed, kernel=None):
     return keep
 
 
+def stage_grid(n, keep):
+    """Points of the grid the RK4/IMEX stages run on, for a band of ``keep``.
+
+    The smallest power of two M >= 16 that dealiases the band by the N/4
+    rule (M // 4 >= keep), capped at the curve grid N, itself a power of
+    two: the stage grid is every (N/M)-th curve sample, and rescaling
+    coefficients between the grids is exact.
+    """
+    while n // 2 >= 16 and spectral.dealias_keep(n // 2) >= keep:
+        n //= 2
+    return n
+
+
 class _Stepper:
     """Spectral precomputation and the stage slope for one (config, grid) pair.
 
-    Multipliers are rows over the K rfft modes: the retained-band mask,
-    the masked integrating factors over a full and a half step, and d/dx
-    with its powers 1..3, or 1..2 when no slope term needs v_xxx (Nyquist
-    zeroed, as repeated first derivatives zero it).  ``eps`` defaults to
-    ``cfg.epsilon``; a sequence of B levels gives the integrating factors
-    and the slope's multipliers a leading member axis, (B, 1, K), for
-    stepping a (B, d, N) stack whose member i carries eps[i].  The band and
-    the derivative multipliers are shared by all members.
+    The stages run on the stage grid ``n`` (:func:`stage_grid` of the band;
+    the curve grid ``n_curve`` for DuhamelPicard, whose quadrature kernel
+    lives on the curve's modes).  The stability clamp, not N, sets the
+    band, so past N = 4 keep a stage costs the same at every N.
+    Multipliers are rows over the stage grid's K rfft modes: the
+    retained-band mask, the masked integrating factors over a full and a
+    half step, and d/dx with its powers 1..3, or 1..2 when no slope term
+    needs v_xxx (Nyquist zeroed, as repeated first derivatives zero it).
+    A given mode k has the same multipliers on every grid.  ``eps``
+    defaults to ``cfg.epsilon``; a sequence of B levels gives the
+    integrating factors and the slope's multipliers a leading member axis,
+    (B, 1, K), for stepping a (B, d, N) stack whose member i carries
+    eps[i].  The band and the derivative multipliers are shared by all
+    members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
     Duhamel propagator is the fourth-order heat semigroup alone, so for
     DuhamelPicard a*d_x^3 stays in the slope and the integrating factors
     go unused.  The slope's linear terms act on rfft coefficients:
     ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and, for
-    DuhamelPicard, ``c_v`` = a*d_x^3 on the state.
+    DuhamelPicard, ``c_v`` = a*d_x^3 on the state.  A term whose
+    coefficient is zero is not formed: b |v_x|^2 v_x at b = 0, a A1 and
+    a*d_x^3 at a = 0.
     """
 
     def __init__(self, cfg, manifold, n, speed=1.0, eps=None, kernel=None):
         self.cfg = cfg
         self.manifold = manifold
-        self.n = n
         self.eps = (cfg.epsilon if eps is None
                     else np.asarray(eps, dtype=float)[:, None, None])
         self.dispersion_in_slope = cfg.integrator == "DuhamelPicard"
@@ -357,11 +387,15 @@ class _Stepper:
         # v_xxx and t2 in physical space feed only a*S2 and the eps term:
         # without both, a stage makes 3 transform calls instead of 5
         self.third_order = self.dispersion_in_slope or self.regularized
-        k = spectral.wavenumbers(n)
+        # terms whose coefficient is zero are not formed
+        self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
+        keep = mode_cutoff(cfg, manifold, speed, kernel)
+        self.n_curve = n
+        self.n = n if self.dispersion_in_slope else stage_grid(n, keep)
+        k = spectral.wavenumbers(self.n)
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
         lam[..., -1] = lam[..., -1].real
-        keep = mode_cutoff(cfg, manifold, speed, kernel)
         self.mask = (k <= keep).astype(float)
         self.e_full = np.exp(cfg.dt * lam) * self.mask
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
@@ -376,7 +410,7 @@ class _Stepper:
         if self.regularized:
             self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
             self.c_a1 = self.eps * self.d1
-        if self.dispersion_in_slope:
+        if self.dispersion_in_slope and self.dispersive:
             self.c_v = cfg.a * self.d_pows[2]
 
     def slope(self, samples, trend, winding):
@@ -414,8 +448,13 @@ class _Stepper:
             vx = winding + vx
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
-        a1 = m._sff(proj, s1, vx)
-        rest = m._j(proj, s1) + cfg.b * _sq(vx) * vx - cfg.a * a1
+        rest = m._j(proj, s1)
+        if self.cubic:
+            rest = rest + cfg.b * _sq(vx) * vx
+        if self.dispersive or self.third_order:
+            a1 = m._sff(proj, s1, vx)
+        if self.dispersive:
+            rest = rest - cfg.a * a1
         if not self.third_order:
             a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]))
             return self.mask * (rest_hat + self.c_a0 * a0_hat)
@@ -425,7 +464,7 @@ class _Stepper:
         rest = rest + self.eps * m._sff(proj, s2, vx)
         a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]))
         out = rest_hat + self.c_a0 * a0_hat + self.c_a1 * a1_hat
-        if self.dispersion_in_slope:
+        if self.dispersion_in_slope and self.dispersive:
             out += self.c_v * coef
         return self.mask * out
 
@@ -445,25 +484,43 @@ def _lift(samples, manifold):
     return trend, winding, np.fft.rfft(periodic)
 
 
+def _on_stage_grid(st, samples, trend, v0):
+    """A state's samples, trend and V0 on the stage grid of ``st``.
+
+    The stage grid's points are every r-th curve sample, r = N/M, taken as
+    strided views (``grid(N)[::r]`` is ``grid(M)`` bit for bit), and its
+    coefficients are the first M/2+1 modes of V0 times M/N: the band lies
+    below M/4, and r is a power of two, so the rescaling is exact.
+    """
+    r = st.n_curve // st.n
+    if r == 1:
+        return samples, trend, v0
+    return (samples[..., ::r], trend[..., ::r],
+            v0[..., : st.n // 2 + 1] * (st.n / st.n_curve))
+
+
 def _rk4_step(samples, cfg, st, lifted=None):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
     ``samples`` is one curve (d, N) or a stack (..., d, N) on one grid;
     ``lifted`` is its :func:`_lift`, when the caller has it.  The periodic
-    part V0 of the state and the stage slopes stay in coefficient space;
-    each stage point and the step end is one irfft.  Returns the projected
-    state and each curve's largest residual before projection.
+    part V0 of the state and the stage slopes stay in coefficient space
+    on the stage grid; each later stage point is one irfft there, and the
+    step end one irfft onto the curve grid.  Returns the projected state
+    and each curve's largest residual before projection.
     """
     h = cfg.dt
     trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
     winds = winding.any()
+    points, stage_trend, v0 = _on_stage_grid(st, samples, trend, v0)
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
         point = np.fft.irfft(coef, n=st.n)
-        return st.slope(trend + point if winds else point, trend, winding)
+        return st.slope(stage_trend + point if winds else point,
+                        stage_trend, winding)
 
-    m1 = st.slope(samples, trend, winding)
+    m1 = st.slope(points, stage_trend, winding)
     m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
     m4 = slope(full_v0 + h * (st.e_half * m3))
@@ -476,14 +533,21 @@ def _rk4_step(samples, cfg, st, lifted=None):
 def _imex_step(samples, cfg, st, lifted=None):
     """Integrating-factor Euler step (first order), projected at the end."""
     trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
-    m1 = st.slope(samples, trend, winding)
+    points, stage_trend, v0 = _on_stage_grid(st, samples, trend, v0)
+    m1 = st.slope(points, stage_trend, winding)
     return _step_end(st, trend, winding, st.e_full * (v0 + cfg.dt * m1))
 
 
 def _step_end(st, trend, winding, coef):
-    """Guarded projection of trend + irfft(coef); (samples, residuals before)."""
+    """Guarded projection of trend + irfft(coef); (samples, residuals before).
+
+    ``coef`` holds stage-grid modes; rescaled by N/M, the irfft onto the
+    curve grid zero-pads them.
+    """
     m = st.manifold
-    pre = np.fft.irfft(coef, n=st.n)
+    if st.n != st.n_curve:
+        coef = coef * (st.n_curve / st.n)
+    pre = np.fft.irfft(coef, n=st.n_curve)
     if winding.any():
         pre = trend + pre
     if not np.all(np.isfinite(pre)):

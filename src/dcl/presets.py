@@ -98,9 +98,15 @@ def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
     else:
         raise ConfigError(f"random_smooth is not defined on {manifold.name}")
 
-    noise = amplitude * scale * _random_periodic_field(
-        n, manifold.ambient_dim, rng, decay
-    )
+    field = _random_periodic_field(n, manifold.ambient_dim, rng, decay)
+    # the targets' constraints take squared norms of the samples: an
+    # amplitude that overflows them is refused before numpy warns about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = amplitude * scale * field
+        finite = np.all(np.isfinite((noise * noise).sum(axis=-1)))
+    if not finite:
+        raise ValueError(f"amplitude {amplitude!r} overflows the squared "
+                         "norms of the perturbed curve")
     if manifold is CHART_FLAT_TORUS2:
         return ClosedCurve(base + noise, manifold)
 

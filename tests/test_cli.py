@@ -374,6 +374,32 @@ def test_bad_descriptor_exits_config_error(tmp_path, capsys, descriptor):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["converge", "--mode", "epsilon"],
+    ["converge", "--mode", "dt"], ["converge", "--mode", "grid"],
+], ids=["simulate", "converge-epsilon", "converge-dt", "converge-grid"])
+def test_config_error_leaves_no_output_dir(tmp_path, argv):
+    out = tmp_path / "out"
+    manifest = base_manifest(
+        out, config={"initial_condition": "random_smooth:1,,2"})
+    path = write_manifest(tmp_path, manifest)
+    assert main([argv[0], "--manifest", path, *argv[1:]]) == 2
+    assert not out.exists()
+
+
+def test_overflowing_amplitude_prints_only_the_config_error(tmp_path):
+    descriptor = "random_smooth:1,1,1e308"
+    manifest = base_manifest(tmp_path / "out",
+                             config={"initial_condition": descriptor})
+    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(
+        f"config error: bad initial_condition {descriptor!r}: amplitude "
+        "1e+308 overflows")
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"dt": float("nan")}, {"a": float("nan")}, {"T": 1.005e-3}],

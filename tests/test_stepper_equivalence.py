@@ -18,9 +18,12 @@ from dcl.flow import (
     _rk4_step,
     _sq,
     _Stepper,
+    mode_cutoff,
 )
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import random_smooth
+
+TWO_PI = 2.0 * np.pi
 
 
 def reference_remainder(curve, cfg):
@@ -42,20 +45,27 @@ def reference_remainder(curve, cfg):
 
 
 class Reference:
-    """Multipliers applied in physical space, one transform pair each."""
+    """Multipliers on the curve grid, applied in physical space, one
+    transform pair each."""
 
-    def __init__(self, st):
-        self.st = st
+    def __init__(self, cfg, manifold, n, speed):
+        k = spectral.wavenumbers(n)
+        lam = cfg.a * (1j * TWO_PI * k) ** 3 - cfg.epsilon * (TWO_PI * k) ** 4
+        lam[-1] = lam[-1].real
+        self.n = n
+        self.mask = (k <= mode_cutoff(cfg, manifold, speed)).astype(float)
+        self.e_full = np.exp(cfg.dt * lam) * self.mask
+        self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
     def apply(self, mult, arr):
         coef = np.fft.rfft(arr, axis=0) * mult[..., None]
-        return np.fft.irfft(coef, n=self.st.n, axis=0)
+        return np.fft.irfft(coef, n=self.n, axis=0)
 
     def nl(self, curve, cfg, samples):
         m = curve.manifold
         m.require_in_tube(samples)
         stage = curve.with_samples(m.project(samples))
-        return self.apply(self.st.mask, reference_remainder(stage, cfg))
+        return self.apply(self.mask, reference_remainder(stage, cfg))
 
     def finish(self, curve, pre):
         m = curve.manifold
@@ -64,7 +74,7 @@ class Reference:
         return curve.with_samples(m.project(pre)), residual
 
     def rk4_step(self, curve, cfg):
-        h, st = cfg.dt, self.st
+        h, st = cfg.dt, self
         trend = curve.trend()
         v0 = curve.samples
 
@@ -86,7 +96,7 @@ class Reference:
     def imex_step(self, curve, cfg):
         trend = curve.trend()
         pre = trend + self.apply(
-            self.st.e_full,
+            self.e_full,
             curve.samples - trend
             + cfg.dt * self.nl(curve, cfg, curve.samples),
         )
@@ -98,21 +108,31 @@ CASES = [
     (CLIFFORD_TORUS2, 0.0), (CLIFFORD_TORUS2, 3e-5),
     (CHART_FLAT_TORUS2, 0.0), (CHART_FLAT_TORUS2, 3e-5),
 ]
+CASES = [case + (128, 1e-5) for case in CASES] + [
+    # the band keeps 33-64 of 512 modes: stages on a grid of 256 points
+    (SPHERE2, 0.0, 1024, 1e-6), (CLIFFORD_TORUS2, 0.0, 1024, 1e-6),
+    (CHART_FLAT_TORUS2, 0.0, 1024, 2e-6),
+]
 
 
 @pytest.mark.parametrize(
-    "manifold,eps", CASES, ids=[f"{m.name}-eps{e:g}" for m, e in CASES]
+    "manifold,eps,n,dt", CASES,
+    ids=[f"{m.name}-eps{e:g}" + ("" if n == 128 else f"-N{n}")
+         for m, e, n, _ in CASES],
 )
 @pytest.mark.parametrize("integrator", ["ProjectedRK4", "IMEX"])
-def test_step_matches_physical_space_reference(manifold, eps, integrator):
-    u0 = random_smooth(manifold, 128, seed=5, decay=1.0, amplitude=0.2)
+def test_step_matches_physical_space_reference(manifold, eps, n, dt,
+                                               integrator):
+    u0 = random_smooth(manifold, n, seed=5, decay=1.0, amplitude=0.2)
     if manifold is CHART_FLAT_TORUS2:
         assert np.array_equal(u0.winding(), [1.0, 0.0])
-    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=128, dt=1e-5, T=1e-5,
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=dt, T=dt,
                      integrator=integrator)
     speed = float(np.max(np.abs(u0.velocity())))
-    st = _Stepper(cfg, manifold, 128, speed)
-    ref = Reference(st)
+    st = _Stepper(cfg, manifold, n, speed)
+    if n == 1024:
+        assert st.n == 256
+    ref = Reference(cfg, manifold, n, speed)
     if integrator == "ProjectedRK4":
         got, want = _rk4_step(u0.samples.T, cfg, st), ref.rk4_step(u0, cfg)
     else:
