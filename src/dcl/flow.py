@@ -32,12 +32,14 @@ Integrators
                    the target before running unchecked geometry kernels;
                    the step end's residual before projection comes from
                    the squared norms of its own retraction.
-                   The stability clamp, not N, sets the band, so the
-                   stages run on the stage grid: the smallest power of
-                   two M >= 16 that dealiases the band by the N/4 rule,
-                   capped at N.  Stage 1 slopes every (N/M)-th state
-                   sample and the step end zero-pads onto the curve grid;
-                   past N = 4 keep a step costs the same at every N.
+                   The stability clamp, not N, sets the band, so stages
+                   2-4 run on the stage grid: the smallest power of two
+                   M >= 16 that dealiases the band by the N/4 rule,
+                   capped at N.  Stage 1 slopes the state on the curve
+                   grid (the state is not band-limited, and a coarser
+                   grid would alias its tail into the band), and the step
+                   end zero-pads onto the curve grid; past N = 4 keep
+                   stages 2-4 cost the same at every N.
                    The step acts on one curve (d, N) or on a stack
                    (B, d, N) whose members may carry their own eps; the
                    epsilon continuation marches its baseline and all
@@ -67,14 +69,16 @@ zero and is neither added nor subtracted.
 The march stores every state, stage point and slope in the row layout
 (..., d, N), components first and the samples on the contiguous last
 axis, so each transform runs on ``axis=-1``, and the stepper's
-multipliers are rows over the stage grid's rfft modes.  States, their
-:func:`_lift`, the guards and the snapshots stay on the N curve
-samples; stage points and slopes live on the M stage samples, and a
-step moves between the grids only by strided views, an exact rescaling
-of coefficients and the zero-padding irfft of its end.  ``_march`` is
-where the layout changes: it takes u0 as (N, d) once and returns each
-snapshot as the transpose of its member's row state.  The public references
-``dispersive_rhs`` and ``regularized_rhs`` stay (N, d): each is one call
+multipliers are rows over rfft modes.  States, their :func:`_lift`,
+the guards and the snapshots stay on the N curve samples, and so does
+stage 1, the slope of the state itself; later stage points live on the
+M stage samples, and every slope, once taken, on the stage grid's
+modes.  A step moves between the grids only by an exact rescaling of
+coefficients, the strided view of the trend and the zero-padding irfft
+of its end.  ``_march`` is where the layout changes: it takes u0 as
+(N, d) once and returns each snapshot as the transpose of its member's
+row state.  The public references ``dispersive_rhs`` and
+``regularized_rhs`` stay (N, d): each is one call
 of :func:`_assemble`, the one checked assembly of the reference RHS.
 
 Products of fields are cubic, so state and nonlinear terms are dealiased
@@ -349,32 +353,65 @@ def stage_grid(n, keep):
     return n
 
 
+class _Modes:
+    """The stage slope's multipliers on the rfft modes of one grid.
+
+    Rows over the K modes of an ``n``-point grid: the retained-band mask,
+    d/dx with its powers 1..3, or 1..2 when no slope term needs v_xxx
+    (Nyquist zeroed, as repeated first derivatives zero it), and the
+    multipliers of the slope's linear terms: ``c_a0`` on A0 = A(v_x, v_x),
+    ``c_a1`` on A1 (eps term only) and, for DuhamelPicard at a != 0,
+    ``c_v`` = a*d_x^3 on the state.  A given mode k has the same
+    multipliers on every grid.
+    """
+
+    def __init__(self, st, n, keep):
+        cfg = st.cfg
+        self.n = n
+        self.k = spectral.wavenumbers(n)
+        self.mask = (self.k <= keep).astype(float)
+        self.d1 = 1j * TWO_PI * self.k
+        self.d1[-1] = 0.0
+        self.d_pows = np.stack([self.d1, self.d1**2, self.d1**3])
+        if not st.third_order:
+            self.d_pows = self.d_pows[:2]
+        # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
+        # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
+        self.c_a0 = -cfg.a * self.d1
+        if st.regularized:
+            self.c_a0 = self.c_a0 + st.eps * self.d_pows[1]
+            self.c_a1 = st.eps * self.d1
+        if st.dispersion_in_slope and st.dispersive:
+            self.c_v = cfg.a * self.d_pows[2]
+
+
 class _Stepper:
     """Spectral precomputation and the stage slope for one (config, grid) pair.
 
-    The stages run on the stage grid ``n`` (:func:`stage_grid` of the band;
-    the curve grid ``n_curve`` for DuhamelPicard, whose quadrature kernel
-    lives on the curve's modes).  The stability clamp, not N, sets the
-    band, so past N = 4 keep a stage costs the same at every N.
-    Multipliers are rows over the stage grid's K rfft modes: the
-    retained-band mask, the masked integrating factors over a full and a
-    half step, and d/dx with its powers 1..3, or 1..2 when no slope term
-    needs v_xxx (Nyquist zeroed, as repeated first derivatives zero it).
-    A given mode k has the same multipliers on every grid.  ``eps``
-    defaults to ``cfg.epsilon``; a sequence of B levels gives the
-    integrating factors and the slope's multipliers a leading member axis,
-    (B, 1, K), for stepping a (B, d, N) stack whose member i carries
-    eps[i].  The band and the derivative multipliers are shared by all
-    members.
+    The band is set first; the stages then run on the stage grid ``n``
+    (:func:`stage_grid` of the band; the curve grid ``n_curve`` for
+    DuhamelPicard, whose quadrature kernel lives on the curve's modes).
+    The stability clamp, not N, sets the band, so past N = 4 keep stages
+    2-4 cost the same at every N.  Stage 1 slopes the state itself, on
+    the curve grid: the state is not band-limited, and its samples on a
+    coarser grid would alias its tail into the band.  ``modes`` holds the
+    slope's :class:`_Modes` on both grids (one entry when they are the
+    same), and :meth:`slope` takes those of its input's grid; ``mask``,
+    ``d1`` and ``d_pows`` are the stage grid's.  The integrating factors
+    over a full and a half step, masked by the band, are rows over the
+    stage grid's modes.  ``eps`` defaults to ``cfg.epsilon``; a sequence
+    of B levels gives the integrating factors and the slope's multipliers
+    a leading member axis, (B, 1, K), for stepping a (B, d, N) stack whose
+    member i carries eps[i].  The band and the derivative multipliers are
+    shared by all members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
     Duhamel propagator is the fourth-order heat semigroup alone, so for
     DuhamelPicard a*d_x^3 stays in the slope and the integrating factors
-    go unused.  The slope's linear terms act on rfft coefficients:
-    ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and, for
-    DuhamelPicard, ``c_v`` = a*d_x^3 on the state.  A term whose
-    coefficient is zero is not formed: b |v_x|^2 v_x at b = 0, a A1 and
-    a*d_x^3 at a = 0.
+    go unused.  The slope's linear terms act on rfft coefficients.  The
+    terms added pointwise, or to the state's coefficients, are not formed
+    when their coefficient is zero: b |v_x|^2 v_x at b = 0, a A1 and, for
+    DuhamelPicard, a*d_x^3 at a = 0.
     """
 
     def __init__(self, cfg, manifold, n, speed=1.0, eps=None, kernel=None):
@@ -387,31 +424,19 @@ class _Stepper:
         # v_xxx and t2 in physical space feed only a*S2 and the eps term:
         # without both, a stage makes 3 transform calls instead of 5
         self.third_order = self.dispersion_in_slope or self.regularized
-        # terms whose coefficient is zero are not formed
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
         keep = mode_cutoff(cfg, manifold, speed, kernel)
         self.n_curve = n
         self.n = n if self.dispersion_in_slope else stage_grid(n, keep)
-        k = spectral.wavenumbers(self.n)
+        self.modes = {g: _Modes(self, g, keep) for g in {n, self.n}}
+        stage = self.modes[self.n]
+        self.mask, self.d1, self.d_pows = stage.mask, stage.d1, stage.d_pows
+        k = stage.k
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
         lam[..., -1] = lam[..., -1].real
-        self.mask = (k <= keep).astype(float)
         self.e_full = np.exp(cfg.dt * lam) * self.mask
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
-        self.d1 = 1j * TWO_PI * k
-        self.d1[-1] = 0.0
-        self.d_pows = np.stack([self.d1, self.d1**2, self.d1**3])
-        if not self.third_order:
-            self.d_pows = self.d_pows[:2]
-        # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
-        # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
-        self.c_a0 = -cfg.a * self.d1
-        if self.regularized:
-            self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
-            self.c_a1 = self.eps * self.d1
-        if self.dispersion_in_slope and self.dispersive:
-            self.c_v = cfg.a * self.d_pows[2]
 
     def slope(self, samples, trend, winding):
         """Masked rfft coefficients of the non-stiff remainder at a stage.
@@ -436,37 +461,37 @@ class _Stepper:
         pointwise for A(S2, v_x): five calls on 8 rows, P, [v_x, v_xx,
         v_xxx], A0, D A0 and [A1, rest].
         """
-        cfg, m, n, d1 = self.cfg, self.manifold, self.n, self.d1
+        cfg, m = self.cfg, self.manifold
+        g = self.modes[samples.shape[-1]]
         proj, _ = m._retract(samples)
         m._require_on(proj)
         winds = winding.any()
         coef = np.fft.rfft(proj - trend if winds else proj)
-        d_pows = self.d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + d1.shape)
-        rows = np.fft.irfft(d_pows * coef, n=n)
+        d_pows = g.d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + g.d1.shape)
+        rows = np.fft.irfft(d_pows * coef, n=g.n)
         vx, vxx = rows[0], rows[1]
         if winds:
             vx = winding + vx
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
+        a1 = m._sff(proj, s1, vx)
         rest = m._j(proj, s1)
         if self.cubic:
             rest = rest + cfg.b * _sq(vx) * vx
-        if self.dispersive or self.third_order:
-            a1 = m._sff(proj, s1, vx)
         if self.dispersive:
             rest = rest - cfg.a * a1
         if not self.third_order:
             a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]))
-            return self.mask * (rest_hat + self.c_a0 * a0_hat)
+            return g.mask * (rest_hat + g.c_a0 * a0_hat)
         a0_hat = np.fft.rfft(a0)
-        s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n) - a1
+        s2 = rows[2] - np.fft.irfft(g.d1 * a0_hat, n=g.n) - a1
         # a member at eps = 0 adds 0 * (...), which leaves it as is
         rest = rest + self.eps * m._sff(proj, s2, vx)
         a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]))
-        out = rest_hat + self.c_a0 * a0_hat + self.c_a1 * a1_hat
+        out = rest_hat + g.c_a0 * a0_hat + g.c_a1 * a1_hat
         if self.dispersion_in_slope and self.dispersive:
-            out += self.c_v * coef
-        return self.mask * out
+            out += g.c_v * coef
+        return g.mask * out
 
 
 def _lift(samples, manifold):
@@ -484,19 +509,11 @@ def _lift(samples, manifold):
     return trend, winding, np.fft.rfft(periodic)
 
 
-def _on_stage_grid(st, samples, trend, v0):
-    """A state's samples, trend and V0 on the stage grid of ``st``.
-
-    The stage grid's points are every r-th curve sample, r = N/M, taken as
-    strided views (``grid(N)[::r]`` is ``grid(M)`` bit for bit), and its
-    coefficients are the first M/2+1 modes of V0 times M/N: the band lies
-    below M/4, and r is a power of two, so the rescaling is exact.
-    """
-    r = st.n_curve // st.n
-    if r == 1:
-        return samples, trend, v0
-    return (samples[..., ::r], trend[..., ::r],
-            v0[..., : st.n // 2 + 1] * (st.n / st.n_curve))
+def _to_stage(st, coef):
+    """Stage-grid rfft coefficients of curve-grid ones: the first M/2+1
+    modes times M/N.  The band lies below M/4, and N/M is a power of two,
+    so a band-limited row is carried over exactly."""
+    return coef[..., : st.n // 2 + 1] * (st.n / st.n_curve)
 
 
 def _rk4_step(samples, cfg, st, lifted=None):
@@ -505,14 +522,18 @@ def _rk4_step(samples, cfg, st, lifted=None):
     ``samples`` is one curve (d, N) or a stack (..., d, N) on one grid;
     ``lifted`` is its :func:`_lift`, when the caller has it.  The periodic
     part V0 of the state and the stage slopes stay in coefficient space
-    on the stage grid; each later stage point is one irfft there, and the
-    step end one irfft onto the curve grid.  Returns the projected state
-    and each curve's largest residual before projection.
+    on the stage grid.  Stage 1 slopes the state on the curve grid; each
+    later stage point is one irfft on the stage grid, where its trend is
+    every (N/M)-th curve sample (``grid(N)[::r]`` is ``grid(M)`` bit for
+    bit), and the step end one irfft onto the curve grid.  Returns the
+    projected state and each curve's largest residual before projection.
     """
     h = cfg.dt
     trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
     winds = winding.any()
-    points, stage_trend, v0 = _on_stage_grid(st, samples, trend, v0)
+    m1 = _to_stage(st, st.slope(samples, trend, winding))
+    v0 = _to_stage(st, v0)
+    stage_trend = trend[..., :: st.n_curve // st.n]
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
@@ -520,7 +541,6 @@ def _rk4_step(samples, cfg, st, lifted=None):
         return st.slope(stage_trend + point if winds else point,
                         stage_trend, winding)
 
-    m1 = st.slope(points, stage_trend, winding)
     m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
     m4 = slope(full_v0 + h * (st.e_half * m3))
@@ -533,9 +553,9 @@ def _rk4_step(samples, cfg, st, lifted=None):
 def _imex_step(samples, cfg, st, lifted=None):
     """Integrating-factor Euler step (first order), projected at the end."""
     trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
-    points, stage_trend, v0 = _on_stage_grid(st, samples, trend, v0)
-    m1 = st.slope(points, stage_trend, winding)
-    return _step_end(st, trend, winding, st.e_full * (v0 + cfg.dt * m1))
+    m1 = _to_stage(st, st.slope(samples, trend, winding))
+    return _step_end(st, trend, winding,
+                     st.e_full * (_to_stage(st, v0) + cfg.dt * m1))
 
 
 def _step_end(st, trend, winding, coef):
@@ -545,9 +565,7 @@ def _step_end(st, trend, winding, coef):
     curve grid zero-pads them.
     """
     m = st.manifold
-    if st.n != st.n_curve:
-        coef = coef * (st.n_curve / st.n)
-    pre = np.fft.irfft(coef, n=st.n_curve)
+    pre = np.fft.irfft(coef * (st.n_curve / st.n), n=st.n_curve)
     if winding.any():
         pre = trend + pre
     if not np.all(np.isfinite(pre)):

@@ -1,8 +1,9 @@
 """The grid the RK4/IMEX stages run on, and what a step transforms there.
 
 The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
-stages run on the smallest grid that dealiases the band by the N/4 rule;
-only ``_lift`` and the step end transform all N curve samples.
+later stages run on the smallest grid that dealiases the band by the N/4
+rule; only ``_lift``, the slope of the state (stage 1) and the step end
+transform all N curve samples.
 """
 
 import numpy as np
@@ -82,15 +83,15 @@ def fft_sizes(monkeypatch):
     return calls
 
 
-def test_step_transforms_curve_grid_only_at_lift_and_end(fft_sizes):
+def test_step_transforms_curve_grid_only_at_lift_stage1_and_end(fft_sizes):
     n, m = 4096, 256
     u0 = random_smooth(SPHERE2, n, seed=11, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-6, T=2e-6)
     traj = evolve(u0, cfg)
     assert traj.failure is None and traj.final.n == n
-    # stage 1 slopes the state's every 16th sample: P, [v_x, v_xx] and
+    # stage 1 slopes the state on the curve grid: P, [v_x, v_xx] and
     # [A0, rest]; stages 2-4 first transform their point back
-    stages = [("rfft", m), ("irfft", m), ("rfft", m)] + 3 * [
+    stages = [("rfft", n), ("irfft", n), ("rfft", n)] + 3 * [
         ("irfft", m), ("rfft", m), ("irfft", m), ("rfft", m)]
     step = stages + [("irfft", n), ("rfft", n)]
     assert len(step) == 17
