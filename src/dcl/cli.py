@@ -29,7 +29,7 @@ import numpy as np
 from .curves import h1_distance, resample, sup_distance
 from .errors import ConfigError, DclError
 from .flow import FlowConfig, epsilon_continuation, evolve
-from .invariants import trajectory_reports
+from .invariants import energy_report, trajectory_reports
 from .manifolds import by_name
 from .presets import make_initial
 from .verify import SUITES, run_suite
@@ -166,6 +166,20 @@ def _checkpoint_payload(state, t):
     }
 
 
+def _initial_curve(manifest, n):
+    """The manifest's initial curve on ``n`` samples; one whose energy report
+    overflows (a chart-torus curve of huge amplitude) is a config error."""
+    descriptor = manifest.initial_condition
+    u0 = make_initial(descriptor, manifest.manifold, n, manifest.seed)
+    try:
+        with np.errstate(all="ignore"):
+            energy_report(u0)
+    except ValueError as exc:
+        raise ConfigError(f"bad initial_condition {descriptor!r}: the "
+                          f"initial curve's {exc}") from exc
+    return u0
+
+
 def _initial_on_grid(manifest):
     """The manifest's initial curve, which must have N_g samples.
 
@@ -173,9 +187,7 @@ def _initial_on_grid(manifest):
     the config grid cannot use (grid and dt studies resample instead).
     """
     n = manifest.config.N_g
-    u0 = make_initial(
-        manifest.initial_condition, manifest.manifold, n, manifest.seed
-    )
+    u0 = _initial_curve(manifest, n)
     if u0.n != n:
         raise ConfigError(
             f"initial curve has {u0.n} samples, config N_g is {n}"
@@ -332,10 +344,7 @@ def _run_levels(manifest, configs):
         steps = [c.n_steps() for c in configs]
     except ValueError as exc:
         raise ConfigError(f"bad flow config: {exc}") from exc
-    u0 = make_initial(
-        manifest.initial_condition, manifest.manifold,
-        max(c.N_g for c in configs), manifest.seed,
-    )
+    u0 = _initial_curve(manifest, max(c.N_g for c in configs))
     _make_output_dir(manifest)
     return [
         evolve(resample(u0, c.N_g), c, stride=n or 1)
@@ -384,7 +393,7 @@ def main(argv=None):
         if args.command == "verify":
             if args.suite not in SUITES:
                 raise ConfigError(
-                    f"unknown suite {args.suite!r}; choose from {SUITES}"
+                    f"unknown suite {args.suite!r}; choose from {tuple(SUITES)}"
                 )
             grids = tuple(int(g) for g in args.grids.split(",") if g)
             if not grids:

@@ -50,8 +50,9 @@ Integrators
                    nodes in one call of the RK4 stage slope, which then
                    also carries a*d_x^3 (5 calls on 8 rows).  The band
                    keeps the modes below the first whose linear gain per
-                   iteration exceeds 1/2; a run where that is mode 1
-                   fails with NoContraction.
+                   iteration exceeds 1/2, read off the one quadrature
+                   kernel that :class:`_PicardWorkspace` builds; a run
+                   where that is mode 1 fails with NoContraction.
                    States may sit slightly off the target (inside the
                    tube); at a = b = 0 their normal part then decays
                    monotonically (``dcl verify --suite maxprinciple``).
@@ -60,11 +61,12 @@ Integrators
 
 ``_march`` is the one step loop: ``evolve`` is its single member, and
 ``epsilon_continuation`` marches the eps = 0 baseline and every level as
-one stack with per-member guards.  It transforms each accepted state once
-(:func:`_lift`): that rfft of its periodic part feeds the H2 blow-up
-guard and the next step's V0, or the Picard free term, so at stride 1 the
-guard costs no transform of its own.  Off the chart torus the trend is
-zero and is neither added nor subtracted.
+one stack with per-member guards.  It decides the run's band once and
+hands it to every stepper it builds.  It transforms each accepted state
+once (:func:`_lift`): that rfft of its periodic part feeds the H2
+blow-up guard and the next step's V0, or the Picard free term, so at
+stride 1 the guard costs no transform of its own.  Off the chart torus
+the trend is zero and is neither added nor subtracted.
 
 The march stores every state, stage point and slope in the row layout
 (..., d, N), components first and the samples on the contiguous last
@@ -291,47 +293,26 @@ STABILITY_EDGE = 2.5
 PICARD_GAIN = 0.5
 
 
-def mode_cutoff(cfg, manifold, speed, kernel=None):
+def mode_cutoff(cfg, manifold, speed):
     """Highest retained frequency for one run on ``manifold``.
 
-    The explicit stages see an effective second-order operator; modes
-    beyond the stability edge of the classical four-stage scheme must be
-    masked or roundoff there is amplified by orders of magnitude per
-    step.  ``speed`` is the largest |v_x| of the data.  The remainder
-    terms carry the target's second fundamental form, so their
+    A pinned ``cfg.mode_cutoff`` wins, else the dealias band.  For
+    ProjectedRK4/IMEX the explicit stages see an effective second-order
+    operator; modes beyond the stability edge of the classical four-stage
+    scheme must be masked or roundoff there is amplified by orders of
+    magnitude per step.  ``speed`` is the largest |v_x| of the data.  The
+    remainder terms carry the target's second fundamental form, so their
     coefficient grows with its largest principal curvature (floored at
     1, which leaves the sphere and the flat chart as they were).
-
-    For DuhamelPicard the band is instead the run of modes 0, 1, ... up
-    to the last one before the first whose :func:`picard_gain` exceeds
-    PICARD_GAIN; when that is mode 1, no band can contract and
-    NoContraction is raised.  ``kernel`` is the caller's unmasked fused
-    quadrature kernel on modes 0..N/2, from which the gains are read
-    instead of building the quadrature again.
+    DuhamelPicard ignores ``speed``: :class:`_PicardWorkspace` narrows
+    the band by the gain of its iteration instead.
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
     keep = cfg.N_g // 2
     if cfg.dealias:
         keep = spectral.dealias_keep(cfg.N_g)
-    if cfg.integrator == "DuhamelPicard":
-        # the third-derivative term is explicit in the Duhamel integrand.
-        # Its gain rises from 0 at k = 0, peaks and falls again where the
-        # semigroup smooths; modes past the peak stay out even where their
-        # gain is small again, which keeps the band one run of modes
-        if cfg.a:
-            k = np.arange(keep + 1)
-            gain = (picard_gain(cfg, k) if kernel is None
-                    else _gain(cfg, kernel[..., : keep + 1], k))
-            over = np.flatnonzero(gain > PICARD_GAIN)
-            if over.size:
-                keep = int(over[0]) - 1
-            if keep < 1:
-                raise NoContraction(
-                    f"Picard band keeps no mode k >= 1: rho_1 = {gain[1]:.3f} "
-                    f"exceeds PICARD_GAIN = {PICARD_GAIN}; reduce dt"
-                )
-    else:
+    if cfg.integrator != "DuhamelPicard":
         coeff = (1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)) * max(
             manifold.principal_curvature, 1.0
         )
@@ -388,22 +369,22 @@ class _Modes:
 class _Stepper:
     """Spectral precomputation and the stage slope for one (config, grid) pair.
 
-    The band is set first; the stages then run on the stage grid ``n``
-    (:func:`stage_grid` of the band; the curve grid ``n_curve`` for
-    DuhamelPicard, whose quadrature kernel lives on the curve's modes).
-    The stability clamp, not N, sets the band, so past N = 4 keep stages
-    2-4 cost the same at every N.  Stage 1 slopes the state itself, on
-    the curve grid: the state is not band-limited, and its samples on a
-    coarser grid would alias its tail into the band.  ``modes`` holds the
-    slope's :class:`_Modes` on both grids (one entry when they are the
-    same), and :meth:`slope` takes those of its input's grid; ``mask``,
-    ``d1`` and ``d_pows`` are the stage grid's.  The integrating factors
-    over a full and a half step, masked by the band, are rows over the
-    stage grid's modes.  ``eps`` defaults to ``cfg.epsilon``; a sequence
-    of B levels gives the integrating factors and the slope's multipliers
-    a leading member axis, (B, 1, K), for stepping a (B, d, N) stack whose
-    member i carries eps[i].  The band and the derivative multipliers are
-    shared by all members.
+    The caller decides the band ``keep`` once per run (:func:`mode_cutoff`,
+    or the Picard workspace's gain edge); the stages run on the stage
+    grid ``n`` (:func:`stage_grid` of the band; the curve grid ``n_curve``
+    for DuhamelPicard, whose quadrature kernel lives on the curve's
+    modes).  Stage 1 slopes the state itself, on the curve grid: the
+    state is not band-limited, and its samples on a coarser grid would
+    alias its tail into the band.  ``modes`` holds the slope's
+    :class:`_Modes` on both grids (one entry when they are the same), and
+    :meth:`slope` takes those of its input's grid; ``mask``, ``d1`` and
+    ``d_pows`` are the stage grid's.  The integrating factors over a full
+    and a half step, masked by the band, are rows over the stage grid's
+    modes.  ``eps`` holds one level per member: B > 1 levels give the
+    integrating factors and the slope's multipliers a leading member
+    axis, (B, 1, K), for a (B, d, N) stack whose member i carries eps[i];
+    one level gives them none, so it steps a (d, N) curve or a stack.
+    The band and the derivative multipliers are shared by all members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
     Duhamel propagator is the fourth-order heat semigroup alone, so for
@@ -414,18 +395,18 @@ class _Stepper:
     DuhamelPicard, a*d_x^3 at a = 0.
     """
 
-    def __init__(self, cfg, manifold, n, speed=1.0, eps=None, kernel=None):
+    def __init__(self, cfg, manifold, n, keep, eps):
         self.cfg = cfg
         self.manifold = manifold
-        self.eps = (cfg.epsilon if eps is None
-                    else np.asarray(eps, dtype=float)[:, None, None])
+        self.keep = keep
+        eps = np.asarray(eps, dtype=float)
+        self.eps = eps[:, None, None] if eps.size > 1 else eps.reshape(1, 1)
         self.dispersion_in_slope = cfg.integrator == "DuhamelPicard"
         self.regularized = bool(np.any(self.eps))
         # v_xxx and t2 in physical space feed only a*S2 and the eps term:
         # without both, a stage makes 3 transform calls instead of 5
         self.third_order = self.dispersion_in_slope or self.regularized
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
-        keep = mode_cutoff(cfg, manifold, speed, kernel)
         self.n_curve = n
         self.n = n if self.dispersion_in_slope else stage_grid(n, keep)
         self.modes = {g: _Modes(self, g, keep) for g in {n, self.n}}
@@ -516,20 +497,19 @@ def _to_stage(st, coef):
     return coef[..., : st.n // 2 + 1] * (st.n / st.n_curve)
 
 
-def _rk4_step(samples, cfg, st, lifted=None):
+def _rk4_step(samples, cfg, st, lifted):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
     ``samples`` is one curve (d, N) or a stack (..., d, N) on one grid;
-    ``lifted`` is its :func:`_lift`, when the caller has it.  The periodic
-    part V0 of the state and the stage slopes stay in coefficient space
-    on the stage grid.  Stage 1 slopes the state on the curve grid; each
+    ``lifted`` is its :func:`_lift`.  The periodic part V0 of the state
+    and the stage slopes stay in coefficient space on the stage grid.  Stage 1 slopes the state on the curve grid; each
     later stage point is one irfft on the stage grid, where its trend is
     every (N/M)-th curve sample (``grid(N)[::r]`` is ``grid(M)`` bit for
     bit), and the step end one irfft onto the curve grid.  Returns the
     projected state and each curve's largest residual before projection.
     """
     h = cfg.dt
-    trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
+    trend, winding, v0 = lifted
     winds = winding.any()
     m1 = _to_stage(st, st.slope(samples, trend, winding))
     v0 = _to_stage(st, v0)
@@ -550,9 +530,9 @@ def _rk4_step(samples, cfg, st, lifted=None):
     return _step_end(st, trend, winding, end)
 
 
-def _imex_step(samples, cfg, st, lifted=None):
+def _imex_step(samples, cfg, st, lifted):
     """Integrating-factor Euler step (first order), projected at the end."""
-    trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
+    trend, winding, v0 = lifted
     m1 = _to_stage(st, st.slope(samples, trend, winding))
     return _step_end(st, trend, winding,
                      st.e_full * (_to_stage(st, v0) + cfg.dt * m1))
@@ -579,14 +559,14 @@ def _step_end(st, trend, winding, coef):
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_quadrature(cfg, k, mask=1.0):
+def _duhamel_quadrature(cfg, k):
     """Gauss nodes, fused quadrature kernel and decay at wavenumbers ``k``.
 
     Targets s_i are the q Gauss nodes of [0, dt] and dt.  ``kernel[i, j, m]``
     maps mode k[m] of the nonlinearity at node j to the Duhamel integral at
     s_i (inner Gauss rule on [0, s_i] of the Lagrange interpolant, times
     the decay over s_i - tau); the decay over s_i is returned as the third
-    item.  Both carry ``mask``.
+    item.
     """
     q = cfg.quadrature_nodes
     nodes, _ = spectral.gauss_legendre(q, 0.0, cfg.dt)
@@ -594,7 +574,7 @@ def _duhamel_quadrature(cfg, k, mask=1.0):
     k4 = (TWO_PI * k) ** 4
 
     def decay(t):
-        return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
+        return np.exp(-cfg.epsilon * t[..., None] * k4)
 
     # row i holds the inner rule on [0, s_i]; one interpolation call for all
     tau, w = spectral.gauss_legendre(q, 0.0, targets[:, None])
@@ -607,20 +587,16 @@ def _duhamel_quadrature(cfg, k, mask=1.0):
     return nodes, kernel, decay(targets)
 
 
-def picard_gain(cfg, k):
+def _gain(cfg, kernel, k):
     """Linear gain of one Picard iteration at each wavenumber ``k``.
 
-    The iteration maps the node values of mode k through
+    ``kernel`` is the unmasked fused quadrature kernel at ``k``.  The
+    iteration maps the node values of mode k through
     a (2 pi i k)^3 kernel[:q, :, k]; its spectral radius is the factor by
     which the error of that mode shrinks (or grows) per iteration.  This
     is the discrete face of the smoothing bound
     ||d_x^3 exp(-eps t d_x^4)|| <= C (eps t)^(-3/4).
     """
-    return _gain(cfg, _duhamel_quadrature(cfg, k)[1], k)
-
-
-def _gain(cfg, kernel, k):
-    """:func:`picard_gain` read off an unmasked kernel at wavenumbers ``k``."""
     q = cfg.quadrature_nodes
     blocks = np.moveaxis(kernel[:q], -1, 0)
     radius = np.abs(np.linalg.eigvals(blocks)).max(axis=-1)
@@ -628,21 +604,38 @@ def _gain(cfg, kernel, k):
 
 
 class _PicardWorkspace:
-    """Stage slope, nodes, fused quadrature kernel and semigroup decay.
+    """Band, stage slope, nodes, fused quadrature kernel and semigroup decay.
 
-    ``kernel`` and ``prop0`` are those of :func:`_duhamel_quadrature` on
-    the rfft modes, masked by the band of ``stepper``, whose ``slope`` is
-    the nonlinearity.  The quadrature is built once: the automatic band
-    reads its gains off the unmasked kernel.  ``pairs`` is ``kernel``
-    with each mode repeated for the real and the imaginary part, the
-    kernel of the float view of (..., d, K) complex rows.
+    The quadrature is built once, on the rfft modes, and the band read
+    off it: :func:`mode_cutoff`'s, cut at a != 0 below the first mode
+    whose :func:`_gain` exceeds PICARD_GAIN (NoContraction when that is
+    mode 1).  ``stepper``, whose ``slope`` is the nonlinearity, has that
+    band, and ``kernel`` and ``prop0`` are masked by it.  ``pairs`` is
+    ``kernel`` with each mode repeated for the real and the imaginary
+    part, the kernel of the float view of (..., d, K) complex rows.
     """
 
     def __init__(self, cfg, manifold, n):
         self.nodes, kernel, prop0 = _duhamel_quadrature(
             cfg, spectral.wavenumbers(n)
         )
-        self.stepper = _Stepper(cfg, manifold, n, kernel=kernel)
+        keep = mode_cutoff(cfg, manifold, None)
+        if cfg.a and not cfg.mode_cutoff:
+            # a*d_x^3 is explicit in the Duhamel integrand.  Its gain rises
+            # from 0 at k = 0, peaks and falls again where the semigroup
+            # smooths; modes past the peak stay out even where their gain
+            # is small again, which keeps the band one run of modes
+            k = np.arange(keep + 1)
+            gain = _gain(cfg, kernel[..., : keep + 1], k)
+            over = np.flatnonzero(gain > PICARD_GAIN)
+            if over.size:
+                keep = int(over[0]) - 1
+            if keep < 1:
+                raise NoContraction(
+                    f"Picard band keeps no mode k >= 1: rho_1 = {gain[1]:.3f} "
+                    f"exceeds PICARD_GAIN = {PICARD_GAIN}; reduce dt"
+                )
+        self.stepper = _Stepper(cfg, manifold, n, keep, [cfg.epsilon])
         mask = self.stepper.mask
         self.kernel, self.prop0 = kernel * mask, prop0 * mask
         self.pairs = np.repeat(self.kernel, 2, axis=-1)
@@ -655,17 +648,16 @@ class _PicardWorkspace:
         self.h1_weights[1:-1] *= 2.0
 
 
-def _picard_step(samples, cfg, ws, lifted=None):
+def _picard_step(cfg, ws, lifted):
     """Solve the mild form on [0, dt]; returns (state at dt, iterations).
 
-    ``samples`` is one curve's (d, N) rows.  Each iteration advances all
-    targets at once from one stage slope of the (q, d, N) stack of node
-    states.  ``lifted`` is the :func:`_lift` of ``samples``, when the
-    caller has it.
+    ``lifted`` is the :func:`_lift` of one curve's (d, N) rows.  Each
+    iteration advances all targets at once from one stage slope of the
+    (q, d, N) stack of node states.
     """
     st = ws.stepper
     n, q = st.n, ws.nodes.size
-    trend, winding, v0 = _lift(samples, st.manifold) if lifted is None else lifted
+    trend, winding, v0 = lifted
     winds = winding.any()
     # initial guess: pure semigroup evolution of the data
     free = ws.prop0[:, None, :] * v0
@@ -719,17 +711,17 @@ def _h2_weights(n):
     return weights
 
 
-def _extrinsic_h2(samples, manifold, lifted=None):
+def _extrinsic_h2(samples, lifted):
     """H2 norm of the velocity by plain spectral derivatives.
 
     Valid for states slightly off the target (unlike the covariant norm),
     which is all the blow-up guard needs.  By Parseval on one transform
-    of the periodic part (``lifted``, the :func:`_lift` of the samples,
-    when the caller has it): |W|^2 plus the power of D^j of it for
-    j = 1..3.  One norm per curve of a (..., d, N) stack.
+    of the periodic part (``lifted``, the :func:`_lift` of the samples):
+    |W|^2 plus the power of D^j of it for j = 1..3.  One norm per curve
+    of a (..., d, N) stack.
     """
     n = samples.shape[-1]
-    _, winding, coef = _lift(samples, manifold) if lifted is None else lifted
+    _, winding, coef = lifted
     power = _ambient_sum(coef.real**2 + coef.imag**2) * _h2_weights(n)
     total = _dot(winding, winding)[..., 0] + 2.0 * power.sum(axis=-1) / n**2
     return np.sqrt(total)
@@ -789,21 +781,20 @@ def _march(u0, cfg, stride, levels=None):
             return trajs
 
         def advance(rows, lifted, members):
-            end, iterations = _picard_step(rows[0], cfg, ws,
-                                           [x[0] for x in lifted])
+            end, iterations = _picard_step(cfg, ws, [x[0] for x in lifted])
             trajs[0].picard_iterations.append(iterations)
-            end = end[None]
-            return end, m._residual(m._sq_norms(end)).max(axis=-1)
+            return end[None], m._residual(m._sq_norms(end[None])).max(axis=-1)
     else:
-        # the largest |v_x| of the data fixes the RK4 stability band
-        speed = float(np.max(np.abs(u0.velocity())))
+        # the largest |v_x| of the data fixes the RK4 stability band, which
+        # every set of live members shares
+        keep = mode_cutoff(cfg, m, float(np.max(np.abs(u0.velocity()))))
         step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
 
         # built once per set of live members
         @lru_cache(maxsize=None)
         def stepper(members):
-            eps = [configs[i].epsilon for i in members]
-            return _Stepper(cfg, m, u0.n, speed, eps=eps)
+            return _Stepper(cfg, m, u0.n, keep,
+                            [configs[i].epsilon for i in members])
 
         def advance(rows, lifted, members):
             return step_fn(rows, cfg, stepper(tuple(members)), lifted)
@@ -813,7 +804,7 @@ def _march(u0, cfg, stride, levels=None):
     state = np.stack([u0.samples.T] * len(live))
     # one transform per state: the H2 guard and the next step share it
     lifted = _lift(state, m)
-    guard = _extrinsic_h2(state, m, lifted)  # indexed by member
+    guard = _extrinsic_h2(state, lifted)  # indexed by member
     for k in range(1, n_steps + 1):
         try:
             state, residuals = advance(state, lifted, live)
@@ -838,7 +829,7 @@ def _march(u0, cfg, stride, levels=None):
         lifted = _lift(state, m)
         if k % stride:
             continue
-        norms = _extrinsic_h2(state, m, lifted)
+        norms = _extrinsic_h2(state, lifted)
         blown = _h2_blowup(norms, guard[live])
         for j, i in enumerate(live):
             if blown[j]:

@@ -25,9 +25,6 @@ from .invariants import (
 )
 from .manifolds import CHART_FLAT_TORUS2, MANIFOLDS
 
-SUITES = ("identities", "projections", "oracles", "maxprinciple", "smoothing")
-
-
 @dataclass
 class Check:
     name: str
@@ -229,15 +226,17 @@ def suite_smoothing(seed=0):
     return checks
 
 
+# suite name -> suite, called with (grids, seed); listed in this order
+SUITES = {
+    "identities": suite_identities,
+    "projections": suite_projections,
+    "oracles": suite_oracles,
+    "maxprinciple": lambda grids, seed: suite_maxprinciple(seed),
+    "smoothing": lambda grids, seed: suite_smoothing(seed),
+}
+
+
 def run_suite(name, grids=(64, 128), seed=0):
-    if name == "projections":
-        return suite_projections(grids, seed)
-    if name == "identities":
-        return suite_identities(grids, seed)
-    if name == "oracles":
-        return suite_oracles(grids, seed)
-    if name == "maxprinciple":
-        return suite_maxprinciple(seed)
-    if name == "smoothing":
-        return suite_smoothing(seed)
-    raise KeyError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    return SUITES[name](grids, seed)

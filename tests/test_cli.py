@@ -387,17 +387,37 @@ def test_config_error_leaves_no_output_dir(tmp_path, argv):
     assert not out.exists()
 
 
-def test_overflowing_amplitude_prints_only_the_config_error(tmp_path):
-    descriptor = "random_smooth:1,1,1e308"
-    manifest = base_manifest(tmp_path / "out",
-                             config={"initial_condition": descriptor})
-    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+@pytest.mark.parametrize(
+    "manifold,descriptor,message,command",
+    [
+        # the squared norms of the perturbed curve overflow
+        ("Sphere2", "random_smooth:1,1,1e308", "amplitude 1e+308 overflows",
+         ["simulate"]),
+        # the curve and its squared norms are finite, its energy is not
+        ("ChartFlatTorus2", "random_smooth:1,1,1e150",
+         "the initial curve's energy report entries must be finite",
+         ["simulate"]),
+        ("ChartFlatTorus2", "random_smooth:1,1,1e150",
+         "the initial curve's energy report entries must be finite",
+         ["converge", "--mode", "epsilon"]),
+        ("ChartFlatTorus2", "random_smooth:1,1,1e150",
+         "the initial curve's energy report entries must be finite",
+         ["converge", "--mode", "dt"]),
+    ],
+    ids=["sphere-simulate", "chart-simulate", "chart-converge-epsilon",
+         "chart-converge-dt"],
+)
+def test_overflowing_amplitude_prints_only_the_config_error(
+        tmp_path, manifold, descriptor, message, command):
+    manifest = base_manifest(tmp_path / "out", config={
+        "manifold": manifold, "initial_condition": descriptor})
+    proc = run_cli(*command, "--manifest", write_manifest(tmp_path, manifest))
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(
-        f"config error: bad initial_condition {descriptor!r}: amplitude "
-        "1e+308 overflows")
+        f"config error: bad initial_condition {descriptor!r}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,11 @@ from dcl.flow import (
     FlowConfig,
     _duhamel_quadrature,
     _imex_step,
+    _lift,
     _rk4_step,
     _sq,
     _Stepper,
+    mode_cutoff,
 )
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import random_smooth
@@ -84,16 +86,19 @@ def test_slope_matches_physical_space_reference(manifold, case):
     if case == "eps0-single":
         samples, speed = stage_points(manifold, [5])
         cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
-        st = _Stepper(cfg, manifold, 64, speed)
+        st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, speed),
+                      [cfg.epsilon])
     elif case == "mixed-stack":
         samples, speed = stage_points(manifold, [5, 6, 7])
         cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
-        st = _Stepper(cfg, manifold, 64, speed, eps=[0.0, 3e-5, 1e-4])
+        st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, speed),
+                      [0.0, 3e-5, 1e-4])
     else:
         samples, speed = stage_points(manifold, [5, 6])
         cfg = FlowConfig(a=0.7, b=0.5, epsilon=1e-2, N_g=64, dt=1e-4,
                          T=1e-4, integrator="DuhamelPicard", mode_cutoff=16)
-        st = _Stepper(cfg, manifold, 64, speed)
+        st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, speed),
+                      [cfg.epsilon])
     trend, winding = lift_trend(swap(samples), manifold)
     want = reference_slope(st, samples, swap(trend), winding[..., 0])
     got = swap(st.slope(swap(samples), trend, winding))
@@ -127,10 +132,11 @@ def test_step_transform_calls(fft_calls, integrator, eps, want):
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=64, dt=1e-5, T=1e-5,
                      integrator=integrator)
-    st = _Stepper(cfg, SPHERE2, 64)
+    st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0),
+                  [cfg.epsilon])
     step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
     before = len(fft_calls)
-    step(u0.samples.T, cfg, st)
+    step(u0.samples.T, cfg, st, _lift(u0.samples.T, SPHERE2))
     assert len(fft_calls) - before == want
 
 
@@ -162,6 +168,7 @@ def test_fused_quadrature_bitwise_equals_per_target_rules(q, dt):
                      integrator="DuhamelPicard", quadrature_nodes=q)
     k = spectral.wavenumbers(64)
     mask = (k <= 12).astype(float)
-    for got, want in zip(_duhamel_quadrature(cfg, k, mask),
+    nodes, kernel, decay = _duhamel_quadrature(cfg, k)
+    for got, want in zip((nodes, kernel * mask, decay * mask),
                          reference_quadrature(cfg, k, mask)):
         assert np.array_equal(got, want)

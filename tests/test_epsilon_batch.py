@@ -11,14 +11,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dcl import flow
 from dcl.curves import h1_distance
 from dcl.flow import (
     FlowConfig,
     _imex_step,
+    _lift,
     _rk4_step,
     _Stepper,
     epsilon_continuation,
     evolve,
+    mode_cutoff,
 )
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import random_smooth
@@ -106,6 +109,33 @@ def test_guard_trips_give_per_level_rows(horizon, eps_list, tripped):
     assert rows[2]["failure"].startswith(tripped)
 
 
+@pytest.mark.parametrize(
+    "horizon,eps_list",
+    [(0.2, [1e-3, 3e-4, 1e-4]), (4e-3, [3e-4, 2e-4, 1e-4])],
+    ids=["non-finite", "h2-guard"],
+)
+def test_band_is_decided_once_per_run(monkeypatch, horizon, eps_list):
+    # the guard-trip continuations above freeze members at different steps,
+    # so they build a stepper for each set of live members; all of them
+    # share the one band the march decided
+    calls = []
+    cutoff = flow.mode_cutoff
+
+    def counted(*args):
+        calls.append(args)
+        return cutoff(*args)
+
+    monkeypatch.setattr(flow, "mode_cutoff", counted)
+    u0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1,
+                       amplitude=0.18)
+    cfg = FlowConfig(a=1.0, b=5.0, epsilon=0.0, N_g=64, dt=1e-3, T=horizon,
+                     mode_cutoff=16)
+    with np.errstate(all="ignore"):
+        rows = epsilon_continuation(u0, cfg, eps_list)
+    assert all(r["failure"] for r in rows)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("manifold", TARGETS, ids=lambda m: m.name)
 @pytest.mark.parametrize("step_fn", [_rk4_step, _imex_step],
                          ids=["rk4", "imex"])
@@ -116,10 +146,13 @@ def test_stacked_step_equals_member_steps(manifold, step_fn):
     levels = [0.0, 3e-5, 1e-4]
     speed = float(np.max(np.abs(members[0].velocity())))
     stack = np.stack([u.samples.T for u in members])
-    stepped = step_fn(stack, cfg, _Stepper(cfg, manifold, 128, speed,
-                                           eps=levels))[0]
+    keep = mode_cutoff(cfg, manifold, speed)
+    stepped = step_fn(stack, cfg, _Stepper(cfg, manifold, 128, keep, levels),
+                      _lift(stack, manifold))[0]
     for eps, u, got in zip(levels, members, stepped):
         cfg_eps = replace(cfg, epsilon=eps)
-        st = _Stepper(cfg_eps, manifold, 128, speed)
-        want = step_fn(u.samples.T, cfg_eps, st)[0]
+        st = _Stepper(cfg_eps, manifold, 128,
+                      mode_cutoff(cfg_eps, manifold, speed), [eps])
+        want = step_fn(u.samples.T, cfg_eps, st,
+                       _lift(u.samples.T, manifold))[0]
         assert np.array_equal(got, want)

@@ -32,7 +32,6 @@ from dcl.flow import (
     epsilon_continuation,
     evolve,
     mode_cutoff,
-    picard_gain,
     regularized_rhs,
 )
 from dcl.invariants import (
@@ -48,6 +47,11 @@ TWO_PI = 2.0 * np.pi
 
 def constant_curve(n=32):
     return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)
+
+
+def picard_band(cfg):
+    """The band a DuhamelPicard run on the sphere decides at set-up."""
+    return _PicardWorkspace(cfg, SPHERE2, cfg.N_g).stepper.keep
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +312,14 @@ def test_picard_band_from_contraction_factor():
     c = ClosedCurve(samples, SPHERE2)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=4e-3,
                      integrator="DuhamelPicard", picard_tol=1e-10)
-    gain = picard_gain(cfg, np.arange(17))
+    k = np.arange(17)
+    gain = _gain(cfg, _duhamel_quadrature(cfg, k)[1], k)
     assert gain[0] == 0.0 and gain[5] <= 0.5 < gain[6] and gain[7] > 0.9
-    assert mode_cutoff(cfg, SPHERE2, 1.0) == 5
-    assert mode_cutoff(replace(cfg, dt=1e-4), SPHERE2, 1.0) == 6
+    assert picard_band(cfg) == 5
+    assert picard_band(replace(cfg, dt=1e-4)) == 6
     # a pinned band wins; without the third-derivative term the gain is 0
-    assert mode_cutoff(replace(cfg, mode_cutoff=16), SPHERE2, 1.0) == 16
-    assert mode_cutoff(replace(cfg, a=0.0), SPHERE2, 1.0) == 16
+    assert picard_band(replace(cfg, mode_cutoff=16)) == 16
+    assert picard_band(replace(cfg, a=0.0)) == 16
     traj = evolve(c, cfg, stride=1)
     assert traj.failure is None
     assert len(traj.picard_iterations) == 20
@@ -327,9 +332,10 @@ def test_picard_band_without_a_contracting_mode_fails_early():
     # step left the tube (distance 1); now the set-up names the cause
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=32, dt=3e-2, T=3e-2,
                      integrator="DuhamelPicard")
-    assert picard_gain(cfg, np.arange(2))[1] > 0.5
+    k = np.arange(2)
+    assert _gain(cfg, _duhamel_quadrature(cfg, k)[1], k)[1] > 0.5
     with pytest.raises(NoContraction, match="reduce dt"):
-        mode_cutoff(cfg, SPHERE2, 1.0)
+        picard_band(cfg)
     traj = evolve(great_circle(32), cfg)
     assert traj.failure.startswith("NoContraction")
     assert "rho_1 = 0.635" in traj.failure and "PICARD_GAIN" in traj.failure
@@ -344,7 +350,7 @@ def test_fused_quadrature_matches_per_target_loop():
     ws = _PicardWorkspace(cfg, SPHERE2, 64)
     q = cfg.quadrature_nodes
     k4 = (TWO_PI * spectral.wavenumbers(64)) ** 4
-    mask = spectral.wavenumbers(64) <= mode_cutoff(cfg, SPHERE2, 1.0)
+    mask = spectral.wavenumbers(64) <= ws.stepper.keep
     rng = np.random.default_rng(7)
     f_hat = rng.standard_normal((q, 33, 3)) + 1j * rng.standard_normal((q, 33, 3))
     fused = np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
@@ -374,10 +380,12 @@ def test_picard_workspace_builds_quadrature_once(monkeypatch):
     ws = _PicardWorkspace(cfg, SPHERE2, 64)
     assert len(calls) == 1
     monkeypatch.undo()
-    keep = mode_cutoff(cfg, SPHERE2, 1.0)
+    keep = ws.stepper.keep
     assert keep == 5 and ws.stepper.mask.sum() == keep + 1
     k = spectral.wavenumbers(64)
-    want = _duhamel_quadrature(cfg, k, (k <= keep).astype(float))
+    mask = (k <= keep).astype(float)
+    nodes, kernel, decay = _duhamel_quadrature(cfg, k)
+    want = nodes, kernel * mask, decay * mask
     for got, ref in zip((ws.nodes, ws.kernel, ws.prop0), want):
         assert np.array_equal(got, ref)
 
@@ -392,7 +400,8 @@ def test_picard_gain_read_off_full_kernel_bitwise(n, q, dt):
     k = np.arange(keep + 1)
     _, kernel, _ = _duhamel_quadrature(cfg, spectral.wavenumbers(n))
     got = _gain(cfg, kernel[..., : keep + 1], k)
-    assert got.tobytes() == picard_gain(cfg, k).tobytes()
+    want = _gain(cfg, _duhamel_quadrature(cfg, k)[1], k)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_picard_contraction_on_float_view_bitwise():
@@ -455,7 +464,9 @@ def test_stage_forms_third_order_rows_only_when_used():
     base = dict(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
 
     def rows(cfg, eps=None):
-        return _Stepper(cfg, SPHERE2, 64, eps=eps).d_pows.shape[0]
+        keep = mode_cutoff(cfg, SPHERE2, 1.0)
+        return _Stepper(cfg, SPHERE2, 64, keep,
+                        eps or [cfg.epsilon]).d_pows.shape[0]
 
     assert rows(FlowConfig(**base)) == 2
     assert rows(FlowConfig(integrator="IMEX", **base)) == 2
@@ -565,13 +576,15 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
     if integrator == "DuhamelPicard":
         ws = _PicardWorkspace(cfg, manifold, 64)
     else:
-        st = _Stepper(cfg, manifold, 64, float(np.max(np.abs(u0.velocity()))))
+        keep = mode_cutoff(cfg, manifold, float(np.max(np.abs(u0.velocity()))))
+        st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
     for state in traj.states[1:]:
+        lifted = _lift(samples.T, manifold)
         if integrator == "DuhamelPicard":
-            samples = _picard_step(samples.T, cfg, ws)[0].T
+            samples = _picard_step(cfg, ws, lifted)[0].T
         else:
             step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
-            samples = step(samples.T, cfg, st)[0].T
+            samples = step(samples.T, cfg, st, lifted)[0].T
         assert samples.tobytes() == state.samples.tobytes()
 
 
@@ -643,7 +656,8 @@ def test_extrinsic_h2_matches_derivative_chain(manifold):
         if manifold is CHART_FLAT_TORUS2:
             assert c.winding().any()
         want = parent_extrinsic_h2(c)
-        assert abs(_extrinsic_h2(c.samples.T, c.manifold) - want) <= 1e-13 * want
+        lifted = _lift(c.samples.T, c.manifold)
+        assert abs(_extrinsic_h2(c.samples.T, lifted) - want) <= 1e-13 * want
         # the cached Parseval weights and a shared transform change no bit
         k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
         k2[-1] = 0.0
@@ -654,10 +668,9 @@ def test_extrinsic_h2_matches_derivative_chain(manifold):
                  * (k2 + k2**2 + k2**3))
         inline = np.sqrt((winding * winding).sum(axis=-1)
                          + 2.0 * power.sum(axis=-1) / n**2)
-        got = _extrinsic_h2(c.samples.T, manifold)
+        got = _extrinsic_h2(c.samples.T, _lift(c.samples.T, manifold))
         assert got == inline
-        assert got == _extrinsic_h2(c.samples.T, manifold,
-                                    _lift(c.samples.T, manifold))
+        assert got == _extrinsic_h2(c.samples.T, _lift(c.samples.T, manifold))
 
 
 @pytest.mark.parametrize(

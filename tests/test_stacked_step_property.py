@@ -15,7 +15,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dcl.flow import FlowConfig, _imex_step, _rk4_step, _Stepper  # noqa: E402
+from dcl.flow import (  # noqa: E402
+    FlowConfig,
+    _imex_step,
+    _lift,
+    _rk4_step,
+    _Stepper,
+    mode_cutoff,
+)
 from dcl.manifolds import MANIFOLDS  # noqa: E402
 from dcl.presets import random_smooth  # noqa: E402
 
@@ -41,10 +48,13 @@ def test_stacked_step_equals_member_steps(manifold, step_fn, eps, seed):
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=N, dt=1e-5, T=1e-5)
     speed = float(np.max(np.abs(members[0].velocity())))
     stack = np.stack([u.samples.T for u in members])
-    st_stack = _Stepper(cfg, manifold, N, speed, eps=eps)
-    stepped = step_fn(stack, cfg, st_stack)[0]
+    st_stack = _Stepper(cfg, manifold, N, mode_cutoff(cfg, manifold, speed),
+                        eps)
+    stepped = step_fn(stack, cfg, st_stack, _lift(stack, manifold))[0]
     for level, u, got in zip(eps, members, stepped):
         cfg_level = replace(cfg, epsilon=level)
-        want = step_fn(u.samples.T, cfg_level,
-                       _Stepper(cfg_level, manifold, N, speed))[0]
+        st = _Stepper(cfg_level, manifold, N,
+                      mode_cutoff(cfg_level, manifold, speed), [level])
+        want = step_fn(u.samples.T, cfg_level, st,
+                       _lift(u.samples.T, manifold))[0]
         assert np.array_equal(got, want)

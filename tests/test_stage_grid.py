@@ -38,12 +38,12 @@ def test_stepper_stage_grid_follows_the_band():
     u0 = random_smooth(SPHERE2, 4096, seed=11, decay=1.1, amplitude=0.18)
     speed = float(np.max(np.abs(u0.velocity())))
     cfg = FlowConfig(a=1.0, b=0.5, N_g=4096, dt=1e-6, T=1e-6)
-    st = _Stepper(cfg, SPHERE2, 4096, speed)
     keep = mode_cutoff(cfg, SPHERE2, speed)
+    st = _Stepper(cfg, SPHERE2, 4096, keep, [cfg.epsilon])
     assert keep == 46 and st.n == 256 and st.n_curve == 4096
     assert st.mask.shape == (129,) and st.mask.sum() == keep + 1
     for eps in ([0.0], [0.0, 1e-4, 5e-5]):
-        assert _Stepper(cfg, SPHERE2, 4096, speed, eps=eps).n == 256
+        assert _Stepper(cfg, SPHERE2, 4096, keep, eps).n == 256
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -51,7 +51,8 @@ def test_stage_grid_is_curve_grid_for_a_wide_pinned_band(n):
     for cutoff in (n // 4, n // 2):
         cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-5, T=1e-5,
                          mode_cutoff=cutoff)
-        assert _Stepper(cfg, SPHERE2, n, 5.0).n == n
+        keep = mode_cutoff(cfg, SPHERE2, 5.0)
+        assert _Stepper(cfg, SPHERE2, n, keep, [cfg.epsilon]).n == n
 
 
 @pytest.mark.parametrize("a,cutoff", [(0.0, 0), (1.0, 0), (1.0, 5)])

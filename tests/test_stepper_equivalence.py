@@ -15,6 +15,7 @@ from dcl.flow import (
     FlowConfig,
     _gauss_tower,
     _imex_step,
+    _lift,
     _rk4_step,
     _sq,
     _Stepper,
@@ -133,7 +134,8 @@ def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay,
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=dt, T=dt,
                      integrator=integrator)
     speed = float(np.max(np.abs(u0.velocity())))
-    st = _Stepper(cfg, manifold, n, speed)
+    st = _Stepper(cfg, manifold, n, mode_cutoff(cfg, manifold, speed),
+                  [cfg.epsilon])
     if n == 1024:
         assert st.n == 256
     if decay < 1.0:
@@ -141,8 +143,10 @@ def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay,
         assert np.abs(tail).max() / n > 1e-9
     ref = Reference(cfg, manifold, n, speed)
     if integrator == "ProjectedRK4":
-        got, want = _rk4_step(u0.samples.T, cfg, st), ref.rk4_step(u0, cfg)
+        got = _rk4_step(u0.samples.T, cfg, st, _lift(u0.samples.T, manifold))
+        want = ref.rk4_step(u0, cfg)
     else:
-        got, want = _imex_step(u0.samples.T, cfg, st), ref.imex_step(u0, cfg)
+        got = _imex_step(u0.samples.T, cfg, st, _lift(u0.samples.T, manifold))
+        want = ref.imex_step(u0, cfg)
     assert np.max(np.abs(got[0].T - want[0].samples)) <= 1e-13
     assert abs(got[1] - want[1]) <= 1e-13
