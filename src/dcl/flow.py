@@ -24,21 +24,26 @@ Integrators
                    viable at all.  State and stage slopes live in rfft
                    coefficients, and so do the slope's linear terms (D A0,
                    D t2): when every member has eps = 0 a stage makes 3
-                   transform calls on 5 rows and a step 17; otherwise t2
-                   is needed pointwise and a stage makes 5 calls on 8
-                   rows, a step 25.  Each stage retracts its point once
-                   (``retract``: tube check and projection from one
-                   squared norm per point) and checks the projection on
-                   the target before running unchecked geometry kernels;
-                   the step end's residual before projection comes from
-                   the squared norms of its own retraction.
+                   transform calls on 5 rows; otherwise t2 is needed
+                   pointwise and a stage makes 5 calls on 8 rows.  Stage 1
+                   takes the state as the last step end accepted it, with
+                   the rfft the march made of it, so it saves the first
+                   call and a step makes 16 calls, or 24.  Stages 2-4
+                   retract their point once (``retract``: tube check and
+                   projection from one squared norm per point) and check
+                   the projection on the target before running unchecked
+                   geometry kernels; the step end retracts and checks the
+                   state it accepts, and its residual before projection
+                   comes from the squared norms of that retraction.  The
+                   march retracts and checks u0 once, at entry.
                    The stability clamp, not N, sets the band, so stages
                    2-4 run on the stage grid: the smallest power of two
                    M >= 16 that dealiases the band by the N/4 rule,
                    capped at N.  Stage 1 slopes the state on the curve
                    grid (the state is not band-limited, and a coarser
-                   grid would alias its tail into the band), and the step
-                   end zero-pads onto the curve grid; past N = 4 keep
+                   grid would alias its tail into the band) and combines
+                   its terms on the stage grid's modes alone, and the
+                   step end zero-pads onto the curve grid; past N = 4 keep
                    stages 2-4 cost the same at every N.
                    The step acts on one curve (d, N) or on a stack
                    (B, d, N) whose members may carry their own eps; the
@@ -64,8 +69,8 @@ Integrators
 one stack with per-member guards.  It decides the run's band once and
 hands it to every stepper it builds.  It transforms each accepted state
 once (:func:`_lift`): that rfft of its periodic part feeds the H2
-blow-up guard and the next step's V0, or the Picard free term, so at
-stride 1 the guard costs no transform of its own.  Off the chart torus
+blow-up guard and the next step's V0 and stage 1, or the Picard free
+term, so at stride 1 the guard costs no transform of its own.  Off the chart torus
 the trend is zero and is neither added nor subtracted.
 
 The march stores every state, stage point and slope in the row layout
@@ -334,36 +339,12 @@ def stage_grid(n, keep):
     return n
 
 
-class _Modes:
-    """The stage slope's multipliers on the rfft modes of one grid.
-
-    Rows over the K modes of an ``n``-point grid: the retained-band mask,
-    d/dx with its powers 1..3, or 1..2 when no slope term needs v_xxx
-    (Nyquist zeroed, as repeated first derivatives zero it), and the
-    multipliers of the slope's linear terms: ``c_a0`` on A0 = A(v_x, v_x),
-    ``c_a1`` on A1 (eps term only) and, for DuhamelPicard at a != 0,
-    ``c_v`` = a*d_x^3 on the state.  A given mode k has the same
-    multipliers on every grid.
-    """
-
-    def __init__(self, st, n, keep):
-        cfg = st.cfg
-        self.n = n
-        self.k = spectral.wavenumbers(n)
-        self.mask = (self.k <= keep).astype(float)
-        self.d1 = 1j * TWO_PI * self.k
-        self.d1[-1] = 0.0
-        self.d_pows = np.stack([self.d1, self.d1**2, self.d1**3])
-        if not st.third_order:
-            self.d_pows = self.d_pows[:2]
-        # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
-        # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
-        self.c_a0 = -cfg.a * self.d1
-        if st.regularized:
-            self.c_a0 = self.c_a0 + st.eps * self.d_pows[1]
-            self.c_a1 = st.eps * self.d1
-        if st.dispersion_in_slope and st.dispersive:
-            self.c_v = cfg.a * self.d_pows[2]
+def _derivatives(n, orders):
+    """Rows (i 2 pi k)^j, j = 1..``orders``, over the rfft modes of ``n``
+    points; d/dx drops the Nyquist mode, as repeated derivatives do."""
+    d1 = 1j * TWO_PI * spectral.wavenumbers(n)
+    d1[-1] = 0.0
+    return np.stack([d1, d1**2, d1**3][:orders])
 
 
 class _Stepper:
@@ -373,18 +354,24 @@ class _Stepper:
     or the Picard workspace's gain edge); the stages run on the stage
     grid ``n`` (:func:`stage_grid` of the band; the curve grid ``n_curve``
     for DuhamelPicard, whose quadrature kernel lives on the curve's
-    modes).  Stage 1 slopes the state itself, on the curve grid: the
-    state is not band-limited, and its samples on a coarser grid would
-    alias its tail into the band.  ``modes`` holds the slope's
-    :class:`_Modes` on both grids (one entry when they are the same), and
-    :meth:`slope` takes those of its input's grid; ``mask``, ``d1`` and
-    ``d_pows`` are the stage grid's.  The integrating factors over a full
-    and a half step, masked by the band, are rows over the stage grid's
-    modes.  ``eps`` holds one level per member: B > 1 levels give the
-    integrating factors and the slope's multipliers a leading member
-    axis, (B, 1, K), for a (B, d, N) stack whose member i carries eps[i];
-    one level gives them none, so it steps a (d, N) curve or a stack.
-    The band and the derivative multipliers are shared by all members.
+    modes).  Stage 1 slopes the state itself, on the curve grid, by
+    :meth:`remainder` from the state's own transform: the state is not
+    band-limited, and its samples on a coarser grid would alias its tail
+    into the band.  ``derivs`` holds d/dx and its powers
+    1..3, or 1..2 when no slope term needs v_xxx, on both grids (one
+    entry when they are the same), and the slope takes those of its
+    input's grid; ``d_pows`` and ``d1`` are the stage grid's.  Every
+    slope, from either grid, is combined on the stage grid's modes only:
+    the retained-band ``mask`` and the multipliers of the slope's linear
+    terms, ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only)
+    and, for DuhamelPicard at a != 0, ``c_v`` = a*d_x^3 on the state,
+    are rows over them.  So are the integrating factors over a full and a
+    half step, masked by the band.  ``eps`` holds one level per member:
+    B > 1 levels give the integrating factors and the slope's multipliers
+    a leading member axis, (B, 1, K), for a (B, d, N) stack whose member
+    i carries eps[i]; one level gives them none, so it steps a (d, N)
+    curve or a stack.  The band and the derivative multipliers are shared
+    by all members.
 
     The stiff part L holds -eps*d_x^4 and, for RK4/IMEX, a*d_x^3.  The
     Duhamel propagator is the fourth-order heat semigroup alone, so for
@@ -409,10 +396,20 @@ class _Stepper:
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
         self.n_curve = n
         self.n = n if self.dispersion_in_slope else stage_grid(n, keep)
-        self.modes = {g: _Modes(self, g, keep) for g in {n, self.n}}
-        stage = self.modes[self.n]
-        self.mask, self.d1, self.d_pows = stage.mask, stage.d1, stage.d_pows
-        k = stage.k
+        orders = 3 if self.third_order else 2
+        self.derivs = {g: _derivatives(g, orders) for g in {n, self.n}}
+        self.d_pows = self.derivs[self.n]
+        self.d1 = self.d_pows[0]
+        k = spectral.wavenumbers(self.n)
+        self.mask = (k <= keep).astype(float)
+        # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
+        # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
+        self.c_a0 = -cfg.a * self.d1
+        if self.regularized:
+            self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
+            self.c_a1 = self.eps * self.d1
+        if self.dispersion_in_slope and self.dispersive:
+            self.c_v = cfg.a * self.d_pows[2]
         lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
         # odd-order multipliers have no real Nyquist representative (n even)
         lam[..., -1] = lam[..., -1].real
@@ -420,11 +417,26 @@ class _Stepper:
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
     def slope(self, samples, trend, winding):
-        """Masked rfft coefficients of the non-stiff remainder at a stage.
+        """Masked stage-grid rfft coefficients of the remainder at a stage.
 
-        The remainder is the RHS minus L v, assembled at the projection P
-        of the stage point without cancelling large terms (A is the second
-        fundamental form at P, s1 = v_xx - A(v_x, v_x), S2 = v_xxx + t2):
+        Arrays are (..., d, N) rows with ``winding`` (..., d, 1).  The
+        stage points are retracted (tube check, then P) and P checked on
+        the target once; :meth:`remainder` then takes P and the rfft of
+        its periodic part, one transform call more than it makes itself.
+        """
+        m = self.manifold
+        proj, _ = m._retract(samples)
+        m._require_on(proj)
+        coef = np.fft.rfft(proj - trend if winding.any() else proj)
+        return self.remainder(proj, coef, winding)
+
+    def remainder(self, proj, coef, winding):
+        """The slope at an on-target point ``proj``, from the rfft ``coef``
+        of its periodic part; unchecked, so the caller checks ``proj``.
+
+        The remainder is the RHS minus L v, assembled at P = ``proj``
+        without cancelling large terms (A is the second fundamental form
+        at P, s1 = v_xx - A(v_x, v_x), S2 = v_xxx + t2):
 
             t2 = -D A(v_x, v_x) - A(s1, v_x),  t3 = D t2 - A(S2, v_x),
             a t2 + J s1 + b |v_x|^2 v_x - eps t3,
@@ -434,24 +446,22 @@ class _Stepper:
         enter as multipliers on rfft coefficients; the rest,
         J s1 + b |v_x|^2 v_x - a A1 (plus eps A(S2, v_x)), is pointwise.
 
-        Arrays are (..., d, N) rows with ``winding`` (..., d, 1).  The
-        stage points are retracted (tube check, then P) and P checked on
-        the target once; the geometric kernels then run unchecked.  When
-        every member has eps = 0 outside Picard, three transform calls on
-        5 rows: P, [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
-        pointwise for A(S2, v_x): five calls on 8 rows, P, [v_x, v_xx,
-        v_xxx], A0, D A0 and [A1, rest].
+        When every member has eps = 0 outside Picard, two transform calls
+        on 4 rows: [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
+        pointwise for A(S2, v_x): four calls on 7 rows, [v_x, v_xx,
+        v_xxx], A0, D A0 and [A1, rest].  Whatever the grid of ``proj``,
+        the terms are combined on the stage grid's modes alone; from the
+        curve grid they are rescaled by M/N, which carries a band-limited
+        row over exactly.
         """
         cfg, m = self.cfg, self.manifold
-        g = self.modes[samples.shape[-1]]
-        proj, _ = m._retract(samples)
-        m._require_on(proj)
-        winds = winding.any()
-        coef = np.fft.rfft(proj - trend if winds else proj)
-        d_pows = g.d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + g.d1.shape)
-        rows = np.fft.irfft(d_pows * coef, n=g.n)
+        n, kept = proj.shape[-1], self.n // 2 + 1
+        d_pows = self.derivs[n]
+        d1 = d_pows[0]
+        d_pows = d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + d1.shape)
+        rows = np.fft.irfft(d_pows * coef, n=n)
         vx, vxx = rows[0], rows[1]
-        if winds:
+        if winding.any():
             vx = winding + vx
         a0 = m._sff(proj, vx, vx)
         s1 = vxx - a0
@@ -462,17 +472,20 @@ class _Stepper:
         if self.dispersive:
             rest = rest - cfg.a * a1
         if not self.third_order:
-            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]))
-            return g.mask * (rest_hat + g.c_a0 * a0_hat)
-        a0_hat = np.fft.rfft(a0)
-        s2 = rows[2] - np.fft.irfft(g.d1 * a0_hat, n=g.n) - a1
-        # a member at eps = 0 adds 0 * (...), which leaves it as is
-        rest = rest + self.eps * m._sff(proj, s2, vx)
-        a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]))
-        out = rest_hat + g.c_a0 * a0_hat + g.c_a1 * a1_hat
-        if self.dispersion_in_slope and self.dispersive:
-            out += g.c_v * coef
-        return g.mask * out
+            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]))[..., :kept]
+            out = rest_hat + self.c_a0 * a0_hat
+        else:
+            a0_hat = np.fft.rfft(a0)
+            s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n) - a1
+            # a member at eps = 0 adds 0 * (...), which leaves it as is
+            rest = rest + self.eps * m._sff(proj, s2, vx)
+            a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]))[..., :kept]
+            out = (rest_hat + self.c_a0 * a0_hat[..., :kept]
+                   + self.c_a1 * a1_hat)
+            if self.dispersion_in_slope and self.dispersive:
+                out += self.c_v * coef
+        out = self.mask * out
+        return out if n == self.n else out * (self.n / n)
 
 
 def _lift(samples, manifold):
@@ -500,18 +513,22 @@ def _to_stage(st, coef):
 def _rk4_step(samples, cfg, st, lifted):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
-    ``samples`` is one curve (d, N) or a stack (..., d, N) on one grid;
+    ``samples`` is one curve (d, N) or a stack (..., d, N) on the target
+    (a state the march accepted, or u0 it retracted and checked), and
     ``lifted`` is its :func:`_lift`.  The periodic part V0 of the state
-    and the stage slopes stay in coefficient space on the stage grid.  Stage 1 slopes the state on the curve grid; each
-    later stage point is one irfft on the stage grid, where its trend is
-    every (N/M)-th curve sample (``grid(N)[::r]`` is ``grid(M)`` bit for
-    bit), and the step end one irfft onto the curve grid.  Returns the
-    projected state and each curve's largest residual before projection.
+    and the stage slopes stay in coefficient space on the stage grid.
+    Stage 1 is the remainder at the state itself, on the curve grid, from
+    the transform ``lifted`` holds: no retraction, check or transform of
+    its own.  Each later stage point is one irfft on the stage grid, where
+    its trend is every (N/M)-th curve sample (``grid(N)[::r]`` is
+    ``grid(M)`` bit for bit), and the step end one irfft onto the curve
+    grid.  Returns the projected state and each curve's largest residual
+    before projection.
     """
     h = cfg.dt
     trend, winding, v0 = lifted
     winds = winding.any()
-    m1 = _to_stage(st, st.slope(samples, trend, winding))
+    m1 = st.remainder(samples, v0, winding)
     v0 = _to_stage(st, v0)
     stage_trend = trend[..., :: st.n_curve // st.n]
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
@@ -531,9 +548,10 @@ def _rk4_step(samples, cfg, st, lifted):
 
 
 def _imex_step(samples, cfg, st, lifted):
-    """Integrating-factor Euler step (first order), projected at the end."""
+    """Integrating-factor Euler step (first order), projected at the end;
+    its one slope is stage 1 of :func:`_rk4_step`."""
     trend, winding, v0 = lifted
-    m1 = _to_stage(st, st.slope(samples, trend, winding))
+    m1 = st.remainder(samples, v0, winding)
     return _step_end(st, trend, winding,
                      st.e_full * (_to_stage(st, v0) + cfg.dt * m1))
 
@@ -542,7 +560,9 @@ def _step_end(st, trend, winding, coef):
     """Guarded projection of trend + irfft(coef); (samples, residuals before).
 
     ``coef`` holds stage-grid modes; rescaled by N/M, the irfft onto the
-    curve grid zero-pads them.
+    curve grid zero-pads them.  The projection is checked on the target
+    here, once per accepted state, since the next step's stage 1 takes it
+    as it is.
     """
     m = st.manifold
     pre = np.fft.irfft(coef * (st.n_curve / st.n), n=st.n_curve)
@@ -551,6 +571,7 @@ def _step_end(st, trend, winding, coef):
     if not np.all(np.isfinite(pre)):
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)
+    m._require_on(proj)
     return proj, m._residual(sq).max(axis=-1)
 
 
@@ -756,6 +777,9 @@ def _march(u0, cfg, stride, levels=None):
     own result bit for bit as the stacked step does.  A member whose step
     raises, or whose H2 norm grows BLOWUP_FACTOR-fold within a stride, is
     frozen with its failure, and the others march on as a smaller stack.
+    For ProjectedRK4/IMEX the march starts from the retraction of u0,
+    checked on the target once (a u0 outside the tube freezes every
+    member with that failure); snapshot 0 is u0 as given.
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
@@ -772,6 +796,8 @@ def _march(u0, cfg, stride, levels=None):
         trajs[i].failure = f"{type(exc).__name__}: {exc}"
 
     m = u0.manifold
+    # the march state is (B, d, N) rows; a snapshot is a member's transpose
+    state = np.stack([u0.samples.T] * len(trajs))
     if cfg.integrator == "DuhamelPicard":
         try:
             # the automatic band raises NoContraction when it is empty
@@ -785,6 +811,15 @@ def _march(u0, cfg, stride, levels=None):
             trajs[0].picard_iterations.append(iterations)
             return end[None], m._residual(m._sq_norms(end[None])).max(axis=-1)
     else:
+        try:
+            # stage 1 slopes each state as it is: u0 is retracted and
+            # checked here, every later state at its step end
+            state, _ = m._retract(state)
+            m._require_on(state)
+        except _GUARD_TRIPS as exc:
+            for i in range(len(trajs)):
+                freeze(i, exc)
+            return trajs
         # the largest |v_x| of the data fixes the RK4 stability band, which
         # every set of live members shares
         keep = mode_cutoff(cfg, m, float(np.max(np.abs(u0.velocity()))))
@@ -799,9 +834,7 @@ def _march(u0, cfg, stride, levels=None):
         def advance(rows, lifted, members):
             return step_fn(rows, cfg, stepper(tuple(members)), lifted)
 
-    # the march state is (B, d, N) rows; a snapshot is a member's transpose
     live = list(range(len(trajs)))
-    state = np.stack([u0.samples.T] * len(live))
     # one transform per state: the H2 guard and the next step share it
     lifted = _lift(state, m)
     guard = _extrinsic_h2(state, lifted)  # indexed by member

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from dcl import flow
-from dcl.flow import FlowConfig, _march, evolve
-from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2
-from dcl.presets import random_smooth
+from dcl.flow import FlowConfig, _lift, _march, _Stepper, evolve, mode_cutoff
+from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2, _Manifold
+from dcl.presets import great_circle, random_smooth
 
 # the guard-trip input of test_epsilon_batch, and a healthy sphere run
 TRIP_U0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1,
@@ -93,3 +93,79 @@ def test_guard_trip_costs_one_retry_per_live_member(monkeypatch, case):
     assert len(calls) == cfg.n_steps() + retries
     if case == "non-finite":
         assert retries == 4 + 3
+
+
+# ---------------------------------------------------------------------------
+# On-target checks at the boundaries: u0 at entry, each state at its step end
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def on_target_checks(monkeypatch):
+    calls = []
+    check = _Manifold._require_on
+
+    def counted(self, rows, *args, **kwargs):
+        calls.append(rows.shape)
+        return check(self, rows, *args, **kwargs)
+
+    monkeypatch.setattr(_Manifold, "_require_on", counted)
+    return calls
+
+
+@pytest.mark.parametrize("step_fn,want",
+                         [(flow._rk4_step, 4), (flow._imex_step, 1)])
+def test_step_checks_later_stages_and_its_end(on_target_checks, step_fn,
+                                              want):
+    # stage 1 takes the state as its step end checked it; stages 2-4 check
+    # their projections, and the step end checks the state it accepts
+    u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
+    cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
+    st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0), [0.0])
+    rows = u0.samples.T
+    step_fn(rows, cfg, st, _lift(rows, SPHERE2))
+    assert len(on_target_checks) == want
+
+
+@pytest.mark.parametrize("levels", [None, [0.0, 1e-4, 5e-5]])
+@pytest.mark.parametrize("integrator,per_step",
+                         [("ProjectedRK4", 4), ("IMEX", 1)])
+def test_march_checks_u0_once_per_run(on_target_checks, integrator,
+                                      per_step, levels):
+    u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
+    for steps in (1, 3):
+        cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=steps * 1e-5,
+                         integrator=integrator)
+        on_target_checks.clear()
+        trajs = _march(u0, cfg, 1, levels)
+        assert all(t.failure is None for t in trajs)
+        assert len(on_target_checks) == 1 + per_step * steps
+        # the entry check sees the retraction of the whole stack of u0
+        assert on_target_checks[0] == (len(trajs), 3, 64)
+
+
+def test_picard_march_checks_only_its_node_stacks(on_target_checks):
+    # Picard states sit off the target by design: no entry check, one
+    # check of the projected node stack per iteration
+    cfg = FlowConfig(epsilon=1e-2, N_g=32, dt=1e-4, T=3e-4,
+                     integrator="DuhamelPicard")
+    traj = evolve(great_circle(32), cfg)
+    assert traj.failure is None
+    assert len(on_target_checks) == sum(traj.picard_iterations)
+    assert set(on_target_checks) == {(cfg.quadrature_nodes, 3, 32)}
+
+
+@pytest.mark.parametrize("levels", [None, [0.0, 1e-4]])
+@pytest.mark.parametrize("integrator", ["ProjectedRK4", "IMEX"])
+def test_u0_outside_the_tube_fails_every_member_at_entry(integrator, levels):
+    c = great_circle(32)
+    far = c.with_samples(c.samples * 1.6)  # distance 0.6 > tubular radius 0.5
+    cfg = FlowConfig(a=1.0, b=0.5, N_g=32, dt=1e-5, T=2e-5,
+                     integrator=integrator)
+    trajs = _march(far, cfg, 1, levels)
+    assert len(trajs) == (1 if levels is None else len(levels))
+    for traj in trajs:
+        assert traj.failure == ("OutOfTubularNeighborhood: Sphere2: distance "
+                                "6.000e-01 >= tubular radius 5.000e-01")
+        assert len(traj.states) == 1 and traj.states[0] is far
+        assert traj.times == [0.0] and traj.step_residuals == []

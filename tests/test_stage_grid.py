@@ -2,8 +2,8 @@
 
 The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
 later stages run on the smallest grid that dealiases the band by the N/4
-rule; only ``_lift``, the slope of the state (stage 1) and the step end
-transform all N curve samples.
+rule; only ``_lift``, the slope of the state (stage 1, from the transform
+``_lift`` made) and the step end transform all N curve samples.
 """
 
 import numpy as np
@@ -90,10 +90,11 @@ def test_step_transforms_curve_grid_only_at_lift_stage1_and_end(fft_sizes):
     cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-6, T=2e-6)
     traj = evolve(u0, cfg)
     assert traj.failure is None and traj.final.n == n
-    # stage 1 slopes the state on the curve grid: P, [v_x, v_xx] and
-    # [A0, rest]; stages 2-4 first transform their point back
-    stages = [("rfft", n), ("irfft", n), ("rfft", n)] + 3 * [
+    # stage 1 slopes the state on the curve grid from the rfft the march
+    # made of it: [v_x, v_xx] and [A0, rest]; stages 2-4 first transform
+    # their point back
+    stages = [("irfft", n), ("rfft", n)] + 3 * [
         ("irfft", m), ("rfft", m), ("irfft", m), ("rfft", m)]
     step = stages + [("irfft", n), ("rfft", n)]
-    assert len(step) == 17
-    assert fft_sizes[-(1 + 2 * 17):] == [("rfft", n)] + 2 * step
+    assert len(step) == 16
+    assert fft_sizes[-(1 + 2 * 16):] == [("rfft", n)] + 2 * step
