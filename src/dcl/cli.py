@@ -270,6 +270,9 @@ def cmd_converge(manifest, mode, levels=3):
     if mode == "epsilon":
         base_eps = cfg.epsilon if cfg.epsilon > 0 else 1e-3
         eps_list = [base_eps * 0.5**i for i in range(levels)]
+        if eps_list[-1] == 0:
+            raise ConfigError(f"epsilon level {eps_list.index(0.0)} underflows "
+                              "to 0; use fewer levels or a larger epsilon")
         u0 = _initial_on_grid(manifest)
         _make_output_dir(manifest)
         rows = epsilon_continuation(u0, cfg, eps_list)

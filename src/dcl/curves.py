@@ -239,11 +239,8 @@ def resample(curve, n):
     if n == curve.n:
         return curve
     trend = curve.trend()
-    coef = np.fft.rfft(curve.samples - trend, axis=0)
-    out = np.zeros((n // 2 + 1, curve.samples.shape[1]), dtype=complex)
-    m = min(coef.shape[0], out.shape[0])
-    out[:m] = coef[:m] * (n / curve.n)
-    dev = np.fft.irfft(out, n=n, axis=0)
+    coef = np.fft.rfft(curve.samples - trend, axis=0, norm="forward")
+    dev = np.fft.irfft(coef, n=n, axis=0, norm="forward")
     w = curve.winding()
     if w.any():
         dev += spectral.grid(n)[:, None] * w[None, :]
@@ -315,7 +312,7 @@ def _default_family(curve, seed=0, decay=1.0, amplitude=1.5):
             rng.standard_normal((modes.size, d))
             + 1j * rng.standard_normal((modes.size, d))
         ) * np.exp(-decay * modes)[:, None]
-        return np.fft.irfft(coef, n=n, axis=0) * n * amplitude
+        return np.fft.irfft(coef, n=n, axis=0, norm="forward") * amplitude
 
     dir1, dir2 = draw(), draw()
     manifold = curve.manifold

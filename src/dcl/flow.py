@@ -43,7 +43,7 @@ Integrators
                    grid (the state is not band-limited, and a coarser
                    grid would alias its tail into the band) and combines
                    its terms on the stage grid's modes alone, and the
-                   step end zero-pads onto the curve grid; past N = 4 keep
+                   step end goes back to the curve grid; past N = 4 keep
                    stages 2-4 cost the same at every N.
                    The step acts on one curve (d, N) or on a stack
                    (B, d, N) whose members may carry their own eps; the
@@ -80,13 +80,14 @@ multipliers are rows over rfft modes.  States, their :func:`_lift`,
 the guards and the snapshots stay on the N curve samples, and so does
 stage 1, the slope of the state itself; later stage points live on the
 M stage samples, and every slope, once taken, on the stage grid's
-modes.  A step moves between the grids only by an exact rescaling of
-coefficients, the strided view of the trend and the zero-padding irfft
-of its end.  ``_march`` is where the layout changes: it takes u0 as
-(N, d) once and returns each snapshot as the transpose of its member's
-row state.  The public references ``dispersive_rhs`` and
-``regularized_rhs`` stay (N, d): each is one call
-of :func:`_assemble`, the one checked assembly of the reference RHS.
+modes.  Coefficient arrays are forward-normalized (``norm="forward"``),
+so they do not depend on the grid: a move to a coarser grid is a slice
+of the modes, and an irfft onto a finer one zero-pads them.  ``_march``
+is where the layout changes: it takes u0 as (N, d) once and returns
+each snapshot as the transpose of its member's row state.  The public
+references ``dispersive_rhs`` and ``regularized_rhs`` stay (N, d): each
+is one call of :func:`_assemble`, the one checked assembly of the
+reference RHS.
 
 Products of fields are cubic, so state and nonlinear terms are dealiased
 by the N/4 rule; the mask is part of the spatial discretization and is
@@ -331,8 +332,7 @@ def stage_grid(n, keep):
 
     The smallest power of two M >= 16 that dealiases the band by the N/4
     rule (M // 4 >= keep), capped at the curve grid N, itself a power of
-    two: the stage grid is every (N/M)-th curve sample, and rescaling
-    coefficients between the grids is exact.
+    two: the stage grid is every (N/M)-th curve sample.
     """
     while n // 2 >= 16 and spectral.dealias_keep(n // 2) >= keep:
         n //= 2
@@ -341,9 +341,8 @@ def stage_grid(n, keep):
 
 def _derivatives(n, orders):
     """Rows (i 2 pi k)^j, j = 1..``orders``, over the rfft modes of ``n``
-    points; d/dx drops the Nyquist mode, as repeated derivatives do."""
-    d1 = 1j * TWO_PI * spectral.wavenumbers(n)
-    d1[-1] = 0.0
+    points: powers of d/dx, which drops the Nyquist mode."""
+    d1 = spectral._derivative_multiplier(n, 1)
     return np.stack([d1, d1**2, d1**3][:orders])
 
 
@@ -361,11 +360,11 @@ class _Stepper:
     1..3, or 1..2 when no slope term needs v_xxx, on both grids (one
     entry when they are the same), and the slope takes those of its
     input's grid; ``d_pows`` and ``d1`` are the stage grid's.  Every
-    slope, from either grid, is combined on the stage grid's modes only:
-    the retained-band ``mask`` and the multipliers of the slope's linear
-    terms, ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only)
-    and, for DuhamelPicard at a != 0, ``c_v`` = a*d_x^3 on the state,
-    are rows over them.  So are the integrating factors over a full and a
+    slope is combined on the stage grid's modes only: the retained-band
+    ``mask`` and the multipliers of the slope's linear terms, ``c_a0`` on
+    A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and, for
+    DuhamelPicard at a != 0, ``c_v`` = a*d_x^3 on the state, are rows
+    over them.  So are the integrating factors over a full and a
     half step, masked by the band.  ``eps`` holds one level per member:
     B > 1 levels give the integrating factors and the slope's multipliers
     a leading member axis, (B, 1, K), for a (B, d, N) stack whose member
@@ -427,7 +426,8 @@ class _Stepper:
         m = self.manifold
         proj, _ = m._retract(samples)
         m._require_on(proj)
-        coef = np.fft.rfft(proj - trend if winding.any() else proj)
+        coef = np.fft.rfft(proj - trend if winding.any() else proj,
+                           norm="forward")
         return self.remainder(proj, coef, winding)
 
     def remainder(self, proj, coef, winding):
@@ -450,16 +450,14 @@ class _Stepper:
         on 4 rows: [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
         pointwise for A(S2, v_x): four calls on 7 rows, [v_x, v_xx,
         v_xxx], A0, D A0 and [A1, rest].  Whatever the grid of ``proj``,
-        the terms are combined on the stage grid's modes alone; from the
-        curve grid they are rescaled by M/N, which carries a band-limited
-        row over exactly.
+        the terms are combined on the stage grid's modes alone.
         """
         cfg, m = self.cfg, self.manifold
         n, kept = proj.shape[-1], self.n // 2 + 1
         d_pows = self.derivs[n]
         d1 = d_pows[0]
         d_pows = d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + d1.shape)
-        rows = np.fft.irfft(d_pows * coef, n=n)
+        rows = np.fft.irfft(d_pows * coef, n=n, norm="forward")
         vx, vxx = rows[0], rows[1]
         if winding.any():
             vx = winding + vx
@@ -472,20 +470,21 @@ class _Stepper:
         if self.dispersive:
             rest = rest - cfg.a * a1
         if not self.third_order:
-            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]))[..., :kept]
+            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]),
+                                           norm="forward")[..., :kept]
             out = rest_hat + self.c_a0 * a0_hat
         else:
-            a0_hat = np.fft.rfft(a0)
-            s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n) - a1
+            a0_hat = np.fft.rfft(a0, norm="forward")
+            s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n, norm="forward") - a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
             rest = rest + self.eps * m._sff(proj, s2, vx)
-            a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]))[..., :kept]
+            a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]),
+                                           norm="forward")[..., :kept]
             out = (rest_hat + self.c_a0 * a0_hat[..., :kept]
                    + self.c_a1 * a1_hat)
             if self.dispersion_in_slope and self.dispersive:
                 out += self.c_v * coef
-        out = self.mask * out
-        return out if n == self.n else out * (self.n / n)
+        return self.mask * out
 
 
 def _lift(samples, manifold):
@@ -500,14 +499,7 @@ def _lift(samples, manifold):
     samples = np.ascontiguousarray(samples)
     trend, winding = lift_trend(samples, manifold)
     periodic = samples - trend if winding.any() else samples
-    return trend, winding, np.fft.rfft(periodic)
-
-
-def _to_stage(st, coef):
-    """Stage-grid rfft coefficients of curve-grid ones: the first M/2+1
-    modes times M/N.  The band lies below M/4, and N/M is a power of two,
-    so a band-limited row is carried over exactly."""
-    return coef[..., : st.n // 2 + 1] * (st.n / st.n_curve)
+    return trend, winding, np.fft.rfft(periodic, norm="forward")
 
 
 def _rk4_step(samples, cfg, st, lifted):
@@ -521,20 +513,20 @@ def _rk4_step(samples, cfg, st, lifted):
     the transform ``lifted`` holds: no retraction, check or transform of
     its own.  Each later stage point is one irfft on the stage grid, where
     its trend is every (N/M)-th curve sample (``grid(N)[::r]`` is
-    ``grid(M)`` bit for bit), and the step end one irfft onto the curve
-    grid.  Returns the projected state and each curve's largest residual
+    ``grid(M)`` bit for bit), and V0 is the state's first M/2+1 modes.
+    Returns the projected state and each curve's largest residual
     before projection.
     """
     h = cfg.dt
     trend, winding, v0 = lifted
     winds = winding.any()
     m1 = st.remainder(samples, v0, winding)
-    v0 = _to_stage(st, v0)
+    v0 = v0[..., : st.n // 2 + 1]
     stage_trend = trend[..., :: st.n_curve // st.n]
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
-        point = np.fft.irfft(coef, n=st.n)
+        point = np.fft.irfft(coef, n=st.n, norm="forward")
         return st.slope(stage_trend + point if winds else point,
                         stage_trend, winding)
 
@@ -553,19 +545,18 @@ def _imex_step(samples, cfg, st, lifted):
     trend, winding, v0 = lifted
     m1 = st.remainder(samples, v0, winding)
     return _step_end(st, trend, winding,
-                     st.e_full * (_to_stage(st, v0) + cfg.dt * m1))
+                     st.e_full * (v0[..., : st.n // 2 + 1] + cfg.dt * m1))
 
 
 def _step_end(st, trend, winding, coef):
     """Guarded projection of trend + irfft(coef); (samples, residuals before).
 
-    ``coef`` holds stage-grid modes; rescaled by N/M, the irfft onto the
-    curve grid zero-pads them.  The projection is checked on the target
-    here, once per accepted state, since the next step's stage 1 takes it
-    as it is.
+    ``coef`` holds stage-grid modes, which the irfft onto the curve grid
+    zero-pads.  The projection is checked on the target here, once per
+    accepted state, since the next step's stage 1 takes it as it is.
     """
     m = st.manifold
-    pre = np.fft.irfft(coef * (st.n_curve / st.n), n=st.n_curve)
+    pre = np.fft.irfft(coef, n=st.n_curve, norm="forward")
     if winding.any():
         pre = trend + pre
     if not np.all(np.isfinite(pre)):
@@ -660,13 +651,6 @@ class _PicardWorkspace:
         mask = self.stepper.mask
         self.kernel, self.prop0 = kernel * mask, prop0 * mask
         self.pairs = np.repeat(self.kernel, 2, axis=-1)
-        # H1 norm squared by Parseval on rfft coefficients: 1 + (2 pi k)^2,
-        # doubled for the modes with a conjugate twin, the Nyquist mode
-        # without its derivative (as d/dx drops it)
-        k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
-        k2[-1] = 0.0
-        self.h1_weights = (1.0 + k2) / n**2
-        self.h1_weights[1:-1] *= 2.0
 
 
 def _picard_step(cfg, ws, lifted):
@@ -682,7 +666,7 @@ def _picard_step(cfg, ws, lifted):
     winds = winding.any()
     # initial guess: pure semigroup evolution of the data
     free = ws.prop0[:, None, :] * v0
-    devs = np.fft.irfft(free, n=n)
+    devs = np.fft.irfft(free, n=n, norm="forward")
     prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
@@ -696,11 +680,11 @@ def _picard_step(cfg, ws, lifted):
         coef = free + np.einsum(
             "ijk,jdk->idk", ws.pairs, f_hat.view(float)
         ).view(complex)
-        devs = np.fft.irfft(coef, n=n)
+        devs = np.fft.irfft(coef, n=n, norm="forward")
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev
         power = _ambient_sum(update.real**2 + update.imag**2)
-        delta = float(np.sqrt((power @ ws.h1_weights).max()))
+        delta = float(np.sqrt((power @ _parseval_weights(n, 0, 1)).max()))
         prev = coef
         if delta <= cfg.picard_tol:
             # a copy: a view would keep the whole node stack alive
@@ -720,14 +704,15 @@ BLOWUP_FACTOR = 10.0
 
 
 @lru_cache(maxsize=None)
-def _h2_weights(n):
-    """Read-only Parseval weights k2 + k2^2 + k2^3 of D^1..D^3, k2 = (2 pi k)^2.
-
-    The Nyquist mode is dropped, as odd-order derivatives drop it.
-    """
+def _parseval_weights(n, low, high):
+    """Read-only Parseval weights of D^low..D^high on the rfft modes of n:
+    the sum of k2^j, k2 = (2 pi k)^2, j = low..high, with the Nyquist k2
+    dropped (as odd-order derivatives drop it) and the modes that have a
+    conjugate twin doubled, for the power of forward coefficients."""
     k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
     k2[-1] = 0.0
-    weights = k2 + k2**2 + k2**3
+    weights = sum(k2**j for j in range(low, high + 1))
+    weights[1:-1] *= 2.0
     weights.setflags(write=False)
     return weights
 
@@ -743,8 +728,8 @@ def _extrinsic_h2(samples, lifted):
     """
     n = samples.shape[-1]
     _, winding, coef = lifted
-    power = _ambient_sum(coef.real**2 + coef.imag**2) * _h2_weights(n)
-    total = _dot(winding, winding)[..., 0] + 2.0 * power.sum(axis=-1) / n**2
+    power = _ambient_sum(coef.real**2 + coef.imag**2) * _parseval_weights(n, 1, 3)
+    total = _dot(winding, winding)[..., 0] + power.sum(axis=-1)
     return np.sqrt(total)
 
 

@@ -356,6 +356,21 @@ def test_converge_epsilon_zero_horizon_exits_0(tmp_path):
     assert [line.split(",")[1] for line in table[1:]] == ["0", "0", "0"]
 
 
+@pytest.mark.parametrize("epsilon,levels", [(5e-324, "3"), (1e-3, "1100")],
+                         ids=["smallest-epsilon", "1100-levels"])
+def test_converge_epsilon_level_underflow_is_config_error(tmp_path, epsilon,
+                                                          levels):
+    # a level that underflows to 0 used to end in a traceback (exit 1)
+    out = tmp_path / "out"
+    manifest = base_manifest(out, config={"epsilon": epsilon})
+    proc = run_cli("converge", "--manifest", write_manifest(tmp_path, manifest),
+                   "--mode", "epsilon", "--levels", levels)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "underflows to 0" in proc.stderr
+    assert not out.exists()
+
+
 def test_missing_manifest_is_config_error(tmp_path):
     assert main(["simulate", "--manifest", str(tmp_path / "nope.json")]) == 2
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dcl import cli  # noqa: E402
 
 JUNK = [None, True, False, "x", "", [1], {"k": 1}, -1, 0, -0.0, 1e300, 1e308,
-        float("nan"), float("inf")]
+        float("nan"), float("inf"), 5e-324]
 COMMANDS = [["simulate"], ["simulate", "--checkpoints", "2"],
             ["converge", "--mode", "epsilon"], ["converge", "--mode", "dt"],
             ["converge", "--mode", "grid"]]
@@ -102,6 +102,8 @@ def with_value(section, key, value):
 @example(manifest=with_value("config", "initial_condition",
                              "file:/missing.json"), argv=["simulate"])
 @example(manifest=with_value("config", "dealias", "no"), argv=["simulate"])
+@example(manifest=with_value("config", "epsilon", 5e-324),
+         argv=["converge", "--mode", "epsilon"])
 @example(manifest=with_value("top", "stride", True), argv=["simulate"])
 @example(manifest=with_value("config", "N_g", 64.0), argv=["simulate"])
 def test_main_returns_a_documented_exit_code(manifest, argv):

@@ -14,7 +14,7 @@ import pytest
 
 from dcl import flow
 from dcl.flow import FlowConfig, _lift, _march, _Stepper, evolve, mode_cutoff
-from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2, _Manifold
+from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2
 from dcl.presets import great_circle, random_smooth
 
 # the guard-trip input of test_epsilon_batch, and a healthy sphere run
@@ -98,19 +98,6 @@ def test_guard_trip_costs_one_retry_per_live_member(monkeypatch, case):
 # ---------------------------------------------------------------------------
 # On-target checks at the boundaries: u0 at entry, each state at its step end
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def on_target_checks(monkeypatch):
-    calls = []
-    check = _Manifold._require_on
-
-    def counted(self, rows, *args, **kwargs):
-        calls.append(rows.shape)
-        return check(self, rows, *args, **kwargs)
-
-    monkeypatch.setattr(_Manifold, "_require_on", counted)
-    return calls
 
 
 @pytest.mark.parametrize("step_fn,want",

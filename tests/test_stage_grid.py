@@ -55,6 +55,26 @@ def test_stage_grid_is_curve_grid_for_a_wide_pinned_band(n):
         assert _Stepper(cfg, SPHERE2, n, keep, [cfg.epsilon]).n == n
 
 
+def test_forward_coefficients_move_between_grids_by_a_slice():
+    # forward-normalized coefficients do not depend on the grid: those of
+    # every (N/M)-th sample of a row band-limited below M/4 are the first
+    # M/2+1 of the full row's, and the irfft onto N points zero-pads them
+    n, m, band = 4096, 256, 64
+    rng = np.random.default_rng(3)
+    coef = np.zeros((3, n // 2 + 1), dtype=complex)
+    coef[:, : band + 1] = (rng.standard_normal((3, band + 1))
+                           + 1j * rng.standard_normal((3, band + 1)))
+    coef[:, 0] = coef[:, 0].real
+    rows = np.fft.irfft(coef, n=n, norm="forward")
+    full = np.fft.rfft(rows, norm="forward")
+    coarse = np.fft.rfft(rows[..., :: n // m], norm="forward")
+    assert coarse.shape == (3, m // 2 + 1)
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(coarse - full[..., : m // 2 + 1])) <= 1e-14 * scale
+    back = np.fft.irfft(coarse, n=n, norm="forward")
+    assert np.max(np.abs(back - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+
 @pytest.mark.parametrize("a,cutoff", [(0.0, 0), (1.0, 0), (1.0, 5)])
 def test_picard_stages_stay_on_curve_grid(a, cutoff):
     # the Picard kernel lives on the curve's modes, whatever the band
@@ -65,26 +85,7 @@ def test_picard_stages_stay_on_curve_grid(a, cutoff):
     assert st.mask.sum() <= 256 // 4 + 1
 
 
-@pytest.fixture
-def fft_sizes(monkeypatch):
-    """Record every np.fft.rfft/irfft call as (name, transform length)."""
-    calls = []
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-
-    def counted_rfft(a, *args, **kwargs):
-        calls.append(("rfft", np.shape(a)[-1]))
-        return rfft(a, *args, **kwargs)
-
-    def counted_irfft(a, *args, **kwargs):
-        calls.append(("irfft", kwargs["n"]))
-        return irfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
-    return calls
-
-
-def test_step_transforms_curve_grid_only_at_lift_stage1_and_end(fft_sizes):
+def test_step_transforms_curve_grid_only_at_lift_stage1_and_end(fft_calls):
     n, m = 4096, 256
     u0 = random_smooth(SPHERE2, n, seed=11, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-6, T=2e-6)
@@ -97,4 +98,4 @@ def test_step_transforms_curve_grid_only_at_lift_stage1_and_end(fft_sizes):
         ("irfft", m), ("rfft", m), ("irfft", m), ("rfft", m)]
     step = stages + [("irfft", n), ("rfft", n)]
     assert len(step) == 16
-    assert fft_sizes[-(1 + 2 * 16):] == [("rfft", n)] + 2 * step
+    assert fft_calls[-(1 + 2 * 16):] == [("rfft", n)] + 2 * step

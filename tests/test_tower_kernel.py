@@ -23,7 +23,7 @@ from dcl.curves import (
 )
 from dcl.flow import FlowConfig, _sq, dispersive_rhs, regularized_rhs
 from dcl.invariants import _reports
-from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2, _Manifold
+from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import great_circle, random_smooth
 
 
@@ -201,19 +201,6 @@ def test_regularized_rhs_bits_match_the_level_assembly(name, a, b, eps):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def on_target_checks(monkeypatch):
-    calls = []
-    check = _Manifold._require_on
-
-    def counted(self, rows, *args, **kwargs):
-        calls.append(rows.shape)
-        return check(self, rows, *args, **kwargs)
-
-    monkeypatch.setattr(_Manifold, "_require_on", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["Sphere2", "CliffordTorus2", "chart-winding"])
 def test_each_entry_checks_its_curve_once(name, on_target_checks):
     c = CURVES[name]()
@@ -234,26 +221,13 @@ def test_each_entry_checks_its_curve_once(name, on_target_checks):
         assert len(on_target_checks) == want[label], label
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    calls = []
-    for name in ("rfft", "irfft"):
-        fn = getattr(np.fft, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name,want", [("Sphere2", 10), ("CliffordTorus2", 8),
                                        ("ChartFlatTorus2", 8),
                                        ("chart-winding", 8)])
-def test_report_block_transforms(name, want, transforms):
+def test_report_block_transforms(name, want, fft_calls):
     c = CURVES[name]()
-    transforms.clear()
+    fft_calls.clear()
     _reports([c, c, c], [0.0, 1.0, 2.0], c.manifold.gaussian_curvature)
-    assert len(transforms) == want
-    assert transforms.count("rfft") == transforms.count("irfft") == want // 2
+    names = [call[0] for call in fft_calls]
+    assert len(names) == want
+    assert names.count("rfft") == names.count("irfft") == want // 2
