@@ -287,8 +287,8 @@ def cmd_converge(manifest, mode, levels=3):
             for r in rows
         ]
     elif mode == "dt":
-        configs = [replace(cfg, dt=cfg.dt * 0.5**i) for i in range(levels)]
-        finals = _run_levels(manifest, configs)
+        configs, finals = _run_levels(
+            manifest, "dt", (cfg.dt * 0.5**i for i in range(levels)))
         header = ["dt", "h1_diff_to_next", "observed_order", "failure"]
         table, diffs = [], []
         for i, (level_cfg, traj) in enumerate(zip(configs, finals)):
@@ -306,9 +306,8 @@ def cmd_converge(manifest, mode, levels=3):
                 order = _fmt(np.log2(diffs[-2] / diffs[-1]))
             table.append([_fmt(level_cfg.dt), diff, order, fail])
     elif mode == "grid":
-        grids = [cfg.N_g * 2**i for i in range(levels)]
-        configs = [replace(cfg, N_g=n) for n in grids]
-        finals = _run_levels(manifest, configs)
+        configs, finals = _run_levels(
+            manifest, "N_g", (cfg.N_g * 2**i for i in range(levels)))
         header = ["N_g", "sup_diff_to_finest", "failure"]
         finest = finals[-1]
         table = []
@@ -331,22 +330,25 @@ def cmd_converge(manifest, mode, levels=3):
     return 0
 
 
-def _run_levels(manifest, configs):
-    """One ``evolve`` per level, all from the same initial curve.
+def _run_levels(manifest, key, values):
+    """(configs, trajectories): one ``evolve`` per value of config ``key``.
 
-    The curve is built once on the finest grid and resampled onto each
-    level's grid, so levels differ only in their discretization (a preset
-    drawn at each N separately need not be the same curve).  The output
-    directory is made once the curve is built.
+    ``values`` may be a generator: the levels are validated in order,
+    before anything is built, and the first bad one ends the study (a
+    finer dt can underflow to 0 or take a level past MAX_STEPS, a finer
+    grid can pass MAX_N_G).  The curve is built once on the finest grid
+    and resampled onto each level's grid, so levels differ only in their
+    discretization (a preset drawn at each N separately need not be the
+    same curve).  The output directory is made once the curve is built.
     """
     try:
-        # a finer dt can take a level past MAX_STEPS
+        configs = [replace(manifest.config, **{key: v}) for v in values]
         steps = [c.n_steps() for c in configs]
     except ValueError as exc:
         raise ConfigError(f"bad flow config: {exc}") from exc
     u0 = _initial_curve(manifest, max(c.N_g for c in configs))
     _make_output_dir(manifest)
-    return [
+    return configs, [
         evolve(resample(u0, c.N_g), c, stride=n or 1)
         for c, n in zip(configs, steps)
     ]

@@ -155,15 +155,15 @@ def test_simulate_solver_failure_keeps_partial_artifact(tmp_path):
     assert (out / "report.csv").exists()
 
 
-def test_simulate_picard_without_contracting_band_exits_3(tmp_path):
-    # no Picard band of modes k >= 1 contracts at this dt: the run writes
-    # its one-row artifacts and exits 3 without a traceback
-    out = tmp_path / "band"
+def test_simulate_picard_without_contraction_exits_3(tmp_path):
+    # the Picard iteration of the first step does not contract at this dt:
+    # the run writes its one-row artifacts and exits 3 without a traceback
+    out = tmp_path / "stall"
     manifest = base_manifest(
         out,
         config={
-            "initial_condition": "great_circle", "N_g": 32, "a": 1.0,
-            "b": 0.5, "epsilon": 1e-2, "dt": 3e-2, "T": 3e-2,
+            "initial_condition": "random_smooth:3,1.0,0.2", "N_g": 64,
+            "a": 1.0, "b": 0.5, "epsilon": 1e-2, "dt": 2e-3, "T": 2e-3,
             "integrator": "DuhamelPicard",
         },
     )

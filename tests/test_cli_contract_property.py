@@ -106,6 +106,15 @@ def with_value(section, key, value):
          argv=["converge", "--mode", "epsilon"])
 @example(manifest=with_value("top", "stride", True), argv=["simulate"])
 @example(manifest=with_value("config", "N_g", 64.0), argv=["simulate"])
+@example(manifest=with_value("config", "N_g", 2**34), argv=["simulate"])
+@example(manifest=with_value("config", "quadrature_nodes", 3000),
+         argv=["simulate"])
+@example(manifest=with_value("config", "picard_tol", float("inf")),
+         argv=["simulate"])
+@example(manifest=with_value("config", "T", 2e-4),
+         argv=["converge", "--mode", "dt", "--levels", "1100"])
+@example(manifest=with_value("config", "T", 2e-4),
+         argv=["converge", "--mode", "grid", "--levels", "40"])
 def test_main_returns_a_documented_exit_code(manifest, argv):
     assert run_main(manifest, argv) in (0, 2, 3)
 
@@ -128,6 +137,11 @@ def test_main_returns_a_documented_exit_code(manifest, argv):
         ("top", "seed", False, "seed must be an integer"),
         ("config", "N_g", 64.0, "N_g must be an integer"),
         ("config", "T", True, "T must be a number"),
+        ("config", "picard_tol", float("inf"), "picard_tol must be finite"),
+        ("config", "picard_tol", True, "picard_tol must be a number"),
+        ("config", "N_g", 2**34, "N_g must be at most 65536"),
+        ("config", "quadrature_nodes", 3000,
+         "quadrature_nodes must be at most 32"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "converge"])
@@ -145,3 +159,21 @@ def test_converge_dt_level_past_max_steps_exits_2(capsys):
     assert run_main(with_value("config", "T", 500.0), argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "MAX_STEPS" in err
+
+
+@pytest.mark.parametrize(
+    "mode,levels,message",
+    # the finest dt underflows to 0; the finest grids would need 128 GiB
+    [("dt", "1100", "dt must be positive"),
+     ("grid", "40", "N_g must be at most 65536")],
+)
+def test_converge_level_past_a_bound_exits_2_before_building(
+        capsys, monkeypatch, mode, levels, message):
+    def no_curve(*args):
+        raise AssertionError("the initial curve was built")
+
+    monkeypatch.setattr(cli, "make_initial", no_curve)
+    argv = ["converge", "--mode", mode, "--levels", levels]
+    assert run_main(with_value("config", "T", 2e-4), argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad flow config: ") and message in err

@@ -59,7 +59,7 @@ def reference_slope(st, samples, trend, winding):
     t2 = -da0 - a1
     s2 = rows[2] + t2
     out = (
-        cfg.a * (s2 if st.dispersion_in_slope else t2)
+        cfg.a * t2
         + swap(m._j(swap(proj), swap(s1)))
         + cfg.b * swap(_sq(swap(vx))) * vx
     )
@@ -149,11 +149,14 @@ def reference_quadrature(cfg, k, mask):
     nodes, _ = rule(0.0, cfg.dt)
     targets = np.append(nodes, cfg.dt)
     k4 = (TWO_PI * k) ** 4
+    k3 = cfg.a * (1j * TWO_PI * k) ** 3
+    k3[-1] = 0.0  # no odd-order part at the Nyquist mode
 
     def decay(t):
-        return np.exp(-cfg.epsilon * t[..., None] * k4) * mask
+        return (np.exp(-cfg.epsilon * t[..., None] * k4)
+                * np.exp(t[..., None] * k3) * mask)
 
-    kernel = np.empty((targets.size, q, k4.size))
+    kernel = np.empty((targets.size, q, k4.size), dtype=complex)
     for i, s in enumerate(targets):
         tau, w = rule(0.0, s)
         interp = spectral.lagrange_matrix(nodes, tau)
