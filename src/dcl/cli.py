@@ -269,10 +269,14 @@ def cmd_converge(manifest, mode, levels=3):
 
     if mode == "epsilon":
         base_eps = cfg.epsilon if cfg.epsilon > 0 else 1e-3
-        eps_list = [base_eps * 0.5**i for i in range(levels)]
-        if eps_list[-1] == 0:
-            raise ConfigError(f"epsilon level {eps_list.index(0.0)} underflows "
-                              "to 0; use fewer levels or a larger epsilon")
+        # levels are checked in order and the first that underflows to 0
+        # ends the study, as _run_levels checks the dt and grid levels
+        eps_list = []
+        for i in range(levels):
+            eps_list.append(base_eps * 0.5**i)
+            if eps_list[-1] == 0:
+                raise ConfigError(f"epsilon level {i} underflows to 0; use "
+                                  "fewer levels or a larger epsilon")
         u0 = _initial_on_grid(manifest)
         _make_output_dir(manifest)
         rows = epsilon_continuation(u0, cfg, eps_list)

@@ -119,9 +119,13 @@ RHS_TANGENCY_TOL = 1e-6
 # error rather than a march that does not end.
 MAX_STEPS = 10**7
 
-# The largest curve grid and Gauss rule a run may ask for.  Memory grows as
-# N_g and as quadrature_nodes^3 (the Lagrange interpolation matrices), so a
-# larger value is a configuration error rather than a failed allocation.
+# The largest curve grid and Gauss rule a run may ask for: a larger value is
+# a configuration error rather than a failed allocation.  The largest array
+# of any run is DuhamelPicard's quadrature kernel, (q + 1) q (N_g/2 + 1)
+# complex entries, 528 MiB at both bounds (its build peaks near 575 MiB,
+# 16 times the 36 MiB measured at N_g = 4096).  The grid bound is shared by
+# every integrator, so it also limits RK4/IMEX runs, whose arrays take a
+# few MiB at 2^16: a grid study from N_g = 4096 may have 5 levels, not 6.
 MAX_N_G = 2**16
 MAX_QUADRATURE_NODES = 32
 
@@ -248,16 +252,19 @@ def _assemble(curve, a, b, eps=None):
 
     The one assembly of both references: one on-target check, then the
     unchecked kernels on the curve's (d, N) rows, returned as (N, d).  A
-    number ``eps``, 0 included, adds -eps (S3 - v_xxxx) first, the
-    lower-order part of the regularized flow's nonlinearity.
+    number ``eps``, 0 included, takes the stiff part L v = a v_xxx -
+    eps v_xxxx off: a (S2 - v_xxx) - eps (S3 - v_xxxx) + J S1 +
+    b |v_x|^2 v_x, the remainder the integrators' stage slope assembles.
     """
     m, v = curve.manifold, curve.samples.T
     m._require_on(v)
     vx = lifted_velocity(v, m)
     s = _gauss_tower(m, v, vx, 2 if eps is None else 3)
-    rhs = a * s[2]
-    if eps is not None:
-        rhs = -eps * (s[3] - spectral._derivative(vx, 3)) + rhs
+    if eps is None:
+        rhs = a * s[2]
+    else:
+        rhs = (-eps * (s[3] - spectral._derivative(vx, 3))
+               + a * (s[2] - spectral._derivative(vx, 2)))
     return (rhs + m._j(v, s[1]) + b * _sq(vx) * vx).T
 
 
@@ -281,14 +288,17 @@ def dispersive_rhs(curve, a, b):
 def regularized_rhs(curve, cfg):
     """Velocity of the eps-regularized flow; valid slightly off the target.
 
-    Computes -eps * v_xxxx on the raw state plus the full nonlinearity
-    evaluated at the nearest-point projection of the state; the checked
-    physical-space reference for the integrators' stage slope.
+    L v = a v_xxx - eps v_xxxx on the raw state plus the remainder
+    evaluated at the nearest-point projection of the state, as every
+    integrator splits it; the checked physical-space reference for their
+    stage slope plus L v.
     """
     proj, _ = curve.manifold.retract(curve.samples)
     nonlinear = _assemble(curve.with_samples(proj), cfg.a, cfg.b, cfg.epsilon)
-    raw4 = spectral.spectral_derivative(curve.velocity(), 3)
-    return -cfg.epsilon * raw4 + nonlinear
+    raw = curve.velocity()
+    linear = (cfg.a * spectral.spectral_derivative(raw, 2)
+              - cfg.epsilon * spectral.spectral_derivative(raw, 3))
+    return linear + nonlinear
 
 
 # ---------------------------------------------------------------------------
@@ -603,20 +613,18 @@ class _PicardWorkspace:
     The quadrature is built once, on the curve grid's rfft modes.
     ``stepper``, whose ``slope`` is the nonlinearity, has
     :func:`mode_cutoff`'s band, and ``kernel`` and ``prop0`` are masked by
-    it.  At a = 0 the kernel is real, and ``pairs`` is ``kernel`` with
-    each mode repeated for the real and the imaginary part: the kernel of
-    the float view of (..., d, K) complex rows.  At a != 0 it is None.
+    it.
     """
 
     def __init__(self, cfg, manifold, n):
-        self.nodes, kernel, prop0 = _duhamel_quadrature(
+        self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(
             cfg, spectral.wavenumbers(n)
         )
         self.stepper = _Stepper(cfg, manifold, n,
                                 mode_cutoff(cfg, manifold, None), [cfg.epsilon])
-        mask = self.stepper.mask
-        self.kernel, self.prop0 = kernel * mask, prop0 * mask
-        self.pairs = None if cfg.a else np.repeat(self.kernel, 2, axis=-1)
+        # in place: the build holds one kernel, not two
+        self.kernel *= self.stepper.mask
+        self.prop0 *= self.stepper.mask
 
 
 def _picard_step(cfg, ws, lifted):
@@ -640,16 +648,7 @@ def _picard_step(cfg, ws, lifted):
         if not np.all(np.isfinite(states)):
             raise StepSizeUnstable("non-finite state")
         f_hat = st.slope(states, trend, winding)
-        if ws.pairs is None:
-            integral = np.einsum("ijk,jdk->idk", ws.kernel, f_hat)
-        else:
-            # a real kernel contracts the float view of f_hat, repeated per
-            # real/imaginary pair: the complex contraction bitwise, at
-            # about two thirds of its cost
-            integral = np.einsum(
-                "ijk,jdk->idk", ws.pairs, f_hat.view(float)
-            ).view(complex)
-        coef = free + integral
+        coef = free + np.einsum("ijk,jdk->idk", ws.kernel, f_hat)
         devs = np.fft.irfft(coef, n=n, norm="forward")
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev

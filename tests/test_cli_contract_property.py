@@ -11,6 +11,7 @@ never a longer valid one.
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 
@@ -177,3 +178,33 @@ def test_converge_level_past_a_bound_exits_2_before_building(
     assert run_main(with_value("config", "T", 2e-4), argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: bad flow config: ") and message in err
+
+
+def test_converge_grid_study_ending_on_max_n_g_passes_validation(monkeypatch):
+    # 2^14, 2^15, 2^16: every level is valid, so the study goes on to
+    # build its curve on the finest grid (stopped there)
+    class Built(Exception):
+        pass
+
+    def stop(descriptor, manifold, n, seed):
+        raise Built(n)
+
+    monkeypatch.setattr(cli, "make_initial", stop)
+    argv = ["converge", "--mode", "grid", "--levels", "3"]
+    with pytest.raises(Built) as built:
+        run_main(with_value("config", "N_g", 2**14), argv)
+    assert built.value.args == (2**16,)
+
+
+def test_converge_epsilon_levels_are_checked_in_order(capsys):
+    # the first level that underflows to 0 ends the study: two million
+    # levels allocate nothing of their length before exit 2
+    argv = ["converge", "--mode", "epsilon", "--levels", str(2 * 10**6)]
+    tracemalloc.start()
+    try:
+        status = run_main(with_value("config", "epsilon", 1e-3), argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2 and peak < 2**20
+    assert "epsilon level 1066 underflows to 0" in capsys.readouterr().err

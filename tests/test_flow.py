@@ -26,6 +26,8 @@ from dcl.flow import (
     _rk4_step,
     _Stepper,
     INTEGRATORS,
+    MAX_N_G,
+    MAX_QUADRATURE_NODES,
     dispersive_rhs,
     epsilon_continuation,
     evolve,
@@ -96,6 +98,17 @@ def test_config_rejects_non_finite(name, value):
 def test_config_rejects_bad_counts_and_tolerance(field, value, message):
     with pytest.raises(ValueError, match=message):
         FlowConfig(**{field: value})
+
+
+def test_config_accepts_the_largest_grid_and_rule():
+    # the bounds themselves are valid, one past either is not
+    cfg = FlowConfig(epsilon=1e-2, integrator="DuhamelPicard",
+                     N_g=MAX_N_G, quadrature_nodes=MAX_QUADRATURE_NODES)
+    assert (cfg.N_g, cfg.quadrature_nodes) == (2**16, 32)
+    for field, value in (("N_g", MAX_N_G + 1),
+                         ("quadrature_nodes", MAX_QUADRATURE_NODES + 1)):
+        with pytest.raises(ValueError, match=f"{field} must be at most"):
+            FlowConfig(**{field: value})
 
 
 def test_config_accepts_numpy_integers():
@@ -202,9 +215,8 @@ def test_regularized_off_manifold_input():
 def test_batched_nonlinearity_matches_single_curves(manifold):
     # the Picard nonlinearity is the stage slope; on an (8, 64, d) stack of
     # slightly inflated states it equals 8 single-curve slopes, and with
-    # the full band (mask all ones) adding -eps*v_xxxx of the raw state
-    # and a*v_xxx of its projection, where regularized_rhs takes it, gives
-    # the checked regularized_rhs
+    # the full band (mask all ones) adding L v = a*v_xxx - eps*v_xxxx of
+    # the raw state gives the checked regularized_rhs
     cfg = FlowConfig(a=0.7, b=0.3, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard", mode_cutoff=32)
     st = _PicardWorkspace(cfg, manifold, 64).stepper
@@ -221,13 +233,11 @@ def test_batched_nonlinearity_matches_single_curves(manifold):
     for c, got in zip(curves, slopes):
         single = st.slope(c.samples.T, *lift_trend(c.samples.T, manifold)).T
         assert np.array_equal(got, single)
-    raw4 = spectral.spectral_derivative(
-        lifted_velocity(stack, manifold).swapaxes(-1, -2), 3)
+    raw = lifted_velocity(stack, manifold).swapaxes(-1, -2)
     batched = (np.fft.irfft(slopes, n=64, axis=-2, norm="forward")
-               - cfg.epsilon * raw4)
+               + cfg.a * spectral.spectral_derivative(raw, 2)
+               - cfg.epsilon * spectral.spectral_derivative(raw, 3))
     for c, got in zip(curves, batched):
-        proj = c.with_samples(manifold.retract(c.samples)[0])
-        got = got + cfg.a * spectral.spectral_derivative(proj.velocity(), 2)
         want = regularized_rhs(c, cfg)
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
 
@@ -323,6 +333,20 @@ def test_picard_band_is_the_dealias_band():
     assert traj.failure is None
     assert len(traj.picard_iterations) == 20
     assert max(traj.picard_iterations) <= 11
+
+
+def test_picard_pinned_narrow_band_still_contracts():
+    # at dt = 2e-3 this input does not contract on the dealias band (the
+    # CLI exits 3 on it); pinned to the 2 modes that a heat-only propagator
+    # once chose for it, it contracts and finishes, as it did then, with
+    # the state 0.04 off the sphere
+    u0 = random_smooth(SPHERE2, 64, seed=3, decay=1.0, amplitude=0.2)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-3, T=2e-3,
+                     integrator="DuhamelPicard")
+    assert evolve(u0, cfg).failure.startswith("NoContraction")
+    traj = evolve(u0, replace(cfg, mode_cutoff=2))
+    assert traj.failure is None and traj.picard_iterations == [30]
+    assert 0.03 < traj.off_manifold()[-1] < 0.05
 
 
 @pytest.mark.parametrize(
@@ -421,8 +445,10 @@ def test_picard_contraction_on_float_view_bitwise():
 
 
 def test_picard_row_contraction_on_float_view_bitwise():
-    # in the row layout the float view interleaves real and imaginary
-    # parts along the modes, so the kernel is repeated once per pair
+    # the step contracts every kernel as complex; at a = 0 the kernel is
+    # real, and that contraction is bit for bit the float-view one (the
+    # float view interleaves real and imaginary parts along the modes, so
+    # the kernel is repeated once per pair), which a = 0 runs used before
     rng = np.random.default_rng(10)
     kernel = rng.standard_normal((9, 8, 33))
     f_hat = rng.standard_normal((8, 3, 33)) + 1j * rng.standard_normal((8, 3, 33))

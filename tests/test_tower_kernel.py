@@ -129,14 +129,18 @@ def level_regularized(curve, cfg):
     proj = m.project(curve.samples)
     pvx = curve.with_samples(proj).velocity()
     _, s1, s2, s3 = level_gauss_tower(m, proj, pvx, 3)
+    proj3 = spectral.spectral_derivative(pvx, 2)
     proj4 = spectral.spectral_derivative(pvx, 3)
     nonlinear = (
         -eps * (s3 - proj4)
-        + cfg.a * s2
+        + cfg.a * (s2 - proj3)
         + m.complex_structure(proj, s1)
         + cfg.b * _sq(pvx.T).T * pvx
     )
-    return -eps * spectral.spectral_derivative(curve.velocity(), 3) + nonlinear
+    raw = curve.velocity()
+    linear = (cfg.a * spectral.spectral_derivative(raw, 2)
+              - eps * spectral.spectral_derivative(raw, 3))
+    return linear + nonlinear
 
 
 # ---------------------------------------------------------------------------
