@@ -1,7 +1,8 @@
 """Command-line front end: simulate, verify, converge.
 
 Exit codes: 0 success, 2 configuration error (bad manifest, unknown
-suite), 3 solver failure (guard tripped; the partial artifact is kept).
+suite, an initial curve off the target), 3 solver failure (guard tripped
+or a snapshot off the target; the partial artifact is kept).
 
 Artifacts are written atomically (temp file + rename).  ``report.csv``
 has the fixed column schema
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import h1_distance, resample, sup_distance
-from .errors import ConfigError, DclError
+from .errors import ConfigError, DclError, PointOffManifold
 from .flow import FlowConfig, epsilon_continuation, evolve
 from .invariants import energy_report, trajectory_reports
 from .manifolds import by_name
@@ -142,6 +143,24 @@ def report_rows(trajectory):
     ]
 
 
+def _reported(trajectory):
+    """(report rows, trajectory), cut before the first snapshot off the
+    target, which becomes its failure: a DuhamelPicard state may sit off
+    the target inside the tube, where no report is defined."""
+    try:
+        return report_rows(trajectory), trajectory
+    except PointOffManifold:
+        pass
+    for i, (t, state) in enumerate(zip(trajectory.times, trajectory.states)):
+        try:
+            state.require_on_manifold()
+        except PointOffManifold as exc:
+            cut = replace(trajectory, times=trajectory.times[:i],
+                          states=trajectory.states[:i],
+                          failure=f"PointOffManifold: {exc} at t = {t!r}")
+            return report_rows(cut), cut
+
+
 def rows_to_csv(rows):
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\r\n")
@@ -177,6 +196,9 @@ def _initial_curve(manifest, n):
     except ValueError as exc:
         raise ConfigError(f"bad initial_condition {descriptor!r}: the "
                           f"initial curve's {exc}") from exc
+    except PointOffManifold as exc:
+        raise ConfigError(f"bad initial_condition {descriptor!r}: the "
+                          f"initial curve is off the target ({exc})") from exc
     return u0
 
 
@@ -209,7 +231,7 @@ def cmd_simulate(manifest, checkpoints_every=0):
     u0 = _initial_on_grid(manifest)
     out_dir = _make_output_dir(manifest)
     trajectory = evolve(u0, manifest.config, stride=manifest.stride)
-    rows = report_rows(trajectory)
+    rows, trajectory = _reported(trajectory)
     csv_text = rows_to_csv(rows)
     _atomic_write(os.path.join(out_dir, "report.csv"), csv_text.encode())
 

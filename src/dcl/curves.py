@@ -42,7 +42,8 @@ class ClosedCurve:
             )
         if n < 16 or n & (n - 1):
             raise ValueError("grid size must be a power of two >= 16")
-        require_finite(self.samples)
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("samples must be finite")
 
     @property
     def n(self):
@@ -100,12 +101,6 @@ class TangentFieldOnCurve:
                     f"normal component {res:.3e} exceeds "
                     f"{ON_MANIFOLD_TOL:.0e} * {scale:.3e}"
                 )
-
-
-def require_finite(samples):
-    """Reject sample arrays holding NaN or infinity (any shape)."""
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
 
 
 def lift_winding(samples, manifold):
@@ -215,14 +210,16 @@ def h1_distance(c1, c2):
     """Discrete H1 distance between two curves on the same target.
 
     Chart-torus lifts are aligned by removing the integer offset of their
-    mean difference before comparing.
+    mean difference before comparing.  The velocity difference is one
+    winding-aware derivative of the difference, which cancels no O(1)
+    velocities.
     """
     if c1.manifold is not c2.manifold or c1.n != c2.n:
         raise ValueError("curves must share manifold and grid")
     diff = c1.samples - c2.samples
     if c1.manifold is CHART_FLAT_TORUS2:
         diff = diff - np.rint(diff.mean(axis=0))[None, :]
-    dvel = c1.velocity() - c2.velocity()
+    dvel = lifted_velocity(diff.T, c1.manifold).T
     return float(
         np.sqrt(spectral.l2_inner(diff, diff) + spectral.l2_inner(dvel, dvel))
     )

@@ -65,15 +65,20 @@ Integrators
 ``epsilon_continuation`` marches the eps = 0 baseline and every level as
 one stack with per-member guards.  It decides the run's band once and
 hands it to every stepper it builds.  It transforms each accepted state
-once (:func:`_lift`): that rfft of its periodic part feeds the H2
-blow-up guard and the next step's V0 and stage 1, or the Picard free
-term, so at stride 1 the guard costs no transform of its own.  Off the chart torus
-the trend is zero and is neither added nor subtracted.
+once: that rfft feeds the H2 blow-up guard and the next step's V0 and
+stage 1, or the Picard free term, so at stride 1 the guard costs no
+transform of its own.  The march state is each curve's periodic part:
+on the chart torus a closed curve's winding W is a homotopy invariant,
+so the march reads W and the trend W*x of u0 once, at entry, and adds
+the trend back to each snapshot.  No chart-torus kernel reads its base
+point (the retraction and the tangent projection copy, the second
+fundamental form is zero, J rotates the vector), so W enters a step only
+as the constant part of v_x.  Off the chart torus W is zero.
 
 The march stores every state, stage point and slope in the row layout
 (..., d, N), components first and the samples on the contiguous last
 axis, so each transform runs on ``axis=-1``, and the stepper's
-multipliers are rows over rfft modes.  States, their :func:`_lift`,
+multipliers are rows over rfft modes.  States, their transforms,
 the guards and the snapshots stay on the N curve samples, and so does
 stage 1, the slope of the state itself; later stage points live on the
 M stage samples, and every slope, once taken, on the stage grid's
@@ -421,24 +426,23 @@ class _Stepper:
         self.e_full = np.exp(cfg.dt * lam) * self.mask
         self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
-    def slope(self, samples, trend, winding):
+    def slope(self, samples, winding):
         """Masked stage-grid rfft coefficients of the remainder at a stage.
 
-        Arrays are (..., d, N) rows with ``winding`` (..., d, 1).  The
-        stage points are retracted (tube check, then P) and P checked on
-        the target once; :meth:`remainder` then takes P and the rfft of
-        its periodic part, one transform call more than it makes itself.
+        ``samples`` are (..., d, N) periodic parts and ``winding`` is
+        (d, 1) or (..., d, 1).  The stage points are retracted (tube
+        check, then P) and P checked on the target once; :meth:`remainder`
+        then takes P and its rfft, one transform call more than it makes
+        itself.
         """
         m = self.manifold
         proj, _ = m._retract(samples)
         m._require_on(proj)
-        coef = np.fft.rfft(proj - trend if winding.any() else proj,
-                           norm="forward")
-        return self.remainder(proj, coef, winding)
+        return self.remainder(proj, np.fft.rfft(proj, norm="forward"), winding)
 
     def remainder(self, proj, coef, winding):
-        """The slope at an on-target point ``proj``, from the rfft ``coef``
-        of its periodic part; unchecked, so the caller checks ``proj``.
+        """The slope at an on-target periodic part ``proj``, from its rfft
+        ``coef``; unchecked, so the caller checks ``proj``.
 
         The remainder is the RHS minus L v, assembled at P = ``proj``
         without cancelling large terms (A is the second fundamental form
@@ -490,48 +494,27 @@ class _Stepper:
         return self.mask * out
 
 
-def _lift(samples, manifold):
-    """(trend, winding, rfft of the periodic part) of (..., d, N) rows.
-
-    Off the chart torus, and on it for a curve that does not wind, the
-    trend is zero and the samples are transformed as they are (x - 0.0
-    is x bitwise).  A strided view (a transposed curve) is copied first,
-    so the coefficients, and all that the step derives from them, are
-    C-contiguous rows.
-    """
-    samples = np.ascontiguousarray(samples)
-    trend, winding = lift_trend(samples, manifold)
-    periodic = samples - trend if winding.any() else samples
-    return trend, winding, np.fft.rfft(periodic, norm="forward")
-
-
-def _rk4_step(samples, cfg, st, lifted):
+def _rk4_step(samples, cfg, st, coef, winding):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
-    ``samples`` is one curve (d, N) or a stack (..., d, N) on the target
-    (a state the march accepted, or u0 it retracted and checked), and
-    ``lifted`` is its :func:`_lift`.  The periodic part V0 of the state
-    and the stage slopes stay in coefficient space on the stage grid.
-    Stage 1 is the remainder at the state itself, on the curve grid, from
-    the transform ``lifted`` holds: no retraction, check or transform of
-    its own.  Each later stage point is one irfft on the stage grid, where
-    its trend is every (N/M)-th curve sample (``grid(N)[::r]`` is
-    ``grid(M)`` bit for bit), and V0 is the state's first M/2+1 modes.
-    Returns the projected state and each curve's largest residual
-    before projection.
+    ``samples`` is the periodic part of one curve (d, N) or of a stack
+    (..., d, N) on the target (a state the march accepted, or u0 it
+    retracted and checked), ``coef`` its rfft and ``winding`` its (d, 1)
+    or (..., d, 1) winding.  The state V0 and the stage slopes stay in
+    coefficient space on the stage grid.  Stage 1 is the remainder at the
+    state itself, on the curve grid, from ``coef``: no retraction, check
+    or transform of its own.  Each later stage point is one irfft on the
+    stage grid, and V0 is the state's first M/2+1 modes.  Returns the
+    projected periodic part and each curve's largest residual before
+    projection.
     """
     h = cfg.dt
-    trend, winding, v0 = lifted
-    winds = winding.any()
-    m1 = st.remainder(samples, v0, winding)
-    v0 = v0[..., : st.n // 2 + 1]
-    stage_trend = trend[..., :: st.n_curve // st.n]
+    m1 = st.remainder(samples, coef, winding)
+    v0 = coef[..., : st.n // 2 + 1]
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
-        point = np.fft.irfft(coef, n=st.n, norm="forward")
-        return st.slope(stage_trend + point if winds else point,
-                        stage_trend, winding)
+        return st.slope(np.fft.irfft(coef, n=st.n, norm="forward"), winding)
 
     m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
@@ -539,20 +522,18 @@ def _rk4_step(samples, cfg, st, lifted):
     end = full_v0 + (h / 6.0) * (
         st.e_full * m1 + 2.0 * (st.e_half * (m2 + m3)) + m4
     )
-    return _step_end(st, trend, winding, end)
+    return _step_end(st, end)
 
 
-def _imex_step(samples, cfg, st, lifted):
+def _imex_step(samples, cfg, st, coef, winding):
     """Integrating-factor Euler step (first order), projected at the end;
     its one slope is stage 1 of :func:`_rk4_step`."""
-    trend, winding, v0 = lifted
-    m1 = st.remainder(samples, v0, winding)
-    return _step_end(st, trend, winding,
-                     st.e_full * (v0[..., : st.n // 2 + 1] + cfg.dt * m1))
+    m1 = st.remainder(samples, coef, winding)
+    return _step_end(st, st.e_full * (coef[..., : st.n // 2 + 1] + cfg.dt * m1))
 
 
-def _step_end(st, trend, winding, coef):
-    """Guarded projection of trend + irfft(coef); (samples, residuals before).
+def _step_end(st, coef):
+    """Guarded projection of irfft(coef); (samples, residuals before).
 
     ``coef`` holds stage-grid modes, which the irfft onto the curve grid
     zero-pads.  The projection is checked on the target here, once per
@@ -560,8 +541,6 @@ def _step_end(st, trend, winding, coef):
     """
     m = st.manifold
     pre = np.fft.irfft(coef, n=st.n_curve, norm="forward")
-    if winding.any():
-        pre = trend + pre
     if not np.all(np.isfinite(pre)):
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)
@@ -627,27 +606,26 @@ class _PicardWorkspace:
         self.prop0 *= self.stepper.mask
 
 
-def _picard_step(cfg, ws, lifted):
+def _picard_step(cfg, ws, coef, winding):
     """Solve the mild form on [0, dt]; returns (state at dt, iterations).
 
-    ``lifted`` is the :func:`_lift` of one curve's (d, N) rows.  Each
-    iteration advances all targets at once from one stage slope of the
-    (q, d, N) stack of node states.
+    ``coef`` is the rfft of one curve's (d, N) periodic part and
+    ``winding`` its (d, 1) winding; the state returned is the periodic
+    part.  Each iteration advances all targets at once from one stage
+    slope of the (q, d, N) stack of node states.
     """
     st = ws.stepper
     n, q = st.n, ws.nodes.size
-    trend, winding, v0 = lifted
-    winds = winding.any()
     # initial guess: the data propagated by exp(t L) alone
-    free = ws.prop0[:, None, :] * v0
+    free = ws.prop0[:, None, :] * coef
     devs = np.fft.irfft(free, n=n, norm="forward")
     prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
-        states = trend + devs[:q] if winds else devs[:q]
+        states = devs[:q]
         if not np.all(np.isfinite(states)):
             raise StepSizeUnstable("non-finite state")
-        f_hat = st.slope(states, trend, winding)
+        f_hat = st.slope(states, winding)
         coef = free + np.einsum("ijk,jdk->idk", ws.kernel, f_hat)
         devs = np.fft.irfft(coef, n=n, norm="forward")
         # H1 norm of each target's update; the largest decides convergence
@@ -657,8 +635,7 @@ def _picard_step(cfg, ws, lifted):
         prev = coef
         if delta <= cfg.picard_tol:
             # a copy: a view would keep the whole node stack alive
-            end = trend + devs[-1] if winds else devs[-1].copy()
-            return end, iteration
+            return devs[-1].copy(), iteration
     raise NoContraction(
         f"no fixed point after {cfg.picard_max_iter} iterations "
         f"(last update {delta:.3e}); reduce dt for this epsilon"
@@ -686,17 +663,15 @@ def _parseval_weights(n, low, high):
     return weights
 
 
-def _extrinsic_h2(samples, lifted):
+def _extrinsic_h2(coef, winding):
     """H2 norm of the velocity by plain spectral derivatives.
 
     Valid for states slightly off the target (unlike the covariant norm),
-    which is all the blow-up guard needs.  By Parseval on one transform
-    of the periodic part (``lifted``, the :func:`_lift` of the samples):
-    |W|^2 plus the power of D^j of it for j = 1..3.  One norm per curve
-    of a (..., d, N) stack.
+    which is all the blow-up guard needs.  By Parseval on the rfft
+    ``coef`` of the periodic part of N samples: |W|^2 plus the power of
+    D^j of it for j = 1..3.  One norm per curve of a (..., d, N) stack.
     """
-    n = samples.shape[-1]
-    _, winding, coef = lifted
+    n = 2 * (coef.shape[-1] - 1)
     power = _ambient_sum(coef.real**2 + coef.imag**2) * _parseval_weights(n, 1, 3)
     total = _dot(winding, winding)[..., 0] + power.sum(axis=-1)
     return np.sqrt(total)
@@ -705,10 +680,6 @@ def _extrinsic_h2(samples, lifted):
 # The failures a march records in ``Trajectory.failure`` instead of raising.
 _GUARD_TRIPS = (OutOfTubularNeighborhood, NoContraction, StepSizeUnstable,
                TangencyViolation)
-
-
-def _h2_blowup(norm, guard_norm):
-    return norm > BLOWUP_FACTOR * np.maximum(guard_norm, 1e-30)
 
 
 def evolve(u0, cfg, stride=1):
@@ -750,13 +721,16 @@ def _march(u0, cfg, stride, levels=None):
         trajs[i].failure = f"{type(exc).__name__}: {exc}"
 
     m = u0.manifold
-    # the march state is (B, d, N) rows; a snapshot is a member's transpose
-    state = np.stack([u0.samples.T] * len(trajs))
+    # the march state is C-contiguous (B, d, N) rows of each member's
+    # periodic part; a snapshot is a member's transpose, plus the trend
+    state = np.ascontiguousarray(np.stack([u0.samples.T] * len(trajs)))
+    trend, winding = lift_trend(u0.samples.T, m)
+    winds = winding.any()
     if cfg.integrator == "DuhamelPicard":
         ws = _PicardWorkspace(cfg, m, u0.n)
 
-        def advance(rows, lifted, members):
-            end, iterations = _picard_step(cfg, ws, [x[0] for x in lifted])
+        def advance(rows, coef, members):
+            end, iterations = _picard_step(cfg, ws, coef[0], winding)
             trajs[0].picard_iterations.append(iterations)
             return end[None], m._residual(m._sq_norms(end[None])).max(axis=-1)
     else:
@@ -780,16 +754,18 @@ def _march(u0, cfg, stride, levels=None):
             return _Stepper(cfg, m, u0.n, keep,
                             [configs[i].epsilon for i in members])
 
-        def advance(rows, lifted, members):
-            return step_fn(rows, cfg, stepper(tuple(members)), lifted)
+        def advance(rows, coef, members):
+            return step_fn(rows, cfg, stepper(tuple(members)), coef, winding)
 
+    if winds:
+        state = state - trend
     live = list(range(len(trajs)))
     # one transform per state: the H2 guard and the next step share it
-    lifted = _lift(state, m)
-    guard = _extrinsic_h2(state, lifted)  # indexed by member
+    coef = np.fft.rfft(state, norm="forward")
+    guard = _extrinsic_h2(coef, winding)  # indexed by member
     for k in range(1, n_steps + 1):
         try:
-            state, residuals = advance(state, lifted, live)
+            state, residuals = advance(state, coef, live)
         except _GUARD_TRIPS as exc:
             if len(live) == 1:
                 freeze(live[0], exc)
@@ -798,8 +774,7 @@ def _march(u0, cfg, stride, levels=None):
             done = {}
             for j, i in enumerate(live):
                 try:
-                    done[j] = advance(state[j:j + 1],
-                                      [x[j:j + 1] for x in lifted], [i])
+                    done[j] = advance(state[j:j + 1], coef[j:j + 1], [i])
                 except _GUARD_TRIPS as trip:
                     freeze(i, trip)
             live = [live[j] for j in done]
@@ -808,11 +783,11 @@ def _march(u0, cfg, stride, levels=None):
             state, residuals = (np.concatenate(x) for x in zip(*done.values()))
         for i, residual in zip(live, residuals):
             trajs[i].step_residuals.append(float(residual))
-        lifted = _lift(state, m)
+        coef = np.fft.rfft(state, norm="forward")
         if k % stride:
             continue
-        norms = _extrinsic_h2(state, lifted)
-        blown = _h2_blowup(norms, guard[live])
+        norms = _extrinsic_h2(coef, winding)
+        blown = norms > BLOWUP_FACTOR * np.maximum(guard[live], 1e-30)
         for j, i in enumerate(live):
             if blown[j]:
                 freeze(i, StepSizeUnstable(
@@ -820,12 +795,12 @@ def _march(u0, cfg, stride, levels=None):
                 ))
             else:
                 trajs[i].times.append(k * cfg.dt)
-                trajs[i].states.append(u0.with_samples(state[j].T))
+                rows = trend + state[j] if winds else state[j]
+                trajs[i].states.append(u0.with_samples(rows.T))
         guard[live] = norms
         if blown.any():
             kept = np.flatnonzero(~blown)
-            live, state = [live[j] for j in kept], state[kept]
-            lifted = [x[kept] for x in lifted]
+            live, state, coef = [live[j] for j in kept], state[kept], coef[kept]
             if not live:
                 break
     return trajs

@@ -100,12 +100,6 @@ def l2_norm(f):
     return np.sqrt(l2_inner(f, f))
 
 
-def heat4_multiplier(n, eps, t):
-    """Fourier multiplier exp(-eps*t*(2*pi*k)^4) of the fourth-order heat semigroup."""
-    k = wavenumbers(n)
-    return np.exp(-eps * t * (TWO_PI * k) ** 4)
-
-
 def semigroup_apply(eps, t, f):
     """Apply the fourth-order heat semigroup to a periodic sampled field.
 
@@ -120,7 +114,7 @@ def semigroup_apply(eps, t, f):
     rows = _rows(f)
     n = rows.shape[-1]
     coef = np.fft.rfft(rows)
-    coef *= heat4_multiplier(n, eps, t)
+    coef *= np.exp(-eps * t * (TWO_PI * wavenumbers(n)) ** 4)
     return _rows(np.fft.irfft(coef, n=n))
 
 

@@ -12,6 +12,8 @@ from dcl import cli
 from dcl.cli import main, parse_report_csv
 from dcl.curves import sup_distance
 from dcl.invariants import EnergyReport, oracle_latitude_circle
+from dcl.manifolds import SPHERE2
+from dcl.presets import great_circle, random_smooth
 
 
 def base_manifest(out_dir, **overrides):
@@ -527,3 +529,53 @@ def test_file_curve_off_grid_resampled_by_studies(tmp_path, mode):
                  "--levels", "3"]) == 0
     table = (tmp_path / "out" / f"converge_{mode}.csv").read_text()
     assert len(table.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["converge", "--mode", "epsilon", "--levels", "3"]],
+    ids=["simulate", "converge-epsilon"],
+)
+def test_file_curve_off_target_exits_config_error(tmp_path, argv):
+    # the file's curve sits 1e-3 off the sphere: a config error naming the
+    # residual, not a solver error, and no output directory
+    curve = tmp_path / "curve.json"
+    samples = 1.001 * great_circle(64).samples
+    curve.write_text(json.dumps({"samples": samples.tolist()}))
+    out = tmp_path / "out"
+    manifest = base_manifest(out, config={"initial_condition": f"file:{curve}"})
+    proc = run_cli(*argv, "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config error: bad initial_condition" in proc.stderr
+    assert "off the target" in proc.stderr
+    assert "constraint residual 2.001e-03" in proc.stderr
+    assert not out.exists()
+
+
+def test_snapshot_off_target_ends_report_and_exits_3(tmp_path):
+    # the pinned band contracts in 30 iterations and ends 0.04 off the
+    # sphere, inside the tube: the report keeps the snapshots before it
+    out = tmp_path / "off"
+    manifest = base_manifest(
+        out,
+        config={
+            "initial_condition": "random_smooth:3,1.0,0.2", "N_g": 64,
+            "a": 1.0, "b": 0.5, "epsilon": 1e-2, "dt": 2e-3, "T": 2e-3,
+            "integrator": "DuhamelPicard", "mode_cutoff": 2,
+        },
+    )
+    manifest["stride"] = 1
+    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "solver failure: PointOffManifold" in proc.stderr
+    echo = json.loads((out / "manifest.json").read_text())
+    assert echo["exit_status"] == 3 and echo["snapshots"] == 1
+    assert echo["failure"].startswith("PointOffManifold: Sphere2: constraint "
+                                      "residual 4.025e-02")
+    rows = parse_report_csv((out / "report.csv").read_text())
+    assert [r["t"] for r in rows] == [0.0]
+    final = json.loads((out / "checkpoint_final.json").read_text())
+    u0 = random_smooth(SPHERE2, 64, seed=3, decay=1.0, amplitude=0.2)
+    assert final["t"] == 0.0 and final["samples"] == u0.samples.tolist()

@@ -20,7 +20,6 @@ from dcl.flow import (
     _duhamel_quadrature,
     _extrinsic_h2,
     _imex_step,
-    _lift,
     _picard_step,
     _PicardWorkspace,
     _rk4_step,
@@ -228,10 +227,13 @@ def test_batched_nonlinearity_matches_single_curves(manifold):
     ]
     curves = [c.with_samples(c.samples * inflate) for c in curves]
     stack = np.stack([c.samples.T for c in curves])
-    slopes = st.slope(stack, *lift_trend(stack, manifold)).swapaxes(-1, -2)
+    # the slope takes each curve's periodic part and its winding
+    trend, winding = lift_trend(stack, manifold)
+    slopes = st.slope(stack - trend, winding).swapaxes(-1, -2)
     assert slopes.shape == (8, 33, manifold.ambient_dim)
     for c, got in zip(curves, slopes):
-        single = st.slope(c.samples.T, *lift_trend(c.samples.T, manifold)).T
+        trend, winding = lift_trend(c.samples.T, manifold)
+        single = st.slope(c.samples.T - trend, winding).T
         assert np.array_equal(got, single)
     raw = lifted_velocity(stack, manifold).swapaxes(-1, -2)
     batched = (np.fft.irfft(slopes, n=64, axis=-2, norm="forward")
@@ -576,20 +578,24 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
                      integrator=integrator)
     traj = evolve(u0, cfg, stride=1)
     assert traj.failure is None
-    samples = u0.samples
+    # the steps march the periodic part; a snapshot adds u0's trend back
+    trend, winding = lift_trend(u0.samples.T, manifold)
+    rows = u0.samples.T
     if integrator == "DuhamelPicard":
         ws = _PicardWorkspace(cfg, manifold, 64)
     else:
-        samples = manifold.retract(u0.samples)[0]
+        rows = manifold.retract(u0.samples)[0].T
         keep = mode_cutoff(cfg, manifold, float(np.max(np.abs(u0.velocity()))))
         st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
+    rows = rows - trend
     for state in traj.states[1:]:
-        lifted = _lift(samples.T, manifold)
+        coef = np.fft.rfft(rows, norm="forward")
         if integrator == "DuhamelPicard":
-            samples = _picard_step(cfg, ws, lifted)[0].T
+            rows = _picard_step(cfg, ws, coef, winding)[0]
         else:
             step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
-            samples = step(samples.T, cfg, st, lifted)[0].T
+            rows = step(rows, cfg, st, coef, winding)[0]
+        samples = (trend + rows if winding.any() else rows).T
         assert samples.tobytes() == state.samples.tobytes()
 
 
@@ -661,38 +667,39 @@ def test_extrinsic_h2_matches_derivative_chain(manifold):
         if manifold is CHART_FLAT_TORUS2:
             assert c.winding().any()
         want = parent_extrinsic_h2(c)
-        lifted = _lift(c.samples.T, c.manifold)
-        assert abs(_extrinsic_h2(c.samples.T, lifted) - want) <= 1e-13 * want
+        trend, winding = lift_trend(c.samples.T, manifold)
+        got = _extrinsic_h2(np.fft.rfft(c.samples.T - trend, norm="forward"),
+                            winding)
+        assert abs(got - want) <= 1e-13 * want
         # the cached Parseval weights and a shared transform change no bit
         k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
         k2[-1] = 0.0
-        trend, winding = lift_trend(c.samples.T, manifold)
-        trend, winding = trend.T, winding[:, 0]
-        coef = np.fft.rfft(c.samples - trend, axis=-2)
+        coef = np.fft.rfft(c.samples - trend.T, axis=-2)
         power = ((coef.real**2 + coef.imag**2).sum(axis=-1)
                  * (k2 + k2**2 + k2**3))
-        inline = np.sqrt((winding * winding).sum(axis=-1)
+        w = winding[:, 0]
+        inline = np.sqrt((w * w).sum(axis=-1)
                          + 2.0 * power.sum(axis=-1) / n**2)
-        got = _extrinsic_h2(c.samples.T, _lift(c.samples.T, manifold))
         assert got == inline
-        # _lift copies strided rows first, so the transposed curve gives
-        # bitwise the norm of a C-contiguous copy
+        # the transform of the transposed curve is bitwise that of a
+        # C-contiguous copy
         rows = np.ascontiguousarray(c.samples.T)
-        assert got == _extrinsic_h2(rows, _lift(rows, manifold))
+        coef = np.fft.rfft(rows - trend, norm="forward")
+        assert got == _extrinsic_h2(coef, winding)
 
 
 @pytest.mark.parametrize(
     "eps,stride,snapshots,failure",
     [
-        (0.0, 1, 2, "H2 norm grew 1659.2x within one stride"),
-        (1e-4, 1, 5, "H2 norm grew 35663109491.5x within one stride"),
-        (0.0, 2, 1, "H2 norm grew 4657.0x within one stride"),
+        (0.0, 1, 2, "H2 norm grew 1617.5x within one stride"),
+        (1e-4, 1, 5, "H2 norm grew 29727728803.5x within one stride"),
+        (0.0, 2, 1, "H2 norm grew 4540.0x within one stride"),
     ],
 )
 def test_h2_guard_trips_where_it_did(eps, stride, snapshots, failure):
     # a winding chart curve far past the stability edge: the guard reads
-    # the transform the march shares with the next step, and trips at the
-    # step and with the growth factor of a guard that made its own
+    # the transform the march shares with the next step, and u0's winding,
+    # which an under-resolved state would misread as (2, 0) by step 2
     u0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=5.0, epsilon=eps, N_g=64, dt=1e-3, T=8e-3,
                      mode_cutoff=16)

@@ -164,6 +164,24 @@ def test_unchecked_kernels_equal_public_operators(manifold):
                               np.cross(base, x))
 
 
+def test_chart_kernels_ignore_an_integer_trend():
+    # the flow steps a winding chart curve's periodic part in place of the
+    # curve: no chart kernel reads its base point, so a base and that base
+    # plus an integer trend W x give the same bits (the retraction copies
+    # either, with the same squared norms)
+    m = CHART_FLAT_TORUS2
+    rng = np.random.default_rng(7)
+    base, x, y = rng.standard_normal((3, 4, 2, 32))
+    shifted = base + np.array([[1.0], [-2.0]]) * (np.arange(32) / 32)
+    retracted = [m._retract(b) for b in (base, shifted)]
+    for b, (proj, _) in zip((base, shifted), retracted):
+        assert proj.tobytes() == b.tobytes() and proj is not b
+    for kernel in (lambda b: m._retract(b)[1], m._sq_norms,
+                   lambda b: m._tangent(b, x), lambda b: m._sff(b, x, y),
+                   lambda b: m._j(b, x)):
+        assert kernel(base).tobytes() == kernel(shifted).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # second fundamental form
 # ---------------------------------------------------------------------------

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from dcl import flow
-from dcl.flow import FlowConfig, _lift, _march, _Stepper, evolve, mode_cutoff
+from dcl.flow import (
+    INTEGRATORS,
+    FlowConfig,
+    _march,
+    _Stepper,
+    evolve,
+    mode_cutoff,
+)
 from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2
 from dcl.presets import great_circle, random_smooth
 
@@ -110,7 +117,7 @@ def test_step_checks_later_stages_and_its_end(on_target_checks, step_fn,
     cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
     st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0), [0.0])
     rows = u0.samples.T
-    step_fn(rows, cfg, st, _lift(rows, SPHERE2))
+    step_fn(rows, cfg, st, np.fft.rfft(rows, norm="forward"), np.zeros((3, 1)))
     assert len(on_target_checks) == want
 
 
@@ -156,3 +163,52 @@ def test_u0_outside_the_tube_fails_every_member_at_entry(integrator, levels):
                                 "6.000e-01 >= tubular radius 5.000e-01")
         assert len(traj.states) == 1 and traj.states[0] is far
         assert traj.times == [0.0] and traj.step_residuals == []
+
+
+# ---------------------------------------------------------------------------
+# The winding: a homotopy invariant, read once per march
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("integrator,levels", [
+    ("ProjectedRK4", None), ("ProjectedRK4", [0.0, 1e-4]),
+    ("IMEX", None), ("IMEX", [0.0, 1e-4]), ("DuhamelPicard", None),
+])
+def test_march_reads_the_trend_once(monkeypatch, integrator, levels):
+    # the march steps each curve's periodic part: the trend of u0 is read
+    # at entry, never again from a step's state
+    calls = []
+    read = flow.lift_trend
+
+    def counted(samples, manifold):
+        calls.append(samples.shape)
+        return read(samples, manifold)
+
+    monkeypatch.setattr(flow, "lift_trend", counted)
+    u0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=2, decay=1.2,
+                       amplitude=0.1)
+    cfg = FlowConfig(a=0.5, b=0.5, N_g=64, dt=1e-5, T=4e-5,
+                     integrator=integrator,
+                     epsilon=1e-2 if integrator == "DuhamelPicard" else 0.0)
+    trajs = _march(u0, cfg, 1, levels)
+    assert all(t.failure is None and len(t.states) == 5 for t in trajs)
+    assert calls == [(2, 64)]
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_snapshots_keep_the_winding_of_u0(integrator):
+    runs = [(random_smooth(CHART_FLAT_TORUS2, 64, seed=2, decay=1.2,
+                           amplitude=0.1),
+             FlowConfig(a=0.5, b=0.5, N_g=64, dt=1e-5, T=4e-5,
+                        integrator=integrator, epsilon=1e-2), 1)]
+    if integrator == "ProjectedRK4":
+        # the blow-up input: its states are under-resolved by step 2
+        runs.append((TRIP_U0, replace(TRIP_CFG, epsilon=1e-4, T=8e-3), 1))
+    for u0, cfg, stride in runs:
+        assert u0.winding().any()
+        with np.errstate(all="ignore"):
+            traj = evolve(u0, cfg, stride)
+        assert len(traj.states) == 5
+        for state in traj.states:
+            assert np.array_equal(state.winding(), u0.winding())
+            assert state.trend().tobytes() == u0.trend().tobytes()

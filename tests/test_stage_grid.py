@@ -2,8 +2,9 @@
 
 The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
 later stages run on the smallest grid that dealiases the band by the N/4
-rule; only ``_lift``, the slope of the state (stage 1, from the transform
-``_lift`` made) and the step end transform all N curve samples.
+rule; only the march's transform of each state, the slope of the state
+(stage 1, from that transform) and the step end transform all N curve
+samples.
 """
 
 import numpy as np
@@ -85,7 +86,7 @@ def test_picard_stages_stay_on_curve_grid(a, cutoff):
     assert st.mask.sum() <= 256 // 4 + 1
 
 
-def test_step_transforms_curve_grid_only_at_lift_stage1_and_end(fft_calls):
+def test_step_transforms_curve_grid_only_at_march_stage1_and_end(fft_calls):
     n, m = 4096, 256
     u0 = random_smooth(SPHERE2, n, seed=11, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-6, T=2e-6)
