@@ -29,7 +29,7 @@ import numpy as np
 
 from .curves import h1_distance, resample, sup_distance
 from .errors import ConfigError, DclError, PointOffManifold
-from .flow import FlowConfig, epsilon_continuation, evolve
+from .flow import MAX_N_G, FlowConfig, epsilon_continuation, evolve
 from .invariants import energy_report, trajectory_reports
 from .manifolds import by_name
 from .presets import make_initial
@@ -416,6 +416,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
+            if args.checkpoints < 0:
+                raise ConfigError("--checkpoints must be nonnegative")
             manifest = load_manifest(args.manifest)
             return cmd_simulate(manifest, checkpoints_every=args.checkpoints)
         if args.command == "verify":
@@ -423,9 +425,17 @@ def main(argv=None):
                 raise ConfigError(
                     f"unknown suite {args.suite!r}; choose from {tuple(SUITES)}"
                 )
-            grids = tuple(int(g) for g in args.grids.split(",") if g)
-            if not grids:
-                raise ConfigError("at least one grid size is required")
+            try:
+                grids = tuple(int(g) for g in args.grids.split(",") if g)
+            except ValueError:
+                grids = ()
+            if (len(grids) < 1 + (args.suite == "identities")
+                    or any(g < 16 or g > MAX_N_G or g & (g - 1) for g in grids)):
+                raise ConfigError(f"--grids must list powers of two from 16 to "
+                                  f"{MAX_N_G}, two for 'identities'; got "
+                                  f"{args.grids!r}")
+            if args.seed < 0:
+                raise ConfigError("--seed must be nonnegative")
             return cmd_verify(args.suite, grids, args.seed)
         if args.command == "converge":
             manifest = load_manifest(args.manifest)

@@ -389,10 +389,12 @@ class _Stepper:
     are shared by all members.
 
     The stiff part L = a*d_x^3 - eps*d_x^4 is the same for every
-    integrator; DuhamelPicard's quadrature propagates it, so its
-    integrating factors go unused.  The slope's linear terms act on rfft
-    coefficients.  The pointwise terms are not formed when their
-    coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
+    integrator; a DuhamelPicard stepper holds the masked quadrature that
+    propagates it (``nodes``, ``kernel``, ``prop0``) in place of the
+    integrating factors, and each step's count in ``iterations``.  The
+    slope's linear terms act on rfft coefficients.  The pointwise terms
+    are not formed when their coefficient is zero: b |v_x|^2 v_x at b = 0
+    and a A1 at a = 0.
     """
 
     def __init__(self, cfg, manifold, n, keep, eps):
@@ -420,11 +422,18 @@ class _Stepper:
         if self.third_order:
             self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
             self.c_a1 = self.eps * self.d1
-        lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
-        # odd-order multipliers have no real Nyquist representative (n even)
-        lam[..., -1] = lam[..., -1].real
-        self.e_full = np.exp(cfg.dt * lam) * self.mask
-        self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
+        if cfg.integrator == "DuhamelPicard":
+            self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(cfg, k)
+            # in place: the build holds one kernel, not two
+            self.kernel *= self.mask
+            self.prop0 *= self.mask
+            self.iterations = []
+        else:
+            lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
+            # odd-order multipliers have no real Nyquist representative (n even)
+            lam[..., -1] = lam[..., -1].real
+            self.e_full = np.exp(cfg.dt * lam) * self.mask
+            self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
     def slope(self, samples, winding):
         """Masked stage-grid rfft coefficients of the remainder at a stage.
@@ -586,38 +595,18 @@ def _duhamel_quadrature(cfg, k):
     return nodes, kernel, decay(targets)
 
 
-class _PicardWorkspace:
-    """Stage slope, nodes, fused quadrature kernel and propagator of a run.
+def _picard_step(samples, cfg, st, coef, winding):
+    """Solve the mild form on [0, dt]; (state at dt, residuals), as
+    :func:`_rk4_step` returns them, for one curve.
 
-    The quadrature is built once, on the curve grid's rfft modes.
-    ``stepper``, whose ``slope`` is the nonlinearity, has
-    :func:`mode_cutoff`'s band, and ``kernel`` and ``prop0`` are masked by
-    it.
+    ``coef`` is the rfft of the (1, d, N) periodic part ``samples`` and
+    ``winding`` its (d, 1) winding; the step appends its iteration count
+    to ``st.iterations``.  Each iteration advances all targets at once
+    from one stage slope of the (q, d, N) stack of node states.
     """
-
-    def __init__(self, cfg, manifold, n):
-        self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(
-            cfg, spectral.wavenumbers(n)
-        )
-        self.stepper = _Stepper(cfg, manifold, n,
-                                mode_cutoff(cfg, manifold, None), [cfg.epsilon])
-        # in place: the build holds one kernel, not two
-        self.kernel *= self.stepper.mask
-        self.prop0 *= self.stepper.mask
-
-
-def _picard_step(cfg, ws, coef, winding):
-    """Solve the mild form on [0, dt]; returns (state at dt, iterations).
-
-    ``coef`` is the rfft of one curve's (d, N) periodic part and
-    ``winding`` its (d, 1) winding; the state returned is the periodic
-    part.  Each iteration advances all targets at once from one stage
-    slope of the (q, d, N) stack of node states.
-    """
-    st = ws.stepper
-    n, q = st.n, ws.nodes.size
+    m, n, q = st.manifold, st.n, st.nodes.size
     # initial guess: the data propagated by exp(t L) alone
-    free = ws.prop0[:, None, :] * coef
+    free = st.prop0[:, None, :] * coef
     devs = np.fft.irfft(free, n=n, norm="forward")
     prev = free
 
@@ -626,7 +615,7 @@ def _picard_step(cfg, ws, coef, winding):
         if not np.all(np.isfinite(states)):
             raise StepSizeUnstable("non-finite state")
         f_hat = st.slope(states, winding)
-        coef = free + np.einsum("ijk,jdk->idk", ws.kernel, f_hat)
+        coef = free + np.einsum("ijk,jdk->idk", st.kernel, f_hat)
         devs = np.fft.irfft(coef, n=n, norm="forward")
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev
@@ -634,8 +623,10 @@ def _picard_step(cfg, ws, coef, winding):
         delta = float(np.sqrt((power @ _parseval_weights(n, 0, 1)).max()))
         prev = coef
         if delta <= cfg.picard_tol:
+            st.iterations.append(iteration)
             # a copy: a view would keep the whole node stack alive
-            return devs[-1].copy(), iteration
+            end = devs[-1:].copy()
+            return end, m._residual(m._sq_norms(end)).max(axis=-1)
     raise NoContraction(
         f"no fixed point after {cfg.picard_max_iter} iterations "
         f"(last update {delta:.3e}); reduce dt for this epsilon"
@@ -704,7 +695,8 @@ def _march(u0, cfg, stride, levels=None):
     frozen with its failure, and the others march on as a smaller stack.
     For ProjectedRK4/IMEX the march starts from the retraction of u0,
     checked on the target once (a u0 outside the tube freezes every
-    member with that failure); snapshot 0 is u0 as given.
+    member with that failure); snapshot 0 is u0 as given.  The band of
+    every integrator is decided here, once, by :func:`mode_cutoff`.
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
@@ -726,14 +718,8 @@ def _march(u0, cfg, stride, levels=None):
     state = np.ascontiguousarray(np.stack([u0.samples.T] * len(trajs)))
     trend, winding = lift_trend(u0.samples.T, m)
     winds = winding.any()
-    if cfg.integrator == "DuhamelPicard":
-        ws = _PicardWorkspace(cfg, m, u0.n)
-
-        def advance(rows, coef, members):
-            end, iterations = _picard_step(cfg, ws, coef[0], winding)
-            trajs[0].picard_iterations.append(iterations)
-            return end[None], m._residual(m._sq_norms(end[None])).max(axis=-1)
-    else:
+    speed = None  # the Picard band ignores it
+    if cfg.integrator != "DuhamelPicard":
         try:
             # stage 1 slopes each state as it is: u0 is retracted and
             # checked here, every later state at its step end
@@ -743,20 +729,23 @@ def _march(u0, cfg, stride, levels=None):
             for i in range(len(trajs)):
                 freeze(i, exc)
             return trajs
-        # the largest |v_x| of the data fixes the RK4 stability band, which
-        # every set of live members shares
-        keep = mode_cutoff(cfg, m, float(np.max(np.abs(u0.velocity()))))
-        step_fn = _rk4_step if cfg.integrator == "ProjectedRK4" else _imex_step
+        # the largest |v_x| of the data fixes the RK4 stability band
+        speed = float(np.max(np.abs(u0.velocity())))
+    keep = mode_cutoff(cfg, m, speed)  # every stepper of the run shares it
+    step_fn = {"ProjectedRK4": _rk4_step, "IMEX": _imex_step,
+               "DuhamelPicard": _picard_step}[cfg.integrator]
 
-        # built once per set of live members
-        @lru_cache(maxsize=None)
-        def stepper(members):
-            return _Stepper(cfg, m, u0.n, keep,
-                            [configs[i].epsilon for i in members])
+    # built once per set of live members
+    @lru_cache(maxsize=None)
+    def stepper(members):
+        return _Stepper(cfg, m, u0.n, keep,
+                        [configs[i].epsilon for i in members])
 
-        def advance(rows, coef, members):
-            return step_fn(rows, cfg, stepper(tuple(members)), coef, winding)
+    def advance(rows, coef, members):
+        return step_fn(rows, cfg, stepper(tuple(members)), coef, winding)
 
+    if cfg.integrator == "DuhamelPicard":
+        trajs[0].picard_iterations = stepper((0,)).iterations
     if winds:
         state = state - trend
     live = list(range(len(trajs)))

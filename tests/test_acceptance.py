@@ -195,11 +195,15 @@ def test_criterion_8_epsilon_continuation():
     assert all(np.isfinite(dists))
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] <= 1e-3
+    # the distance is first order in eps: each halving halves it
+    orders = [float(np.log2(a / b)) for a, b in zip(dists, dists[1:])]
+    assert all(order >= 0.9 for order in orders)
     _report(
         8,
         "H1 distances to the unregularized run "
         + " > ".join(f"{d:.2e}" for d in dists)
-        + f", final {dists[-1]:.2e} (<=1e-3)",
+        + f", final {dists[-1]:.2e} (<=1e-3), observed orders in eps "
+        + ", ".join(f"{o:.3f}" for o in orders) + " (>=0.9)",
     )
 
 

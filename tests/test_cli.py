@@ -11,6 +11,7 @@ import dcl
 from dcl import cli
 from dcl.cli import main, parse_report_csv
 from dcl.curves import sup_distance
+from dcl.flow import MAX_N_G
 from dcl.invariants import EnergyReport, oracle_latitude_circle
 from dcl.manifolds import SPHERE2
 from dcl.presets import great_circle, random_smooth
@@ -236,6 +237,35 @@ def test_verify_known_and_unknown_suites(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines)
     assert main(["verify", "--suite", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--suite", "projections", "--grids", "abc"], "--grids"),
+    (["verify", "--suite", "projections", "--grids", "48"], "--grids"),
+    (["verify", "--suite", "projections", "--grids", "8"], "--grids"),
+    (["verify", "--suite", "identities", "--grids", "64,0"], "--grids"),
+    (["verify", "--suite", "projections", "--grids", "0"], "--grids"),
+    (["verify", "--suite", "projections", "--grids", str(2 * MAX_N_G)],
+     "--grids"),
+    (["verify", "--suite", "projections", "--seed", "-1"], "--seed"),
+    (["verify", "--suite", "identities", "--grids", "64"], "--grids"),
+    (["simulate", "--manifest", "never-read.json", "--checkpoints", "-3"],
+     "--checkpoints"),
+])
+def test_bad_flags_exit_2_before_any_work(monkeypatch, tmp_path, capsys,
+                                           argv, flag):
+    # a bad flag is a config error naming it, raised before a suite runs
+    # or a manifest is read
+    def no_work(*args):
+        raise AssertionError("ran past a bad flag")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "load_manifest", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + flag) and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_smoothing(capsys):

@@ -21,7 +21,6 @@ from dcl.flow import (
     _extrinsic_h2,
     _imex_step,
     _picard_step,
-    _PicardWorkspace,
     _rk4_step,
     _Stepper,
     INTEGRATORS,
@@ -46,11 +45,6 @@ TWO_PI = 2.0 * np.pi
 
 def constant_curve(n=32):
     return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)
-
-
-def picard_band(cfg):
-    """The band a DuhamelPicard run on the sphere decides at set-up."""
-    return _PicardWorkspace(cfg, SPHERE2, cfg.N_g).stepper.keep
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +212,8 @@ def test_batched_nonlinearity_matches_single_curves(manifold):
     # the raw state gives the checked regularized_rhs
     cfg = FlowConfig(a=0.7, b=0.3, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard", mode_cutoff=32)
-    st = _PicardWorkspace(cfg, manifold, 64).stepper
+    st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, None),
+                  [cfg.epsilon])
     assert np.all(st.mask == 1.0)
     inflate = 1.0 if manifold is CHART_FLAT_TORUS2 else 1.0005
     curves = [
@@ -326,11 +321,11 @@ def test_picard_band_is_the_dealias_band():
     # band below the dealias band, at any dt
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=4e-3,
                      integrator="DuhamelPicard", picard_tol=1e-10)
-    assert picard_band(cfg) == 16
-    assert picard_band(replace(cfg, dt=1e-4)) == 16
+    assert mode_cutoff(cfg, SPHERE2, None) == 16
+    assert mode_cutoff(replace(cfg, dt=1e-4), SPHERE2, None) == 16
     # a pinned band wins
-    assert picard_band(replace(cfg, mode_cutoff=5)) == 5
-    assert picard_band(replace(cfg, a=0.0)) == 16
+    assert mode_cutoff(replace(cfg, mode_cutoff=5), SPHERE2, None) == 5
+    assert mode_cutoff(replace(cfg, a=0.0), SPHERE2, None) == 16
     traj = evolve(wiggled_great_circle(), cfg, stride=1)
     assert traj.failure is None
     assert len(traj.picard_iterations) == 20
@@ -363,7 +358,7 @@ def test_picard_dispersive_runs_contract_fast_on_the_dealias_band(
     u0 = random_smooth(SPHERE2, 64, seed=seed, decay=1.0, amplitude=amplitude)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=dt, T=10 * dt,
                      integrator="DuhamelPicard")
-    assert picard_band(cfg) >= min_band
+    assert mode_cutoff(cfg, SPHERE2, None) >= min_band
     traj = evolve(u0, cfg, stride=1)
     assert traj.failure is None and len(traj.picard_iterations) == 10
     assert np.mean(traj.picard_iterations) <= max_mean_iterations
@@ -375,10 +370,33 @@ def test_picard_iteration_leaving_the_tube_fails():
     # the run keeps u0 and reports the tube exit
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=32, dt=3e-2, T=3e-2,
                      integrator="DuhamelPicard")
-    assert picard_band(cfg) == spectral.dealias_keep(32)
+    assert mode_cutoff(cfg, SPHERE2, None) == spectral.dealias_keep(32)
     traj = evolve(great_circle(32), cfg)
     assert traj.failure.startswith("OutOfTubularNeighborhood")
     assert len(traj.states) == 1 and traj.picard_iterations == []
+
+
+@pytest.mark.parametrize("eps,dt,T,failure,counts", [
+    (1e-4, 1e-3, 4e-2, "NoContraction", 2),
+    (1e-5, 3e-4, 3e-2, "StepSizeUnstable: non-finite state", 9),
+])
+def test_picard_records_one_count_and_residual_per_accepted_step(
+        eps, dt, T, failure, counts):
+    # a winding chart curve at b = 5 trips a guard after several steps;
+    # every step the march accepted left one iteration count and one
+    # residual, the step that tripped none
+    u0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1,
+                       amplitude=0.18)
+    cfg = FlowConfig(a=1.0, b=5.0, epsilon=eps, N_g=64, dt=dt, T=T,
+                     integrator="DuhamelPicard")
+    with np.errstate(all="ignore"):
+        traj = evolve(u0, cfg)
+    assert traj.failure.startswith(failure)
+    assert len(traj.picard_iterations) == counts
+    assert len(traj.step_residuals) == counts
+    assert len(traj.states) == counts + 1
+    if eps == 1e-4:
+        assert traj.picard_iterations == [53, 57]
 
 
 def test_fused_quadrature_matches_per_target_loop():
@@ -387,50 +405,60 @@ def test_fused_quadrature_matches_per_target_loop():
     # inner weights
     cfg = FlowConfig(a=0.3, b=0.2, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard")
-    ws = _PicardWorkspace(cfg, SPHERE2, 64)
+    st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, None),
+                  [cfg.epsilon])
     q = cfg.quadrature_nodes
     k = spectral.wavenumbers(64)
     k4 = (TWO_PI * k) ** 4
     k3 = cfg.a * (1j * TWO_PI * k) ** 3
     k3[-1] = 0.0  # no odd-order part at the Nyquist mode
-    mask = k <= ws.stepper.keep
+    mask = k <= st.keep
     rng = np.random.default_rng(7)
     f_hat = rng.standard_normal((q, 33, 3)) + 1j * rng.standard_normal((q, 33, 3))
-    fused = np.einsum("ijk,jkd->ikd", ws.kernel, f_hat)
-    for i, s in enumerate(np.append(ws.nodes, cfg.dt)):
+    fused = np.einsum("ijk,jkd->ikd", st.kernel, f_hat)
+    for i, s in enumerate(np.append(st.nodes, cfg.dt)):
         tau, w = spectral.gauss_legendre(q, 0.0, s)
         f_interp = np.einsum(
-            "tj,jkd->tkd", spectral.lagrange_matrix(ws.nodes, tau), f_hat
+            "tj,jkd->tkd", spectral.lagrange_matrix(st.nodes, tau), f_hat
         )
         mults = (np.exp(-cfg.epsilon * (s - tau)[:, None] * k4)
                  * np.exp((s - tau)[:, None] * k3) * mask)
         want = np.einsum("t,tkd->kd", w, mults[:, :, None] * f_interp)
         assert np.max(np.abs(fused[i] - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(
-            ws.prop0[i], np.exp(-cfg.epsilon * s * k4) * np.exp(s * k3) * mask)
+            st.prop0[i], np.exp(-cfg.epsilon * s * k4) * np.exp(s * k3) * mask)
 
 
-def test_picard_workspace_builds_quadrature_once(monkeypatch):
-    # the workspace builds the quadrature once and masks it by its band
-    calls = []
+def test_picard_evolve_builds_quadrature_once(monkeypatch):
+    # one evolve builds the quadrature once, in the run's one stepper,
+    # which masks it by its band
+    calls, steppers = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return _duhamel_quadrature(*args, **kwargs)
 
+    def recorded(*args):
+        steppers.append(_Stepper(*args))
+        return steppers[-1]
+
     monkeypatch.setattr(flow, "_duhamel_quadrature", counted)
-    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=2e-4,
+    monkeypatch.setattr(flow, "_Stepper", recorded)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-2, N_g=64, dt=2e-4, T=6e-4,
                      integrator="DuhamelPicard")
-    ws = _PicardWorkspace(cfg, SPHERE2, 64)
-    assert len(calls) == 1
+    traj = evolve(wiggled_great_circle(), cfg)
+    assert traj.failure is None and len(traj.picard_iterations) == 3
+    assert len(calls) == 1 and len(steppers) == 1
     monkeypatch.undo()
-    keep = ws.stepper.keep
-    assert keep == 16 and ws.stepper.mask.sum() == keep + 1
+    st = steppers[0]
+    assert traj.picard_iterations is st.iterations
+    keep = st.keep
+    assert keep == 16 and st.mask.sum() == keep + 1
     k = spectral.wavenumbers(64)
     mask = (k <= keep).astype(float)
     nodes, kernel, decay = _duhamel_quadrature(cfg, k)
     want = nodes, kernel * mask, decay * mask
-    for got, ref in zip((ws.nodes, ws.kernel, ws.prop0), want):
+    for got, ref in zip((st.nodes, st.kernel, st.prop0), want):
         assert np.array_equal(got, ref)
 
 
@@ -580,22 +608,18 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
     assert traj.failure is None
     # the steps march the periodic part; a snapshot adds u0's trend back
     trend, winding = lift_trend(u0.samples.T, manifold)
-    rows = u0.samples.T
-    if integrator == "DuhamelPicard":
-        ws = _PicardWorkspace(cfg, manifold, 64)
-    else:
-        rows = manifold.retract(u0.samples)[0].T
-        keep = mode_cutoff(cfg, manifold, float(np.max(np.abs(u0.velocity()))))
-        st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
+    rows = u0.samples.T[None]
+    if integrator != "DuhamelPicard":
+        rows = manifold.retract(u0.samples)[0].T[None]
+    keep = mode_cutoff(cfg, manifold, float(np.max(np.abs(u0.velocity()))))
+    st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
+    step = {"ProjectedRK4": _rk4_step, "IMEX": _imex_step,
+            "DuhamelPicard": _picard_step}[integrator]
     rows = rows - trend
     for state in traj.states[1:]:
         coef = np.fft.rfft(rows, norm="forward")
-        if integrator == "DuhamelPicard":
-            rows = _picard_step(cfg, ws, coef, winding)[0]
-        else:
-            step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
-            rows = step(rows, cfg, st, coef, winding)[0]
-        samples = (trend + rows if winding.any() else rows).T
+        rows = step(rows, cfg, st, coef, winding)[0]
+        samples = (trend + rows[0] if winding.any() else rows[0]).T
         assert samples.tobytes() == state.samples.tobytes()
 
 

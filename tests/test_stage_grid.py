@@ -12,7 +12,6 @@ import pytest
 
 from dcl.flow import (
     FlowConfig,
-    _PicardWorkspace,
     _Stepper,
     evolve,
     mode_cutoff,
@@ -81,7 +80,8 @@ def test_picard_stages_stay_on_curve_grid(a, cutoff):
     # the Picard kernel lives on the curve's modes, whatever the band
     cfg = FlowConfig(a=a, epsilon=1e-2, N_g=256, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard", mode_cutoff=cutoff)
-    st = _PicardWorkspace(cfg, SPHERE2, 256).stepper
+    st = _Stepper(cfg, SPHERE2, 256, mode_cutoff(cfg, SPHERE2, None),
+                  [cfg.epsilon])
     assert st.n == st.n_curve == 256
     assert st.mask.sum() <= 256 // 4 + 1
 
