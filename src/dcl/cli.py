@@ -12,7 +12,11 @@ has the fixed column schema
 with ``nt_quantity`` blank off the sphere, and ``manifest.json`` echoes
 the resolved configuration as canonical JSON (sorted keys) together with
 the row checksum and exit status.  Identical manifest and seed give a
-byte-identical report.
+byte-identical report.  ``converge`` writes, through the same CSV
+writer, one row per level to ``converge_epsilon.csv`` (epsilon,
+h1_to_zero, h1_to_prev, failure), ``converge_dt.csv`` (dt,
+h1_diff_to_next, observed_order, failure) or ``converge_grid.csv`` (N_g,
+sup_diff_to_finest, failure); a blank cell is a value the level lacks.
 """
 
 import argparse
@@ -23,7 +27,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,11 +43,8 @@ CSV_COLUMNS = (
     "t", "l2_ux", "E", "h1", "h2", "h3", "off_manifold", "nt_quantity"
 )
 
-_CONFIG_KEYS = {
-    "a", "b", "epsilon", "N_g", "dt", "T", "integrator",
-    "picard_tol", "picard_max_iter", "quadrature_nodes", "dealias",
-    "mode_cutoff", "manifold", "initial_condition",
-}
+_CONFIG_KEYS = {f.name for f in fields(FlowConfig)} | {
+    "manifold", "initial_condition"}
 _MANIFEST_KEYS = {"config", "output_dir", "stride", "seed"}
 
 
@@ -126,46 +127,40 @@ def _fmt(value):
     return "" if value is None else f"{float(value):.17g}"
 
 
-def _atomic_write(path, data):
+def _atomic_write(path, text):
     tmp = f"{path}.tmp-{os.getpid()}"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as handle:
-        handle.write(data)
+    with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
     os.replace(tmp, path)
 
 
-def report_rows(trajectory):
-    """One dict of CSV_COLUMNS strings per snapshot (blank: no nt_quantity)."""
-    return [
-        dict(zip(CSV_COLUMNS, map(_fmt, (
-            r.t, r.l2_ux, r.E, *r.hm_norms, r.off_manifold, r.nt_quantity))))
-        for r in trajectory_reports(trajectory)
-    ]
-
-
 def _reported(trajectory):
-    """(report rows, trajectory), cut before the first snapshot off the
-    target, which becomes its failure: a DuhamelPicard state may sit off
-    the target inside the tube, where no report is defined."""
+    """(report rows as lists of CSV_COLUMNS strings, trajectory), cut
+    before the first snapshot off the target, which becomes its failure: a
+    DuhamelPicard state may sit off the target inside the tube, where no
+    report is defined.  A blank ``nt_quantity`` means none is defined."""
     try:
-        return report_rows(trajectory), trajectory
+        reports = trajectory_reports(trajectory)
     except PointOffManifold:
-        pass
-    for i, (t, state) in enumerate(zip(trajectory.times, trajectory.states)):
-        try:
-            state.require_on_manifold()
-        except PointOffManifold as exc:
-            cut = replace(trajectory, times=trajectory.times[:i],
-                          states=trajectory.states[:i],
-                          failure=f"PointOffManifold: {exc} at t = {t!r}")
-            return report_rows(cut), cut
+        for i, (t, state) in enumerate(zip(trajectory.times, trajectory.states)):
+            try:
+                state.require_on_manifold()
+            except PointOffManifold as exc:
+                trajectory = replace(
+                    trajectory, times=trajectory.times[:i],
+                    states=trajectory.states[:i],
+                    failure=f"PointOffManifold: {exc} at t = {t!r}")
+                break
+        reports = trajectory_reports(trajectory)
+    return [[_fmt(v) for v in (r.t, r.l2_ux, r.E, *r.hm_norms, r.off_manifold,
+                               r.nt_quantity)]
+            for r in reports], trajectory
 
 
-def rows_to_csv(rows):
+def _csv(header, rows):
+    """RFC-4180 text (CRLF line ends) of a header row and rows of strings."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\r\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\r\n").writerows([header, *rows])
     return buffer.getvalue()
 
 
@@ -178,11 +173,8 @@ def parse_report_csv(text):
 
 
 def _checkpoint_payload(state, t):
-    return {
-        "t": t,
-        "manifold": state.manifold.name,
-        "samples": state.output_samples().tolist(),
-    }
+    return {"t": t, "manifold": state.manifold.name,
+            "samples": state.output_samples().tolist()}
 
 
 def _initial_curve(manifest, n):
@@ -232,28 +224,18 @@ def cmd_simulate(manifest, checkpoints_every=0):
     out_dir = _make_output_dir(manifest)
     trajectory = evolve(u0, manifest.config, stride=manifest.stride)
     rows, trajectory = _reported(trajectory)
-    csv_text = rows_to_csv(rows)
-    _atomic_write(os.path.join(out_dir, "report.csv"), csv_text.encode())
+    csv_text = _csv(CSV_COLUMNS, rows)
+    _atomic_write(os.path.join(out_dir, "report.csv"), csv_text)
 
-    final_text = None
-    if checkpoints_every:
-        last = len(trajectory.states) - 1
-        for idx, (t, state) in enumerate(
-            zip(trajectory.times, trajectory.states)
-        ):
-            if idx % checkpoints_every == 0:
-                text = json.dumps(_checkpoint_payload(state, t), sort_keys=True)
-                _atomic_write(
-                    os.path.join(out_dir, f"checkpoint_{idx}.json"), text
-                )
-                if idx == last:
-                    final_text = text
-    if final_text is None:
-        final_text = json.dumps(
-            _checkpoint_payload(trajectory.final, trajectory.times[-1]),
-            sort_keys=True,
-        )
-    _atomic_write(os.path.join(out_dir, "checkpoint_final.json"), final_text)
+    last = len(trajectory.states) - 1
+    every = range(0, last + 1, checkpoints_every) if checkpoints_every else ()
+    for idx in sorted({*every, last}):
+        text = json.dumps(_checkpoint_payload(
+            trajectory.states[idx], trajectory.times[idx]), sort_keys=True)
+        if idx in every:
+            _atomic_write(os.path.join(out_dir, f"checkpoint_{idx}.json"), text)
+        if idx == last:
+            _atomic_write(os.path.join(out_dir, "checkpoint_final.json"), text)
 
     status = 0 if trajectory.failure is None else 3
     echo = {
@@ -301,58 +283,41 @@ def cmd_converge(manifest, mode, levels=3):
                                   "fewer levels or a larger epsilon")
         u0 = _initial_on_grid(manifest)
         _make_output_dir(manifest)
-        rows = epsilon_continuation(u0, cfg, eps_list)
         header = ["epsilon", "h1_to_zero", "h1_to_prev", "failure"]
         table = [
-            [
-                _fmt(r["epsilon"]),
-                _fmt(r["h1_to_zero"]) if np.isfinite(r["h1_to_zero"]) else "",
-                _fmt(r["h1_to_prev"]) if np.isfinite(r["h1_to_prev"]) else "",
-                r["failure"] or "",
-            ]
-            for r in rows
+            [_fmt(r["epsilon"]), *(_fmt(r[k]) if np.isfinite(r[k]) else ""
+                                   for k in ("h1_to_zero", "h1_to_prev")),
+             r["failure"] or ""]
+            for r in epsilon_continuation(u0, cfg, eps_list)
         ]
     elif mode == "dt":
         configs, finals = _run_levels(
             manifest, "dt", (cfg.dt * 0.5**i for i in range(levels)))
         header = ["dt", "h1_diff_to_next", "observed_order", "failure"]
-        table, diffs = [], []
-        for i, (level_cfg, traj) in enumerate(zip(configs, finals)):
-            fail = traj.failure or ""
-            diff = ""
-            if (
-                i + 1 < len(finals)
-                and traj.failure is None
-                and finals[i + 1].failure is None
-            ):
-                diffs.append(h1_distance(traj.final, finals[i + 1].final))
-                diff = _fmt(diffs[-1])
-            order = ""
-            if len(diffs) >= 2 and diffs[-1] > 0 and i + 1 < len(finals):
-                order = _fmt(np.log2(diffs[-2] / diffs[-1]))
-            table.append([_fmt(level_cfg.dt), diff, order, fail])
+        # diffs[i]: level i to i+1 where both ran; orders[i]: diffs[i-1]/diffs[i]
+        diffs = [
+            h1_distance(a.final, b.final)
+            if a.failure is None and b.failure is None else None
+            for a, b in zip(finals, finals[1:])
+        ] + [None]
+        orders = [None] + [np.log2(p / q) if p is not None and q else None
+                           for p, q in zip(diffs, diffs[1:])]
+        table = [[_fmt(c.dt), _fmt(d), _fmt(o), traj.failure or ""]
+                 for c, traj, d, o in zip(configs, finals, diffs, orders)]
     elif mode == "grid":
         configs, finals = _run_levels(
             manifest, "N_g", (cfg.N_g * 2**i for i in range(levels)))
         header = ["N_g", "sup_diff_to_finest", "failure"]
-        finest = finals[-1]
-        table = []
-        for level_cfg, traj in zip(configs, finals):
-            diff = ""
-            if traj.failure is None and finest.failure is None:
-                coarse_up = resample(traj.final, finest.final.n)
-                diff = _fmt(sup_distance(coarse_up, finest.final))
-            table.append([str(level_cfg.N_g), diff, traj.failure or ""])
+        end = finals[-1]
+        table = [[str(c.N_g), "" if traj.failure or end.failure else _fmt(
+            sup_distance(resample(traj.final, end.final.n), end.final)),
+            traj.failure or ""] for c, traj in zip(configs, finals)]
     else:
         raise ConfigError(f"unknown convergence mode {mode!r}")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(table)
-    _atomic_write(os.path.join(manifest.output_dir, f"converge_{mode}.csv"),
-                  buffer.getvalue())
-    print(buffer.getvalue(), end="")
+    text = _csv(header, table)
+    _atomic_write(os.path.join(manifest.output_dir, f"converge_{mode}.csv"), text)
+    print(text, end="")
     return 0
 
 

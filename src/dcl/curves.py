@@ -291,13 +291,14 @@ class IdentityReport:
     commutator: dict
 
 
-def _default_family(curve, seed=0, decay=1.0, amplitude=1.5):
+def _default_family(curve, seed=0):
     """Smooth one-parameter family of curves through ``curve`` at t = 0.
 
     The path is trigonometric in t (all t-derivatives present) so the
     O(h^2) term of the commutator check is nonzero even on flat targets,
-    and the direction amplitude is deliberately large so that term sits
-    far above the finite-difference noise floor.
+    and the direction amplitude (1.5, on modes decaying as exp(-k)) is
+    deliberately large so that term sits far above the finite-difference
+    noise floor.
     """
     rng = np.random.default_rng(seed)
     n, d = curve.samples.shape
@@ -308,8 +309,8 @@ def _default_family(curve, seed=0, decay=1.0, amplitude=1.5):
         coef[modes] = (
             rng.standard_normal((modes.size, d))
             + 1j * rng.standard_normal((modes.size, d))
-        ) * np.exp(-decay * modes)[:, None]
-        return np.fft.irfft(coef, n=n, axis=0, norm="forward") * amplitude
+        ) * np.exp(-modes)[:, None]
+        return np.fft.irfft(coef, n=n, axis=0, norm="forward") * 1.5
 
     dir1, dir2 = draw(), draw()
     manifold = curve.manifold
@@ -323,9 +324,7 @@ def _default_family(curve, seed=0, decay=1.0, amplitude=1.5):
     return family
 
 
-def identity_residuals(
-    curve, l_max=2, seed=0, n_quadruples=16, family=None, fd_step=1e-4
-):
+def identity_residuals(curve, l_max=2, seed=0, n_quadruples=16, fd_step=1e-4):
     """Evaluate the discrete residuals of the structural identities.
 
     The pairing residuals vanish in the continuum by integration by parts;
@@ -352,7 +351,7 @@ def identity_residuals(
         rhs = (curvature_apply(k_gauss, w, z, y) * x).sum(axis=-1)
         sym = max(sym, float(np.max(np.abs(lhs - rhs))))
 
-    commutator = _commutator_residuals(curve, l_max, family, fd_step, seed)
+    commutator = _commutator_residuals(curve, l_max, fd_step, seed)
     return IdentityReport(third, jpair, third_rel, jpair_rel, sym, commutator)
 
 
@@ -366,10 +365,9 @@ def _pairings(fields, others):
     return raw, rel
 
 
-def _commutator_residuals(curve, l_max, family, h, seed):
+def _commutator_residuals(curve, l_max, h, seed):
     """L2 residuals of cov_t cov_x^l u_x = cov_x^{l+1} u_t + curvature terms."""
-    if family is None:
-        family = _default_family(curve, seed=seed)
+    family = _default_family(curve, seed=seed)
     m, k_gauss = curve.manifold, curve.manifold.gaussian_curvature
     center, plus, minus = family(0.0), family(h), family(-h)
     base = center.samples.T

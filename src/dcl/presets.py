@@ -55,6 +55,10 @@ def latitude_circle(theta, n=128):
 def torus_geodesic(manifold, m1, m2, n=128):
     if (m1, m2) == (0, 0):
         raise ConfigError("torus geodesic needs a nonzero winding")
+    top = max(abs(m1), abs(m2))
+    if 2 * top >= n:  # a lift read back as rint(last - first) would alias
+        raise ConfigError(f"torus_geodesic winding {top} needs more than "
+                          f"{2 * top} samples, got {n}")
     x = spectral.grid(n)
     chart = np.stack([m1 * x, m2 * x], axis=-1)
     if manifold is CHART_FLAT_TORUS2:

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -294,6 +296,62 @@ def test_converge_dt_mode(tmp_path, capsys):
     assert orders and min(orders) >= 3.0
 
 
+def failing_level(monkeypatch, index):
+    """Patch ``cli.evolve`` so the ``index``-th level's trajectory fails."""
+    levels = []
+
+    def evolve(u0, cfg, stride=1):
+        trajectory = dcl.flow.evolve(u0, cfg, stride=stride)
+        levels.append(cfg)
+        if len(levels) - 1 == index:
+            return dataclasses.replace(trajectory,
+                                       failure="StepSizeUnstable: injected")
+        return trajectory
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+
+
+def blank_columns(path):
+    """For each data row of a converge table, which cells are blank."""
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
+    return [[cell == "" for cell in row[1:]] for row in rows]
+
+
+def test_converge_blanks_every_cell_a_failed_level_touches(tmp_path, monkeypatch):
+    # dt: the 4th of 5 levels fails, so diffs exist for levels 0 and 1
+    # only, and only level 1 has an observed order: no row repeats the
+    # last order it saw
+    failing_level(monkeypatch, 3)
+    out = tmp_path / "dt"
+    manifest = base_manifest(
+        out,
+        config={"dt": 4e-5, "T": 8e-4, "a": 1.0, "b": 0.5,
+                "initial_condition": "random_smooth:11,1.0,0.2",
+                "mode_cutoff": 10},
+    )
+    path = write_manifest(tmp_path, manifest)
+    assert main(["converge", "--manifest", path, "--mode", "dt",
+                 "--levels", "5"]) == 0
+    # columns: h1_diff_to_next, observed_order, failure
+    assert blank_columns(out / "converge_dt.csv") == [
+        [False, True, True], [False, False, True], [True, True, True],
+        [True, True, False], [True, True, True]]
+    # grid: the finest level fails, so no level has a diff to it
+    failing_level(monkeypatch, 2)
+    out = tmp_path / "grid"
+    manifest = base_manifest(
+        out,
+        config={"dt": 2e-5, "T": 4e-4, "N_g": 32,
+                "initial_condition": "latitude:0.9"},
+    )
+    path = write_manifest(tmp_path, manifest, name="grid.json")
+    assert main(["converge", "--manifest", path, "--mode", "grid",
+                 "--levels", "3"]) == 0
+    # columns: sup_diff_to_finest, failure
+    assert blank_columns(out / "converge_grid.csv") == [
+        [True, True], [True, True], [True, False]]
+
+
 def test_converge_epsilon_mode(tmp_path):
     out = tmp_path / "conveps"
     manifest = base_manifest(
@@ -419,6 +477,17 @@ def test_bad_descriptor_exits_config_error(tmp_path, capsys, descriptor):
     assert code == 2
     assert f"config error: bad initial_condition {descriptor!r}" in (
         capsys.readouterr().err)
+
+
+def test_unresolved_torus_geodesic_exits_2_without_output(tmp_path, capsys):
+    # 16 samples cannot carry winding 9: its chart lift would read back 8
+    out = tmp_path / "out"
+    manifest = base_manifest(
+        out, config={"N_g": 16, "manifold": "ChartFlatTorus2",
+                     "initial_condition": "torus_geodesic:9,0"})
+    assert main(["simulate", "--manifest", write_manifest(tmp_path, manifest)]) == 2
+    assert "config error: torus_geodesic winding 9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

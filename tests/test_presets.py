@@ -28,6 +28,22 @@ def test_torus_geodesic_descriptor():
     assert k.off_manifold() <= 1e-14
 
 
+@pytest.mark.parametrize("manifold", [CHART_FLAT_TORUS2, CLIFFORD_TORUS2],
+                         ids=lambda m: m.name)
+def test_torus_geodesic_refuses_a_winding_its_grid_cannot_resolve(manifold):
+    # the chart lift is read back as rint(last - first), so every sample
+    # step must stay below half a period: on 16 samples winding 9 would
+    # read back as 8 on the chart torus and match -7 on the Clifford torus
+    c = make_initial("torus_geodesic:7,0", manifold, 16)
+    chart = np.stack([7 * np.arange(16) / 16, np.zeros(16)], axis=-1)
+    if manifold is CLIFFORD_TORUS2:
+        chart = manifold.embed_chart(chart)
+    assert np.array_equal(c.samples, chart)
+    for winding in ("8,0", "-8,0", "9,0", "0,9", "0,-8"):
+        with pytest.raises(ConfigError, match="needs more than"):
+            make_initial(f"torus_geodesic:{winding}", manifold, 16)
+
+
 def test_random_smooth_on_manifold_and_deterministic():
     for m in (SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2):
         c1 = make_initial("random_smooth:7,0.8,0.3", m, 64)
