@@ -13,7 +13,6 @@ conserved-quantity bookkeeping, and a config-driven CLI.
 
 from .curves import (
     ClosedCurve,
-    TangentFieldOnCurve,
     covariant_derivative,
     covariant_tower,
     curvature_apply,
@@ -60,7 +59,7 @@ from .manifolds import (
     by_name,
 )
 from .presets import great_circle, latitude_circle, make_initial, random_smooth, torus_geodesic
-from .spectral import semigroup_apply, spectral_derivative
+from .spectral import spectral_derivative
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

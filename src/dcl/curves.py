@@ -5,12 +5,12 @@ targets.  Differentiation is spectral; the covariant derivative of a
 tangent field is the pointwise tangential projection of its spectral
 x-derivative.  On the chart torus the position samples may wind, so the
 velocity is computed from the periodic deviation plus the integer winding
-vector; all higher derivatives act on the (periodic) velocity.  The lift
-helpers take the flow's (..., d, N) rows; a curve transposes its (N, d)
-samples for them.
+vector; all higher derivatives act on the (periodic) velocity.  The curve
+calculus takes and returns tangent fields as (N, d) arrays; the lift
+helpers take the flow's (..., d, N) rows, which a curve's transpose gives.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class ClosedCurve:
         """Spectral first derivative of the position, winding-aware."""
         return lifted_velocity(self.samples.T, self.manifold).T
 
-    def velocity_field(self):
-        return TangentFieldOnCurve(self.velocity(), self, validate=False)
-
     def off_manifold(self):
         """Max constraint residual over the samples."""
         return float(np.max(self.manifold.constraint_residual(self.samples)))
@@ -79,28 +76,6 @@ class ClosedCurve:
         if self.manifold is CHART_FLAT_TORUS2:
             return self.manifold.wrap(self.samples)
         return self.samples.copy()
-
-
-@dataclass
-class TangentFieldOnCurve:
-    """Per-sample ambient vectors tangent to the target along a curve."""
-
-    vectors: np.ndarray
-    base: ClosedCurve
-    validate: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.shape != self.base.samples.shape:
-            raise ValueError("field shape must match the base curve samples")
-        if self.validate:
-            res = tangency_residual(self.base, self.vectors)
-            scale = np.max(np.abs(self.vectors)) or 1.0
-            if res > ON_MANIFOLD_TOL * scale:
-                raise TangencyViolation(
-                    f"normal component {res:.3e} exceeds "
-                    f"{ON_MANIFOLD_TOL:.0e} * {scale:.3e}"
-                )
 
 
 def lift_winding(samples, manifold):
@@ -154,22 +129,28 @@ def _tower(manifold, base, field, j):
     return out
 
 
-def covariant_derivative(curve, vfield):
-    """Covariant derivative along the curve: tangential part of d/dx.
+def covariant_derivative(curve, vectors):
+    """Covariant derivative P d/dx, (N, d), of an (N, d) tangent field.
 
-    For the velocity field this agrees with the extrinsic assembly
-    v_xx - A(v)(v_x, v_x), where A is the second fundamental form.
+    For the velocity field it agrees with v_xx - A(v)(v_x, v_x), A the
+    second fundamental form.  A field of the wrong shape raises ValueError,
+    a curve off the target PointOffManifold, a normal part TangencyViolation.
     """
-    if not isinstance(vfield, TangentFieldOnCurve):
-        vfield = TangentFieldOnCurve(vfield, curve)  # checks the tangency
-    rows = curve.samples.T
-    curve.manifold._require_on(rows)
-    out = _tower(curve.manifold, rows, vfield.vectors.T, 1)[1]
-    return TangentFieldOnCurve(out.T, curve, validate=False)
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.shape != curve.samples.shape:
+        raise ValueError("field shape must match the base curve samples")
+    m, rows, field = curve.manifold, curve.samples.T, vectors.T
+    m._require_on(rows)
+    res = np.max(np.abs(field - m._tangent(rows, field)))
+    scale = np.max(np.abs(vectors)) or 1.0
+    if res > ON_MANIFOLD_TOL * scale:
+        raise TangencyViolation(f"normal component {res:.3e} exceeds "
+                                f"{ON_MANIFOLD_TOL:.0e} * {scale:.3e}")
+    return _tower(m, rows, field, 1)[1].T
 
 
 def covariant_tower(curve, j):
-    """[u_x, cov u_x, ..., cov^j u_x] by iterating the covariant derivative.
+    """[u_x, cov u_x, ..., cov^j u_x], (N, d) arrays, by iterating cov.
 
     Capped at j = 6: each level amplifies roundoff by one factor of the
     top retained frequency, and nothing in the lab needs more.  One
@@ -180,8 +161,7 @@ def covariant_tower(curve, j):
     m, rows = curve.manifold, curve.samples.T
     if j:
         m._require_on(rows)
-    return [TangentFieldOnCurve(f.T, curve, validate=False)
-            for f in _tower(m, rows, lifted_velocity(rows, m), j)]
+    return [f.T for f in _tower(m, rows, lifted_velocity(rows, m), j)]
 
 
 def sobolev_norm(curve, m):
@@ -189,21 +169,16 @@ def sobolev_norm(curve, m):
     if not 0 <= m <= 5:
         raise ValueError("Sobolev order must lie in [0, 5]")
     tower = covariant_tower(curve, m)
-    total = sum(spectral.l2_inner(f.vectors, f.vectors) for f in tower)
+    total = sum(spectral.l2_inner(f, f) for f in tower)
     return float(np.sqrt(total))
 
 
 def curvature_apply(k_gauss, x, y, z):
     """Constant-curvature tensor R(X,Y)Z = K(g(Y,Z)X - g(X,Z)Y), pointwise."""
-    bases = [v.base for v in (x, y, z) if isinstance(v, TangentFieldOnCurve)]
-    if len({id(b) for b in bases}) > 1:
-        raise ValueError("curvature arguments must share one base curve")
-    xv, yv, zv = (v.vectors if isinstance(v, TangentFieldOnCurve)
-                  else np.asarray(v, float) for v in (x, y, z))
-    gyz = (yv * zv).sum(axis=-1, keepdims=True)
-    gxz = (xv * zv).sum(axis=-1, keepdims=True)
-    out = k_gauss * (gyz * xv - gxz * yv)
-    return TangentFieldOnCurve(out, bases[0], validate=False) if bases else out
+    x, y, z = (np.asarray(v, float) for v in (x, y, z))
+    gyz = (y * z).sum(axis=-1, keepdims=True)
+    gxz = (x * z).sum(axis=-1, keepdims=True)
+    return k_gauss * (gyz * x - gxz * y)
 
 
 def h1_distance(c1, c2):
@@ -335,7 +310,7 @@ def identity_residuals(curve, l_max=2, seed=0, n_quadruples=16, fd_step=1e-4):
     """
     m, base = curve.manifold, curve.samples.T
     k_gauss = m.gaussian_curvature
-    tower = [f.vectors.T for f in covariant_tower(curve, l_max + 3)]  # checks
+    tower = [f.T for f in covariant_tower(curve, l_max + 3)]  # checks
 
     third, third_rel = _pairings(tower[3:], tower)
 
@@ -375,14 +350,12 @@ def _commutator_residuals(curve, l_max, h, seed):
     u_t = m._tangent(base, (plus.samples - minus.samples).T / (2.0 * h))
 
     tower_c = _tower(m, base, lifted_velocity(base, m), l_max)
-    tower_p, tower_m = (
-        [f.vectors.T for f in covariant_tower(c, l_max)] for c in (plus, minus)
-    )
+    tower_p, tower_m = (covariant_tower(c, l_max) for c in (plus, minus))
     ut_tower = _tower(m, base, u_t, l_max + 1)
 
     out = {}
     for l in range(1, l_max + 1):
-        lhs = m._tangent(base, (tower_p[l] - tower_m[l]) / (2.0 * h))
+        lhs = m._tangent(base, (tower_p[l] - tower_m[l]).T / (2.0 * h))
         rhs = ut_tower[l + 1].copy()
         for j in range(l):
             term = curvature_apply(

@@ -13,6 +13,7 @@ samples sit on the contiguous last axis, so every transform runs on
 ``axis=-1`` without striding.  ``_rows`` is the one conversion: the
 public transforms swap axes with it on the way in and again on the way
 out, as views, and run the row-layout kernel (``_derivative``) between.
+The fourth-order heat semigroup lives in the propagator of ``flow``.
 """
 
 from functools import lru_cache
@@ -98,24 +99,6 @@ def l2_inner(f, g):
 
 def l2_norm(f):
     return np.sqrt(l2_inner(f, f))
-
-
-def semigroup_apply(eps, t, f):
-    """Apply the fourth-order heat semigroup to a periodic sampled field.
-
-    Multiplies mode k by exp(-eps*t*(2*pi*k)^4); t = 0 is the identity and
-    every mode magnitude is nonincreasing in t.
-    """
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    f = np.asarray(f, dtype=float)
-    if t == 0 or eps == 0:
-        return f.copy()
-    rows = _rows(f)
-    n = rows.shape[-1]
-    coef = np.fft.rfft(rows)
-    coef *= np.exp(-eps * t * (TWO_PI * wavenumbers(n)) ** 4)
-    return _rows(np.fft.irfft(coef, n=n))
 
 
 @lru_cache(maxsize=None)

@@ -147,7 +147,6 @@ def test_simulate_solver_failure_keeps_partial_artifact(tmp_path):
             "T": 5e-2,
             "a": 1.0,
             "b": 0.5,
-            "dealias": False,
             "mode_cutoff": 32,
         },
     )
@@ -490,6 +489,21 @@ def test_unresolved_torus_geodesic_exits_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_grid_refuses_a_level_that_cannot_carry_the_winding(
+        tmp_path, capsys):
+    # built on 64 samples, winding 9 resamples to winding 8 on 16 samples
+    out = tmp_path / "out"
+    manifest = base_manifest(
+        out, config={"N_g": 16, "manifold": "ChartFlatTorus2",
+                     "initial_condition": "torus_geodesic:9,0"})
+    path = write_manifest(tmp_path, manifest)
+    assert main(["converge", "--manifest", path, "--mode", "grid",
+                 "--levels", "3"]) == 2
+    assert ("config error: grid N_g = 16 cannot carry the initial curve's "
+            "winding [9.0, 0.0]") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"], ["converge", "--mode", "epsilon"],
     ["converge", "--mode", "dt"], ["converge", "--mode", "grid"],
@@ -593,6 +607,20 @@ def test_blow_up_to_non_finite_exits_3(tmp_path):
     echo = json.loads((out_dir / "manifest.json").read_text())
     assert echo["exit_status"] == 3
     assert echo["failure"].startswith("StepSizeUnstable")
+
+
+def test_blow_up_prints_only_the_solver_failure(tmp_path):
+    # the overflow on the way to non-finite samples raises no numpy warning
+    manifest = base_manifest(
+        tmp_path / "out",
+        config={"a": 1, "b": 5, "epsilon": 0, "N_g": 64, "dt": 1e-3,
+                "T": 0.2, "manifold": "ChartFlatTorus2", "mode_cutoff": 16,
+                "initial_condition": "random_smooth:3,1.1,0.18"},
+    )
+    manifest["stride"] = 200
+    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 3
+    assert proc.stderr == "solver failure: StepSizeUnstable: non-finite state\n"
 
 
 def file_curve_manifest(tmp_path, n):

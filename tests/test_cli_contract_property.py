@@ -133,7 +133,7 @@ def test_main_returns_a_documented_exit_code(manifest, argv):
         ("config", "T", 1000.0001, "MAX_STEPS"),
         ("config", "initial_condition", "file:/missing.json",
          "bad initial_condition file /missing.json"),
-        ("config", "dealias", "no", "dealias must be true or false"),
+        ("config", "dealias", "no", "unknown config keys"),
         ("top", "stride", True, "stride must be a positive integer"),
         ("top", "seed", False, "seed must be an integer"),
         ("config", "N_g", 64.0, "N_g must be an integer"),

@@ -4,7 +4,6 @@ import pytest
 from dcl import spectral
 from dcl.curves import (
     ClosedCurve,
-    TangentFieldOnCurve,
     covariant_derivative,
     covariant_tower,
     curvature_apply,
@@ -13,7 +12,7 @@ from dcl.curves import (
     sobolev_norm,
     sup_distance,
 )
-from dcl.errors import TangencyViolation
+from dcl.errors import PointOffManifold, TangencyViolation
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import great_circle, latitude_circle, random_smooth, torus_geodesic
 
@@ -62,14 +61,14 @@ def test_embedded_velocity_is_tangent():
 
 def test_great_circle_is_geodesic():
     c = great_circle(64)
-    cov = covariant_derivative(c, c.velocity_field())
-    assert np.max(np.abs(cov.vectors)) <= 1e-10
+    cov = covariant_derivative(c, c.velocity())
+    assert np.max(np.abs(cov)) <= 1e-10
 
 
 def test_chart_straight_line_is_geodesic():
     c = torus_geodesic(CHART_FLAT_TORUS2, 1, 0, n=32)
-    cov = covariant_derivative(c, c.velocity_field())
-    assert np.max(np.abs(cov.vectors)) <= 1e-12
+    cov = covariant_derivative(c, c.velocity())
+    assert np.max(np.abs(cov)) <= 1e-12
 
 
 def test_covariant_derivative_matches_pointwise_projection():
@@ -79,7 +78,7 @@ def test_covariant_derivative_matches_pointwise_projection():
     oracle = SPHERE2.tangent_project(
         c.samples, spectral.spectral_derivative(vx)
     )
-    got = covariant_derivative(c, c.velocity_field()).vectors
+    got = covariant_derivative(c, c.velocity())
     assert np.max(np.abs(got - oracle)) <= 1e-12
 
 
@@ -90,7 +89,7 @@ def test_covariant_matches_extrinsic_assembly():
         vx = c.velocity()
         vxx = spectral.spectral_derivative(vx)
         extrinsic = vxx - m.second_fundamental_form(c.samples, vx, vx)
-        got = covariant_derivative(c, c.velocity_field()).vectors
+        got = covariant_derivative(c, c.velocity())
         scale = max(1.0, np.max(np.abs(got)))
         assert np.max(np.abs(got - extrinsic)) <= 1e-10 * scale
 
@@ -101,7 +100,7 @@ def test_latitude_covariant_norm_closed_form():
     # field W = (2*pi)^2 cos(theta) (e_z - cos(theta) u) at the samples
     theta = 0.7
     c = latitude_circle(theta, 128)
-    cov = covariant_derivative(c, c.velocity_field()).vectors
+    cov = covariant_derivative(c, c.velocity())
     analytic = TWO_PI**2 * np.cos(theta) * (
         np.array([0.0, 0.0, 1.0])[None, :] - np.cos(theta) * c.samples
     )
@@ -118,6 +117,21 @@ def test_tangency_violation_raises():
         covariant_derivative(c, bad)
 
 
+def test_covariant_derivative_rejects_a_field_of_the_wrong_shape():
+    c = great_circle(32)
+    for bad in (great_circle(64).velocity(), c.velocity()[:, :2]):
+        with pytest.raises(ValueError, match="field shape"):
+            covariant_derivative(c, bad)
+
+
+def test_covariant_derivative_rejects_a_base_off_the_target():
+    # the field is tangent at the scaled samples too; only the base is off
+    c = great_circle(32)
+    off = ClosedCurve(1.01 * c.samples, SPHERE2)
+    with pytest.raises(PointOffManifold):
+        covariant_derivative(off, c.velocity())
+
+
 # ---------------------------------------------------------------------------
 # tower and Sobolev norms
 # ---------------------------------------------------------------------------
@@ -129,16 +143,16 @@ def test_tower_great_circle():
     c = great_circle(64)
     tower = covariant_tower(c, 3)
     assert len(tower) == 4
-    assert np.max(np.abs(tower[0].vectors - c.velocity())) == 0.0
+    assert np.max(np.abs(tower[0] - c.velocity())) == 0.0
     k_max = TWO_PI * c.n / 2
     for j, f in enumerate(tower[1:], start=1):
-        assert np.max(np.abs(f.vectors)) <= 1e-12 * k_max**j
+        assert np.max(np.abs(f)) <= 1e-12 * k_max**j
 
 
 def test_tower_constant_curve():
     tower = covariant_tower(constant_curve(), 3)
     for f in tower:
-        assert np.max(np.abs(f.vectors)) <= 1e-14
+        assert np.max(np.abs(f)) <= 1e-14
 
 
 def test_sobolev_examples():
@@ -184,56 +198,46 @@ def _random_tangent_fields(curve, count, seed):
     out = []
     for _ in range(count):
         raw = rng.standard_normal(curve.samples.shape)
-        out.append(
-            TangentFieldOnCurve(
-                curve.manifold.tangent_project(curve.samples, raw),
-                curve,
-                validate=False,
-            )
-        )
+        out.append(curve.manifold.tangent_project(curve.samples, raw))
     return out
 
 
 def test_curvature_antisymmetry_and_flat():
     c = great_circle(32)
     x, z = _random_tangent_fields(c, 2, 5)
-    assert np.max(np.abs(curvature_apply(1.0, x, x, z).vectors)) == 0.0
-    assert np.max(np.abs(curvature_apply(0.0, x, z, z).vectors)) == 0.0
+    assert np.max(np.abs(curvature_apply(1.0, x, x, z))) == 0.0
+    assert np.max(np.abs(curvature_apply(0.0, x, z, z))) == 0.0
 
 
 def test_curvature_orthonormal_example():
     # X orthonormal to Z pointwise, Y = Z: R(X,Y)Z = K X
     c = great_circle(32)
-    x = TangentFieldOnCurve(
-        c.velocity() / TWO_PI, c, validate=False
-    )
-    z = TangentFieldOnCurve(
-        np.cross(c.samples, x.vectors), c, validate=False
-    )
+    x = c.velocity() / TWO_PI
+    z = np.cross(c.samples, x)
     got = curvature_apply(1.0, x, z, z)
-    assert np.max(np.abs(got.vectors - x.vectors)) <= 1e-12
+    assert np.max(np.abs(got - x)) <= 1e-12
 
 
 def test_curvature_gauss_equation_cross_check():
     # oracle on the sphere: <R(X,Y)Z,W> = <A(X,W),A(Y,Z)> - <A(X,Z),A(Y,W)>
     c = random_smooth(SPHERE2, 32, seed=6, decay=1.0, amplitude=0.3)
     x, y, z, w = _random_tangent_fields(c, 4, 7)
-    lhs = (curvature_apply(1.0, x, y, z).vectors * w.vectors).sum(-1)
+    lhs = (curvature_apply(1.0, x, y, z) * w).sum(-1)
     sff = SPHERE2.second_fundamental_form
     rhs = (
-        sff(c.samples, x.vectors, w.vectors)
-        * sff(c.samples, y.vectors, z.vectors)
+        sff(c.samples, x, w)
+        * sff(c.samples, y, z)
     ).sum(-1) - (
-        sff(c.samples, x.vectors, z.vectors)
-        * sff(c.samples, y.vectors, w.vectors)
+        sff(c.samples, x, z)
+        * sff(c.samples, y, w)
     ).sum(-1)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
 def test_curvature_base_mismatch():
     c1, c2 = great_circle(32), great_circle(64)
-    x = c1.velocity_field()
-    y = c2.velocity_field()
+    x = c1.velocity()
+    y = c2.velocity()
     with pytest.raises(ValueError):
         curvature_apply(1.0, x, y, x)
 

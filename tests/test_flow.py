@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import dcl
 from dcl import spectral
 from dcl.curves import (
     ClosedCurve,
@@ -141,10 +140,10 @@ def test_rhs_matches_covariant_assembly():
     for m, seed in ((SPHERE2, 0), (CLIFFORD_TORUS2, 1)):
         c = random_smooth(m, 64, seed=seed, decay=1.0, amplitude=0.3)
         tower = covariant_tower(c, 2)
-        vx = tower[0].vectors
+        vx = tower[0]
         oracle = (
-            a * tower[2].vectors
-            + m.complex_structure(c.samples, tower[1].vectors)
+            a * tower[2]
+            + m.complex_structure(c.samples, tower[1])
             + b * (vx * vx).sum(-1, keepdims=True) * vx
         )
         got = dispersive_rhs(c, a, b)
@@ -252,10 +251,6 @@ def test_semigroup_smoothing_bound():
         for t in (1e-3, 1e-2, 1e-1):
             vals = (TWO_PI * modes) ** 3 * np.exp(-eps * t * (TWO_PI * modes) ** 4)
             assert np.max(vals) <= c_star * (eps * t) ** (-0.75) * (1 + 1e-12)
-
-
-def test_semigroup_matches_spectral_module():
-    assert dcl.semigroup_apply is spectral.semigroup_apply
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +628,7 @@ def test_evolve_blowup_guard_trips():
     # undamped explicit stepping far beyond the stability edge
     c = random_smooth(SPHERE2, 64, seed=8, decay=0.3, amplitude=0.5)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=64, dt=5e-4, T=5e-2,
-                     integrator="ProjectedRK4", dealias=False,
-                     mode_cutoff=32)
+                     integrator="ProjectedRK4", mode_cutoff=32)
     traj = evolve(c, cfg, stride=10)
     assert traj.failure is not None
     assert len(traj.states) >= 1

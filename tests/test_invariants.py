@@ -59,7 +59,7 @@ def test_energy_flat_chart_is_extrinsic_h2():
 def test_energy_quadrature_oracle():
     # recompute the three K-terms by direct quadrature of the tower fields
     c = random_smooth(SPHERE2, 64, seed=0, decay=0.8, amplitude=0.4)
-    t0, t1, t2 = (f.vectors for f in covariant_tower(c, 2))
+    t0, t1, t2 = covariant_tower(c, 2)
     g00 = (t0 * t0).sum(-1)
     g01 = (t0 * t1).sum(-1)
     g11 = (t1 * t1).sum(-1)
@@ -76,7 +76,7 @@ def test_energy_quadrature_oracle():
 def test_energy_k_derivative():
     # dE/dK = (K/4) I3 - I12 - (3/2) I11 with the three quadrature integrals
     c = random_smooth(SPHERE2, 64, seed=1, decay=0.8, amplitude=0.4)
-    t0, t1, _ = (f.vectors for f in covariant_tower(c, 2))
+    t0, t1, _ = covariant_tower(c, 2)
     g00 = (t0 * t0).sum(-1)
     g01 = (t0 * t1).sum(-1)
     g11 = (t1 * t1).sum(-1)
@@ -196,9 +196,9 @@ def _per_row_report(curve, t):
     Builds the covariant tower through the checked public calls, E from a
     second tower and nt_quantity from its own derivatives.
     """
-    tower = [f.vectors for f in covariant_tower(curve, 3)]
+    tower = covariant_tower(curve, 3)
     sq = [spectral.l2_inner(f, f) for f in tower]
-    t0, t1, t2 = (f.vectors for f in covariant_tower(curve, 2))
+    t0, t1, t2 = covariant_tower(curve, 2)
     g00 = (t0 * t0).sum(axis=-1)
     g01 = (t0 * t1).sum(axis=-1)
     g11 = (t1 * t1).sum(axis=-1)

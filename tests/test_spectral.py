@@ -80,40 +80,6 @@ def test_lowpass_kills_high_modes():
     assert np.max(np.abs(out - np.sin(2 * np.pi * x))) <= 1e-12
 
 
-def test_semigroup_identity_at_zero():
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal((32, 2))
-    assert np.array_equal(spectral.semigroup_apply(1.0, 0.0, f), f)
-
-
-def test_semigroup_single_mode_value():
-    # multiplier exp(-eps*t*(2*pi)^4) on the first mode, direct evaluation
-    x = spectral.grid(64)
-    f = np.sin(2 * np.pi * x)
-    eps, t = 1e-3, 1e-2
-    out = spectral.semigroup_apply(eps, t, f)
-    expected = np.exp(-eps * t * (2 * np.pi) ** 4) * f
-    assert np.max(np.abs(out - expected)) <= 1e-12
-
-
-def test_semigroup_underflow_mode():
-    # eps=1, t=1: the factor exp(-(2*pi)^4) underflows to zero in doubles,
-    # so only transform roundoff survives
-    x = spectral.grid(64)
-    out = spectral.semigroup_apply(1.0, 1.0, np.sin(2 * np.pi * x))
-    assert np.max(np.abs(out)) <= 1e-15
-
-
-def test_semigroup_norm_nonincreasing():
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal(64)
-    norms = [
-        spectral.l2_norm(spectral.semigroup_apply(1e-2, t, f))
-        for t in (0.0, 1e-3, 1e-2, 1e-1)
-    ]
-    assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
-
-
 def test_gauss_legendre_exactness():
     # degree-7 polynomial integrated exactly by 4 nodes
     nodes, weights = spectral.gauss_legendre(4, 0.0, 2.0)
