@@ -253,6 +253,71 @@ def test_semigroup_smoothing_bound():
             assert np.max(vals) <= c_star * (eps * t) ** (-0.75) * (1 + 1e-12)
 
 
+def _propagate(mult, f):
+    """Apply rfft multipliers (one per mode) to a sampled field on axis -1."""
+    return np.fft.irfft(mult * np.fft.rfft(f), n=f.shape[-1])
+
+
+def test_propagator_identity_at_zero_eps():
+    # an eps = 0 member of a heat-only stack is not propagated on its band
+    cfg = FlowConfig(a=0.0, b=0.0, epsilon=1e-2, N_g=64, dt=1e-3, T=1e-3)
+    st = _Stepper(cfg, SPHERE2, 64, spectral.dealias_keep(64), [0.0, 1e-2])
+    assert np.array_equal(st.e_full[0], st.mask[None, :])
+    assert np.array_equal(st.e_half[0], st.mask[None, :])
+    # the eps = 1e-2 member beside it is damped
+    assert np.all(np.abs(st.e_full[1]) <= st.mask) and st.e_full[1, 0, 1] < 1
+
+
+def test_propagator_single_mode_value():
+    # exp(t L) with L = a d_x^3 - eps d_x^4 maps sin(2 pi x) to
+    # exp(-eps t (2 pi)^4) sin(2 pi x - a t (2 pi)^3), direct evaluation
+    a, eps, dt = 0.3, 1e-3, 1e-2
+    for integrator in ("DuhamelPicard", "ProjectedRK4"):
+        cfg = FlowConfig(a=a, b=0.0, epsilon=eps, N_g=64, dt=dt, T=dt,
+                         integrator=integrator)
+        st = _Stepper(cfg, SPHERE2, 64, spectral.dealias_keep(64), [eps])
+        mult = (st.prop0[-1] if integrator == "DuhamelPicard"
+                else st.e_full[0])
+        x = spectral.grid(st.n)
+        got = _propagate(mult, np.sin(TWO_PI * x))
+        want = (np.exp(-eps * dt * TWO_PI**4)
+                * np.sin(TWO_PI * x - a * dt * TWO_PI**3))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_propagator_underflow_mode():
+    # eps = dt = 1: every factor exp(-(2 pi k)^4), k >= 1, underflows to
+    # zero in doubles, without an overflow or invalid value on the way,
+    # so only transform roundoff survives of sin(2 pi x)
+    k = spectral.wavenumbers(64)
+    for a in (0.0, 1.0):
+        cfg = FlowConfig(a=a, b=0.0, epsilon=1.0, N_g=64, dt=1.0, T=1.0,
+                         integrator="DuhamelPicard")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, kernel, prop0 = _duhamel_quadrature(cfg, k)
+        assert np.all(np.isfinite(kernel))
+        assert np.all(prop0[:, 0] == 1.0) and np.all(prop0[-1, 1:] == 0.0)
+        out = _propagate(prop0[-1], np.sin(TWO_PI * spectral.grid(64)))
+        assert np.max(np.abs(out)) <= 1e-15
+
+
+def test_propagator_norm_nonincreasing():
+    # the propagator's targets increase to dt; its multipliers are at most
+    # 1 in modulus and nonincreasing along them, and so are L2 norms
+    cfg = FlowConfig(a=0.3, b=0.0, epsilon=1e-2, N_g=64, dt=1e-1, T=1e-1,
+                     integrator="DuhamelPicard")
+    k = spectral.wavenumbers(64)
+    nodes, _, prop0 = _duhamel_quadrature(cfg, k)
+    assert np.all(np.diff(np.append(nodes, cfg.dt)) > 0)
+    mags = np.abs(prop0)
+    assert np.all(mags <= 1.0) and np.all(np.diff(mags, axis=0) <= 0)
+    f = np.random.default_rng(4).standard_normal(64)
+    norms = [spectral.l2_norm(f)] + [
+        spectral.l2_norm(_propagate(m, f)) for m in prop0
+    ]
+    assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
+
+
 # ---------------------------------------------------------------------------
 # picard
 # ---------------------------------------------------------------------------
