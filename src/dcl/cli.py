@@ -164,14 +164,6 @@ def _csv(header, rows):
     return buffer.getvalue()
 
 
-def parse_report_csv(text):
-    """Round-trip helper: rows of report.csv as dictionaries of floats."""
-    return [
-        {k: (float(v) if v != "" else None) for k, v in row.items()}
-        for row in csv.DictReader(io.StringIO(text))
-    ]
-
-
 def _checkpoint_payload(state, t):
     return {"t": t, "manifold": state.manifold.name,
             "samples": state.output_samples().tolist()}

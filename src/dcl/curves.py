@@ -110,12 +110,6 @@ def lifted_velocity(samples, manifold):
     return spectral._derivative(samples)
 
 
-def tangency_residual(curve, vectors):
-    """Largest pointwise normal component of an ambient field along a curve."""
-    normal = curve.manifold.normal_project(curve.samples, vectors)
-    return float(np.max(np.abs(normal)))
-
-
 def _tower(manifold, base, field, j):
     """[X, P D X, ..., (P D)^j X] of a (..., d, N) row field X along ``base``.
 

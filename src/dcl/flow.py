@@ -104,7 +104,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .curves import h1_distance, lift_trend, lifted_velocity, tangency_residual
+from .curves import h1_distance, lift_trend, lifted_velocity
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -127,8 +127,9 @@ MAX_STEPS = 10**7
 # The largest curve grid and Gauss rule a run may ask for: a larger value is
 # a configuration error rather than a failed allocation.  The largest array
 # of any run is DuhamelPicard's quadrature kernel, (q + 1) q (N_g/2 + 1)
-# complex entries, 528 MiB at both bounds (its build peaks near 575 MiB,
-# 16 times the 36 MiB measured at N_g = 4096).  The grid bound is shared by
+# complex entries, 528 MiB at both bounds (its build, which holds the
+# propagator factors of every target beside it, peaks near 1.04 GiB, 16
+# times the 67 MiB measured at N_g = 4096).  The grid bound is shared by
 # every integrator, so it also limits RK4/IMEX runs, whose arrays take a
 # few MiB at 2^16: a grid study from N_g = 4096 may have 5 levels, not 6.
 MAX_N_G = 2**16
@@ -274,10 +275,13 @@ def dispersive_rhs(curve, a, b):
     """Velocity of the unregularized flow at an on-manifold curve.
 
     Raises TangencyViolation when the assembled field has a normal
-    component beyond the under-resolution guard.
+    component beyond the under-resolution guard; its normal part comes
+    from the unchecked kernel on the rows ``_assemble`` checked.
     """
     rhs = _assemble(curve, a, b)
-    res = tangency_residual(curve, rhs)
+    rows = rhs.T
+    normal = rows - curve.manifold._tangent(curve.samples.T, rows)
+    res = float(np.abs(normal).max())
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if res > RHS_TANGENCY_TOL * scale:
         raise TangencyViolation(
@@ -352,11 +356,13 @@ def stage_grid(n, keep):
     return n
 
 
-def _derivatives(n, orders):
+def _derivatives(n, orders, ndim=1):
     """Rows (i 2 pi k)^j, j = 1..``orders``, over the rfft modes of ``n``
-    points: powers of d/dx, which drops the Nyquist mode."""
+    points: powers of d/dx, which drops the Nyquist mode.  Shaped
+    (orders, 1, ..., K) to multiply ``ndim``-axis coefficients."""
     d1 = spectral._derivative_multiplier(n, 1)
-    return np.stack([d1, d1**2, d1**3][:orders])
+    pows = np.stack([d1, d1**2, d1**3][:orders])
+    return pows.reshape((orders,) + (1,) * (ndim - 1) + d1.shape)
 
 
 class _Stepper:
@@ -370,9 +376,9 @@ class _Stepper:
     :meth:`remainder` from the state's own transform: the state is not
     band-limited, and its samples on a coarser grid would alias its tail
     into the band.  ``derivs`` holds d/dx and its powers 1..3, or 1..2
-    when no slope term needs v_xxx, on both grids (one entry when they
-    are the same), and the slope takes those of its input's grid;
-    ``d_pows`` and ``d1`` are the stage grid's.  Every slope is combined
+    when no slope term needs v_xxx, on both grids, shaped for (d, K) and
+    for (B, d, K) coefficients, and the slope takes those of its input's
+    grid and rank; ``d_pows`` and ``d1`` are the stage grid's.  Every slope is combined
     on the stage grid's modes only: the retained-band ``mask``, the
     multipliers ``c_a0`` on A0 = A(v_x, v_x) and ``c_a1`` on A1 (eps term
     only), and the integrating factors over a full and a half step,
@@ -406,8 +412,9 @@ class _Stepper:
         self.n = (n if cfg.integrator == "DuhamelPicard"
                   else stage_grid(n, keep))
         orders = 3 if self.third_order else 2
-        self.derivs = {g: _derivatives(g, orders) for g in {n, self.n}}
-        self.d_pows = self.derivs[self.n]
+        self.derivs = {(g, ndim): _derivatives(g, orders, ndim)
+                       for g in {n, self.n} for ndim in (2, 3)}
+        self.d_pows = _derivatives(self.n, orders)
         self.d1 = self.d_pows[0]
         k = spectral.wavenumbers(self.n)
         self.mask = (k <= keep).astype(float)
@@ -433,11 +440,11 @@ class _Stepper:
     def slope(self, samples, winding):
         """Masked stage-grid rfft coefficients of the remainder at a stage.
 
-        ``samples`` are (..., d, N) periodic parts and ``winding`` is
-        (d, 1) or (..., d, 1).  The stage points are retracted (tube
-        check, then P) and P checked on the target once; :meth:`remainder`
-        then takes P and its rfft, one transform call more than it makes
-        itself.
+        ``samples`` are (d, N) or (B, d, N) periodic parts and ``winding``
+        is (d, 1) or (B, d, 1), or None for none (the march decides that
+        once).  The stage points are retracted (tube check, then P) and P
+        checked on the target once; :meth:`remainder` then takes P and its
+        rfft, one transform call more than it makes itself.
         """
         m = self.manifold
         proj, _ = m._retract(samples)
@@ -463,36 +470,38 @@ class _Stepper:
         on 4 rows: [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
         pointwise for A(S2, v_x): four calls on 7 rows, [v_x, v_xx,
         v_xxx], A0, D A0 and [A1, rest].  Whatever the grid of ``proj``,
-        the terms are combined on the stage grid's modes alone.
+        the terms are combined on the stage grid's modes alone.  One
+        |v_x|^2 serves A0 = -|v_x|^2 P on the sphere and the cubic term;
+        ``rest`` is summed in place, in one product buffer with A0 or A1.
         """
-        cfg, m = self.cfg, self.manifold
+        cfg, m, third = self.cfg, self.manifold, self.third_order
         n, kept = proj.shape[-1], self.n // 2 + 1
-        d_pows = self.derivs[n]
-        d1 = d_pows[0]
-        d_pows = d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + d1.shape)
+        d_pows = self.derivs[n, coef.ndim]
         rows = np.fft.irfft(d_pows * coef, n=n, norm="forward")
         vx, vxx = rows[0], rows[1]
-        if winding.any():
+        if winding is not None:
             vx = winding + vx
-        a0 = m._sff(proj, vx, vx)
+        sq = _sq(vx) if self.cubic else None
+        # [A0, rest], or [A1, rest] with the eps term: one rfft of one buffer
+        pair = np.empty((2,) + proj.shape)
+        a0 = m._sff(proj, vx, vx, out=None if third else pair[0], xy=sq)
         s1 = vxx - a0
-        a1 = m._sff(proj, s1, vx)
-        rest = m._j(proj, s1)
+        rest = m._j(proj, s1, out=pair[1])
         if self.cubic:
-            rest = rest + cfg.b * _sq(vx) * vx
+            rest += cfg.b * sq * vx
+        if self.dispersive or third:
+            a1 = m._sff(proj, s1, vx, out=pair[0] if third else None)
         if self.dispersive:
-            rest = rest - cfg.a * a1
-        if not self.third_order:
-            a0_hat, rest_hat = np.fft.rfft(np.stack([a0, rest]),
-                                           norm="forward")[..., :kept]
+            rest -= cfg.a * a1
+        if not third:
+            a0_hat, rest_hat = np.fft.rfft(pair, norm="forward")[..., :kept]
             out = rest_hat + self.c_a0 * a0_hat
         else:
             a0_hat = np.fft.rfft(a0, norm="forward")
-            s2 = rows[2] - np.fft.irfft(d1 * a0_hat, n=n, norm="forward") - a1
+            s2 = rows[2] - np.fft.irfft(d_pows[0] * a0_hat, n=n, norm="forward") - a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
-            rest = rest + self.eps * m._sff(proj, s2, vx)
-            a1_hat, rest_hat = np.fft.rfft(np.stack([a1, rest]),
-                                           norm="forward")[..., :kept]
+            rest += self.eps * m._sff(proj, s2, vx)
+            a1_hat, rest_hat = np.fft.rfft(pair, norm="forward")[..., :kept]
             out = (rest_hat + self.c_a0 * a0_hat[..., :kept]
                    + self.c_a1 * a1_hat)
         return self.mask * out
@@ -504,8 +513,8 @@ def _rk4_step(samples, cfg, st, coef, winding):
     ``samples`` is the periodic part of one curve (d, N) or of a stack
     (..., d, N) on the target (a state the march accepted, or u0 it
     retracted and checked), ``coef`` its rfft and ``winding`` its (d, 1)
-    or (..., d, 1) winding.  The state V0 and the stage slopes stay in
-    coefficient space on the stage grid.  Stage 1 is the remainder at the
+    or (..., d, 1) winding, or None for none.  The state V0 and the stage
+    slopes stay in coefficient space on the stage grid.  Stage 1 is the remainder at the
     state itself, on the curve grid, from ``coef``: no retraction, check
     or transform of its own.  Each later stage point is one irfft on the
     stage grid, and V0 is the state's first M/2+1 modes.  Returns the
@@ -545,7 +554,7 @@ def _step_end(st, coef):
     """
     m = st.manifold
     pre = np.fft.irfft(coef, n=st.n_curve, norm="forward")
-    if not np.all(np.isfinite(pre)):
+    if not np.isfinite(pre).all():
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)
     m._require_on(proj)
@@ -579,14 +588,18 @@ def _duhamel_quadrature(cfg, k):
 
     def decay(t):
         out = np.exp(-cfg.epsilon * t[..., None] * k4)
-        return out * np.exp(t[..., None] * k3) if cfg.a else out
+        if not cfg.a:
+            return out
+        osc = t[..., None] * k3  # in place: as large as the whole kernel
+        np.exp(osc, out=osc)
+        osc *= out
+        return osc
 
-    # row i holds the inner rule on [0, s_i]; one interpolation call for all
+    # row i holds the inner rule on [0, s_i]; one interpolation call and
+    # one contraction for all targets
     tau, w = spectral.gauss_legendre(q, 0.0, targets[:, None])
     interp = spectral.lagrange_matrix(nodes, tau.ravel()).reshape(-1, q, q)
-    kernel = np.empty((targets.size, q, k4.size), complex if cfg.a else float)
-    for i, s in enumerate(targets):
-        kernel[i] = np.einsum("t,tk,tj->jk", w[i], decay(s - tau[i]), interp[i])
+    kernel = np.einsum("it,itk,itj->ijk", w, decay(targets[:, None] - tau), interp)
     return nodes, kernel, decay(targets)
 
 
@@ -595,8 +608,8 @@ def _picard_step(samples, cfg, st, coef, winding):
     :func:`_rk4_step` returns them, for one curve.
 
     ``coef`` is the rfft of the (1, d, N) periodic part ``samples`` and
-    ``winding`` its (d, 1) winding; the step appends its iteration count
-    to ``st.iterations``.  Each iteration advances all targets at once
+    ``winding`` its (d, 1) winding or None; the step appends its
+    iteration count to ``st.iterations``.  Each iteration advances all targets at once
     from one stage slope of the (q, d, N) stack of node states.
     """
     m, n, q = st.manifold, st.n, st.nodes.size
@@ -738,8 +751,10 @@ def _march(u0, cfg, stride, levels=None):
         return _Stepper(cfg, m, u0.n, keep,
                         [configs[i].epsilon for i in members])
 
+    lift = winding if winds else None  # the slopes test no winding again
+
     def advance(rows, coef, members):
-        return step_fn(rows, cfg, stepper(tuple(members)), coef, winding)
+        return step_fn(rows, cfg, stepper(tuple(members)), coef, lift)
 
     if cfg.integrator == "DuhamelPicard":
         trajs[0].picard_iterations = stepper((0,)).iterations

@@ -15,9 +15,11 @@ public ``tangent_project``, ``second_fundamental_form`` and
 points lie on the target (``PointOffManifold`` otherwise).  Each has an
 unchecked kernel (``_tangent``, ``_sff``, ``_j``) holding only the
 formula, for callers such as the flow's stages that check their points
-once and then make many calls on them.  ``retract`` is
-``require_in_tube`` followed by ``project`` from one squared norm per
-point, which also gives the constraint residual before projection.
+once and then make many calls on them; ``_sff`` and ``_j`` write into a
+given ``out``, and the sphere's ``_sff`` reads a given x.y (``xy``).
+``retract`` is ``require_in_tube`` followed by ``project`` from one
+squared norm per point, which also gives the constraint residual
+before projection.
 
 Public methods take (..., d) points.  The kernels (``_sq_norms``,
 ``_residual``, ``_distance``, ``_project``, ``_retract``,
@@ -92,8 +94,8 @@ class _Manifold:
         self._require_on(self._rows(pts), tol)
 
     def _require_on(self, rows, tol=ON_MANIFOLD_TOL):
-        res = np.max(self._residual(self._sq_norms(rows)))
-        if not np.isfinite(res) or res > tol:
+        res = self._residual(self._sq_norms(rows)).max()
+        if not res <= tol:  # NaN included
             raise PointOffManifold(
                 f"{self.name}: constraint residual {res:.3e} exceeds {tol:.1e}"
             )
@@ -102,8 +104,8 @@ class _Manifold:
         self._require_tube(self.distance(pts))
 
     def _require_tube(self, dist):
-        dist = np.max(dist)
-        if not np.isfinite(dist) or dist >= self.tubular_radius:
+        dist = dist.max()
+        if not dist < self.tubular_radius:  # NaN and inf included
             raise OutOfTubularNeighborhood(
                 f"{self.name}: distance {dist:.3e} >= tubular radius "
                 f"{self.tubular_radius:.3e}"
@@ -183,7 +185,7 @@ class Sphere2(_Manifold):
         return np.abs(norm - 1.0)
 
     def _project(self, pts, norm):
-        if np.any(norm < 1e-12):
+        if (norm < 1e-12).any():
             raise OutOfTubularNeighborhood(
                 "Sphere2: cannot project a point at the center"
             )
@@ -192,16 +194,21 @@ class Sphere2(_Manifold):
     def _tangent(self, base, vec):
         return vec - _dot(vec, base)[..., None, :] * base
 
-    def _sff(self, base, x, y):
-        return -_dot(x, y)[..., None, :] * base
+    def _sff(self, base, x, y, out=None, xy=None):
+        if xy is None:
+            xy = _dot(x, y)[..., None, :]
+        return np.multiply(-xy, base, out=out)
 
-    def _j(self, base, vec):
+    def _j(self, base, vec, out=None):
         # base x vec, one component row at a time into one output: no
         # gathered copies of the inputs (np.cross costs twice as much)
-        out = np.empty(np.broadcast_shapes(base.shape, vec.shape))
+        if out is None:
+            out = np.empty(base.shape if base.shape == vec.shape
+                           else np.broadcast_shapes(base.shape, vec.shape))
         for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.subtract(base[..., i, :] * vec[..., j, :],
-                        base[..., j, :] * vec[..., i, :], out=out[..., c, :])
+            row = out[..., c, :]
+            np.multiply(base[..., i, :], vec[..., j, :], out=row)
+            row -= base[..., j, :] * vec[..., i, :]
         return out
 
 
@@ -229,7 +236,7 @@ class CliffordTorus2(_Manifold):
         return np.hypot(gap[..., 0, :], gap[..., 1, :])
 
     def _project(self, pts, norm):
-        if np.any(norm < 1e-12):
+        if (norm < 1e-12).any():
             raise OutOfTubularNeighborhood(
                 "CliffordTorus2: cannot project from a circle axis"
             )
@@ -251,18 +258,18 @@ class CliffordTorus2(_Manifold):
         return (_dot(vec, tau1)[..., None, :] * tau1
                 + _dot(vec, tau2)[..., None, :] * tau2)
 
-    def _sff(self, base, x, y):
+    def _sff(self, base, x, y, out=None, xy=None):
         r2 = self.radius**2
-        out = np.empty_like(base)
+        out = np.empty_like(base) if out is None else out
         for s in (slice(0, 2), slice(2, 4)):
             c = -_dot(x[..., s, :], y[..., s, :]) / r2
             out[..., s, :] = c[..., None, :] * base[..., s, :]
         return out
 
-    def _j(self, base, vec):
+    def _j(self, base, vec, out=None):
         tau1, tau2 = self._frame(base)
-        return (_dot(vec, tau1)[..., None, :] * tau2
-                - _dot(vec, tau2)[..., None, :] * tau1)
+        return np.subtract(_dot(vec, tau1)[..., None, :] * tau2,
+                           _dot(vec, tau2)[..., None, :] * tau1, out=out)
 
     def embed_chart(self, chart_pts):
         """Isometric embedding of chart coordinates (y1, y2) into R^4."""
@@ -275,13 +282,6 @@ class CliffordTorus2(_Manifold):
         out[..., 2] = self.radius * np.cos(phi2)
         out[..., 3] = self.radius * np.sin(phi2)
         return out
-
-    def chart_coordinates(self, pts):
-        """Chart coordinates in [0, 1)^2 of embedded points."""
-        pts = self._check_points(pts)
-        y1 = np.arctan2(pts[..., 1], pts[..., 0]) / _TWO_PI % 1.0
-        y2 = np.arctan2(pts[..., 3], pts[..., 2]) / _TWO_PI % 1.0
-        return np.stack([y1, y2], axis=-1)
 
 
 class ChartFlatTorus2(_Manifold):
@@ -313,11 +313,13 @@ class ChartFlatTorus2(_Manifold):
     def _tangent(self, base, vec):
         return vec.copy()
 
-    def _sff(self, base, x, y):
-        return np.zeros_like(base)
+    def _sff(self, base, x, y, out=None, xy=None):
+        out = np.empty_like(base) if out is None else out
+        out.fill(0.0)
+        return out
 
-    def _j(self, base, vec):
-        out = np.empty_like(vec)
+    def _j(self, base, vec, out=None):
+        out = np.empty_like(vec) if out is None else out
         out[..., 0, :] = -vec[..., 1, :]
         out[..., 1, :] = vec[..., 0, :]
         return out

@@ -4,9 +4,9 @@ Public fields are real arrays of shape (N,) or (..., N, d): a 1-D field
 is its own sample axis, and otherwise axis -2 holds the samples and the
 last axis the ambient components, so any leading axes form a batch (one
 member per curve or quadrature node) that the transforms treat
-independently.  The quadratures (``integrate``, ``l2_inner``) take one
-unbatched field.  Quadrature is the uniform trapezoid rule, which on a
-periodic grid is the plain mean and is exact for resolved modes.
+independently.  The quadrature ``l2_inner`` takes one unbatched field:
+the uniform trapezoid rule, which on a periodic grid is the plain mean
+and is exact for resolved modes.
 
 Inside the package fields are stored in the row layout (..., d, N): the
 samples sit on the contiguous last axis, so every transform runs on
@@ -82,11 +82,6 @@ def lowpass(f, keep):
 def dealias_keep(n):
     """Highest retained frequency under the cubic-product dealiasing rule."""
     return n // 4
-
-
-def integrate(f):
-    """Integral over one period by the trapezoid rule (mean of samples)."""
-    return np.asarray(f).mean(axis=0)
 
 
 def l2_inner(f, g):

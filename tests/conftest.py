@@ -1,9 +1,23 @@
-"""Counters shared by the test modules: on-target checks and transforms."""
+"""Counters shared by the test modules (on-target checks and transforms)
+and the quadrature and chart helpers that only tests need."""
 
 import numpy as np
 import pytest
 
 from dcl.manifolds import _Manifold
+
+
+def integrate(f):
+    """Integral over one period by the trapezoid rule (mean of samples)."""
+    return np.asarray(f).mean(axis=0)
+
+
+def chart_coordinates(pts):
+    """Chart coordinates in [0, 1)^2 of (..., 4) CliffordTorus2 points."""
+    two_pi = 2.0 * np.pi
+    y1 = np.arctan2(pts[..., 1], pts[..., 0]) / two_pi % 1.0
+    y2 = np.arctan2(pts[..., 3], pts[..., 2]) / two_pi % 1.0
+    return np.stack([y1, y2], axis=-1)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import chart_coordinates
 
 from dcl import spectral
 from dcl.curves import ClosedCurve, h1_distance, resample, sup_distance
@@ -118,7 +119,7 @@ def test_criterion_4_flat_torus_exact():
     cfg_emb = replace(cfg, dt=5e-5)
     emb_traj = evolve(emb0, cfg_emb, stride=cfg_emb.n_steps())
     assert emb_traj.failure is None
-    back = CLIFFORD_TORUS2.chart_coordinates(emb_traj.final.samples)
+    back = chart_coordinates(emb_traj.final.samples)
     diff = (back - exact.samples % 1.0 + 0.5) % 1.0 - 0.5
     emb_err = float(np.max(np.abs(diff)))
     assert emb_err <= 1e-8

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -11,12 +12,20 @@ import pytest
 
 import dcl
 from dcl import cli
-from dcl.cli import main, parse_report_csv
+from dcl.cli import main
 from dcl.curves import sup_distance
 from dcl.flow import MAX_N_G
 from dcl.invariants import EnergyReport, oracle_latitude_circle
 from dcl.manifolds import SPHERE2
 from dcl.presets import great_circle, random_smooth
+
+
+def parse_report_csv(text):
+    """Round-trip helper: rows of report.csv as dictionaries of floats."""
+    return [
+        {k: (float(v) if v != "" else None) for k, v in row.items()}
+        for row in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def base_manifest(out_dir, **overrides):

@@ -11,7 +11,6 @@ from dcl.curves import (
     lift_trend,
     lifted_velocity,
     sup_distance,
-    tangency_residual,
 )
 from dcl import flow
 from dcl.flow import (
@@ -31,6 +30,7 @@ from dcl.flow import (
     mode_cutoff,
     regularized_rhs,
 )
+from dcl.errors import TangencyViolation
 from dcl.invariants import (
     oracle_latitude_circle,
     oracle_torus_line,
@@ -151,11 +151,37 @@ def test_rhs_matches_covariant_assembly():
         assert np.max(np.abs(got - oracle)) <= 1e-9 * scale
 
 
+def tangency_residual(curve, vectors):
+    """Largest pointwise normal component of an ambient field along a curve."""
+    normal = curve.manifold.normal_project(curve.samples, vectors)
+    return float(np.max(np.abs(normal)))
+
+
 def test_rhs_tangency():
     c = random_smooth(SPHERE2, 128, seed=2, decay=0.8, amplitude=0.3)
     rhs = dispersive_rhs(c, 1.0, 0.5)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     assert tangency_residual(c, rhs) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2])
+def test_dispersive_rhs_checks_its_curve_once(manifold, on_target_checks,
+                                              monkeypatch):
+    c = random_smooth(manifold, 64, seed=2, decay=0.8, amplitude=0.3)
+    rhs = dispersive_rhs(c, 1.0, 0.5)
+    assert on_target_checks == [(manifold.ambient_dim, 64)]
+    # the guard reads the residual of the public normal projection; a
+    # threshold just below it trips with the message it always had
+    res = tangency_residual(c, rhs)
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    assert res > 0.0
+    monkeypatch.setattr(flow, "RHS_TANGENCY_TOL", 0.99 * res / scale)
+    with pytest.raises(TangencyViolation) as trip:
+        dispersive_rhs(c, 1.0, 0.5)
+    assert str(trip.value) == (
+        f"rhs normal component {res:.3e} exceeds "
+        f"{0.99 * res / scale:.0e} * {scale:.3e}; raise the resolution"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import integrate
 
 from dcl import invariants, spectral
 from dcl.curves import ClosedCurve, covariant_tower, sup_distance
@@ -205,9 +206,9 @@ def _per_row_report(curve, t):
     k = curve.manifold.gaussian_curvature
     e = (
         spectral.l2_inner(t2, t2)
-        + (k**2 / 8.0) * spectral.integrate(g00**3)
-        - k * spectral.integrate(g01**2)
-        - (1.5 * k) * spectral.integrate(g00 * g11)
+        + (k**2 / 8.0) * integrate(g00**3)
+        - k * integrate(g01**2)
+        - (1.5 * k) * integrate(g00 * g11)
     )
     nt = None
     if curve.manifold is SPHERE2:
@@ -217,9 +218,9 @@ def _per_row_report(curve, t):
         sq_x = (ux * ux).sum(axis=-1)
         nt = float(
             spectral.l2_inner(uxxx, uxxx)
-            - 3.5 * spectral.integrate(sq_x * (uxx * uxx).sum(axis=-1))
-            - 14.0 * spectral.integrate((ux * uxx).sum(axis=-1) ** 2)
-            + (21.0 / 8.0) * spectral.integrate(sq_x**3)
+            - 3.5 * integrate(sq_x * (uxx * uxx).sum(axis=-1))
+            - 14.0 * integrate((ux * uxx).sum(axis=-1) ** 2)
+            + (21.0 / 8.0) * integrate(sq_x**3)
         )
     return EnergyReport(
         t=float(t),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import integrate
 
 from dcl import spectral
 
@@ -69,7 +70,7 @@ def test_discrete_integration_by_parts():
     coef[1:20] = rng.standard_normal(19) + 1j * rng.standard_normal(19)
     g = np.fft.irfft(coef, n=n)
     df, dg = spectral.spectral_derivative(f), spectral.spectral_derivative(g)
-    residual = abs(spectral.integrate(df * g + f * dg))
+    residual = abs(integrate(df * g + f * dg))
     assert residual <= 1e-10
 
 
