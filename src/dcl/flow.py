@@ -21,34 +21,16 @@ Integrators
                    the factor the third-derivative term makes every mode
                    above a handful linearly unstable at production step
                    sizes, so the factor is what makes an explicit scheme
-                   viable at all.  State and stage slopes live in rfft
-                   coefficients, and so do the slope's linear terms (D A0,
-                   D t2): when every member has eps = 0 a stage makes 3
-                   transform calls on 5 rows; otherwise t2 is needed
-                   pointwise and a stage makes 5 calls on 8 rows.  Stage 1
-                   takes the state as the last step end accepted it, with
-                   the rfft the march made of it, so it saves the first
-                   call and a step makes 16 calls, or 24.  Stages 2-4
-                   retract their point once (``retract``: tube check and
-                   projection from one squared norm per point) and check
-                   the projection on the target before running unchecked
-                   geometry kernels; the step end retracts and checks the
-                   state it accepts, and its residual before projection
-                   comes from the squared norms of that retraction.  The
-                   march retracts and checks u0 once, at entry.
-                   The stability clamp, not N, sets the band, so stages
-                   2-4 run on the stage grid: the smallest power of two
-                   M >= 16 that dealiases the band by the N/4 rule,
-                   capped at N.  Stage 1 slopes the state on the curve
-                   grid (the state is not band-limited, and a coarser
-                   grid would alias its tail into the band) and combines
-                   its terms on the stage grid's modes alone, and the
-                   step end goes back to the curve grid; past N = 4 keep
-                   stages 2-4 cost the same at every N.
-                   The step acts on one curve (d, N) or on a stack
-                   (B, d, N) whose members may carry their own eps; the
-                   epsilon continuation marches its baseline and all
-                   levels as one such stack.
+                   viable at all.  Stage 1 slopes the state on the curve
+                   grid from the rfft the march made of it; stages 2-4
+                   retract their point and run on the stage grid
+                   (:func:`stage_grid`), which the band sets, not N; the
+                   step end goes back to the curve grid and retracts and
+                   checks the state it accepts.  A step makes 16
+                   transform calls, or 24 when a member has eps > 0
+                   (:meth:`_Stepper.remainder`).  The step acts on one
+                   curve (d, N) or on a stack (B, d, N) whose members may
+                   carry their own eps.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
                    by the propagator exp(t*L) of the same L; requires
                    eps > 0.  Each iteration evaluates the nonlinearity at
@@ -60,6 +42,11 @@ Integrators
                    monotonically (``dcl verify --suite maxprinciple``).
 ``IMEX``           First-order integrating-factor Euler step (same L and
                    stage), projected at the step end.  Cheap, for smoke runs.
+
+Each stepper owns a workspace for the arrays of its stage slopes and
+step ends (:meth:`_Stepper.buffer`), so a step at large N reuses the
+pages of the last one instead of faulting fresh ones in; no result of a
+step aliases it.
 
 ``_march`` is the one step loop: ``evolve`` is its single member, and
 ``epsilon_continuation`` marches the eps = 0 baseline and every level as
@@ -223,9 +210,6 @@ class Trajectory:
     def final(self):
         return self.states[-1]
 
-    def off_manifold(self):
-        return [s.off_manifold() for s in self.states]
-
 
 # ---------------------------------------------------------------------------
 # Right-hand sides
@@ -378,16 +362,15 @@ class _Stepper:
     into the band.  ``derivs`` holds d/dx and its powers 1..3, or 1..2
     when no slope term needs v_xxx, on both grids, shaped for (d, K) and
     for (B, d, K) coefficients, and the slope takes those of its input's
-    grid and rank; ``d_pows`` and ``d1`` are the stage grid's.  Every slope is combined
-    on the stage grid's modes only: the retained-band ``mask``, the
-    multipliers ``c_a0`` on A0 = A(v_x, v_x) and ``c_a1`` on A1 (eps term
-    only), and the integrating factors over a full and a half step,
-    masked by the band, are rows over them.  ``eps`` holds one level per
-    member: B > 1 levels give the integrating factors and the slope's
-    multipliers a leading member axis, (B, 1, K), for a (B, d, N) stack
-    whose member i carries eps[i]; one level gives them none, so it steps
-    a (d, N) curve or a stack.  The band and the derivative multipliers
-    are shared by all members.
+    grid and rank; ``d_pows`` and ``d1`` are the stage grid's.  Every
+    slope is combined on the stage grid's modes only: the band ``mask``,
+    ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the
+    masked integrating factors over a full and a half step are rows over
+    them.  ``eps`` holds one level per member: B > 1 levels give the
+    integrating factors and the slope's multipliers a leading member axis,
+    (B, 1, K), for a (B, d, N) stack whose member i carries eps[i]; one
+    level gives them none, so it steps a (d, N) curve or a stack.  The
+    band and the derivative multipliers are shared by all members.
 
     The stiff part L = a*d_x^3 - eps*d_x^4 is the same for every
     integrator; a DuhamelPicard stepper holds the masked quadrature that
@@ -396,19 +379,24 @@ class _Stepper:
     slope's linear terms act on rfft coefficients.  The pointwise terms
     are not formed when their coefficient is zero: b |v_x|^2 v_x at b = 0
     and a A1 at a = 0.
+
+    ``work`` is the workspace: :meth:`buffer` makes each array of
+    :meth:`remainder` and of the step end's irfft by np.empty on first use,
+    keyed by (name, shape), as stage 1 runs on the curve grid and stages
+    2-4 on the stage grid.  ``_march`` builds one stepper per set of live
+    members, so the buffers live as long as the march.  No result aliases
+    them: slopes, states and residuals leave a step as fresh arrays.
     """
 
     def __init__(self, cfg, manifold, n, keep, eps):
-        self.cfg = cfg
-        self.manifold = manifold
-        self.keep = keep
+        self.cfg, self.manifold, self.keep = cfg, manifold, keep
         eps = np.asarray(eps, dtype=float)
         self.eps = eps[:, None, None] if eps.size > 1 else eps.reshape(1, 1)
         # v_xxx and t2 in physical space feed only the eps term: without
         # it, a stage makes 3 transform calls instead of 5
         self.third_order = bool(np.any(self.eps))
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
-        self.n_curve = n
+        self.n_curve, self.work = n, {}
         self.n = (n if cfg.integrator == "DuhamelPicard"
                   else stage_grid(n, keep))
         orders = 3 if self.third_order else 2
@@ -436,6 +424,12 @@ class _Stepper:
             lam[..., -1] = lam[..., -1].real
             self.e_full = np.exp(cfg.dt * lam) * self.mask
             self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
+
+    def buffer(self, name, shape, dtype=float):
+        """The workspace array ``name`` of ``shape``, np.empty on first use."""
+        if (name, shape) not in self.work:
+            self.work[name, shape] = np.empty(shape, dtype)
+        return self.work[name, shape]
 
     def slope(self, samples, winding):
         """Masked stage-grid rfft coefficients of the remainder at a stage.
@@ -475,36 +469,38 @@ class _Stepper:
         ``rest`` is summed in place, in one product buffer with A0 or A1.
         """
         cfg, m, third = self.cfg, self.manifold, self.third_order
-        n, kept = proj.shape[-1], self.n // 2 + 1
-        d_pows = self.derivs[n, coef.ndim]
-        rows = np.fft.irfft(d_pows * coef, n=n, norm="forward")
+        ws, shape, n, kept = self.buffer, proj.shape, proj.shape[-1], self.n // 2 + 1
+        d_pows, modes = self.derivs[n, coef.ndim], coef.shape
+        lin = np.multiply(d_pows, coef, out=ws("lin", d_pows.shape[:1] + modes, complex))
+        rows = np.fft.irfft(lin, n=n, norm="forward", out=ws("rows", lin.shape[:1] + shape))
         vx, vxx = rows[0], rows[1]
         if winding is not None:
-            vx = winding + vx
-        sq = _sq(vx) if self.cubic else None
+            vx = np.add(winding, vx, out=ws("vx", shape))
         # [A0, rest], or [A1, rest] with the eps term: one rfft of one buffer
-        pair = np.empty((2,) + proj.shape)
-        a0 = m._sff(proj, vx, vx, out=None if third else pair[0], xy=sq)
-        s1 = vxx - a0
+        pair, tmp = ws("pair", (2,) + shape), ws("tmp", shape)
+        sq = (_ambient_sum(np.multiply(vx, vx, out=tmp))[..., None, :]
+              if self.cubic else None)
+        a0 = m._sff(proj, vx, vx, out=ws("a0", shape) if third else pair[0], xy=sq)
+        s1 = np.subtract(vxx, a0, out=ws("s1", shape))
         rest = m._j(proj, s1, out=pair[1])
         if self.cubic:
-            rest += cfg.b * sq * vx
+            rest += np.multiply(cfg.b * sq, vx, out=tmp)
         if self.dispersive or third:
-            a1 = m._sff(proj, s1, vx, out=pair[0] if third else None)
+            a1 = m._sff(proj, s1, vx, out=pair[0] if third else ws("a1", shape))
         if self.dispersive:
-            rest -= cfg.a * a1
-        if not third:
-            a0_hat, rest_hat = np.fft.rfft(pair, norm="forward")[..., :kept]
-            out = rest_hat + self.c_a0 * a0_hat
-        else:
-            a0_hat = np.fft.rfft(a0, norm="forward")
-            s2 = rows[2] - np.fft.irfft(d_pows[0] * a0_hat, n=n, norm="forward") - a1
+            rest -= np.multiply(cfg.a, a1, out=tmp)
+        if third:
+            a0_hat = np.fft.rfft(a0, norm="forward", out=ws("a0_hat", modes, complex))
+            s2 = np.fft.irfft(np.multiply(d_pows[0], a0_hat, out=ws("da0", modes, complex)),
+                              n=n, norm="forward", out=ws("s2", shape))
+            np.subtract(rows[2], s2, out=s2)
+            s2 -= a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
-            rest += self.eps * m._sff(proj, s2, vx)
-            a1_hat, rest_hat = np.fft.rfft(pair, norm="forward")[..., :kept]
-            out = (rest_hat + self.c_a0 * a0_hat[..., :kept]
-                   + self.c_a1 * a1_hat)
-        return self.mask * out
+            rest += np.multiply(self.eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
+        a_hat, rest_hat = np.fft.rfft(pair, norm="forward",
+                                      out=ws("hat", (2,) + modes, complex))[..., :kept]
+        out = rest_hat + self.c_a0 * (a0_hat[..., :kept] if third else a_hat)
+        return self.mask * (out + self.c_a1 * a_hat if third else out)
 
 
 def _rk4_step(samples, cfg, st, coef, winding):
@@ -553,7 +549,8 @@ def _step_end(st, coef):
     accepted state, since the next step's stage 1 takes it as it is.
     """
     m = st.manifold
-    pre = np.fft.irfft(coef, n=st.n_curve, norm="forward")
+    pre = np.fft.irfft(coef, n=st.n_curve, norm="forward",
+                       out=st.buffer("pre", coef.shape[:-1] + (st.n_curve,)))
     if not np.isfinite(pre).all():
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)

@@ -30,9 +30,7 @@ DEFAULT_AMPLITUDE = 0.2
 def great_circle(n=128):
     x = spectral.grid(n)
     phase = spectral.TWO_PI * x
-    samples = np.stack(
-        [np.cos(phase), np.sin(phase), np.zeros(n)], axis=-1
-    )
+    samples = np.stack([np.cos(phase), np.sin(phase), np.zeros(n)], axis=-1)
     return ClosedCurve(samples, SPHERE2)
 
 
@@ -41,14 +39,8 @@ def latitude_circle(theta, n=128):
         raise ConfigError("latitude angle must lie strictly between 0 and pi")
     x = spectral.grid(n)
     phase = spectral.TWO_PI * x
-    samples = np.stack(
-        [
-            np.sin(theta) * np.cos(phase),
-            np.sin(theta) * np.sin(phase),
-            np.full(n, np.cos(theta)),
-        ],
-        axis=-1,
-    )
+    samples = np.stack([np.sin(theta) * np.cos(phase), np.sin(theta) * np.sin(phase),
+                        np.full(n, np.cos(theta))], axis=-1)
     return ClosedCurve(samples, SPHERE2)
 
 

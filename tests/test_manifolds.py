@@ -414,12 +414,42 @@ def test_retract_raises_as_tube_check_then_project(manifold, bad):
         pts[1, 7, 0] = float(bad)
     want = raised(tube_then_project, manifold, pts)
     assert raised(manifold.retract, pts) == want
-    if manifold is CHART_FLAT_TORUS2:
-        # no tube and no constraint: nothing is raised, the copy is returned
+    if manifold is CHART_FLAT_TORUS2 and bad in ("outside", "center-or-axis"):
+        # no tube and no constraint: nothing is raised at a finite point,
+        # the copy is returned
         assert want is None
         assert same_bits(manifold.retract(pts)[0], pts)
     else:
         assert want[0] is OutOfTubularNeighborhood
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chart_public_calls_refuse_a_non_finite_point(bad):
+    # every finite point is on the chart and inside its infinite tube, but
+    # a non-finite one is no point: its residual and distance read NaN and
+    # the public checks raise, as they do on the embedded targets
+    m = CHART_FLAT_TORUS2
+    assert np.isnan(m.constraint_residual([bad, 1.0]))
+    assert np.isnan(m.distance([bad, 0.0]))
+    pts = random_on(m, 8, 3)
+    pts[5, 1] = bad
+    assert np.isnan(m.constraint_residual(pts)[5]) and np.isnan(m.distance(pts)[5])
+    assert not m.constraint_residual(pts)[:5].any() and not m.distance(pts)[:5].any()
+    with pytest.raises(PointOffManifold, match="residual nan"):
+        m.require_on_manifold(pts)
+    with pytest.raises(OutOfTubularNeighborhood, match="distance nan"):
+        m.require_in_tube(pts)
+    with pytest.raises(OutOfTubularNeighborhood, match="distance nan"):
+        m.retract(pts)
+    with pytest.raises(PointOffManifold):
+        m.tangent_project(pts, np.ones_like(pts))
+    # the march's kernels still pass such rows: a non-finite stage point
+    # ends at the step end's finite check, not at a tube check
+    m._require_on(pts.T)
+    proj, sq = m._retract(pts.T)
+    assert not sq.any() and same_bits(proj, pts.T)
+    m.require_on_manifold(random_on(m, 8, 3))
+    m.require_in_tube(random_on(m, 8, 3) * 1e6)
 
 
 @pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2], ids=str)
