@@ -35,12 +35,11 @@ class ClosedCurve:
         if isinstance(self.manifold, str):
             self.manifold = by_name(self.manifold)
         self.samples = np.asarray(self.samples, dtype=float)
-        n = self.samples.shape[0]
         if self.samples.ndim != 2 or self.samples.shape[1] != self.manifold.ambient_dim:
             raise ValueError(
                 f"samples must have shape (N, {self.manifold.ambient_dim})"
             )
-        if n < 16 or n & (n - 1):
+        if self.n < 16 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two >= 16")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
@@ -150,8 +149,8 @@ def covariant_tower(curve, j):
     top retained frequency, and nothing in the lab needs more.  One
     on-target check (for j >= 1), then :func:`_tower`.
     """
-    if not 0 <= j <= 6:
-        raise ValueError("tower order must lie in [0, 6]")
+    if not (isinstance(j, (int, np.integer)) and 0 <= j <= 6):
+        raise ValueError(f"tower order j must be an integer in [0, 6], got {j!r}")
     m, rows = curve.manifold, curve.samples.T
     if j:
         m._require_on(rows)
@@ -160,8 +159,8 @@ def covariant_tower(curve, j):
 
 def sobolev_norm(curve, m):
     """Bundle Sobolev norm (sum_{j<=m} ||cov^j u_x||_L2^2)^(1/2), m <= 5."""
-    if not 0 <= m <= 5:
-        raise ValueError("Sobolev order must lie in [0, 5]")
+    if not (isinstance(m, (int, np.integer)) and 0 <= m <= 5):
+        raise ValueError(f"Sobolev order m must be an integer in [0, 5], got {m!r}")
     tower = covariant_tower(curve, m)
     total = sum(spectral.l2_inner(f, f) for f in tower)
     return float(np.sqrt(total))
@@ -300,8 +299,10 @@ def identity_residuals(curve, l_max=2, seed=0, n_quadruples=16, fd_step=1e-4):
     discretely they decay spectrally with resolution.  The curvature
     symmetry is algebraic and holds to roundoff.  The commutator residual
     uses second-order centered differences in the family parameter and is
-    O(fd_step^2).
+    O(fd_step^2).  ``l_max`` is at most 3, since the tower goes 3 past it.
     """
+    if not (isinstance(l_max, (int, np.integer)) and 0 <= l_max <= 3):
+        raise ValueError(f"l_max must be an integer in [0, 3], got {l_max!r}")
     m, base = curve.manifold, curve.samples.T
     k_gauss = m.gaussian_curvature
     tower = [f.T for f in covariant_tower(curve, l_max + 3)]  # checks

@@ -40,8 +40,6 @@ Integrators
                    States may sit slightly off the target (inside the
                    tube); at a = b = 0 their normal part then decays
                    monotonically (``dcl verify --suite maxprinciple``).
-``IMEX``           First-order integrating-factor Euler step (same L and
-                   stage), projected at the step end.  Cheap, for smoke runs.
 
 Each stepper owns a workspace for the arrays of its stage slopes and
 step ends (:meth:`_Stepper.buffer`), so a step at large N reuses the
@@ -102,7 +100,7 @@ from .manifolds import _ambient_sum, _dot
 
 TWO_PI = 2.0 * np.pi
 
-INTEGRATORS = ("DuhamelPicard", "ProjectedRK4", "IMEX")
+INTEGRATORS = ("DuhamelPicard", "ProjectedRK4")
 
 # Under-resolution guard threshold for the tangency of the assembled RHS.
 RHS_TANGENCY_TOL = 1e-6
@@ -117,7 +115,7 @@ MAX_STEPS = 10**7
 # complex entries, 528 MiB at both bounds (its build, which holds the
 # propagator factors of every target beside it, peaks near 1.04 GiB, 16
 # times the 67 MiB measured at N_g = 4096).  The grid bound is shared by
-# every integrator, so it also limits RK4/IMEX runs, whose arrays take a
+# every integrator, so it also limits RK4 runs, whose arrays take a
 # few MiB at 2^16: a grid study from N_g = 4096 may have 5 levels, not 6.
 MAX_N_G = 2**16
 MAX_QUADRATURE_NODES = 32
@@ -306,7 +304,7 @@ def mode_cutoff(cfg, manifold, speed):
     """Highest retained frequency for one run on ``manifold``.
 
     A pinned ``cfg.mode_cutoff`` wins, else the dealias band.  For
-    ProjectedRK4/IMEX the explicit stages see an effective second-order
+    ProjectedRK4 the explicit stages see an effective second-order
     operator; modes beyond the stability edge of the classical four-stage
     scheme must be masked or roundoff there is amplified by orders of
     magnitude per step.  ``speed`` is the largest |v_x| of the data.  The
@@ -329,7 +327,7 @@ def mode_cutoff(cfg, manifold, speed):
 
 
 def stage_grid(n, keep):
-    """Points of the grid the RK4/IMEX stages run on, for a band of ``keep``.
+    """Points of the grid the RK4 stages run on, for a band of ``keep``.
 
     The smallest power of two M >= 16 that dealiases the band by the N/4
     rule (M // 4 >= keep), capped at the curve grid N, itself a power of
@@ -534,13 +532,6 @@ def _rk4_step(samples, cfg, st, coef, winding):
     return _step_end(st, end)
 
 
-def _imex_step(samples, cfg, st, coef, winding):
-    """Integrating-factor Euler step (first order), projected at the end;
-    its one slope is stage 1 of :func:`_rk4_step`."""
-    m1 = st.remainder(samples, coef, winding)
-    return _step_end(st, st.e_full * (coef[..., : st.n // 2 + 1] + cfg.dt * m1))
-
-
 def _step_end(st, coef):
     """Guarded projection of irfft(coef); (samples, residuals before).
 
@@ -700,7 +691,7 @@ def _march(u0, cfg, stride, levels=None):
     own result bit for bit as the stacked step does.  A member whose step
     raises, or whose H2 norm grows BLOWUP_FACTOR-fold within a stride, is
     frozen with its failure, and the others march on as a smaller stack.
-    For ProjectedRK4/IMEX the march starts from the retraction of u0,
+    For ProjectedRK4 the march starts from the retraction of u0,
     checked on the target once (a u0 outside the tube freezes every
     member with that failure); snapshot 0 is u0 as given.  The band of
     every integrator is decided here, once, by :func:`mode_cutoff`.
@@ -739,8 +730,7 @@ def _march(u0, cfg, stride, levels=None):
         # the largest |v_x| of the data fixes the RK4 stability band
         speed = float(np.max(np.abs(u0.velocity())))
     keep = mode_cutoff(cfg, m, speed)  # every stepper of the run shares it
-    step_fn = {"ProjectedRK4": _rk4_step, "IMEX": _imex_step,
-               "DuhamelPicard": _picard_step}[cfg.integrator]
+    step_fn = _picard_step if cfg.integrator == "DuhamelPicard" else _rk4_step
 
     # built once per set of live members
     @lru_cache(maxsize=None)

@@ -58,8 +58,8 @@ def spectral_derivative(f, order=1):
     Exact for band-limited input.  Orders above 4 never occur in the flow
     and are rejected.
     """
-    if not 1 <= order <= 4:
-        raise ValueError("derivative order must lie in [1, 4]")
+    if not (isinstance(order, (int, np.integer)) and 1 <= order <= 4):
+        raise ValueError(f"derivative order must be an integer in [1, 4], got {order!r}")
     return _rows(_derivative(_rows(np.asarray(f, dtype=float)), order))
 
 

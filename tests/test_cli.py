@@ -526,6 +526,16 @@ def test_config_error_leaves_no_output_dir(tmp_path, argv):
     assert not out.exists()
 
 
+def test_retired_imex_integrator_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = base_manifest(out, config={"integrator": "IMEX"})
+    assert main(["simulate", "--manifest", write_manifest(tmp_path, manifest)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad flow config: integrator must be one of "
+        "('DuhamelPicard', 'ProjectedRK4'), got 'IMEX'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "manifold,descriptor,message,command",
     [

@@ -39,7 +39,7 @@ def manifests(draw):
         "epsilon": draw(st.sampled_from([0.0, 1e-2])),
         "N_g": n, "dt": dt, "T": steps * dt,
         "integrator": draw(st.sampled_from(
-            ["ProjectedRK4", "IMEX", "DuhamelPicard"])),
+            ["ProjectedRK4", "DuhamelPicard"])),
         "manifold": draw(st.sampled_from(
             ["Sphere2", "CliffordTorus2", "ChartFlatTorus2"])),
         "initial_condition": draw(st.sampled_from(
@@ -103,6 +103,8 @@ def with_value(section, key, value):
 @example(manifest=with_value("config", "initial_condition",
                              "file:/missing.json"), argv=["simulate"])
 @example(manifest=with_value("config", "dealias", "no"), argv=["simulate"])
+@example(manifest=with_value("config", "integrator", "IMEX"),
+         argv=["simulate"])
 @example(manifest=with_value("config", "epsilon", 5e-324),
          argv=["converge", "--mode", "epsilon"])
 @example(manifest=with_value("top", "stride", True), argv=["simulate"])

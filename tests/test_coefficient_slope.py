@@ -16,7 +16,6 @@ from dcl.curves import lift_trend
 from dcl.flow import (
     FlowConfig,
     _duhamel_quadrature,
-    _imex_step,
     _rk4_step,
     _sq,
     _Stepper,
@@ -106,33 +105,27 @@ def test_slope_matches_physical_space_reference(manifold, case):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize(
-    "integrator,eps,want",
-    [("ProjectedRK4", 0.0, 16), ("ProjectedRK4", 3e-5, 24), ("IMEX", 0.0, 4)],
-)
-def test_step_transform_calls(fft_calls, integrator, eps, want):
+@pytest.mark.parametrize("eps,want", [(0.0, 16), (3e-5, 24)])
+def test_step_transform_calls(fft_calls, eps, want):
     # an eps = 0 stage: P, [v_x, v_xx] and [A0, rest]; at eps > 0 t2 is
     # needed pointwise, which adds A0 and D A0.  Stage 1 takes P's
     # transform from the state's, which the step counts once, and a step
     # adds one inverse per later stage point and its end
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
-    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=64, dt=1e-5, T=1e-5,
-                     integrator=integrator)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=64, dt=1e-5, T=1e-5)
     st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0),
                   [cfg.epsilon])
-    step = _rk4_step if integrator == "ProjectedRK4" else _imex_step
     before = len(fft_calls)
     rows = u0.samples.T
-    step(rows, cfg, st, np.fft.rfft(rows, norm="forward"), np.zeros((3, 1)))
+    _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"), np.zeros((3, 1)))
     assert len(fft_calls) - before == want
     # each accepted state is transformed once: the H2 guard at stride 1
     # and the next step's stage 1 share that rfft, so a step costs what it
-    # costs standalone (16 for an eps = 0 RK4 step, 4 for IMEX), not one
-    # more
+    # costs standalone (16 for an eps = 0 step), not one more
     counts = []
     for steps in (1, 3):
         cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=64, dt=1e-5,
-                         T=steps * 1e-5, integrator=integrator)
+                         T=steps * 1e-5)
         before = len(fft_calls)
         assert evolve(u0, cfg, stride=1).failure is None
         counts.append(len(fft_calls) - before)

@@ -8,6 +8,7 @@ from dcl.curves import (
     covariant_tower,
     curvature_apply,
     h1_distance,
+    identity_residuals,
     resample,
     sobolev_norm,
     sup_distance,
@@ -34,6 +35,31 @@ def test_grid_size_must_be_power_of_two():
         ClosedCurve(np.zeros((24, 3)), SPHERE2)
     with pytest.raises(ValueError):
         ClosedCurve(np.zeros((8, 3)), SPHERE2)
+
+
+@pytest.mark.parametrize("samples", [5.0, np.zeros(3), np.zeros((32, 3, 1)),
+                                     np.zeros((32, 2))],
+                         ids=["0-d", "1-d", "3-d", "wrong-width"])
+def test_samples_of_the_wrong_shape_raise_the_shape_error(samples):
+    with pytest.raises(ValueError, match=r"samples must have shape \(N, 3\)"):
+        ClosedCurve(samples, "Sphere2")
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda c: spectral.spectral_derivative(c.samples, 1.5), "order"),
+    (lambda c: spectral.spectral_derivative(c.samples, 0), "order"),
+    (lambda c: covariant_tower(c, 2.0), "order j"),
+    (lambda c: covariant_tower(c, 7), "order j"),
+    (lambda c: sobolev_norm(c, 1.5), "order m"),
+    (lambda c: sobolev_norm(c, 6), "order m"),
+    (lambda c: identity_residuals(c, l_max=4), "l_max"),
+    (lambda c: identity_residuals(c, l_max=1.0), "l_max"),
+], ids=["derivative-1.5", "derivative-0", "tower-2.0", "tower-7",
+        "sobolev-1.5", "sobolev-6", "identities-4", "identities-1.0"])
+def test_an_order_out_of_range_or_not_an_integer_names_its_argument(call,
+                                                                     name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(great_circle(32))
 
 
 def test_chart_winding_recovery():

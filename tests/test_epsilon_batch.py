@@ -15,7 +15,6 @@ from dcl import flow
 from dcl.curves import h1_distance, lift_trend
 from dcl.flow import (
     FlowConfig,
-    _imex_step,
     _rk4_step,
     _Stepper,
     epsilon_continuation,
@@ -28,13 +27,13 @@ from dcl.presets import random_smooth
 TARGETS = [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2]
 
 
-def periodic_step(step_fn, rows, cfg, st, manifold):
-    """``step_fn`` on the periodic part of (..., d, N) rows, as the march
+def periodic_step(rows, cfg, st, manifold):
+    """``_rk4_step`` on the periodic part of (..., d, N) rows, as the march
     calls it: with the part's transform and the rows' winding."""
     trend, winding = lift_trend(rows, manifold)
     rows = rows - trend
-    return step_fn(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
-                   winding)[0]
+    return _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
+                     winding)[0]
 
 
 def reference_rows(u0, cfg, eps_list):
@@ -145,9 +144,7 @@ def test_band_is_decided_once_per_run(monkeypatch, horizon, eps_list):
 
 
 @pytest.mark.parametrize("manifold", TARGETS, ids=lambda m: m.name)
-@pytest.mark.parametrize("step_fn", [_rk4_step, _imex_step],
-                         ids=["rk4", "imex"])
-def test_stacked_step_equals_member_steps(manifold, step_fn):
+def test_stacked_step_equals_member_steps(manifold):
     # distinct members, each with its own eps
     members = [smooth_start(manifold, 128, seed) for seed in (11, 12, 13)]
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=128, dt=1e-5, T=1e-5)
@@ -156,10 +153,10 @@ def test_stacked_step_equals_member_steps(manifold, step_fn):
     stack = np.stack([u.samples.T for u in members])
     keep = mode_cutoff(cfg, manifold, speed)
     st_stack = _Stepper(cfg, manifold, 128, keep, levels)
-    stepped = periodic_step(step_fn, stack, cfg, st_stack, manifold)
+    stepped = periodic_step(stack, cfg, st_stack, manifold)
     for eps, u, got in zip(levels, members, stepped):
         cfg_eps = replace(cfg, epsilon=eps)
         st = _Stepper(cfg_eps, manifold, 128,
                       mode_cutoff(cfg_eps, manifold, speed), [eps])
-        want = periodic_step(step_fn, u.samples.T, cfg_eps, st, manifold)
+        want = periodic_step(u.samples.T, cfg_eps, st, manifold)
         assert np.array_equal(got, want)

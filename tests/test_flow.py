@@ -17,7 +17,6 @@ from dcl.flow import (
     FlowConfig,
     _duhamel_quadrature,
     _extrinsic_h2,
-    _imex_step,
     _picard_step,
     _rk4_step,
     _Stepper,
@@ -604,9 +603,9 @@ def test_picard_tube_guard():
 
 
 def test_stage_forms_third_order_rows_only_when_used():
-    # v_xxx and D t2 feed only a*S2 (Picard) and the eps term, so an RK4 or
-    # IMEX stage whose members all have eps = 0 transforms 2 derivative
-    # rows instead of 3
+    # v_xxx and D t2 feed only a*S2 (Picard) and the eps term, so an RK4
+    # stage whose members all have eps = 0 transforms 2 derivative rows
+    # instead of 3
     base = dict(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
 
     def rows(cfg, eps=None):
@@ -615,7 +614,6 @@ def test_stage_forms_third_order_rows_only_when_used():
                         eps or [cfg.epsilon]).d_pows.shape[0]
 
     assert rows(FlowConfig(**base)) == 2
-    assert rows(FlowConfig(integrator="IMEX", **base)) == 2
     assert rows(FlowConfig(**base), eps=[0.0, 0.0]) == 2
     assert rows(FlowConfig(epsilon=1e-4, **base)) == 3
     assert rows(FlowConfig(**base), eps=[0.0, 1e-4]) == 3
@@ -684,8 +682,8 @@ def test_evolve_stride_must_divide():
 )
 def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
     # the march hands each step the transform it made of the state; the
-    # states are those of steps that transform it themselves.  RK4/IMEX
-    # march from the retraction of u0, Picard from u0 as given
+    # states are those of steps that transform it themselves.  RK4
+    # marches from the retraction of u0, Picard from u0 as given
     u0 = random_smooth(manifold, 64, seed=2, decay=1.2, amplitude=0.1)
     cfg = FlowConfig(a=0.5, b=0.5, epsilon=1e-2 if integrator ==
                      "DuhamelPicard" else 1e-4, N_g=64, dt=1e-5, T=4e-5,
@@ -699,8 +697,7 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
         rows = manifold.retract(u0.samples)[0].T[None]
     keep = mode_cutoff(cfg, manifold, float(np.max(np.abs(u0.velocity()))))
     st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
-    step = {"ProjectedRK4": _rk4_step, "IMEX": _imex_step,
-            "DuhamelPicard": _picard_step}[integrator]
+    step = _picard_step if integrator == "DuhamelPicard" else _rk4_step
     rows = rows - trend
     for state in traj.states[1:]:
         coef = np.fft.rfft(rows, norm="forward")
@@ -857,20 +854,6 @@ def test_integrator_consistency_fourth_order():
         dists.append(h1_distance(tp.final, tr.final))
     slopes = [np.log2(dists[i] / dists[i + 1]) for i in range(3)]
     assert min(slopes) >= 3.5
-
-
-def test_imex_converges():
-    u0 = great_circle(32)
-    errs = []
-    ref_cfg = FlowConfig(a=0.0, b=0.5, epsilon=0.0, N_g=32, dt=1e-5, T=4e-3)
-    ref = evolve(u0, ref_cfg, stride=ref_cfg.n_steps()).final
-    for dt in (2e-4, 1e-4, 5e-5):
-        cfg = FlowConfig(a=0.0, b=0.5, epsilon=0.0, N_g=32, dt=dt, T=4e-3,
-                         integrator="IMEX")
-        traj = evolve(u0, cfg, stride=cfg.n_steps())
-        assert traj.failure is None
-        errs.append(h1_distance(traj.final, ref))
-    assert all(e1 / e2 >= 1.8 for e1, e2 in zip(errs, errs[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -107,33 +107,27 @@ def test_guard_trip_costs_one_retry_per_live_member(monkeypatch, case):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("step_fn,want",
-                         [(flow._rk4_step, 4), (flow._imex_step, 1)])
-def test_step_checks_later_stages_and_its_end(on_target_checks, step_fn,
-                                              want):
+def test_step_checks_later_stages_and_its_end(on_target_checks):
     # stage 1 takes the state as its step end checked it; stages 2-4 check
     # their projections, and the step end checks the state it accepts
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
     st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0), [0.0])
     rows = u0.samples.T
-    step_fn(rows, cfg, st, np.fft.rfft(rows, norm="forward"), np.zeros((3, 1)))
-    assert len(on_target_checks) == want
+    flow._rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
+                   np.zeros((3, 1)))
+    assert len(on_target_checks) == 4
 
 
 @pytest.mark.parametrize("levels", [None, [0.0, 1e-4, 5e-5]])
-@pytest.mark.parametrize("integrator,per_step",
-                         [("ProjectedRK4", 4), ("IMEX", 1)])
-def test_march_checks_u0_once_per_run(on_target_checks, integrator,
-                                      per_step, levels):
+def test_march_checks_u0_once_per_run(on_target_checks, levels):
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     for steps in (1, 3):
-        cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=steps * 1e-5,
-                         integrator=integrator)
+        cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=steps * 1e-5)
         on_target_checks.clear()
         trajs = _march(u0, cfg, 1, levels)
         assert all(t.failure is None for t in trajs)
-        assert len(on_target_checks) == 1 + per_step * steps
+        assert len(on_target_checks) == 1 + 4 * steps
         # the entry check sees the retraction of the whole stack of u0
         assert on_target_checks[0] == (len(trajs), 3, 64)
 
@@ -150,12 +144,10 @@ def test_picard_march_checks_only_its_node_stacks(on_target_checks):
 
 
 @pytest.mark.parametrize("levels", [None, [0.0, 1e-4]])
-@pytest.mark.parametrize("integrator", ["ProjectedRK4", "IMEX"])
-def test_u0_outside_the_tube_fails_every_member_at_entry(integrator, levels):
+def test_u0_outside_the_tube_fails_every_member_at_entry(levels):
     c = great_circle(32)
     far = c.with_samples(c.samples * 1.6)  # distance 0.6 > tubular radius 0.5
-    cfg = FlowConfig(a=1.0, b=0.5, N_g=32, dt=1e-5, T=2e-5,
-                     integrator=integrator)
+    cfg = FlowConfig(a=1.0, b=0.5, N_g=32, dt=1e-5, T=2e-5)
     trajs = _march(far, cfg, 1, levels)
     assert len(trajs) == (1 if levels is None else len(levels))
     for traj in trajs:
@@ -172,7 +164,7 @@ def test_u0_outside_the_tube_fails_every_member_at_entry(integrator, levels):
 
 @pytest.mark.parametrize("integrator,levels", [
     ("ProjectedRK4", None), ("ProjectedRK4", [0.0, 1e-4]),
-    ("IMEX", None), ("IMEX", [0.0, 1e-4]), ("DuhamelPicard", None),
+    ("DuhamelPicard", None),
 ])
 def test_march_reads_the_trend_once(monkeypatch, integrator, levels):
     # the march steps each curve's periodic part: the trend of u0 is read

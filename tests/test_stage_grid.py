@@ -1,4 +1,4 @@
-"""The grid the RK4/IMEX stages run on, and what a step transforms there.
+"""The grid the RK4 stages run on, and what a step transforms there.
 
 The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
 later stages run on the smallest grid that dealiases the band by the N/4

@@ -1,10 +1,10 @@
-"""The coefficient-space RK4/IMEX steps against a physical-space reference.
+"""The coefficient-space RK4 step against a physical-space reference.
 
 The reference below is the earlier, transform-per-operation form of the
-projected integrating-factor steps: every stage builds a curve, assembles
+projected integrating-factor step: every stage builds a curve, assembles
 the non-stiff remainder from the checked covariant tower, and propagates
 and filters fields by separate rfft/irfft pairs.  It is kept here only to
-pin the faster steps in ``dcl.flow`` to the same arithmetic.
+pin the faster step in ``dcl.flow`` to the same arithmetic.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from dcl.curves import lift_trend
 from dcl.flow import (
     FlowConfig,
     _gauss_tower,
-    _imex_step,
     _rk4_step,
     _sq,
     _Stepper,
@@ -94,15 +93,6 @@ class Reference:
         )
         return self.finish(curve, pre)
 
-    def imex_step(self, curve, cfg):
-        trend = curve.trend()
-        pre = trend + self.apply(
-            self.e_full,
-            curve.samples - trend
-            + cfg.dt * self.nl(curve, cfg, curve.samples),
-        )
-        return self.finish(curve, pre)
-
 
 CASES = [
     (SPHERE2, 0.0), (SPHERE2, 3e-5),
@@ -125,14 +115,11 @@ CASES = [case + (128, 1e-5, 1.0) for case in CASES] + [
     ids=[f"{m.name}-eps{e:g}" + ("" if n == 128 else f"-N{n}")
          + ("" if d == 1.0 else f"-decay{d:g}") for m, e, n, _, d in CASES],
 )
-@pytest.mark.parametrize("integrator", ["ProjectedRK4", "IMEX"])
-def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay,
-                                               integrator):
+def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay):
     u0 = random_smooth(manifold, n, seed=5, decay=decay, amplitude=0.2)
     if manifold is CHART_FLAT_TORUS2:
         assert np.array_equal(u0.winding(), [1.0, 0.0])
-    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=dt, T=dt,
-                     integrator=integrator)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=dt, T=dt)
     speed = float(np.max(np.abs(u0.velocity())))
     st = _Stepper(cfg, manifold, n, mode_cutoff(cfg, manifold, speed),
                   [cfg.epsilon])
@@ -142,15 +129,11 @@ def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay,
         tail = np.fft.rfft(u0.samples - u0.trend(), axis=0)[st.n // 2 + 1:]
         assert np.abs(tail).max() / n > 1e-9
     ref = Reference(cfg, manifold, n, speed)
-    # the steps take the periodic part, its transform and the winding
+    # the step takes the periodic part, its transform and the winding
     trend, winding = lift_trend(u0.samples.T, manifold)
     periodic = u0.samples.T - trend
     coef = np.fft.rfft(periodic, norm="forward")
-    if integrator == "ProjectedRK4":
-        got = _rk4_step(periodic, cfg, st, coef, winding)
-        want = ref.rk4_step(u0, cfg)
-    else:
-        got = _imex_step(periodic, cfg, st, coef, winding)
-        want = ref.imex_step(u0, cfg)
+    got = _rk4_step(periodic, cfg, st, coef, winding)
+    want = ref.rk4_step(u0, cfg)
     assert np.max(np.abs(got[0].T - (want[0].samples - u0.trend()))) <= 1e-13
     assert abs(got[1] - want[1]) <= 1e-13

@@ -16,7 +16,6 @@ import pytest
 from dcl.curves import lift_trend
 from dcl.flow import (
     FlowConfig,
-    _imex_step,
     _picard_step,
     _rk4_step,
     _step_end,
@@ -147,7 +146,6 @@ def test_a_reused_stepper_gives_a_fresh_steppers_bits(target, eps):
         calls = [lambda s: s.remainder(rows, coef, lift),
                  lambda s: s.slope(stage, lift),
                  lambda s: _rk4_step(rows, cfg, s, coef, lift),
-                 lambda s: _imex_step(rows, cfg, s, coef, lift),
                  lambda s: _step_end(s, st.e_full * coef[..., : st.n // 2 + 1]),
                  lambda s: s.remainder(rows, coef, lift)]
         for call in calls:
@@ -180,10 +178,9 @@ def test_a_reused_picard_stepper_gives_a_fresh_steppers_bits(target):
     assert workspace_of(st)
 
 
-@pytest.mark.parametrize("integrator", ["ProjectedRK4", "IMEX"])
-def test_snapshots_at_stride_one_are_distinct_arrays(integrator):
+def test_snapshots_at_stride_one_are_distinct_arrays():
     u0 = random_smooth(SPHERE2, N, 3, decay=1.0, amplitude=0.2)
-    cfg = FlowConfig(a=1.0, b=0.5, N_g=N, dt=1e-5, T=5e-5, integrator=integrator)
+    cfg = FlowConfig(a=1.0, b=0.5, N_g=N, dt=1e-5, T=5e-5)
     states = [s.samples for s in evolve(u0, cfg, stride=1).states]
     assert len(states) == 6
     for i, a in enumerate(states):
