@@ -526,10 +526,16 @@ def test_config_error_leaves_no_output_dir(tmp_path, argv):
     assert not out.exists()
 
 
-def test_retired_imex_integrator_exits_2_without_output(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["converge", "--mode", "epsilon"],
+    ["converge", "--mode", "dt"], ["converge", "--mode", "grid"],
+], ids=["simulate", "converge-epsilon", "converge-dt", "converge-grid"])
+def test_retired_imex_integrator_exits_2_without_output(tmp_path, capsys,
+                                                        argv):
     out = tmp_path / "out"
     manifest = base_manifest(out, config={"integrator": "IMEX"})
-    assert main(["simulate", "--manifest", write_manifest(tmp_path, manifest)]) == 2
+    path = write_manifest(tmp_path, manifest)
+    assert main([argv[0], "--manifest", path, *argv[1:]]) == 2
     assert capsys.readouterr().err == (
         "config error: bad flow config: integrator must be one of "
         "('DuhamelPicard', 'ProjectedRK4'), got 'IMEX'\n")

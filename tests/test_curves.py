@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dcl.curves import (
     sup_distance,
 )
 from dcl.errors import PointOffManifold, TangencyViolation
-from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
+from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2, by_name
 from dcl.presets import great_circle, latitude_circle, random_smooth, torus_geodesic
 
 TWO_PI = 2.0 * np.pi
@@ -45,6 +47,17 @@ def test_samples_of_the_wrong_shape_raise_the_shape_error(samples):
         ClosedCurve(samples, "Sphere2")
 
 
+@pytest.mark.parametrize("manifold,samples", [
+    ("ChartFlatTorus2", 5.0), ("ChartFlatTorus2", np.zeros((32, 3))),
+    ("CliffordTorus2", np.zeros((32, 3))),
+], ids=["chart-0-d", "chart-width-3", "clifford-width-3"])
+def test_the_shape_error_names_the_targets_ambient_width(manifold, samples):
+    width = by_name(manifold).ambient_dim
+    with pytest.raises(ValueError,
+                       match=rf"samples must have shape \(N, {width}\)"):
+        ClosedCurve(samples, manifold)
+
+
 @pytest.mark.parametrize("call,name", [
     (lambda c: spectral.spectral_derivative(c.samples, 1.5), "order"),
     (lambda c: spectral.spectral_derivative(c.samples, 0), "order"),
@@ -54,12 +67,47 @@ def test_samples_of_the_wrong_shape_raise_the_shape_error(samples):
     (lambda c: sobolev_norm(c, 6), "order m"),
     (lambda c: identity_residuals(c, l_max=4), "l_max"),
     (lambda c: identity_residuals(c, l_max=1.0), "l_max"),
+    (lambda c: spectral.spectral_derivative(c.samples, -1), "order"),
+    (lambda c: spectral.spectral_derivative(c.samples, "2"), "order"),
+    (lambda c: covariant_tower(c, -1), "order j"),
+    (lambda c: sobolev_norm(c, -1), "order m"),
+    (lambda c: identity_residuals(c, l_max=-1), "l_max"),
 ], ids=["derivative-1.5", "derivative-0", "tower-2.0", "tower-7",
-        "sobolev-1.5", "sobolev-6", "identities-4", "identities-1.0"])
+        "sobolev-1.5", "sobolev-6", "identities-4", "identities-1.0",
+        "derivative--1", "derivative-str", "tower--1", "sobolev--1",
+        "identities--1"])
 def test_an_order_out_of_range_or_not_an_integer_names_its_argument(call,
                                                                      name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         call(great_circle(32))
+
+
+ORDERED_CALLS = {
+    "derivative": lambda c, k: spectral.spectral_derivative(c.samples, k),
+    "tower": covariant_tower,
+    "sobolev": sobolev_norm,
+    "identities": lambda c, k: astuple(identity_residuals(c, l_max=k)),
+}
+
+
+@pytest.mark.parametrize("entry,order", [
+    ("derivative", 1), ("derivative", 4), ("tower", 0), ("tower", 6),
+    ("sobolev", 0), ("sobolev", 5), ("identities", 0), ("identities", 3),
+])
+def test_the_order_bounds_accept_python_and_numpy_integers(entry, order):
+    # both ends of each range are valid, and an order read from a numpy
+    # array is the same order as the Python int
+    c = random_smooth(SPHERE2, 32, seed=4, decay=0.8, amplitude=0.3)
+    call = ORDERED_CALLS[entry]
+    want = call(c, order)
+    got = call(c, np.int64(order))
+    if entry == "tower":
+        assert len(want) == order + 1
+    if not isinstance(want, (list, tuple)):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_chart_winding_recovery():

@@ -60,6 +60,15 @@ def test_config_validation():
     FlowConfig(dt=1e-3, T=0.0)  # zero-horizon runs are allowed
 
 
+def test_config_refuses_the_retired_imex_integrator():
+    assert INTEGRATORS == ("DuhamelPicard", "ProjectedRK4")
+    assert not hasattr(flow, "_imex_step")
+    with pytest.raises(ValueError, match=(
+            r"integrator must be one of \('DuhamelPicard', 'ProjectedRK4'\), "
+            r"got 'IMEX'")):
+        FlowConfig(integrator="IMEX")
+
+
 @pytest.mark.parametrize("name", ["a", "b", "epsilon", "dt", "T", "picard_tol"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_config_rejects_non_finite(name, value):

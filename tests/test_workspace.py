@@ -178,9 +178,12 @@ def test_a_reused_picard_stepper_gives_a_fresh_steppers_bits(target):
     assert workspace_of(st)
 
 
-def test_snapshots_at_stride_one_are_distinct_arrays():
+@pytest.mark.parametrize("integrator,eps", [("ProjectedRK4", 0.0),
+                                            ("DuhamelPicard", 1e-2)])
+def test_snapshots_at_stride_one_are_distinct_arrays(integrator, eps):
     u0 = random_smooth(SPHERE2, N, 3, decay=1.0, amplitude=0.2)
-    cfg = FlowConfig(a=1.0, b=0.5, N_g=N, dt=1e-5, T=5e-5)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=N, dt=1e-5, T=5e-5,
+                     integrator=integrator)
     states = [s.samples for s in evolve(u0, cfg, stride=1).states]
     assert len(states) == 6
     for i, a in enumerate(states):
