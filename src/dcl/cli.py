@@ -296,7 +296,7 @@ def cmd_converge(manifest, mode, levels=3):
                            for p, q in zip(diffs, diffs[1:])]
         table = [[_fmt(c.dt), _fmt(d), _fmt(o), traj.failure or ""]
                  for c, traj, d, o in zip(configs, finals, diffs, orders)]
-    elif mode == "grid":
+    else:  # grid: argparse admits no other mode
         configs, finals = _run_levels(
             manifest, "N_g", (cfg.N_g * 2**i for i in range(levels)))
         header = ["N_g", "sup_diff_to_finest", "failure"]
@@ -304,8 +304,6 @@ def cmd_converge(manifest, mode, levels=3):
         table = [[str(c.N_g), "" if traj.failure or end.failure else _fmt(
             sup_distance(resample(traj.final, end.final.n), end.final)),
             traj.failure or ""] for c, traj in zip(configs, finals)]
-    else:
-        raise ConfigError(f"unknown convergence mode {mode!r}")
 
     text = _csv(header, table)
     _atomic_write(os.path.join(manifest.output_dir, f"converge_{mode}.csv"), text)
@@ -390,18 +388,16 @@ def main(argv=None):
                 grids = tuple(int(g) for g in args.grids.split(",") if g)
             except ValueError:
                 grids = ()
-            if (len(grids) < 1 + (args.suite == "identities")
+            if (len(set(grids)) < 1 + (args.suite == "identities")
                     or any(g < 16 or g > MAX_N_G or g & (g - 1) for g in grids)):
                 raise ConfigError(f"--grids must list powers of two from 16 to "
-                                  f"{MAX_N_G}, two for 'identities'; got "
+                                  f"{MAX_N_G}, two distinct for 'identities'; got "
                                   f"{args.grids!r}")
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")
             return cmd_verify(args.suite, grids, args.seed)
-        if args.command == "converge":
-            manifest = load_manifest(args.manifest)
-            return cmd_converge(manifest, args.mode, args.levels)
-        raise ConfigError(f"unknown command {args.command!r}")
+        manifest = load_manifest(args.manifest)  # converge, the last command
+        return cmd_converge(manifest, args.mode, args.levels)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,12 +21,9 @@ Integrators
                    the factor the third-derivative term makes every mode
                    above a handful linearly unstable at production step
                    sizes, so the factor is what makes an explicit scheme
-                   viable at all.  Stage 1 slopes the state on the curve
-                   grid from the rfft the march made of it; stages 2-4
-                   retract their point and run on the stage grid
-                   (:func:`stage_grid`), which the band sets, not N; the
-                   step end goes back to the curve grid and retracts and
-                   checks the state it accepts.  A step makes 16
+                   viable at all.  Stages 2-4 run on the stage grid
+                   (:func:`stage_grid`), which the band sets, not N
+                   (:func:`_rk4_step`).  A step makes 16
                    transform calls, or 24 when a member has eps > 0
                    (:meth:`_Stepper.remainder`).  The step acts on one
                    curve (d, N) or on a stack (B, d, N) whose members may
@@ -61,20 +58,17 @@ fundamental form is zero, J rotates the vector), so W enters a step only
 as the constant part of v_x.  Off the chart torus W is zero.
 
 The march stores every state, stage point and slope in the row layout
-(..., d, N), components first and the samples on the contiguous last
-axis, so each transform runs on ``axis=-1``, and the stepper's
-multipliers are rows over rfft modes.  States, their transforms,
-the guards and the snapshots stay on the N curve samples, and so does
-stage 1, the slope of the state itself; later stage points live on the
-M stage samples, and every slope, once taken, on the stage grid's
-modes.  Coefficient arrays are forward-normalized (``norm="forward"``),
-so they do not depend on the grid: a move to a coarser grid is a slice
-of the modes, and an irfft onto a finer one zero-pads them.  ``_march``
-is where the layout changes: it takes u0 as (N, d) once and returns
-each snapshot as the transpose of its member's row state.  The public
-references ``dispersive_rhs`` and ``regularized_rhs`` stay (N, d): each
-is one call of :func:`_assemble`, the one checked assembly of the
-reference RHS.
+(..., d, N) of :mod:`spectral` and transforms them by its
+:func:`spectral.rfft` and :func:`spectral.irfft`; the stepper's
+multipliers are rows over their modes.  States, their transforms, the
+guards and the snapshots stay on the N curve samples, and so does stage
+1, the slope of the state itself; later stage points live on the M
+stage samples, and every slope, once taken, on the stage grid's modes.
+``_march`` is where the layout changes: it takes u0 as (N, d) once and
+returns each snapshot as the transpose of its member's row state.  The
+public references ``dispersive_rhs`` and ``regularized_rhs`` stay
+(N, d): each is one call of :func:`_assemble`, the one checked assembly
+of the reference RHS.
 
 Products of fields are cubic, so state and nonlinear terms are always
 dealiased by the N/4 rule; the mask is part of the spatial discretization
@@ -197,12 +191,6 @@ class Trajectory:
     step_residuals: list = field(default_factory=list)
     picard_iterations: list = field(default_factory=list)
     failure: str = None
-
-    def __post_init__(self):
-        if self.times and self.times[0] != 0.0:
-            raise ValueError("trajectories start at t = 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
 
     @property
     def final(self):
@@ -374,9 +362,8 @@ class _Stepper:
     integrator; a DuhamelPicard stepper holds the masked quadrature that
     propagates it (``nodes``, ``kernel``, ``prop0``) in place of the
     integrating factors, and each step's count in ``iterations``.  The
-    slope's linear terms act on rfft coefficients.  The pointwise terms
-    are not formed when their coefficient is zero: b |v_x|^2 v_x at b = 0
-    and a A1 at a = 0.
+    pointwise terms are not formed when their coefficient is zero:
+    b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
     ``work`` is the workspace: :meth:`buffer` makes each array of
     :meth:`remainder` and of the step end's irfft by np.empty on first use,
@@ -441,7 +428,7 @@ class _Stepper:
         m = self.manifold
         proj, _ = m._retract(samples)
         m._require_on(proj)
-        return self.remainder(proj, np.fft.rfft(proj, norm="forward"), winding)
+        return self.remainder(proj, spectral.rfft(proj), winding)
 
     def remainder(self, proj, coef, winding):
         """The slope at an on-target periodic part ``proj``, from its rfft
@@ -470,7 +457,7 @@ class _Stepper:
         ws, shape, n, kept = self.buffer, proj.shape, proj.shape[-1], self.n // 2 + 1
         d_pows, modes = self.derivs[n, coef.ndim], coef.shape
         lin = np.multiply(d_pows, coef, out=ws("lin", d_pows.shape[:1] + modes, complex))
-        rows = np.fft.irfft(lin, n=n, norm="forward", out=ws("rows", lin.shape[:1] + shape))
+        rows = spectral.irfft(lin, n, ws("rows", lin.shape[:1] + shape))
         vx, vxx = rows[0], rows[1]
         if winding is not None:
             vx = np.add(winding, vx, out=ws("vx", shape))
@@ -488,15 +475,14 @@ class _Stepper:
         if self.dispersive:
             rest -= np.multiply(cfg.a, a1, out=tmp)
         if third:
-            a0_hat = np.fft.rfft(a0, norm="forward", out=ws("a0_hat", modes, complex))
-            s2 = np.fft.irfft(np.multiply(d_pows[0], a0_hat, out=ws("da0", modes, complex)),
-                              n=n, norm="forward", out=ws("s2", shape))
+            a0_hat = spectral.rfft(a0, ws("a0_hat", modes, complex))
+            s2 = spectral.irfft(np.multiply(d_pows[0], a0_hat, out=ws("da0", modes, complex)),
+                                n, ws("s2", shape))
             np.subtract(rows[2], s2, out=s2)
             s2 -= a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
             rest += np.multiply(self.eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
-        a_hat, rest_hat = np.fft.rfft(pair, norm="forward",
-                                      out=ws("hat", (2,) + modes, complex))[..., :kept]
+        a_hat, rest_hat = spectral.rfft(pair, ws("hat", (2,) + modes, complex))[..., :kept]
         out = rest_hat + self.c_a0 * (a0_hat[..., :kept] if third else a_hat)
         return self.mask * (out + self.c_a1 * a_hat if third else out)
 
@@ -508,12 +494,11 @@ def _rk4_step(samples, cfg, st, coef, winding):
     (..., d, N) on the target (a state the march accepted, or u0 it
     retracted and checked), ``coef`` its rfft and ``winding`` its (d, 1)
     or (..., d, 1) winding, or None for none.  The state V0 and the stage
-    slopes stay in coefficient space on the stage grid.  Stage 1 is the remainder at the
-    state itself, on the curve grid, from ``coef``: no retraction, check
-    or transform of its own.  Each later stage point is one irfft on the
-    stage grid, and V0 is the state's first M/2+1 modes.  Returns the
-    projected periodic part and each curve's largest residual before
-    projection.
+    slopes stay in coefficient space on the stage grid.  Stage 1 is the
+    remainder at the state itself, on the curve grid, from ``coef``: no
+    retraction, check or transform of its own.  Each later stage point is
+    one irfft on the stage grid.  Returns the projected periodic part and
+    each curve's largest residual before projection.
     """
     h = cfg.dt
     m1 = st.remainder(samples, coef, winding)
@@ -521,7 +506,7 @@ def _rk4_step(samples, cfg, st, coef, winding):
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):
-        return st.slope(np.fft.irfft(coef, n=st.n, norm="forward"), winding)
+        return st.slope(spectral.irfft(coef, st.n), winding)
 
     m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
@@ -533,15 +518,13 @@ def _rk4_step(samples, cfg, st, coef, winding):
 
 
 def _step_end(st, coef):
-    """Guarded projection of irfft(coef); (samples, residuals before).
-
-    ``coef`` holds stage-grid modes, which the irfft onto the curve grid
-    zero-pads.  The projection is checked on the target here, once per
-    accepted state, since the next step's stage 1 takes it as it is.
-    """
+    """Guarded projection of the curve-grid irfft of stage-grid modes
+    ``coef``; (samples, residuals before).  The projection is checked on
+    the target here, once per accepted state, as the next step's stage 1
+    takes it as it is."""
     m = st.manifold
-    pre = np.fft.irfft(coef, n=st.n_curve, norm="forward",
-                       out=st.buffer("pre", coef.shape[:-1] + (st.n_curve,)))
+    n = st.n_curve
+    pre = spectral.irfft(coef, n, st.buffer("pre", coef.shape[:-1] + (n,)))
     if not np.isfinite(pre).all():
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)
@@ -603,7 +586,7 @@ def _picard_step(samples, cfg, st, coef, winding):
     m, n, q = st.manifold, st.n, st.nodes.size
     # initial guess: the data propagated by exp(t L) alone
     free = st.prop0[:, None, :] * coef
-    devs = np.fft.irfft(free, n=n, norm="forward")
+    devs = spectral.irfft(free, n)
     prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
@@ -612,7 +595,7 @@ def _picard_step(samples, cfg, st, coef, winding):
             raise StepSizeUnstable("non-finite state")
         f_hat = st.slope(states, winding)
         coef = free + np.einsum("ijk,jdk->idk", st.kernel, f_hat)
-        devs = np.fft.irfft(coef, n=n, norm="forward")
+        devs = spectral.irfft(coef, n)
         # H1 norm of each target's update; the largest decides convergence
         update = coef - prev
         power = _ambient_sum(update.real**2 + update.imag**2)
@@ -749,7 +732,7 @@ def _march(u0, cfg, stride, levels=None):
         state = state - trend
     live = list(range(len(trajs)))
     # one transform per state: the H2 guard and the next step share it
-    coef = np.fft.rfft(state, norm="forward")
+    coef = spectral.rfft(state)
     guard = _extrinsic_h2(coef, winding)  # indexed by member
     for k in range(1, n_steps + 1):
         try:
@@ -771,7 +754,7 @@ def _march(u0, cfg, stride, levels=None):
             state, residuals = (np.concatenate(x) for x in zip(*done.values()))
         for i, residual in zip(live, residuals):
             trajs[i].step_residuals.append(float(residual))
-        coef = np.fft.rfft(state, norm="forward")
+        coef = spectral.rfft(state)
         if k % stride:
             continue
         norms = _extrinsic_h2(coef, winding)

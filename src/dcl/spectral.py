@@ -19,6 +19,7 @@ The fourth-order heat semigroup lives in the propagator of ``flow``.
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # np.fft's backend
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,6 +32,25 @@ def grid(n):
 def wavenumbers(n):
     """Integer frequencies of the rfft layout: 0, 1, ..., n//2."""
     return np.fft.rfftfreq(n, d=1.0 / n)
+
+
+def rfft(rows, out=None):
+    """Forward-normalized rfft of the rows (..., N), into ``out`` if given:
+    ``np.fft.rfft(rows, norm="forward")`` bit for bit, by its gufunc and
+    factor 1/N.  The modes do not depend on the grid: a coarser grid's are
+    a slice of them, and :func:`irfft` onto a finer one zero-pads them."""
+    n = rows.shape[-1]
+    out = np.empty(rows.shape[:-1] + (n // 2 + 1,), complex) if out is None else out
+    kernel = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
+    return kernel(rows, 1.0 / n, out)
+
+
+def irfft(coef, n, out=None):
+    """The n samples of forward-normalized modes ``coef`` (..., K): bit for
+    bit ``np.fft.irfft(coef, n=n, norm="forward")``, which drops the modes
+    past n//2 and zero-pads missing ones."""
+    out = np.empty(coef.shape[:-1] + (n,)) if out is None else out
+    return _pocketfft.irfft(coef, 1.0, out)
 
 
 def _rows(f):

@@ -96,8 +96,8 @@ def _decade_check(name, coarse, fine):
 
 
 def suite_identities(grids=(64, 128), seed=0, decay=0.25, amplitude=0.4):
-    if len(grids) < 2:
-        raise ValueError("identity suite needs at least two grid sizes")
+    if len(set(grids)) < 2:
+        raise ValueError("identity suite needs two distinct grid sizes")
     from .manifolds import SPHERE2
 
     checks = []
@@ -106,7 +106,7 @@ def suite_identities(grids=(64, 128), seed=0, decay=0.25, amplitude=0.4):
         curve = presets.random_smooth(SPHERE2, n, seed=seed, decay=decay,
                                       amplitude=amplitude)
         reports[n] = identity_residuals(curve, l_max=2, seed=seed)
-    coarse, fine = grids[0], grids[-1]
+    coarse, fine = min(grids), max(grids)
     for l in range(3):
         for label in ("third_pairing", "j_pairing"):
             checks.append(_decade_check(

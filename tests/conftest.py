@@ -4,6 +4,7 @@ and the quadrature and chart helpers that only tests need."""
 import numpy as np
 import pytest
 
+from dcl import spectral
 from dcl.manifolds import _Manifold
 
 
@@ -36,9 +37,11 @@ def on_target_checks(monkeypatch):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Record every np.fft.rfft/irfft call as (name, transform length)."""
+    """Record every rfft/irfft call of np.fft and of dcl.spectral as (name,
+    transform length)."""
     calls = []
     rfft, irfft = np.fft.rfft, np.fft.irfft
+    direct_rfft, direct_irfft = spectral.rfft, spectral.irfft
 
     def counted_rfft(a, *args, **kwargs):
         calls.append(("rfft", np.shape(a)[-1]))
@@ -48,6 +51,16 @@ def fft_calls(monkeypatch):
         calls.append(("irfft", kwargs["n"]))
         return irfft(a, *args, **kwargs)
 
+    def counted_direct_rfft(rows, *args, **kwargs):
+        calls.append(("rfft", rows.shape[-1]))
+        return direct_rfft(rows, *args, **kwargs)
+
+    def counted_direct_irfft(coef, n, *args, **kwargs):
+        calls.append(("irfft", n))
+        return direct_irfft(coef, n, *args, **kwargs)
+
     monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+    monkeypatch.setattr(spectral, "rfft", counted_direct_rfft)
+    monkeypatch.setattr(spectral, "irfft", counted_direct_irfft)
     return calls

@@ -278,6 +278,22 @@ def test_bad_flags_exit_2_before_any_work(monkeypatch, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_identity_suite_does_not_depend_on_grid_order(capsys):
+    # the coarse grid is the smallest listed, the fine one the largest
+    outs = []
+    for grids in ("64,128", "128,64"):
+        assert main(["verify", "--suite", "identities", "--grids", grids]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "FAIL" not in outs[0]
+
+
+def test_identity_suite_refuses_one_distinct_grid(capsys):
+    assert main(["verify", "--suite", "identities", "--grids", "64,64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --grids")
+
+
 def test_verify_smoothing(capsys):
     assert main(["verify", "--suite", "smoothing"]) == 0
     out = capsys.readouterr().out

@@ -94,3 +94,46 @@ def test_lagrange_matrix_reproduces_polynomials():
     mat = spectral.lagrange_matrix(nodes, targets)
     vals = mat @ nodes**5
     assert np.max(np.abs(vals - targets**5)) <= 1e-12
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ROWS = {
+    "d,N": lambda rng: rng.standard_normal((3, 64)),
+    "B,d,N": lambda rng: rng.standard_normal((4, 3, 128)),
+    "q,d,N": lambda rng: rng.standard_normal((8, 3, 64)),
+    "2,B,d,N": lambda rng: rng.standard_normal((2, 4, 3, 64)),
+    "strided": lambda rng: rng.standard_normal((4, 2, 3, 128))[:, 1, :, ::2],
+    "transposed": lambda rng: rng.standard_normal((64, 3)).T,
+    "odd N": lambda rng: rng.standard_normal((3, 63)),
+}
+
+
+@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+@pytest.mark.parametrize("make", ROWS.values(), ids=ROWS)
+def test_direct_transforms_match_np_fft_bitwise(make, given_out):
+    rows = make(np.random.default_rng(3))
+    n = rows.shape[-1]
+    want = np.fft.rfft(rows, norm="forward")
+    out = np.empty_like(want) if given_out else None
+    coef = spectral.rfft(rows, out)
+    assert same_bits(coef, want) and (coef is out) == given_out
+    back_want = np.fft.irfft(want, n=n, norm="forward")
+    out = np.empty_like(back_want) if given_out else None
+    back = spectral.irfft(coef, n, out)
+    assert same_bits(back, back_want) and (back is out) == given_out
+
+
+@pytest.mark.parametrize("n", [4096, 32])
+def test_direct_irfft_pads_and_truncates_as_np_fft(n):
+    # M/2 + 1 stage-grid modes onto the curve grid zero-pad, and a
+    # strided slice of them onto a coarser grid truncates
+    coef = spectral.rfft(np.random.default_rng(4).standard_normal((4, 3, 256)))
+    if n < 256:
+        coef = coef[..., : n // 2 + 1]
+    want = np.fft.irfft(coef, n=n, norm="forward")
+    assert same_bits(spectral.irfft(coef, n), want)
+    out = np.empty_like(want)
+    assert spectral.irfft(coef, n, out) is out and same_bits(out, want)
