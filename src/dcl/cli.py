@@ -33,7 +33,7 @@ import numpy as np
 
 from .curves import h1_distance, resample, sup_distance
 from .errors import ConfigError, DclError, PointOffManifold
-from .flow import MAX_N_G, FlowConfig, epsilon_continuation, evolve
+from .flow import MAX_N_G, FlowConfig, epsilon_continuation, evolve, run_band
 from .invariants import energy_report, trajectory_reports
 from .manifolds import by_name
 from .presets import make_initial
@@ -334,6 +334,10 @@ def _run_levels(manifest, key, values):
         if np.any(start.winding() != u0.winding()):
             raise ConfigError(f"grid N_g = {c.N_g} cannot carry the initial "
                               f"curve's winding {u0.winding().tolist()}")
+    if key == "dt" and not manifest.config.mode_cutoff:
+        # the coarsest level's band for all: the automatic one widens as dt falls
+        keep = run_band(configs[0], starts[0])
+        configs = [replace(c, mode_cutoff=keep) for c in configs]
     _make_output_dir(manifest)
     return configs, [evolve(start, c, stride=n or 1)
                      for c, start, n in zip(configs, starts, steps)]

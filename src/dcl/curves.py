@@ -203,12 +203,10 @@ def resample(curve, n):
     """
     if n == curve.n:
         return curve
-    trend = curve.trend()
-    coef = np.fft.rfft(curve.samples - trend, axis=0, norm="forward")
-    dev = np.fft.irfft(coef, n=n, axis=0, norm="forward")
-    w = curve.winding()
+    trend, w = lift_trend(curve.samples.T, curve.manifold)
+    dev = spectral.irfft(spectral.rfft(curve.samples.T - trend), n).T
     if w.any():
-        dev += spectral.grid(n)[:, None] * w[None, :]
+        dev += spectral.grid(n)[:, None] * w.T
     else:
         dev = curve.manifold.project(dev)
     return ClosedCurve(dev, curve.manifold)
@@ -273,12 +271,12 @@ def _default_family(curve, seed=0):
     modes = np.arange(1, min(n // 2, 12))
 
     def draw():
-        coef = np.zeros((n // 2 + 1, d), dtype=complex)
-        coef[modes] = (
+        coef = np.zeros((d, n // 2 + 1), dtype=complex)
+        coef[:, modes] = (
             rng.standard_normal((modes.size, d))
             + 1j * rng.standard_normal((modes.size, d))
-        ) * np.exp(-modes)[:, None]
-        return np.fft.irfft(coef, n=n, axis=0, norm="forward") * 1.5
+        ).T * np.exp(-modes)
+        return spectral.irfft(coef, n).T * 1.5
 
     dir1, dir2 = draw(), draw()
     manifold = curve.manifold

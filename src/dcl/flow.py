@@ -91,8 +91,7 @@ from .errors import (
     TangencyViolation,
 )
 from .manifolds import _ambient_sum, _dot
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI
 
 INTEGRATORS = ("DuhamelPicard", "ProjectedRK4")
 
@@ -312,6 +311,13 @@ def mode_cutoff(cfg, manifold, speed):
         edge = int(np.sqrt(STABILITY_EDGE / (cfg.dt * coeff)) / TWO_PI)
         keep = min(keep, max(edge, 2))
     return keep
+
+
+def run_band(cfg, u0):
+    """The band a run of u0 keeps: :func:`mode_cutoff` at u0's largest |v_x|."""
+    speed = (None if cfg.integrator == "DuhamelPicard"
+             else float(np.max(np.abs(u0.velocity()))))
+    return mode_cutoff(cfg, u0.manifold, speed)
 
 
 def stage_grid(n, keep):
@@ -677,7 +683,7 @@ def _march(u0, cfg, stride, levels=None):
     For ProjectedRK4 the march starts from the retraction of u0,
     checked on the target once (a u0 outside the tube freezes every
     member with that failure); snapshot 0 is u0 as given.  The band of
-    every integrator is decided here, once, by :func:`mode_cutoff`.
+    every integrator is decided here, once, by :func:`run_band`.
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
@@ -699,7 +705,6 @@ def _march(u0, cfg, stride, levels=None):
     state = np.ascontiguousarray(np.stack([u0.samples.T] * len(trajs)))
     trend, winding = lift_trend(u0.samples.T, m)
     winds = winding.any()
-    speed = None  # the Picard band ignores it
     if cfg.integrator != "DuhamelPicard":
         try:
             # stage 1 slopes each state as it is: u0 is retracted and
@@ -710,9 +715,7 @@ def _march(u0, cfg, stride, levels=None):
             for i in range(len(trajs)):
                 freeze(i, exc)
             return trajs
-        # the largest |v_x| of the data fixes the RK4 stability band
-        speed = float(np.max(np.abs(u0.velocity())))
-    keep = mode_cutoff(cfg, m, speed)  # every stepper of the run shares it
+    keep = run_band(cfg, u0)  # every stepper of the run shares it
     step_fn = _picard_step if cfg.integrator == "DuhamelPicard" else _rk4_step
 
     # built once per set of live members

@@ -62,14 +62,13 @@ def torus_geodesic(manifold, m1, m2, n=128):
 
 def _random_periodic_field(n, d, rng, decay):
     """Real periodic field with coefficient envelope exp(-decay*|k|)."""
-    coef = np.zeros((n // 2 + 1, d), dtype=complex)
+    coef = np.zeros((d, n // 2 + 1), dtype=complex)
     modes = np.arange(1, n // 2)
-    envelope = np.exp(-decay * modes)
-    coef[modes] = (
+    coef[:, modes] = (
         rng.standard_normal((modes.size, d))
         + 1j * rng.standard_normal((modes.size, d))
-    ) * envelope[:, None]
-    field = np.fft.irfft(coef, n=n, axis=0)
+    ).T * np.exp(-decay * modes)
+    field = spectral.irfft(coef, n).T
     scale = np.max(np.abs(field))
     return field / scale if scale else field
 
@@ -109,8 +108,7 @@ def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
     rough = manifold.project(base + noise)
     k = spectral.wavenumbers(n)
     envelope = np.exp(-decay * np.maximum(k - 1.0, 0.0))
-    coef = np.fft.rfft(rough, axis=0) * envelope[:, None]
-    smooth = np.fft.irfft(coef, n=n, axis=0)
+    smooth = spectral.irfft(spectral.rfft(rough.T) * envelope, n).T
     return ClosedCurve(manifold.project(smooth), manifold)
 
 

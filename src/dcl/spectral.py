@@ -13,6 +13,8 @@ samples sit on the contiguous last axis, so every transform runs on
 ``axis=-1`` without striding.  ``_rows`` is the one conversion: the
 public transforms swap axes with it on the way in and again on the way
 out, as views, and run the row-layout kernel (``_derivative``) between.
+Every transform of the package is :func:`rfft` or :func:`irfft`, one
+convention: forward-normalized, on the last axis.
 The fourth-order heat semigroup lives in the propagator of ``flow``.
 """
 
@@ -86,17 +88,16 @@ def spectral_derivative(f, order=1):
 def _derivative(rows, order=1):
     """:func:`spectral_derivative` of a row-layout field (samples last)."""
     n = rows.shape[-1]
-    coef = np.fft.rfft(rows)
-    return np.fft.irfft(coef * _derivative_multiplier(n, order), n=n)
+    return irfft(rfft(rows) * _derivative_multiplier(n, order), n)
 
 
 def lowpass(f, keep):
     """Zero every mode with |frequency| > keep."""
     rows = _rows(np.asarray(f, dtype=float))
     n = rows.shape[-1]
-    coef = np.fft.rfft(rows)
+    coef = rfft(rows)
     coef *= wavenumbers(n) <= keep
-    return _rows(np.fft.irfft(coef, n=n))
+    return _rows(irfft(coef, n))
 
 
 def dealias_keep(n):

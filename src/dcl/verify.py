@@ -23,7 +23,7 @@ from .invariants import (
     smoothing_constant_exact,
     smoothing_constant_numeric,
 )
-from .manifolds import CHART_FLAT_TORUS2, MANIFOLDS
+from .manifolds import CHART_FLAT_TORUS2, MANIFOLDS, SPHERE2
 
 @dataclass
 class Check:
@@ -98,8 +98,6 @@ def _decade_check(name, coarse, fine):
 def suite_identities(grids=(64, 128), seed=0, decay=0.25, amplitude=0.4):
     if len(set(grids)) < 2:
         raise ValueError("identity suite needs two distinct grid sizes")
-    from .manifolds import SPHERE2
-
     checks = []
     reports = {}
     for n in grids:
@@ -166,8 +164,6 @@ def suite_oracles(grids=(128,), seed=0):
 
 
 def suite_maxprinciple(seed=0):
-    from .manifolds import SPHERE2
-
     n = 64
     base = presets.great_circle(n)
     bump = 1.0 + 1e-4 * np.cos(spectral.TWO_PI * spectral.grid(n))

@@ -14,6 +14,7 @@ import dcl
 from dcl import cli
 from dcl.cli import main
 from dcl.curves import sup_distance
+from dcl.errors import NoContraction
 from dcl.flow import MAX_N_G
 from dcl.invariants import EnergyReport, oracle_latitude_circle
 from dcl.manifolds import SPHERE2
@@ -747,3 +748,70 @@ def test_snapshot_off_target_ends_report_and_exits_3(tmp_path):
     final = json.loads((out / "checkpoint_final.json").read_text())
     u0 = random_smooth(SPHERE2, 64, seed=3, decay=1.0, amplitude=0.2)
     assert final["t"] == 0.0 and final["samples"] == u0.samples.tolist()
+
+
+def with_config(**entries):
+    """A manifest edit that sets config entries, with ``{curve}`` in a string
+    replaced by the curve file's path; None drops the key."""
+    def edit(manifest, curve):
+        config = {**manifest["config"], **entries}
+        return {**manifest, "config": {
+            k: v.format(curve=curve) if isinstance(v, str) else v
+            for k, v in config.items() if v is not None}}
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,argv,message",
+    [
+        (lambda m, curve: [], ["simulate"], "manifest must be a JSON object"),
+        (lambda m, curve: {"config": m["config"]}, ["simulate"],
+         "missing manifest keys: ['output_dir']"),
+        (lambda m, curve: {**m, "config": 5}, ["simulate"],
+         "manifest config must be a JSON object"),
+        (with_config(dt=None), ["simulate"], "config is missing 'dt'"),
+        (with_config(), ["converge", "--mode", "epsilon", "--levels", "2"],
+         "convergence studies need at least 3 levels"),
+        (with_config(epsilon=-1), ["simulate"],
+         "bad flow config: epsilon must be nonnegative"),
+        (with_config(T=-1), ["simulate"], "bad flow config: T must be nonnegative"),
+        (with_config(initial_condition="latitude:4"), ["simulate"],
+         "latitude angle must lie strictly between 0 and pi"),
+        (with_config(initial_condition="torus_geodesic:1,0"), ["simulate"],
+         "torus_geodesic is not defined on Sphere2"),
+        (with_config(initial_condition=5), ["simulate"],
+         "initial-condition descriptor must be a string"),
+        (with_config(initial_condition="file:{curve}"), ["simulate"],
+         "bad initial_condition file {curve}: samples must be finite"),
+    ],
+    ids=["manifest-list", "no-output-dir", "config-not-object",
+         "config-without-dt", "two-levels", "epsilon-negative", "T-negative",
+         "latitude-past-pi", "geodesic-on-sphere", "descriptor-not-string",
+         "file-curve-nan"],
+)
+def test_config_errors_print_their_message_and_exit_2(tmp_path, capsys, edit,
+                                                      argv, message):
+    curve = tmp_path / "curve.json"
+    samples = great_circle(64).samples.tolist()
+    samples[5][1] = float("nan")  # json writes and reads NaN
+    curve.write_text(json.dumps({"samples": samples}))
+    out = tmp_path / "out"
+    path = write_manifest(tmp_path, edit(base_manifest(out), curve))
+    assert main([argv[0], "--manifest", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message.format(curve=curve)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_solver_error_that_escapes_a_command_exits_3(tmp_path, monkeypatch,
+                                                        capsys):
+    # no input is known to raise a DclError past the commands; main still
+    # turns one into exit 3 and one line, not a traceback
+    def escape(*args, **kwargs):
+        raise NoContraction("injected")
+
+    monkeypatch.setattr(cli, "evolve", escape)
+    path = write_manifest(tmp_path, base_manifest(tmp_path / "out"))
+    assert main(["simulate", "--manifest", path]) == 3
+    assert capsys.readouterr().err == "solver error: injected\n"

@@ -333,6 +333,15 @@ def test_sup_distance_torus_wraps():
     assert sup_distance(c1, c2) <= 1e-3 + 1e-12
 
 
+@pytest.mark.parametrize("distance", [h1_distance, sup_distance])
+@pytest.mark.parametrize("other", [
+    torus_geodesic(CLIFFORD_TORUS2, 1, 0, n=32), great_circle(64),
+], ids=["other-target", "other-grid"])
+def test_distances_refuse_curves_on_another_target_or_grid(distance, other):
+    with pytest.raises(ValueError, match="curves must share manifold and grid"):
+        distance(great_circle(32), other)
+
+
 def test_resample_band_limited_exact():
     c = latitude_circle(0.9, 32)
     fine = resample(c, 128)

@@ -116,6 +116,18 @@ def test_guard_trips_give_per_level_rows(horizon, eps_list, tripped):
     assert rows[2]["failure"].startswith(tripped)
 
 
+def test_march_ends_when_every_member_fails_its_retry():
+    # the stacked step goes non-finite, and so does each member's own retry
+    # of it, the baseline's included: no member is left to march on
+    u0 = random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.1,
+                       amplitude=0.18)
+    cfg = FlowConfig(a=1.0, b=5.0, epsilon=0.0, N_g=64, dt=1e-3, T=0.2,
+                     mode_cutoff=16)
+    rows = epsilon_continuation(u0, cfg, [1e-6, 5e-7])
+    assert [r["failure"] for r in rows] == ["StepSizeUnstable: non-finite state"] * 2
+    assert all(np.isnan(r["h1_to_zero"]) for r in rows)
+
+
 @pytest.mark.parametrize(
     "horizon,eps_list",
     [(0.2, [1e-3, 3e-4, 1e-4]), (4e-3, [3e-4, 2e-4, 1e-4])],

@@ -280,6 +280,11 @@ def test_trajectory_reports_reject_off_target_snapshot():
         drift_report(traj)
 
 
+def test_trajectory_reports_refuse_an_empty_trajectory():
+    with pytest.raises(ValueError, match="trajectory is empty"):
+        trajectory_reports(Trajectory(times=[], states=[], config=FlowConfig()))
+
+
 # ---------------------------------------------------------------------------
 # exact solutions
 # ---------------------------------------------------------------------------

@@ -462,6 +462,17 @@ def test_project_from_center_or_axis_still_raises(manifold):
         manifold.project(pts)
 
 
+@pytest.mark.parametrize("manifold", MANIFOLDS.values(), ids=str)
+def test_public_calls_refuse_points_of_another_width(manifold):
+    d = manifold.ambient_dim
+    pts = np.ones((8, d + 1))
+    message = f"{manifold.name} expects ambient dimension {d}, got {d + 1}"
+    for call in (manifold.project, manifold.constraint_residual,
+                 manifold.require_on_manifold):
+        with pytest.raises(ValueError, match=message):
+            call(pts)
+
+
 # ---------------------------------------------------------------------------
 # registry and constants
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcl.errors import ConfigError
-from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
+from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2, ChartFlatTorus2
 from dcl.presets import make_initial, random_smooth
 
 
@@ -85,3 +85,11 @@ def test_bad_descriptors():
         make_initial("great_circle", CHART_FLAT_TORUS2, 64)
     with pytest.raises(ConfigError):
         make_initial("torus_geodesic:0,0", CHART_FLAT_TORUS2, 64)
+
+
+def test_random_smooth_refuses_a_target_it_has_no_base_curve_for():
+    class Plane(ChartFlatTorus2):
+        name = "Plane"
+
+    with pytest.raises(ConfigError, match="random_smooth is not defined on Plane"):
+        random_smooth(Plane(), 64)

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from dcl.verify import SUITES, run_suite
+from dcl import verify
+from dcl.flow import evolve
+from dcl.verify import SUITES, Check, run_suite, suite_identities
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -20,3 +24,27 @@ def test_check_lines_have_verdicts():
         line = check.line()
         assert line.startswith(("PASS", "FAIL"))
         assert "value=" in line
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_a_non_finite_check_value_fails(kind):
+    check = Check("x", float("nan"), 1, kind)
+    assert check.passed is False
+    assert check.line().startswith("FAIL x: value=nan")
+
+
+def test_identity_suite_refuses_one_distinct_grid():
+    with pytest.raises(ValueError, match="two distinct grid sizes"):
+        suite_identities((64, 64))
+
+
+def test_maxprinciple_suite_fails_a_run_that_does_not_complete(monkeypatch):
+    # no input makes the suite's fixed Picard run fail; if it did, the suite
+    # reports one failed check instead of measuring a partial trajectory
+    def failing(u0, cfg, stride=1):
+        return replace(evolve(u0, cfg, stride), failure="NoContraction: injected")
+
+    monkeypatch.setattr(verify, "evolve", failing)
+    checks = run_suite("maxprinciple")
+    assert [c.line() for c in checks] == [
+        "FAIL maxprinciple_run_completed: value=inf (need <= 0)"]
