@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .curves import h1_distance, resample, sup_distance
+from .curves import h1_distance, is_grid_size, resample, sup_distance
 from .errors import ConfigError, DclError, PointOffManifold
 from .flow import MAX_N_G, FlowConfig, epsilon_continuation, evolve, run_band
 from .invariants import energy_report, trajectory_reports
@@ -393,7 +393,7 @@ def main(argv=None):
             except ValueError:
                 grids = ()
             if (len(set(grids)) < 1 + (args.suite == "identities")
-                    or any(g < 16 or g > MAX_N_G or g & (g - 1) for g in grids)):
+                    or any(not is_grid_size(g) or g > MAX_N_G for g in grids)):
                 raise ConfigError(f"--grids must list powers of two from 16 to "
                                   f"{MAX_N_G}, two distinct for 'identities'; got "
                                   f"{args.grids!r}")

@@ -19,6 +19,11 @@ from .errors import TangencyViolation
 from .manifolds import CHART_FLAT_TORUS2, ON_MANIFOLD_TOL, by_name
 
 
+def is_grid_size(n):
+    """Whether ``n`` is a curve grid: a power of two >= 16."""
+    return n >= 16 and not n & (n - 1)
+
+
 @dataclass
 class ClosedCurve:
     """Uniformly sampled closed curve with its target geometry.
@@ -39,7 +44,7 @@ class ClosedCurve:
             raise ValueError(
                 f"samples must have shape (N, {self.manifold.ambient_dim})"
             )
-        if self.n < 16 or self.n & (self.n - 1):
+        if not is_grid_size(self.n):
             raise ValueError("grid size must be a power of two >= 16")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")

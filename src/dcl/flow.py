@@ -38,11 +38,6 @@ Integrators
                    tube); at a = b = 0 their normal part then decays
                    monotonically (``dcl verify --suite maxprinciple``).
 
-Each stepper owns a workspace for the arrays of its stage slopes and
-step ends (:meth:`_Stepper.buffer`), so a step at large N reuses the
-pages of the last one instead of faulting fresh ones in; no result of a
-step aliases it.
-
 ``_march`` is the one step loop: ``evolve`` is its single member, and
 ``epsilon_continuation`` marches the eps = 0 baseline and every level as
 one stack with per-member guards.  It decides the run's band once and
@@ -56,6 +51,11 @@ the trend back to each snapshot.  No chart-torus kernel reads its base
 point (the retraction and the tangent projection copy, the second
 fundamental form is zero, J rotates the vector), so W enters a step only
 as the constant part of v_x.  Off the chart torus W is zero.
+
+The march checks only what can fail: the tube check in each retraction
+(of u0, a stage point, a step end), the non-finite check of each step
+end and Picard iteration, and the H2 guard.  A retraction is on the
+target by construction (property-tested), so nothing checks it again.
 
 The march stores every state, stage point and slope in the row layout
 (..., d, N) of :mod:`spectral` and transforms them by its
@@ -83,7 +83,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .curves import h1_distance, lift_trend, lifted_velocity
+from .curves import h1_distance, is_grid_size, lift_trend, lifted_velocity
 from .errors import (
     NoContraction,
     OutOfTubularNeighborhood,
@@ -162,6 +162,8 @@ class FlowConfig:
                 raise ValueError(f"{name} must be at least {low}")
             if high is not None and value > high:
                 raise ValueError(f"{name} must be at most {high}")
+        if not is_grid_size(self.N_g):
+            raise ValueError("N_g must be a power of two >= 16")
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
 
@@ -427,18 +429,16 @@ class _Stepper:
 
         ``samples`` are (d, N) or (B, d, N) periodic parts and ``winding``
         is (d, 1) or (B, d, 1), or None for none (the march decides that
-        once).  The stage points are retracted (tube check, then P) and P
-        checked on the target once; :meth:`remainder` then takes P and its
-        rfft, one transform call more than it makes itself.
+        once).  The stage points are retracted (tube check, then P, on
+        the target by construction); :meth:`remainder` then takes P and
+        its rfft, one transform call more than it makes itself.
         """
-        m = self.manifold
-        proj, _ = m._retract(samples)
-        m._require_on(proj)
+        proj, _ = self.manifold._retract(samples)
         return self.remainder(proj, spectral.rfft(proj), winding)
 
     def remainder(self, proj, coef, winding):
         """The slope at an on-target periodic part ``proj``, from its rfft
-        ``coef``; unchecked, so the caller checks ``proj``.
+        ``coef``; unchecked: ``proj`` is the retraction of a stage point or state.
 
         The remainder is the RHS minus L v, assembled at P = ``proj``
         without cancelling large terms (A is the second fundamental form
@@ -498,11 +498,11 @@ def _rk4_step(samples, cfg, st, coef, winding):
 
     ``samples`` is the periodic part of one curve (d, N) or of a stack
     (..., d, N) on the target (a state the march accepted, or u0 it
-    retracted and checked), ``coef`` its rfft and ``winding`` its (d, 1)
-    or (..., d, 1) winding, or None for none.  The state V0 and the stage
+    retracted), ``coef`` its rfft and ``winding`` its (d, 1) or
+    (..., d, 1) winding, or None for none.  The state V0 and the stage
     slopes stay in coefficient space on the stage grid.  Stage 1 is the
     remainder at the state itself, on the curve grid, from ``coef``: no
-    retraction, check or transform of its own.  Each later stage point is
+    retraction or transform of its own.  Each later stage point is
     one irfft on the stage grid.  Returns the projected periodic part and
     each curve's largest residual before projection.
     """
@@ -525,16 +525,12 @@ def _rk4_step(samples, cfg, st, coef, winding):
 
 def _step_end(st, coef):
     """Guarded projection of the curve-grid irfft of stage-grid modes
-    ``coef``; (samples, residuals before).  The projection is checked on
-    the target here, once per accepted state, as the next step's stage 1
-    takes it as it is."""
-    m = st.manifold
-    n = st.n_curve
+    ``coef``; (samples, residuals before), as the next stage 1 takes it."""
+    m, n = st.manifold, st.n_curve
     pre = spectral.irfft(coef, n, st.buffer("pre", coef.shape[:-1] + (n,)))
     if not np.isfinite(pre).all():
         raise StepSizeUnstable("non-finite state")
     proj, sq = m._retract(pre)
-    m._require_on(proj)
     return proj, m._residual(sq).max(axis=-1)
 
 
@@ -680,10 +676,10 @@ def _march(u0, cfg, stride, levels=None):
     own result bit for bit as the stacked step does.  A member whose step
     raises, or whose H2 norm grows BLOWUP_FACTOR-fold within a stride, is
     frozen with its failure, and the others march on as a smaller stack.
-    For ProjectedRK4 the march starts from the retraction of u0,
-    checked on the target once (a u0 outside the tube freezes every
-    member with that failure); snapshot 0 is u0 as given.  The band of
-    every integrator is decided here, once, by :func:`run_band`.
+    For ProjectedRK4 the march starts from the retraction of u0 (a u0
+    outside the tube freezes every member with that failure); snapshot
+    0 is u0 as given.  The band of every integrator is decided here,
+    once, by :func:`run_band`.
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
@@ -707,10 +703,8 @@ def _march(u0, cfg, stride, levels=None):
     winds = winding.any()
     if cfg.integrator != "DuhamelPicard":
         try:
-            # stage 1 slopes each state as it is: u0 is retracted and
-            # checked here, every later state at its step end
+            # stage 1 slopes each state as it is: u0's retraction, then each step end
             state, _ = m._retract(state)
-            m._require_on(state)
         except _GUARD_TRIPS as exc:
             for i in range(len(trajs)):
                 freeze(i, exc)

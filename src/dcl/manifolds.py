@@ -14,12 +14,13 @@ public ``tangent_project``, ``second_fundamental_form`` and
 ``complex_structure`` check the shape of their points and that the base
 points lie on the target (``PointOffManifold`` otherwise).  Each has an
 unchecked kernel (``_tangent``, ``_sff``, ``_j``) holding only the
-formula, for callers such as the flow's stages that check their points
-once and then make many calls on them; ``_sff`` and ``_j`` write into a
-given ``out``, and the sphere's ``_sff`` reads a given x.y (``xy``).
-``retract`` is ``require_in_tube`` followed by ``project`` from one
-squared norm per point, which also gives the constraint residual
-before projection.
+formula, for callers that check or retract their points once and then
+make many calls on them; ``_sff`` and ``_j`` write into a given ``out``,
+and the sphere's ``_sff`` reads a given x.y (``xy``).  ``retract`` is
+``require_in_tube`` followed by ``project`` from one squared norm per
+point, which also gives the constraint residual before projection; what
+it returns is on the target by construction (a residual of a few ulps,
+property-tested on every target), so the flow never checks it again.
 
 Public methods take (..., d) points.  The kernels (``_sq_norms``,
 ``_residual``, ``_distance``, ``_project``, ``_retract``,
@@ -42,10 +43,9 @@ u_t = u x u_xx; flipping the orientation time-reverses that term.
 import numpy as np
 
 from .errors import OutOfTubularNeighborhood, PointOffManifold
+from .spectral import TWO_PI
 
 ON_MANIFOLD_TOL = 1e-8
-
-_TWO_PI = 2.0 * np.pi
 
 
 def _ambient_sum(p):
@@ -224,9 +224,9 @@ class CliffordTorus2(_Manifold):
     name = "CliffordTorus2"
     ambient_dim = 4
     gaussian_curvature = 0.0
-    radius = 1.0 / _TWO_PI
-    principal_curvature = _TWO_PI  # each circle has curvature 1 / radius
-    tubular_radius = 0.5 / _TWO_PI
+    radius = 1.0 / TWO_PI
+    principal_curvature = TWO_PI  # each circle has curvature 1 / radius
+    tubular_radius = 0.5 / TWO_PI
 
     def _sq_norms(self, pts):
         """(..., 2, N) squared norms of the pairs (p1, p2) and (p3, p4)."""
@@ -280,8 +280,8 @@ class CliffordTorus2(_Manifold):
     def embed_chart(self, chart_pts):
         """Isometric embedding of chart coordinates (y1, y2) into R^4."""
         chart_pts = np.asarray(chart_pts, dtype=float)
-        phi1 = _TWO_PI * chart_pts[..., 0]
-        phi2 = _TWO_PI * chart_pts[..., 1]
+        phi1 = TWO_PI * chart_pts[..., 0]
+        phi2 = TWO_PI * chart_pts[..., 1]
         out = np.empty(chart_pts.shape[:-1] + (4,))
         out[..., 0] = self.radius * np.cos(phi1)
         out[..., 1] = self.radius * np.sin(phi1)

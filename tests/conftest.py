@@ -1,4 +1,4 @@
-"""Counters shared by the test modules (on-target checks and transforms)
+"""Counters shared by the test modules (on-target and tube checks, transforms)
 and the quadrature and chart helpers that only tests need."""
 
 import numpy as np
@@ -21,18 +21,30 @@ def chart_coordinates(pts):
     return np.stack([y1, y2], axis=-1)
 
 
+def _record_shapes(monkeypatch, name):
+    """Record the shape of the first argument of every ``_Manifold.name``
+    call."""
+    calls = []
+    check = getattr(_Manifold, name)
+
+    def counted(self, arg, *args, **kwargs):
+        calls.append(arg.shape)
+        return check(self, arg, *args, **kwargs)
+
+    monkeypatch.setattr(_Manifold, name, counted)
+    return calls
+
+
 @pytest.fixture
 def on_target_checks(monkeypatch):
     """Record the shape of the rows every ``_require_on`` call checks."""
-    calls = []
-    check = _Manifold._require_on
+    return _record_shapes(monkeypatch, "_require_on")
 
-    def counted(self, rows, *args, **kwargs):
-        calls.append(rows.shape)
-        return check(self, rows, *args, **kwargs)
 
-    monkeypatch.setattr(_Manifold, "_require_on", counted)
-    return calls
+@pytest.fixture
+def tube_checks(monkeypatch):
+    """Record the shape of the distances every ``_require_tube`` call checks."""
+    return _record_shapes(monkeypatch, "_require_tube")
 
 
 @pytest.fixture

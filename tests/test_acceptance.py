@@ -15,7 +15,7 @@ from conftest import chart_coordinates
 from dcl import spectral
 from dcl.curves import ClosedCurve, h1_distance, resample, sup_distance
 from dcl.flow import dispersive_rhs
-from dcl.flow import FlowConfig, epsilon_continuation, evolve, mode_cutoff
+from dcl.flow import FlowConfig, epsilon_continuation, evolve, run_band
 from dcl.invariants import (
     drift_report,
     oracle_latitude_circle,
@@ -258,7 +258,7 @@ def test_criterion_9_continuous_dependence():
 
 def test_criterion_10_dt_convergence(conservation_run):
     u0, cfg, traj, _ = conservation_run
-    keep = mode_cutoff(cfg, u0.manifold, float(np.max(np.abs(u0.velocity()))))
+    keep = run_band(cfg, u0)
     finals = [traj.final]
     for i in (1, 2, 3):
         level = replace(cfg, dt=cfg.dt * 0.5**i, mode_cutoff=keep)

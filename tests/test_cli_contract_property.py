@@ -118,6 +118,8 @@ def with_value(section, key, value):
          argv=["converge", "--mode", "dt", "--levels", "1100"])
 @example(manifest=with_value("config", "T", 2e-4),
          argv=["converge", "--mode", "grid", "--levels", "40"])
+@example(manifest=with_value("config", "N_g", 8),
+         argv=["converge", "--mode", "grid"])
 def test_main_returns_a_documented_exit_code(manifest, argv):
     assert run_main(manifest, argv) in (0, 2, 3)
 
@@ -154,6 +156,23 @@ def test_bad_manifest_value_exits_2_naming_it(capsys, section, key, value,
     assert run_main(with_value(section, key, value), argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("n_g", [8, 24])
+@pytest.mark.parametrize("argv", [["simulate"]] + [
+    ["converge", "--mode", mode] for mode in ("epsilon", "dt", "grid")],
+    ids=["simulate", "epsilon", "dt", "grid"])
+def test_grid_not_a_power_of_two_exits_2_leaving_no_output(
+        capsys, monkeypatch, tmp_path, n_g, argv):
+    # a grid study of N_g 8 used to die in resample with a traceback
+    monkeypatch.chdir(tmp_path)
+    with open("manifest_in.json", "w", encoding="utf-8") as handle:
+        json.dump(with_value("config", "N_g", n_g), handle)
+    assert cli.main(argv + ["--manifest", "manifest_in.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "N_g must be a power of two >= 16" in err
+    assert os.listdir(tmp_path) == ["manifest_in.json"]
 
 
 def test_converge_dt_level_past_max_steps_exits_2(capsys):

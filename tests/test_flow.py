@@ -28,6 +28,7 @@ from dcl.flow import (
     evolve,
     mode_cutoff,
     regularized_rhs,
+    run_band,
 )
 from dcl.errors import TangencyViolation
 from dcl.invariants import (
@@ -92,6 +93,9 @@ def test_config_rejects_non_finite(name, value):
         ("picard_tol", True, "picard_tol must be a number"),
         # each used to ask for far more memory than any machine has
         ("N_g", 2**34, "N_g must be at most 65536"),
+        # no closed curve has these grids: a run used to fail on building one
+        ("N_g", 8, "N_g must be a power of two >= 16"),
+        ("N_g", 24, "N_g must be a power of two >= 16"),
         ("quadrature_nodes", 3000, "quadrature_nodes must be at most 32"),
     ],
 )
@@ -704,7 +708,7 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
     rows = u0.samples.T[None]
     if integrator != "DuhamelPicard":
         rows = manifold.retract(u0.samples)[0].T[None]
-    keep = mode_cutoff(cfg, manifold, float(np.max(np.abs(u0.velocity()))))
+    keep = run_band(cfg, u0)
     st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
     step = _picard_step if integrator == "DuhamelPicard" else _rk4_step
     rows = rows - trend

@@ -103,44 +103,51 @@ def test_guard_trip_costs_one_retry_per_live_member(monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
-# On-target checks at the boundaries: u0 at entry, each state at its step end
+# The march checks what can fail: the tube check inside every retraction
+# (u0 at entry, each later stage point, each step end).  A retraction is on
+# the target by construction (tests/test_retract_property.py), so no
+# on-target check follows one.
 # ---------------------------------------------------------------------------
 
 
-def test_step_checks_later_stages_and_its_end(on_target_checks):
-    # stage 1 takes the state as its step end checked it; stages 2-4 check
-    # their projections, and the step end checks the state it accepts
+def test_step_checks_later_stages_and_its_end(on_target_checks, tube_checks):
+    # stage 1 takes the state as its step end retracted it; stages 2-4
+    # retract their points, and the step end the state it accepts
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
     st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0), [0.0])
     rows = u0.samples.T
     flow._rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
                    np.zeros((3, 1)))
-    assert len(on_target_checks) == 4
+    assert len(on_target_checks) == 0
+    assert len(tube_checks) == 4
 
 
 @pytest.mark.parametrize("levels", [None, [0.0, 1e-4, 5e-5]])
-def test_march_checks_u0_once_per_run(on_target_checks, levels):
+def test_march_checks_u0_once_per_run(on_target_checks, tube_checks, levels):
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     for steps in (1, 3):
         cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=steps * 1e-5)
-        on_target_checks.clear()
+        tube_checks.clear()
         trajs = _march(u0, cfg, 1, levels)
         assert all(t.failure is None for t in trajs)
-        assert len(on_target_checks) == 1 + 4 * steps
-        # the entry check sees the retraction of the whole stack of u0
-        assert on_target_checks[0] == (len(trajs), 3, 64)
+        assert len(on_target_checks) == 0
+        assert len(tube_checks) == 1 + 4 * steps
+        # the entry retraction sees the whole stack of u0
+        assert tube_checks[0] == (len(trajs), 64)
 
 
-def test_picard_march_checks_only_its_node_stacks(on_target_checks):
-    # Picard states sit off the target by design: no entry check, one
-    # check of the projected node stack per iteration
+def test_picard_march_checks_only_its_node_stacks(on_target_checks,
+                                                  tube_checks):
+    # Picard states sit off the target by design: no entry retraction, one
+    # retraction of the node stack per iteration
     cfg = FlowConfig(epsilon=1e-2, N_g=32, dt=1e-4, T=3e-4,
                      integrator="DuhamelPicard")
     traj = evolve(great_circle(32), cfg)
     assert traj.failure is None
-    assert len(on_target_checks) == sum(traj.picard_iterations)
-    assert set(on_target_checks) == {(cfg.quadrature_nodes, 3, 32)}
+    assert len(on_target_checks) == 0
+    assert len(tube_checks) == sum(traj.picard_iterations)
+    assert set(tube_checks) == {(cfg.quadrature_nodes, 32)}
 
 
 @pytest.mark.parametrize("levels", [None, [0.0, 1e-4]])

@@ -21,7 +21,7 @@ from dcl.flow import (
     _step_end,
     _Stepper,
     evolve,
-    mode_cutoff,
+    run_band,
 )
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import random_smooth
@@ -46,7 +46,7 @@ def big_case(eps):
     """A warmed N = 4096 sphere stepper, the state, its rfft and config."""
     u0 = random_smooth(SPHERE2, BIG, seed=11, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps[0], N_g=BIG, dt=1e-6, T=1e-6)
-    keep = mode_cutoff(cfg, SPHERE2, float(np.max(np.abs(u0.velocity()))))
+    keep = run_band(cfg, u0)
     st = _Stepper(cfg, SPHERE2, BIG, keep, eps)
     rows = u0.samples.T if len(eps) == 1 else np.stack([u0.samples.T] * len(eps))
     rows = np.ascontiguousarray(rows)
