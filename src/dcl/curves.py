@@ -8,6 +8,8 @@ velocity is computed from the periodic deviation plus the integer winding
 vector; all higher derivatives act on the (periodic) velocity.  The curve
 calculus takes and returns tangent fields as (N, d) arrays; the lift
 helpers take the flow's (..., d, N) rows, which a curve's transpose gives.
+An entry that checks its curve on the target does so once, then runs the
+unchecked row kernels; what it derives from that curve is not checked.
 """
 
 from dataclasses import dataclass
@@ -339,21 +341,22 @@ def _pairings(fields, others):
 
 
 def _commutator_residuals(curve, l_max, h, seed):
-    """L2 residuals of cov_t cov_x^l u_x = cov_x^{l+1} u_t + curvature terms."""
+    """L2 residuals of cov_t cov_x^l u_x = cov_x^{l+1} u_t + curvature terms.
+
+    Unchecked: the family members lie on the target by construction.
+    """
     family = _default_family(curve, seed=seed)
     m, k_gauss = curve.manifold, curve.manifold.gaussian_curvature
-    center, plus, minus = family(0.0), family(h), family(-h)
-    base = center.samples.T
-    m._require_on(base)
-    u_t = m._tangent(base, (plus.samples - minus.samples).T / (2.0 * h))
+    base, plus, minus = (family(t).samples.T for t in (0.0, h, -h))
+    u_t = m._tangent(base, (plus - minus) / (2.0 * h))
 
-    tower_c = _tower(m, base, lifted_velocity(base, m), l_max)
-    tower_p, tower_m = (covariant_tower(c, l_max) for c in (plus, minus))
+    tower_c, tower_p, tower_m = (_tower(m, r, lifted_velocity(r, m), l_max)
+                                 for r in (base, plus, minus))
     ut_tower = _tower(m, base, u_t, l_max + 1)
 
     out = {}
     for l in range(1, l_max + 1):
-        lhs = m._tangent(base, (tower_p[l] - tower_m[l]).T / (2.0 * h))
+        lhs = m._tangent(base, (tower_p[l] - tower_m[l]) / (2.0 * h))
         rhs = ut_tower[l + 1].copy()
         for j in range(l):
             term = curvature_apply(

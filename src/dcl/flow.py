@@ -67,8 +67,9 @@ stage samples, and every slope, once taken, on the stage grid's modes.
 ``_march`` is where the layout changes: it takes u0 as (N, d) once and
 returns each snapshot as the transpose of its member's row state.  The
 public references ``dispersive_rhs`` and ``regularized_rhs`` stay
-(N, d): each is one call of :func:`_assemble`, the one checked assembly
-of the reference RHS.
+(N, d): each makes its one check (an on-target check, or the
+retraction's tube check) and one call of :func:`_assemble`, the one
+unchecked assembly of the reference RHS.
 
 Products of fields are cubic, so state and nonlinear terms are always
 dealiased by the N/4 rule; the mask is part of the spatial discretization
@@ -152,13 +153,13 @@ class FlowConfig:
         if self.T and self.dt > self.T * (1 + 1e-12):
             raise ValueError("dt must not exceed the horizon T")
         for name, low, high in (
-            ("N_g", 1, MAX_N_G), ("quadrature_nodes", 1, MAX_QUADRATURE_NODES),
+            ("N_g", None, MAX_N_G), ("quadrature_nodes", 1, MAX_QUADRATURE_NODES),
             ("picard_max_iter", 1, None), ("mode_cutoff", 0, None),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-            if value < low:
+            if low is not None and value < low:
                 raise ValueError(f"{name} must be at least {low}")
             if high is not None and value > high:
                 raise ValueError(f"{name} must be at most {high}")
@@ -221,17 +222,15 @@ def _gauss_tower(manifold, base, vx, order):
     return out
 
 
-def _assemble(curve, a, b, eps=None):
-    """The reference RHS a S2 + J S1 + b |v_x|^2 v_x at an on-target curve.
+def _assemble(m, v, a, b, eps=None):
+    """The reference RHS a S2 + J S1 + b |v_x|^2 v_x at on-target rows.
 
-    The one assembly of both references: one on-target check, then the
-    unchecked kernels on the curve's (d, N) rows, returned as (N, d).  A
+    The one assembly of both references: the unchecked kernels on (d, N)
+    rows ``v`` the caller checked or retracted, returned as rows.  A
     number ``eps``, 0 included, takes the stiff part L v = a v_xxx -
     eps v_xxxx off: a (S2 - v_xxx) - eps (S3 - v_xxxx) + J S1 +
     b |v_x|^2 v_x, the remainder the integrators' stage slope assembles.
     """
-    m, v = curve.manifold, curve.samples.T
-    m._require_on(v)
     vx = lifted_velocity(v, m)
     s = _gauss_tower(m, v, vx, 2 if eps is None else 3)
     if eps is None:
@@ -239,27 +238,27 @@ def _assemble(curve, a, b, eps=None):
     else:
         rhs = (-eps * (s[3] - spectral._derivative(vx, 3))
                + a * (s[2] - spectral._derivative(vx, 2)))
-    return (rhs + m._j(v, s[1]) + b * _sq(vx) * vx).T
+    return rhs + m._j(v, s[1]) + b * _sq(vx) * vx
 
 
 def dispersive_rhs(curve, a, b):
     """Velocity of the unregularized flow at an on-manifold curve.
 
-    Raises TangencyViolation when the assembled field has a normal
-    component beyond the under-resolution guard; its normal part comes
-    from the unchecked kernel on the rows ``_assemble`` checked.
+    One on-target check of the curve, then :func:`_assemble`.  Raises
+    TangencyViolation when the assembled field has a normal component
+    beyond the under-resolution guard, taken on the same rows.
     """
-    rhs = _assemble(curve, a, b)
-    rows = rhs.T
-    normal = rows - curve.manifold._tangent(curve.samples.T, rows)
-    res = float(np.abs(normal).max())
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+    m, v = curve.manifold, curve.samples.T
+    m._require_on(v)
+    rows = _assemble(m, v, a, b)
+    res = float(np.abs(rows - m._tangent(v, rows)).max())
+    scale = max(1.0, float(np.max(np.abs(rows))))
     if res > RHS_TANGENCY_TOL * scale:
         raise TangencyViolation(
             f"rhs normal component {res:.3e} exceeds "
             f"{RHS_TANGENCY_TOL:.0e} * {scale:.3e}; raise the resolution"
         )
-    return rhs
+    return rows.T
 
 
 def regularized_rhs(curve, cfg):
@@ -267,15 +266,15 @@ def regularized_rhs(curve, cfg):
 
     L v = a v_xxx - eps v_xxxx on the raw state plus the remainder
     evaluated at the nearest-point projection of the state, as every
-    integrator splits it; the checked physical-space reference for their
-    stage slope plus L v.
+    integrator splits it; the physical-space reference for their stage
+    slope plus L v.  Its one check is the retraction's tube check.
     """
-    proj, _ = curve.manifold.retract(curve.samples)
-    nonlinear = _assemble(curve.with_samples(proj), cfg.a, cfg.b, cfg.epsilon)
-    raw = curve.velocity()
-    linear = (cfg.a * spectral.spectral_derivative(raw, 2)
-              - cfg.epsilon * spectral.spectral_derivative(raw, 3))
-    return linear + nonlinear
+    m, v = curve.manifold, curve.samples.T
+    proj, _ = m._retract(v)
+    raw = lifted_velocity(v, m)
+    linear = (cfg.a * spectral._derivative(raw, 2)
+              - cfg.epsilon * spectral._derivative(raw, 3))
+    return (linear + _assemble(m, proj, cfg.a, cfg.b, cfg.epsilon)).T
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,10 @@ def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
 
     The perturbed base is projected to the target, re-smoothed once with
     the same exponential envelope (projection is pointwise and spreads the
-    spectrum), and projected again.
+    spectrum), and projected again.  ``decay`` must be finite and >= 0.
     """
+    if not 0 <= decay < np.inf:  # NaN included
+        raise ValueError(f"decay must be finite and >= 0, got {decay!r}")
     rng = np.random.default_rng(seed)
     scale = 1.0
     if manifold is SPHERE2:

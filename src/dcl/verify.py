@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import presets, spectral
-from .curves import identity_residuals
+from .curves import _commutator_residuals, identity_residuals
 from .flow import FlowConfig, dispersive_rhs, evolve
 from .invariants import (
     oracle_latitude_circle,
@@ -121,13 +121,8 @@ def suite_identities(grids=(64, 128), seed=0, decay=0.25, amplitude=0.4):
     curve = presets.random_smooth(SPHERE2, coarse, seed=seed, decay=1.0,
                                   amplitude=0.3)
     steps = (2e-3, 1e-3, 5e-4)
-    residuals = [
-        max(
-            identity_residuals(curve, l_max=2, seed=seed, fd_step=h)
-            .commutator.values()
-        )
-        for h in steps
-    ]
+    residuals = [max(_commutator_residuals(curve, 2, h, seed).values())
+                 for h in steps]
     slopes = [
         np.log2(residuals[i] / residuals[i + 1]) for i in range(len(steps) - 1)
     ]

@@ -1,11 +1,13 @@
 """Counters shared by the test modules (on-target and tube checks, transforms)
-and the quadrature and chart helpers that only tests need."""
+and the quadrature, chart, curve and step helpers that only tests need."""
 
 import numpy as np
 import pytest
 
 from dcl import spectral
-from dcl.manifolds import _Manifold
+from dcl.curves import ClosedCurve, lift_trend
+from dcl.flow import _rk4_step
+from dcl.manifolds import SPHERE2, _Manifold
 
 
 def integrate(f):
@@ -19,6 +21,20 @@ def chart_coordinates(pts):
     y1 = np.arctan2(pts[..., 1], pts[..., 0]) / two_pi % 1.0
     y2 = np.arctan2(pts[..., 3], pts[..., 2]) / two_pi % 1.0
     return np.stack([y1, y2], axis=-1)
+
+
+def constant_curve(n=32):
+    """The north pole held for all n samples: a curve with no velocity."""
+    return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)
+
+
+def periodic_step(rows, cfg, st, manifold):
+    """``_rk4_step`` on the periodic part of (..., d, N) rows, as the march
+    calls it: with the part's transform and the rows' winding."""
+    trend, winding = lift_trend(rows, manifold)
+    rows = rows - trend
+    return _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
+                     winding)[0]
 
 
 def _record_shapes(monkeypatch, name):

@@ -593,6 +593,32 @@ def test_overflowing_amplitude_prints_only_the_config_error(
 
 
 @pytest.mark.parametrize(
+    "manifold,descriptor,value",
+    [
+        # each used to warn and then blame the amplitude or the samples
+        ("Sphere2", "random_smooth:3,-50", "-50.0"),
+        ("Sphere2", "random_smooth:3,nan", "nan"),
+        ("Sphere2", "random_smooth:3,inf", "inf"),
+        # a growing envelope used to exit 3 here and 0 on the chart torus
+        ("Sphere2", "random_smooth:3,-1", "-1.0"),
+        ("ChartFlatTorus2", "random_smooth:3,-1", "-1.0"),
+    ],
+    ids=["sphere-minus-50", "sphere-nan", "sphere-inf", "sphere-minus-1",
+         "chart-minus-1"],
+)
+def test_bad_decay_prints_only_the_config_error(tmp_path, manifold,
+                                                descriptor, value):
+    manifest = base_manifest(tmp_path / "out", config={
+        "manifold": manifold, "initial_condition": descriptor})
+    proc = run_cli("simulate", "--manifest", write_manifest(tmp_path, manifest))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"config error: bad initial_condition {descriptor!r}: decay must be "
+        f"finite and >= 0, got {value}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "overrides",
     [{"dt": float("nan")}, {"a": float("nan")}, {"T": 1.005e-3}],
     ids=["dt-nan", "a-nan", "T-not-multiple-of-dt"],

@@ -158,7 +158,7 @@ def test_bad_manifest_value_exits_2_naming_it(capsys, section, key, value,
     assert err.startswith("config error: ") and message in err
 
 
-@pytest.mark.parametrize("n_g", [8, 24])
+@pytest.mark.parametrize("n_g", [0, 8, 24])
 @pytest.mark.parametrize("argv", [["simulate"]] + [
     ["converge", "--mode", mode] for mode in ("epsilon", "dt", "grid")],
     ids=["simulate", "epsilon", "dt", "grid"])

@@ -2,6 +2,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from conftest import constant_curve
 
 from dcl import spectral
 from dcl.curves import (
@@ -20,11 +21,6 @@ from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2, by_name
 from dcl.presets import great_circle, latitude_circle, random_smooth, torus_geodesic
 
 TWO_PI = 2.0 * np.pi
-
-
-def constant_curve(n=32):
-    samples = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
-    return ClosedCurve(samples, SPHERE2)
 
 
 # ---------------------------------------------------------------------------

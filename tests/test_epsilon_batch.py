@@ -10,12 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import periodic_step
 
 from dcl import flow
-from dcl.curves import h1_distance, lift_trend
+from dcl.curves import h1_distance
 from dcl.flow import (
     FlowConfig,
-    _rk4_step,
     _Stepper,
     epsilon_continuation,
     evolve,
@@ -25,15 +25,6 @@ from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import random_smooth
 
 TARGETS = [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2]
-
-
-def periodic_step(rows, cfg, st, manifold):
-    """``_rk4_step`` on the periodic part of (..., d, N) rows, as the march
-    calls it: with the part's transform and the rows' winding."""
-    trend, winding = lift_trend(rows, manifold)
-    rows = rows - trend
-    return _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
-                     winding)[0]
 
 
 def reference_rows(u0, cfg, eps_list):

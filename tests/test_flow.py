@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import constant_curve
 
 from dcl import spectral
 from dcl.curves import (
@@ -40,10 +41,6 @@ from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import great_circle, random_smooth, torus_geodesic
 
 TWO_PI = 2.0 * np.pi
-
-
-def constant_curve(n=32):
-    return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +93,10 @@ def test_config_rejects_non_finite(name, value):
         # no closed curve has these grids: a run used to fail on building one
         ("N_g", 8, "N_g must be a power of two >= 16"),
         ("N_g", 24, "N_g must be a power of two >= 16"),
+        # below 16 the grid rule is the bound, not a separate "at least 1"
+        ("N_g", 0, "N_g must be a power of two >= 16"),
+        ("N_g", 1, "N_g must be a power of two >= 16"),
+        ("N_g", -64, "N_g must be a power of two >= 16"),
         ("quadrature_nodes", 3000, "quadrature_nodes must be at most 32"),
     ],
 )

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import integrate
+from conftest import constant_curve, integrate
 
 from dcl import invariants, spectral
-from dcl.curves import ClosedCurve, covariant_tower, sup_distance
+from dcl.curves import covariant_tower, sup_distance
 from dcl.errors import PointOffManifold, UnsupportedCoefficients, WrongManifold
 from dcl.flow import FlowConfig, Trajectory, dispersive_rhs, evolve
 from dcl.invariants import (
@@ -24,10 +24,6 @@ from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import great_circle, latitude_circle, random_smooth, torus_geodesic
 
 TWO_PI = 2.0 * np.pi
-
-
-def constant_curve(n=32):
-    return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)
 
 
 # ---------------------------------------------------------------------------

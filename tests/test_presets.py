@@ -93,3 +93,16 @@ def test_random_smooth_refuses_a_target_it_has_no_base_curve_for():
 
     with pytest.raises(ConfigError, match="random_smooth is not defined on Plane"):
         random_smooth(Plane(), 64)
+
+
+@pytest.mark.parametrize("decay", [-1.0, -50.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2])
+def test_random_smooth_refuses_a_decay_that_is_not_finite_and_nonnegative(
+        manifold, decay):
+    with pytest.raises(ValueError, match="decay must be finite and >= 0"):
+        random_smooth(manifold, 64, seed=3, decay=decay)
+
+
+def test_random_smooth_takes_a_flat_envelope():
+    c = random_smooth(SPHERE2, 64, seed=3, decay=0.0)
+    assert c.off_manifold() <= 1e-12

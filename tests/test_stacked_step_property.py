@@ -15,10 +15,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dcl.curves import lift_trend  # noqa: E402
+from conftest import periodic_step  # noqa: E402
+
 from dcl.flow import (  # noqa: E402
     FlowConfig,
-    _rk4_step,
     _Stepper,
     mode_cutoff,
 )
@@ -26,15 +26,6 @@ from dcl.manifolds import MANIFOLDS  # noqa: E402
 from dcl.presets import random_smooth  # noqa: E402
 
 N = 64
-
-
-def periodic_step(rows, cfg, st, manifold):
-    """``_rk4_step`` on the periodic part of (..., d, N) rows, as the march
-    calls it: with the part's transform and the rows' winding."""
-    trend, winding = lift_trend(rows, manifold)
-    rows = rows - trend
-    return _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
-                     winding)[0]
 
 
 levels = st.lists(

@@ -206,23 +206,31 @@ def test_regularized_rhs_bits_match_the_level_assembly(name, a, b, eps):
 
 
 @pytest.mark.parametrize("name", ["Sphere2", "CliffordTorus2", "chart-winding"])
-def test_each_entry_checks_its_curve_once(name, on_target_checks):
+def test_each_entry_checks_its_curve_once(name, on_target_checks,
+                                          tube_checks):
     c = CURVES[name]()
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=1e-3)
     calls = {
         "covariant_tower(c, 6)": lambda: covariant_tower(c, 6),
         "covariant_tower(c, 0)": lambda: covariant_tower(c, 0),
         "sobolev_norm(c, 3)": lambda: sobolev_norm(c, 3),
-        # the assembly's check; the tangency guard reuses its rows
+        # the tower's check; the commutator family is projected from c
+        "identity_residuals": lambda: identity_residuals(c),
+        # one check, then the assembly; the tangency guard reuses its rows
         "dispersive_rhs": lambda: dispersive_rhs(c, 1.0, 0.5),
+        # its retraction's tube check only: a retraction is on the target
         "regularized_rhs": lambda: regularized_rhs(c, cfg),
     }
     want = {"covariant_tower(c, 6)": 1, "covariant_tower(c, 0)": 0,
-            "sobolev_norm(c, 3)": 1, "dispersive_rhs": 1, "regularized_rhs": 1}
+            "sobolev_norm(c, 3)": 1, "identity_residuals": 1,
+            "dispersive_rhs": 1, "regularized_rhs": 0}
     for label, call in calls.items():
         on_target_checks.clear()
         call()
         assert len(on_target_checks) == want[label], label
+    tube_checks.clear()
+    regularized_rhs(c, cfg)
+    assert len(tube_checks) == 1
 
 
 @pytest.mark.parametrize("name,want", [("Sphere2", 10), ("CliffordTorus2", 8),

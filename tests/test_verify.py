@@ -1,8 +1,10 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from dcl import verify
+from dcl import curves, verify
+from dcl.curves import identity_residuals
 from dcl.flow import evolve
 from dcl.verify import SUITES, Check, run_suite, suite_identities
 
@@ -36,6 +38,27 @@ def test_a_non_finite_check_value_fails(kind):
 def test_identity_suite_refuses_one_distinct_grid():
     with pytest.raises(ValueError, match="two distinct grid sizes"):
         suite_identities((64, 64))
+
+
+def test_identity_suite_reads_the_reports_commutator_bits(monkeypatch):
+    # the finite-difference study takes the commutator residuals alone;
+    # each equals the full identity report's, bit for bit
+    seen = []
+
+    def recorded(curve, l_max, h, seed):
+        out = curves._commutator_residuals(curve, l_max, h, seed)
+        seen.append((curve, l_max, h, seed, out))
+        return out
+
+    monkeypatch.setattr(verify, "_commutator_residuals", recorded)
+    suite_identities((64, 128), seed=0)
+    assert [entry[2] for entry in seen] == [2e-3, 1e-3, 5e-4]
+    for curve, l_max, h, seed, out in seen:
+        want = identity_residuals(curve, l_max=l_max, seed=seed,
+                                  fd_step=h).commutator
+        assert list(out) == list(want) == [1, 2]
+        assert (np.array(list(out.values())).tobytes()
+                == np.array(list(want.values())).tobytes())
 
 
 def test_maxprinciple_suite_fails_a_run_that_does_not_complete(monkeypatch):
