@@ -21,10 +21,10 @@ Integrators
                    the factor the third-derivative term makes every mode
                    above a handful linearly unstable at production step
                    sizes, so the factor is what makes an explicit scheme
-                   viable at all.  Stages 2-4 run on the stage grid
-                   (:func:`stage_grid`), which the band sets, not N
-                   (:func:`_rk4_step`).  A step makes 16
-                   transform calls, or 24 when a member has eps > 0
+                   viable at all.  The stages run on the stage grid
+                   (:func:`stage_grid`), which the band sets, not N,
+                   stage 1 at every (N/M)-th state sample (:func:`_rk4_step`).
+                   A step makes 16 transforms, or 24 if a member has eps > 0
                    (:meth:`_Stepper.remainder`).  The step acts on one
                    curve (d, N) or on a stack (B, d, N) whose members may
                    carry their own eps.
@@ -61,8 +61,8 @@ The march stores every state, stage point and slope in the row layout
 (..., d, N) of :mod:`spectral` and transforms them by its
 :func:`spectral.rfft` and :func:`spectral.irfft`; the stepper's
 multipliers are rows over their modes.  States, their transforms, the
-guards and the snapshots stay on the N curve samples, and so does stage
-1, the slope of the state itself; later stage points live on the M
+guards and the snapshots stay on the N curve samples; every stage point,
+stage 1's every (N/M)-th sample of the state included, lives on the M
 stage samples, and every slope, once taken, on the stage grid's modes.
 ``_march`` is where the layout changes: it takes u0 as (N, d) once and
 returns each snapshot as the transpose of its member's row state.  The
@@ -349,13 +349,12 @@ class _Stepper:
     (:func:`mode_cutoff`); the stages run on the stage grid ``n``
     (:func:`stage_grid` of the band; the curve grid ``n_curve`` for
     DuhamelPicard, whose quadrature kernel lives on the curve's modes).
-    Stage 1 slopes the state itself, on the curve grid, by
-    :meth:`remainder` from the state's own transform: the state is not
-    band-limited, and its samples on a coarser grid would alias its tail
-    into the band.  ``derivs`` holds d/dx and its powers 1..3, or 1..2
-    when no slope term needs v_xxx, on both grids, shaped for (d, K) and
-    for (B, d, K) coefficients, and the slope takes those of its input's
-    grid and rank; ``d_pows`` and ``d1`` are the stage grid's.  Every
+    Stage 1 slopes the state's every (N/M)-th sample by :meth:`remainder`
+    from the state's first M/2 + 1 modes, so no slope runs on the curve
+    grid unless it is the stage grid.  ``derivs`` holds the stage grid's
+    d/dx and its powers 1..3, or 1..2 when no slope term needs v_xxx,
+    shaped for (d, K) and for (B, d, K) coefficients and keyed by their
+    rank; ``d_pows`` holds them unshaped, and ``d1`` is d/dx.  Every
     slope is combined on the stage grid's modes only: the band ``mask``,
     ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the
     masked integrating factors over a full and a half step are rows over
@@ -373,9 +372,9 @@ class _Stepper:
     b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
     ``work`` is the workspace: :meth:`buffer` makes each array of
-    :meth:`remainder` and of the step end's irfft by np.empty on first use,
-    keyed by (name, shape), as stage 1 runs on the curve grid and stages
-    2-4 on the stage grid.  ``_march`` builds one stepper per set of live
+    :meth:`remainder` (stage grid) and of the step end's irfft (curve grid)
+    by np.empty on first use, keyed by (name, shape), as one stepper may
+    take a curve or stacks.  ``_march`` builds one stepper per set of live
     members, so the buffers live as long as the march.  No result aliases
     them: slopes, states and residuals leave a step as fresh arrays.
     """
@@ -392,8 +391,7 @@ class _Stepper:
         self.n = (n if cfg.integrator == "DuhamelPicard"
                   else stage_grid(n, keep))
         orders = 3 if self.third_order else 2
-        self.derivs = {(g, ndim): _derivatives(g, orders, ndim)
-                       for g in {n, self.n} for ndim in (2, 3)}
+        self.derivs = {ndim: _derivatives(self.n, orders, ndim) for ndim in (2, 3)}
         self.d_pows = _derivatives(self.n, orders)
         self.d1 = self.d_pows[0]
         k = spectral.wavenumbers(self.n)
@@ -436,8 +434,10 @@ class _Stepper:
         return self.remainder(proj, spectral.rfft(proj), winding)
 
     def remainder(self, proj, coef, winding):
-        """The slope at an on-target periodic part ``proj``, from its rfft
-        ``coef``; unchecked: ``proj`` is the retraction of a stage point or state.
+        """The slope at an on-target periodic part ``proj`` on the stage grid,
+        from its modes ``coef``: its rfft, or at stage 1, where ``proj`` is
+        the state's every (N/M)-th sample, the state's first M/2 + 1 modes.
+        Unchecked: ``proj`` is a retraction, of a stage point or the state.
 
         The remainder is the RHS minus L v, assembled at P = ``proj``
         without cancelling large terms (A is the second fundamental form
@@ -453,14 +453,13 @@ class _Stepper:
         When every member has eps = 0, two transform calls
         on 4 rows: [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
         pointwise for A(S2, v_x): four calls on 7 rows, [v_x, v_xx,
-        v_xxx], A0, D A0 and [A1, rest].  Whatever the grid of ``proj``,
-        the terms are combined on the stage grid's modes alone.  One
+        v_xxx], A0, D A0 and [A1, rest], all on the stage grid.  One
         |v_x|^2 serves A0 = -|v_x|^2 P on the sphere and the cubic term;
         ``rest`` is summed in place, in one product buffer with A0 or A1.
         """
         cfg, m, third = self.cfg, self.manifold, self.third_order
-        ws, shape, n, kept = self.buffer, proj.shape, proj.shape[-1], self.n // 2 + 1
-        d_pows, modes = self.derivs[n, coef.ndim], coef.shape
+        ws, shape, n = self.buffer, proj.shape, self.n
+        d_pows, modes = self.derivs[coef.ndim], coef.shape
         lin = np.multiply(d_pows, coef, out=ws("lin", d_pows.shape[:1] + modes, complex))
         rows = spectral.irfft(lin, n, ws("rows", lin.shape[:1] + shape))
         vx, vxx = rows[0], rows[1]
@@ -487,8 +486,8 @@ class _Stepper:
             s2 -= a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
             rest += np.multiply(self.eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
-        a_hat, rest_hat = spectral.rfft(pair, ws("hat", (2,) + modes, complex))[..., :kept]
-        out = rest_hat + self.c_a0 * (a0_hat[..., :kept] if third else a_hat)
+        a_hat, rest_hat = spectral.rfft(pair, ws("hat", (2,) + modes, complex))
+        out = rest_hat + self.c_a0 * (a0_hat if third else a_hat)
         return self.mask * (out + self.c_a1 * a_hat if third else out)
 
 
@@ -500,14 +499,15 @@ def _rk4_step(samples, cfg, st, coef, winding):
     retracted), ``coef`` its rfft and ``winding`` its (d, 1) or
     (..., d, 1) winding, or None for none.  The state V0 and the stage
     slopes stay in coefficient space on the stage grid.  Stage 1 is the
-    remainder at the state itself, on the curve grid, from ``coef``: no
-    retraction or transform of its own.  Each later stage point is
+    remainder at the state's every (N/M)-th sample, on the target as the
+    state is, from V0, the first M/2 + 1 modes of ``coef``: no retraction
+    or transform of its own.  Each later stage point is
     one irfft on the stage grid.  Returns the projected periodic part and
     each curve's largest residual before projection.
     """
     h = cfg.dt
-    m1 = st.remainder(samples, coef, winding)
     v0 = coef[..., : st.n // 2 + 1]
+    m1 = st.remainder(samples[..., :: samples.shape[-1] // st.n], v0, winding)
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
 
     def slope(coef):

@@ -34,7 +34,6 @@ from dcl.flow import (
 from dcl.errors import TangencyViolation
 from dcl.invariants import (
     oracle_latitude_circle,
-    oracle_torus_line,
     smoothing_constant_exact,
 )
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2

@@ -21,7 +21,7 @@ from dcl.invariants import (
     trajectory_reports,
 )
 from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
-from dcl.presets import great_circle, latitude_circle, random_smooth, torus_geodesic
+from dcl.presets import great_circle, random_smooth, torus_geodesic
 
 TWO_PI = 2.0 * np.pi
 

@@ -1,10 +1,10 @@
 """The grid the RK4 stages run on, and what a step transforms there.
 
 The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
-later stages run on the smallest grid that dealiases the band by the N/4
-rule; only the march's transform of each state, the slope of the state
-(stage 1, from that transform) and the step end transform all N curve
-samples.
+stages run on the smallest grid that dealiases the band by the N/4 rule:
+stage 1 at the state's every (N/M)-th sample, from the first M/2 + 1
+modes of the march's transform of it.  Only that transform and the step
+end transform all N curve samples.
 """
 
 import numpy as np
@@ -86,16 +86,16 @@ def test_picard_stages_stay_on_curve_grid(a, cutoff):
     assert st.mask.sum() <= 256 // 4 + 1
 
 
-def test_step_transforms_curve_grid_only_at_march_stage1_and_end(fft_calls):
+def test_step_transforms_curve_grid_only_at_march_and_step_end(fft_calls):
     n, m = 4096, 256
     u0 = random_smooth(SPHERE2, n, seed=11, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-6, T=2e-6)
     traj = evolve(u0, cfg)
     assert traj.failure is None and traj.final.n == n
-    # stage 1 slopes the state on the curve grid from the rfft the march
-    # made of it: [v_x, v_xx] and [A0, rest]; stages 2-4 first transform
-    # their point back
-    stages = [("irfft", n), ("rfft", n)] + 3 * [
+    # stage 1 slopes the state on the stage grid from the first modes of
+    # the rfft the march made of it: [v_x, v_xx] and [A0, rest]; stages
+    # 2-4 first transform their point back
+    stages = [("irfft", m), ("rfft", m)] + 3 * [
         ("irfft", m), ("rfft", m), ("irfft", m), ("rfft", m)]
     step = stages + [("irfft", n), ("rfft", n)]
     assert len(step) == 16

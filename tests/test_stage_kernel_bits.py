@@ -27,6 +27,7 @@ from dcl.flow import (
     _rk4_step,
     _sq,
     _Stepper,
+    run_band,
 )
 from dcl.manifolds import (
     CHART_FLAT_TORUS2,
@@ -264,15 +265,47 @@ def test_rk4_stage_kernels_keep_their_bits(target, a, b, layout):
                      mode_cutoff=6)
     st, ref = steppers(cfg, manifold, eps, 6)
     assert (st.n_curve, st.n) == (N, 32)
-    # stage 1 on the curve grid, a stage point on the stage grid
-    same_bits(st.remainder(state, coef, lift),
-              ref.remainder(state, coef, winding))
+    # stage 1 as the step calls it and a stage point, both on the stage grid
+    stage1 = state[..., :: N // st.n], coef[..., : st.n // 2 + 1]
+    same_bits(st.remainder(*stage1, lift), ref.remainder(*stage1, winding))
     stage = stage_point(coef, st.n, 1)
     same_bits(st.slope(stage, lift), ref.slope(stage, winding))
     got = _rk4_step(state, cfg, st, coef, lift)
     want = _rk4_step(state, cfg, ref, coef, winding)
     for g, w in zip(got, want):
         same_bits(g, w)
+
+
+# at N = 4096: the README curve, and decay-1.0 curves on every target
+BAND_LIMITED = {"readme": (SPHERE2, 11, 1.1, 0.18),
+                "Sphere2": (SPHERE2, 5, 1.0, 0.2),
+                "CliffordTorus2": (CLIFFORD_TORUS2, 5, 1.0, 0.2),
+                "chart-winding": (CHART_FLAT_TORUS2, 5, 1.0, 0.2)}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("case", BAND_LIMITED)
+def test_stage1_on_the_stage_grid_is_the_curve_grids_on_band_limited_states(
+        case, eps):
+    # stage 1 sees only the state's every (N/M)-th sample and its first
+    # M/2 + 1 modes; a state with nothing past mode M/2 above roundoff
+    # slopes as the earlier stage 1 on all N samples slopes it
+    manifold, seed, decay, amplitude = BAND_LIMITED[case]
+    n = 4096
+    u0 = random_smooth(manifold, n, seed, decay=decay, amplitude=amplitude)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=1e-6, T=1e-6)
+    keep = run_band(cfg, u0)
+    st = _Stepper(cfg, manifold, n, keep, [eps])
+    ref = ReferenceStepper(cfg, REFERENCE[manifold], n, keep, [eps])
+    assert st.n <= n // 8
+    trend, winding = lift_trend(u0.samples.T, manifold)
+    state, _ = manifold._retract(u0.samples.T - trend)
+    coef = np.fft.rfft(state, norm="forward")
+    assert np.abs(coef[..., st.n // 2:]).max() <= 1e-15
+    got = st.remainder(state[..., :: n // st.n], coef[..., : st.n // 2 + 1],
+                       winding if winding.any() else None)
+    want = ref.remainder(state, coef, winding)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("a,b", COEFFS)

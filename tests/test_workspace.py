@@ -63,15 +63,18 @@ BIG_LAYOUTS = {"curve": [0.0], "curve-eps": [1e-3], "stack": [0.0, 0.0, 0.0],
 @pytest.mark.parametrize("layout", BIG_LAYOUTS)
 def test_warmed_stage1_and_step_allocate_a_few_rows(layout):
     # before the workspace, a second stage 1 allocated 823 KiB on a curve
-    # at eps = 0 and 1122 KiB at eps > 0, about 8.6 and 11.7 rows
+    # at eps = 0 and 1122 KiB at eps > 0, about 8.6 and 11.7 rows; on the
+    # curve grid with the workspace, 1.7-1.9 rows per member.  Stage 1 as
+    # the step calls it, on the stage grid, reads 0.26-0.39 and the step
+    # 2.4-2.8
     eps = BIG_LAYOUTS[layout]
     st, rows, coef, cfg = big_case(eps)
     members = len(eps)
-    stage1 = peak_bytes(lambda: st.remainder(rows, coef, None))
-    assert stage1 <= (4 if st.third_order else 2) * members * ROW, stage1
-    if not st.third_order:
-        step = peak_bytes(lambda: _rk4_step(rows, cfg, st, coef, None))
-        assert step <= 4 * members * ROW, step
+    stage1 = peak_bytes(lambda: st.remainder(
+        rows[..., :: BIG // st.n], coef[..., : st.n // 2 + 1], None))
+    assert stage1 <= members * ROW // 2, stage1
+    step = peak_bytes(lambda: _rk4_step(rows, cfg, st, coef, None))
+    assert step <= 3 * members * ROW, step
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +145,14 @@ def test_a_reused_stepper_gives_a_fresh_steppers_bits(target, eps):
         lift = winding if winding.any() else None
         coef = np.fft.rfft(rows, norm="forward")
         stage = stage_point(rows, st.n)
-        # curve grid, stage grid, steps, then the curve grid once more
-        calls = [lambda s: s.remainder(rows, coef, lift),
+        # stage 1 as the step calls it, a stage point, steps, then stage 1
+        # once more; the step end alone runs on the curve grid
+        v0 = coef[..., : st.n // 2 + 1]
+        calls = [lambda s: s.remainder(rows[..., :: N // st.n], v0, lift),
                  lambda s: s.slope(stage, lift),
                  lambda s: _rk4_step(rows, cfg, s, coef, lift),
-                 lambda s: _step_end(s, st.e_full * coef[..., : st.n // 2 + 1]),
-                 lambda s: s.remainder(rows, coef, lift)]
+                 lambda s: _step_end(s, st.e_full * v0),
+                 lambda s: s.remainder(rows[..., :: N // st.n], v0, lift)]
         for call in calls:
             got = call(st)
             want = call(_Stepper(cfg, manifold, N, 6, eps))
