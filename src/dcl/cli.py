@@ -1,8 +1,9 @@
 """Command-line front end: simulate, verify, converge.
 
 Exit codes: 0 success, 2 configuration error (bad manifest, unknown
-suite, an initial curve off the target), 3 solver failure (guard tripped
-or a snapshot off the target; the partial artifact is kept).
+suite, an initial curve off the target, an artifact that cannot be
+written), 3 solver failure (guard tripped or a snapshot off the target;
+the partial artifact is kept).
 
 Artifacts are written atomically (temp file + rename).  ``report.csv``
 has the fixed column schema
@@ -20,6 +21,7 @@ sup_diff_to_finest, failure); a blank cell is a value the level lacks.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -36,7 +38,7 @@ from .errors import ConfigError, DclError, PointOffManifold
 from .flow import MAX_N_G, FlowConfig, epsilon_continuation, evolve, run_band
 from .invariants import energy_report, trajectory_reports
 from .manifolds import by_name
-from .presets import make_initial
+from .presets import make_initial, read_json
 from .verify import SUITES, run_suite
 
 CSV_COLUMNS = (
@@ -115,12 +117,7 @@ def parse_manifest(payload):
 
 
 def load_manifest(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    return parse_manifest(payload)
+    return parse_manifest(read_json(path, "cannot read manifest"))
 
 
 def _fmt(value):
@@ -129,9 +126,14 @@ def _fmt(value):
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _reported(trajectory):

@@ -264,6 +264,18 @@ class IdentityReport:
     commutator: dict
 
 
+def seeded_field(n, d, rng, top, decay):
+    """Real periodic (n, d) field drawn from ``rng``: complex normals on
+    modes 1..top-1 with envelope exp(-decay k)."""
+    coef = np.zeros((d, n // 2 + 1), dtype=complex)
+    modes = np.arange(1, top)
+    coef[:, modes] = (
+        rng.standard_normal((modes.size, d))
+        + 1j * rng.standard_normal((modes.size, d))
+    ).T * np.exp(-decay * modes)
+    return spectral.irfft(coef, n).T
+
+
 def _default_family(curve, seed=0):
     """Smooth one-parameter family of curves through ``curve`` at t = 0.
 
@@ -275,17 +287,8 @@ def _default_family(curve, seed=0):
     """
     rng = np.random.default_rng(seed)
     n, d = curve.samples.shape
-    modes = np.arange(1, min(n // 2, 12))
-
-    def draw():
-        coef = np.zeros((d, n // 2 + 1), dtype=complex)
-        coef[:, modes] = (
-            rng.standard_normal((modes.size, d))
-            + 1j * rng.standard_normal((modes.size, d))
-        ).T * np.exp(-modes)
-        return spectral.irfft(coef, n).T * 1.5
-
-    dir1, dir2 = draw(), draw()
+    dir1, dir2 = (seeded_field(n, d, rng, min(n // 2, 12), 1.0) * 1.5
+                  for _ in range(2))
     manifold = curve.manifold
 
     def family(t):

@@ -333,15 +333,6 @@ def stage_grid(n, keep):
     return n
 
 
-def _derivatives(n, orders, ndim=1):
-    """Rows (i 2 pi k)^j, j = 1..``orders``, over the rfft modes of ``n``
-    points: powers of d/dx, which drops the Nyquist mode.  Shaped
-    (orders, 1, ..., K) to multiply ``ndim``-axis coefficients."""
-    d1 = spectral._derivative_multiplier(n, 1)
-    pows = np.stack([d1, d1**2, d1**3][:orders])
-    return pows.reshape((orders,) + (1,) * (ndim - 1) + d1.shape)
-
-
 class _Stepper:
     """Spectral precomputation and the stage slope for one (config, grid) pair.
 
@@ -351,10 +342,10 @@ class _Stepper:
     DuhamelPicard, whose quadrature kernel lives on the curve's modes).
     Stage 1 slopes the state's every (N/M)-th sample by :meth:`remainder`
     from the state's first M/2 + 1 modes, so no slope runs on the curve
-    grid unless it is the stage grid.  ``derivs`` holds the stage grid's
-    d/dx and its powers 1..3, or 1..2 when no slope term needs v_xxx,
-    shaped for (d, K) and for (B, d, K) coefficients and keyed by their
-    rank; ``d_pows`` holds them unshaped, and ``d1`` is d/dx.  Every
+    grid unless it is the stage grid.  ``d_pows`` holds the stage grid's
+    d/dx and its powers 1..3, or 1..2 when no slope term needs v_xxx, as
+    (orders, K) rows; :meth:`remainder` views them at the rank of its
+    coefficients, (d, K) or (B, d, K).  Every
     slope is combined on the stage grid's modes only: the band ``mask``,
     ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the
     masked integrating factors over a full and a half step are rows over
@@ -390,18 +381,17 @@ class _Stepper:
         self.n_curve, self.work = n, {}
         self.n = (n if cfg.integrator == "DuhamelPicard"
                   else stage_grid(n, keep))
-        orders = 3 if self.third_order else 2
-        self.derivs = {ndim: _derivatives(self.n, orders, ndim) for ndim in (2, 3)}
-        self.d_pows = _derivatives(self.n, orders)
-        self.d1 = self.d_pows[0]
+        # powers of d/dx, which drops the Nyquist mode
+        d1 = spectral._derivative_multiplier(self.n, 1)
+        self.d_pows = np.stack([d1, d1**2, d1**3][: 3 if self.third_order else 2])
         k = spectral.wavenumbers(self.n)
         self.mask = (k <= keep).astype(float)
         # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
         # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
-        self.c_a0 = -cfg.a * self.d1
+        self.c_a0 = -cfg.a * d1
         if self.third_order:
             self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
-            self.c_a1 = self.eps * self.d1
+            self.c_a1 = self.eps * d1
         if cfg.integrator == "DuhamelPicard":
             self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(cfg, k)
             # in place: the build holds one kernel, not two
@@ -459,7 +449,8 @@ class _Stepper:
         """
         cfg, m, third = self.cfg, self.manifold, self.third_order
         ws, shape, n = self.buffer, proj.shape, self.n
-        d_pows, modes = self.derivs[coef.ndim], coef.shape
+        modes = coef.shape
+        d_pows = self.d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + modes[-1:])
         lin = np.multiply(d_pows, coef, out=ws("lin", d_pows.shape[:1] + modes, complex))
         rows = spectral.irfft(lin, n, ws("rows", lin.shape[:1] + shape))
         vx, vxx = rows[0], rows[1]
@@ -700,16 +691,7 @@ def _march(u0, cfg, stride, levels=None):
     state = np.ascontiguousarray(np.stack([u0.samples.T] * len(trajs)))
     trend, winding = lift_trend(u0.samples.T, m)
     winds = winding.any()
-    if cfg.integrator != "DuhamelPicard":
-        try:
-            # stage 1 slopes each state as it is: u0's retraction, then each step end
-            state, _ = m._retract(state)
-        except _GUARD_TRIPS as exc:
-            for i in range(len(trajs)):
-                freeze(i, exc)
-            return trajs
     keep = run_band(cfg, u0)  # every stepper of the run shares it
-    step_fn = _picard_step if cfg.integrator == "DuhamelPicard" else _rk4_step
 
     # built once per set of live members
     @lru_cache(maxsize=None)
@@ -717,13 +699,22 @@ def _march(u0, cfg, stride, levels=None):
         return _Stepper(cfg, m, u0.n, keep,
                         [configs[i].epsilon for i in members])
 
+    if cfg.integrator == "DuhamelPicard":
+        step_fn, trajs[0].picard_iterations = _picard_step, stepper((0,)).iterations
+    else:
+        step_fn = _rk4_step
+        try:
+            # stage 1 slopes each state as it is: u0's retraction, then each step end
+            state, _ = m._retract(state)
+        except _GUARD_TRIPS as exc:
+            for i in range(len(trajs)):
+                freeze(i, exc)
+            return trajs
     lift = winding if winds else None  # the slopes test no winding again
 
     def advance(rows, coef, members):
         return step_fn(rows, cfg, stepper(tuple(members)), coef, lift)
 
-    if cfg.integrator == "DuhamelPicard":
-        trajs[0].picard_iterations = stepper((0,)).iterations
     if winds:
         state = state - trend
     live = list(range(len(trajs)))

@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from . import spectral
-from .curves import ClosedCurve
+from .curves import ClosedCurve, seeded_field
 from .errors import ConfigError, OutOfTubularNeighborhood
 from .manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 
@@ -60,19 +60,6 @@ def torus_geodesic(manifold, m1, m2, n=128):
     raise ConfigError(f"torus_geodesic is not defined on {manifold.name}")
 
 
-def _random_periodic_field(n, d, rng, decay):
-    """Real periodic field with coefficient envelope exp(-decay*|k|)."""
-    coef = np.zeros((d, n // 2 + 1), dtype=complex)
-    modes = np.arange(1, n // 2)
-    coef[:, modes] = (
-        rng.standard_normal((modes.size, d))
-        + 1j * rng.standard_normal((modes.size, d))
-    ).T * np.exp(-decay * modes)
-    field = spectral.irfft(coef, n).T
-    scale = np.max(np.abs(field))
-    return field / scale if scale else field
-
-
 def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
                   amplitude=DEFAULT_AMPLITUDE):
     """Seeded smooth curve: base state + spectral noise, projected twice.
@@ -95,7 +82,8 @@ def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
     else:
         raise ConfigError(f"random_smooth is not defined on {manifold.name}")
 
-    field = _random_periodic_field(n, manifold.ambient_dim, rng, decay)
+    field = seeded_field(n, manifold.ambient_dim, rng, n // 2, decay)
+    field /= np.max(np.abs(field)) or 1.0  # to peak 1, unless all zero
     # the targets' constraints take squared norms of the samples: an
     # amplitude that overflows them is refused before numpy warns about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,12 +102,22 @@ def random_smooth(manifold, n=128, seed=0, decay=DEFAULT_DECAY,
     return ClosedCurve(manifold.project(smooth), manifold)
 
 
-def curve_from_file(path, manifold):
+def read_json(path, what):
+    """The JSON value in file ``path``.  A file that cannot be read or
+    decoded, or nests deeper than the decoder can follow, raises
+    ConfigError(f"{what} {path}: ...")."""
     try:
         with open(path, encoding="utf-8") as handle:
-            samples = np.asarray(json.load(handle)["samples"], dtype=float)
-        return ClosedCurve(samples, manifold)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
+def curve_from_file(path, manifold):
+    payload = read_json(path, "bad initial_condition file")
+    try:
+        return ClosedCurve(np.asarray(payload["samples"], dtype=float), manifold)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad initial_condition file {path}: {exc}") from exc
 
 

@@ -95,14 +95,14 @@ def _decade_check(name, coarse, fine):
     return Check(name, float(decades), 4.0, "min")
 
 
-def suite_identities(grids=(64, 128), seed=0, decay=0.25, amplitude=0.4):
+def suite_identities(grids=(64, 128), seed=0):
     if len(set(grids)) < 2:
         raise ValueError("identity suite needs two distinct grid sizes")
     checks = []
     reports = {}
     for n in grids:
-        curve = presets.random_smooth(SPHERE2, n, seed=seed, decay=decay,
-                                      amplitude=amplitude)
+        curve = presets.random_smooth(SPHERE2, n, seed=seed, decay=0.25,
+                                      amplitude=0.4)
         reports[n] = identity_residuals(curve, l_max=2, seed=seed)
     coarse, fine = min(grids), max(grids)
     for l in range(3):

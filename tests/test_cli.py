@@ -490,6 +490,47 @@ def test_missing_manifest_is_config_error(tmp_path):
     assert main(["simulate", "--manifest", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("argv, artifact", [
+    (["simulate"], "report.csv"),
+    (["converge", "--mode", "epsilon"], "converge_epsilon.csv"),
+], ids=["simulate", "converge-epsilon"])
+def test_unwritable_artifact_exits_config_error(tmp_path, argv, artifact):
+    # a directory where the artifact goes: the rename onto it fails
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    manifest = base_manifest(out, config={"T": 2e-4})
+    proc = run_cli(argv[0], "--manifest", write_manifest(tmp_path, manifest),
+                   *argv[1:])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"config error: cannot write {out / artifact}: Is a directory\n")
+    assert not [p for p in os.listdir(out) if ".tmp-" in p]
+
+
+def deep_json():
+    """JSON nested deeper than the decoder's recursion limit."""
+    return b"[" * 100000 + b"]" * 100000
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{}", deep_json()],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("as_curve", [False, True], ids=["manifest", "file-curve"])
+def test_undecodable_json_exits_config_error(tmp_path, payload, as_curve):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    out = tmp_path / "out"
+    path = (write_manifest(tmp_path, base_manifest(
+        out, config={"initial_condition": f"file:{bad}"}))
+        if as_curve else str(bad))
+    proc = run_cli("simulate", "--manifest", path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    prefix = "bad initial_condition file" if as_curve else "cannot read manifest"
+    assert proc.stderr.startswith(f"config error: {prefix} {bad}: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("descriptor", [
     "random_smooth:1,,2", "random_smooth:1,1,1,1", "great_circle:junk",
     "random_smooth:1,1,1e308",

@@ -35,7 +35,7 @@ def swap(a):
 
 
 def reference_slope(st, samples, trend, winding):
-    cfg, m, n, d1 = st.cfg, st.manifold, st.n, st.d1[:, None]
+    cfg, m, n, d1 = st.cfg, st.manifold, st.n, st.d_pows[0][:, None]
     m.require_in_tube(samples)
     proj = m.project(samples)
     m.require_on_manifold(proj)

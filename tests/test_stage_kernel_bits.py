@@ -21,7 +21,6 @@ from dcl.errors import OutOfTubularNeighborhood, PointOffManifold
 from dcl.flow import (
     FlowConfig,
     TWO_PI,
-    _derivatives,
     _duhamel_quadrature,
     _picard_step,
     _rk4_step,
@@ -134,7 +133,9 @@ class ReferenceStepper(_Stepper):
     def __init__(self, cfg, manifold, n, keep, eps):
         super().__init__(cfg, manifold, n, keep, eps)
         orders = 3 if self.third_order else 2
-        self.derivs = {g: _derivatives(g, orders) for g in {n, self.n}}
+        d1s = {g: spectral._derivative_multiplier(g, 1) for g in {n, self.n}}
+        self.derivs = {g: np.stack([d1, d1**2, d1**3][:orders])
+                       for g, d1 in d1s.items()}
 
     def slope(self, samples, winding):
         m = self.manifold
