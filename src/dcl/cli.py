@@ -322,8 +322,8 @@ def _run_levels(manifest, key, values):
     grid can pass MAX_N_G).  The curve is built once on the finest grid
     and resampled onto each level's grid, so levels differ only in their
     discretization (a preset drawn at each N separately need not be the
-    same curve); a grid too coarse to carry the curve's chart winding is
-    a config error.  The output directory is made once the curve is built.
+    same curve); a grid ``resample`` refuses is a config error.  The
+    output directory is made once the curve is built.
     """
     try:
         configs = [replace(manifest.config, **{key: v}) for v in values]
@@ -331,11 +331,13 @@ def _run_levels(manifest, key, values):
     except ValueError as exc:
         raise ConfigError(f"bad flow config: {exc}") from exc
     u0 = _initial_curve(manifest, max(c.N_g for c in configs))
-    starts = [resample(u0, c.N_g) for c in configs]
-    for c, start in zip(configs, starts):
-        if np.any(start.winding() != u0.winding()):
+    starts = []
+    for c in configs:
+        try:
+            starts.append(resample(u0, c.N_g))
+        except ValueError as exc:  # names what the grid loses
             raise ConfigError(f"grid N_g = {c.N_g} cannot carry the initial "
-                              f"curve's winding {u0.winding().tolist()}")
+                              f"curve's {exc}") from exc
     if key == "dt" and not manifest.config.mode_cutoff:
         # the coarsest level's band for all: the automatic one widens as dt falls
         keep = run_band(configs[0], starts[0])

@@ -206,17 +206,21 @@ def resample(curve, n):
     Exact for band-limited curves; winding lifts are handled by
     detrending.  Upsampled points are re-projected to the target (the
     interpolant of on-manifold samples is off-manifold at truncation
-    level).
+    level).  A coarser grid cannot carry the curve, and raises ValueError,
+    if its samples read back another winding or leave the target's tube.
     """
     if n == curve.n:
         return curve
-    trend, w = lift_trend(curve.samples.T, curve.manifold)
+    m = curve.manifold
+    trend, w = lift_trend(curve.samples.T, m)
     dev = spectral.irfft(spectral.rfft(curve.samples.T - trend), n).T
     if w.any():
         dev += spectral.grid(n)[:, None] * w.T
-    else:
-        dev = curve.manifold.project(dev)
-    return ClosedCurve(dev, curve.manifold)
+    if n < curve.n and np.any(lift_winding(dev.T, m) != w):
+        raise ValueError(f"winding {w[:, 0].tolist()} on {n} samples")
+    if n < curve.n and not m.distance(dev).max() < m.tubular_radius:
+        raise ValueError(f"shape: its interpolant on {n} samples leaves the tube")
+    return ClosedCurve(m.project(dev), m)
 
 
 def sup_distance(c1, c2):
@@ -291,11 +295,9 @@ def _default_family(curve, seed=0):
                   for _ in range(2))
     manifold = curve.manifold
 
-    def family(t):
+    def family(t):  # the chart's projection is a copy
         pts = curve.samples + np.sin(t) * dir1 + (1.0 - np.cos(t)) * dir2
-        if manifold is not CHART_FLAT_TORUS2:
-            pts = manifold.project(pts)
-        return curve.with_samples(pts)
+        return curve.with_samples(manifold.project(pts))
 
     return family
 

@@ -71,9 +71,9 @@ public references ``dispersive_rhs`` and ``regularized_rhs`` stay
 retraction's tube check) and one call of :func:`_assemble`, the one
 unchecked assembly of the reference RHS.
 
-Products of fields are cubic, so state and nonlinear terms are always
-dealiased by the N/4 rule; the mask is part of the spatial discretization
-and is applied identically by every integrator.
+Products of fields are cubic, so the automatic band dealiases them by
+the N/4 rule (a pinned ``mode_cutoff`` is used as given: above N/4 it
+aliases); the mask is applied identically by every integrator.
 """
 
 import math

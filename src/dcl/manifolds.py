@@ -10,9 +10,11 @@ Three constant-curvature targets are provided:
 
 Every operation is a pure function of its inputs and is vectorized over
 leading axes of points, so calls are safe to issue concurrently.  The
-public ``tangent_project``, ``second_fundamental_form`` and
-``complex_structure`` check the shape of their points and that the base
-points lie on the target (``PointOffManifold`` otherwise).  Each has an
+public ``tangent_project``, ``second_fundamental_form``,
+``complex_structure`` and ``normal_project`` share one shape rule
+(``_Manifold._at``): every argument has width d (else ValueError), the
+base lies on the target (else ``PointOffManifold``), and base and
+vectors broadcast by numpy's rules, pointwise.  Each has an
 unchecked kernel (``_tangent``, ``_sff``, ``_j``) holding only the
 formula, for callers that check or retract their points once and then
 make many calls on them; ``_sff`` and ``_j`` write into a given ``out``,
@@ -77,18 +79,15 @@ class _Manifold:
     principal_curvature = 0.0
     tubular_radius = np.inf
 
-    def _check_points(self, pts):
+    def _rows(self, pts):
+        """Checked (..., d) points as a (..., d, 1) view: rows of one sample."""
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1] != self.ambient_dim:
             raise ValueError(
                 f"{self.name} expects ambient dimension {self.ambient_dim}, "
                 f"got {pts.shape[-1]}"
             )
-        return pts
-
-    def _rows(self, pts):
-        """Checked (..., d) points as a (..., d, 1) view: rows of one sample."""
-        return self._check_points(pts)[..., None]
+        return pts[..., None]
 
     def _point_sq(self, rows):
         """``_sq_norms`` as a public call reads them (the chart's differ)."""
@@ -149,21 +148,20 @@ class _Manifold:
         self._require_tube(self._distance(norm))
         return self._project(rows, norm), sq
 
-    def _on_manifold(self, base):
+    def _at(self, kernel, base, *vecs):
+        """A kernel's checked call on rows of one shape: the module's rule."""
         base = self._rows(base)
         self._require_on(base, sq=self._point_sq(base))
-        return base
+        return kernel(*np.broadcast_arrays(base, *map(self._rows, vecs)))[..., 0]
 
     def tangent_project(self, base, vec):
-        return self._tangent(self._on_manifold(base), self._rows(vec))[..., 0]
+        return self._at(self._tangent, base, vec)
 
     def second_fundamental_form(self, base, x, y):
-        x, y = (np.asarray(v, dtype=float)[..., None] for v in (x, y))
-        return self._sff(self._on_manifold(base), x, y)[..., 0]
+        return self._at(self._sff, base, x, y)
 
     def complex_structure(self, base, vec):
-        vec = np.asarray(vec, dtype=float)[..., None]
-        return self._j(self._on_manifold(base), vec)[..., 0]
+        return self._at(self._j, base, vec)
 
     def normal_project(self, base, vec):
         return np.asarray(vec, dtype=float) - self.tangent_project(base, vec)
@@ -208,9 +206,7 @@ class Sphere2(_Manifold):
     def _j(self, base, vec, out=None):
         # base x vec, one component row at a time into one output: no
         # gathered copies of the inputs (np.cross costs twice as much)
-        if out is None:
-            out = np.empty(base.shape if base.shape == vec.shape
-                           else np.broadcast_shapes(base.shape, vec.shape))
+        out = np.empty(vec.shape) if out is None else out
         for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
             row = out[..., c, :]
             np.multiply(base[..., i, :], vec[..., j, :], out=row)
@@ -337,7 +333,7 @@ class ChartFlatTorus2(_Manifold):
 
     def wrap(self, pts):
         """Representative in [0, 1)^2; used only when emitting output."""
-        return self._check_points(pts) % 1.0
+        return self._rows(pts)[..., 0] % 1.0
 
 
 SPHERE2 = Sphere2()

@@ -571,6 +571,33 @@ def test_converge_grid_refuses_a_level_that_cannot_carry_the_winding(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("manifold", ["Sphere2", "CliffordTorus2"])
+def test_converge_grid_refuses_a_level_too_coarse_on_an_embedded_target(
+        tmp_path, capsys, manifold):
+    # winding 9 has no mode on 16 samples: the interpolant sits at the
+    # sphere's center or on the torus's circle axes, where projecting it
+    # used to fail as a solver error (exit 3)
+    out = tmp_path / "out"
+    descriptor = "torus_geodesic:9,0"
+    if manifold == "Sphere2":
+        phase = 2.0 * np.pi * 9 * np.arange(64) / 64
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"samples": np.stack(
+            [np.cos(phase), np.sin(phase), np.zeros(64)], axis=-1).tolist()}))
+        descriptor = f"file:{curve}"
+    manifest = base_manifest(
+        out, config={"N_g": 16, "manifold": manifold,
+                     "initial_condition": descriptor})
+    path = write_manifest(tmp_path, manifest)
+    assert main(["converge", "--manifest", path, "--mode", "grid",
+                 "--levels", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("config error: grid N_g = 16 cannot carry the "
+                             "initial curve's shape")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"], ["converge", "--mode", "epsilon"],
     ["converge", "--mode", "dt"], ["converge", "--mode", "grid"],

@@ -351,3 +351,26 @@ def test_resample_chart_keeps_winding():
     c = torus_geodesic(CHART_FLAT_TORUS2, 2, 1, n=32)
     fine = resample(c, 64)
     assert np.array_equal(fine.winding(), c.winding())
+
+
+def nine_times_around(manifold, n=64):
+    """A closed geodesic that winds 9 times: no mode of it fits 16 samples."""
+    if manifold is SPHERE2:
+        phase = TWO_PI * 9 * spectral.grid(n)
+        return ClosedCurve(np.stack([np.cos(phase), np.sin(phase),
+                                     np.zeros(n)], axis=-1), SPHERE2)
+    return torus_geodesic(manifold, 9, 0, n=n)
+
+
+@pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2],
+                         ids=str)
+def test_resample_refuses_a_grid_that_cannot_carry_the_curve(manifold):
+    # on 16 samples the chart lift steps 9/16 of a period and reads back
+    # winding 8; the embedded interpolants collapse onto the sphere's
+    # center and the torus's circle axes, far outside the tube
+    c = nine_times_around(manifold)
+    with pytest.raises(ValueError, match="16 samples"):
+        resample(c, 16)
+    coarse = resample(c, 32)  # steps of 9/32 of a period carry it
+    assert sup_distance(resample(coarse, 64), c) <= 1e-12
+    assert np.array_equal(coarse.winding(), c.winding())

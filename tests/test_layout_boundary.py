@@ -124,6 +124,45 @@ def test_vector_operators_keep_layout_and_bits(manifold, lead):
                 per_point(formula, "j", base, x, z))
 
 
+@pytest.mark.parametrize("case", ["one-base", "one-vector"])
+@pytest.mark.parametrize("manifold", list(MANIFOLDS.values()), ids=str)
+def test_vector_operators_broadcast_base_against_vectors(manifold, case):
+    # one shape rule on every target: a (1, d) base against (5, d) vectors
+    # and a (5, d) base against (1, d) vectors both give (5, d) results
+    formula = FORMULAS[manifold][1]
+    base, _ = points(manifold, (5,), seed=4)
+    rng = np.random.default_rng(5)
+    x, z = rng.standard_normal((2, 5, manifold.ambient_dim))
+    if case == "one-base":
+        base = base[:1]
+    else:
+        x, z = x[:1], z[:1]
+    full = [np.broadcast_to(a, (5, manifold.ambient_dim)) for a in (base, x, z)]
+    tangent = per_point(formula, "tangent", *full)
+    assert same(manifold.tangent_project(base, x), tangent)
+    assert same(manifold.normal_project(base, x), full[1] - tangent)
+    assert same(manifold.second_fundamental_form(base, x, z),
+                per_point(formula, "sff", *full))
+    assert same(manifold.complex_structure(base, x),
+                per_point(formula, "j", *full))
+
+
+@pytest.mark.parametrize("manifold", list(MANIFOLDS.values()), ids=str)
+def test_vector_operators_refuse_a_vector_of_another_width(manifold):
+    base, _ = points(manifold, (5,), seed=6)
+    d = manifold.ambient_dim
+    for k in (d - 1, d + 1):
+        bad, good = np.ones(k), np.ones(d)
+        for call in (lambda: manifold.tangent_project(base, bad),
+                     lambda: manifold.normal_project(base, bad),
+                     lambda: manifold.second_fundamental_form(base, bad, good),
+                     lambda: manifold.second_fundamental_form(base, good, bad),
+                     lambda: manifold.complex_structure(base, bad)):
+            with pytest.raises(ValueError,
+                               match=f"expects ambient dimension {d}, got {k}"):
+                call()
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("shape", [(32,), (32, 3), (4, 32, 2)],
                          ids=["N", "N-d", "B-N-d"])

@@ -211,3 +211,35 @@ def test_snapshots_keep_the_winding_of_u0(integrator):
         for state in traj.states:
             assert np.array_equal(state.winding(), u0.winding())
             assert state.trend().tobytes() == u0.trend().tobytes()
+
+
+# a snapshot is the state at its step, whatever stride asks for it: the
+# property that carrying the band and a stride-free guard must keep
+STRIDE_U0 = random_smooth(SPHERE2, 64, seed=3, decay=1.0, amplitude=0.2)
+STRIDE_CFG = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1.2e-4)
+STRIDE_CASES = {
+    "rk4-sphere": (STRIDE_U0, STRIDE_CFG, None),
+    "picard-sphere": (STRIDE_U0, replace(STRIDE_CFG, epsilon=1e-2,
+                                         integrator="DuhamelPicard"), None),
+    "rk4-chart-winding": (
+        random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.0, amplitude=0.2),
+        replace(STRIDE_CFG, epsilon=1e-4), None),
+    "rk4-levels": (STRIDE_U0, STRIDE_CFG, [0.0, 1e-4, 5e-5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIDE_CASES))
+def test_snapshots_do_not_depend_on_the_stride(case):
+    u0, cfg, levels = STRIDE_CASES[case]
+    if case == "rk4-chart-winding":
+        assert u0.winding().any()
+    every = _march(u0, cfg, 1, levels)
+    assert cfg.n_steps() == 12 and len(every) == len(levels or [0])
+    for stride in (2, 3, 4, 12):
+        for got, want in zip(_march(u0, cfg, stride, levels), every):
+            assert got.failure is None and want.failure is None
+            assert got.step_residuals == want.step_residuals
+            assert got.picard_iterations == want.picard_iterations
+            assert got.times == want.times[::stride]
+            assert ([s.samples.tobytes() for s in got.states]
+                    == [s.samples.tobytes() for s in want.states[::stride]])
