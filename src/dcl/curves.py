@@ -156,8 +156,7 @@ def covariant_tower(curve, j):
     top retained frequency, and nothing in the lab needs more.  One
     on-target check (for j >= 1), then :func:`_tower`.
     """
-    if not (isinstance(j, (int, np.integer)) and 0 <= j <= 6):
-        raise ValueError(f"tower order j must be an integer in [0, 6], got {j!r}")
+    spectral.check_order(j, "tower order j", 0, 6)
     m, rows = curve.manifold, curve.samples.T
     if j:
         m._require_on(rows)
@@ -166,8 +165,7 @@ def covariant_tower(curve, j):
 
 def sobolev_norm(curve, m):
     """Bundle Sobolev norm (sum_{j<=m} ||cov^j u_x||_L2^2)^(1/2), m <= 5."""
-    if not (isinstance(m, (int, np.integer)) and 0 <= m <= 5):
-        raise ValueError(f"Sobolev order m must be an integer in [0, 5], got {m!r}")
+    spectral.check_order(m, "Sobolev order m", 0, 5)
     tower = covariant_tower(curve, m)
     total = sum(spectral.l2_inner(f, f) for f in tower)
     return float(np.sqrt(total))
@@ -311,8 +309,7 @@ def identity_residuals(curve, l_max=2, seed=0, n_quadruples=16, fd_step=1e-4):
     uses second-order centered differences in the family parameter and is
     O(fd_step^2).  ``l_max`` is at most 3, since the tower goes 3 past it.
     """
-    if not (isinstance(l_max, (int, np.integer)) and 0 <= l_max <= 3):
-        raise ValueError(f"l_max must be an integer in [0, 3], got {l_max!r}")
+    spectral.check_order(l_max, "l_max", 0, 3)
     m, base = curve.manifold, curve.samples.T
     k_gauss = m.gaussian_curvature
     tower = [f.T for f in covariant_tower(curve, l_max + 3)]  # checks

@@ -41,13 +41,15 @@ Integrators
 ``_march`` is the one step loop: ``evolve`` is its single member, and
 ``epsilon_continuation`` marches the eps = 0 baseline and every level as
 one stack with per-member guards.  It decides the run's band once and
-hands it to every stepper it builds.  It transforms each accepted state
-once: that rfft feeds the H2 blow-up guard and the next step's V0 and
-stage 1, or the Picard free term, so at stride 1 the guard costs no
-transform of its own.  The march state is each curve's periodic part:
-on the chart torus a closed curve's winding W is a homotopy invariant,
-so the march reads W and the trend W*x of u0 once, at entry, and adds
-the trend back to each snapshot.  No chart-torus kernel reads its base
+hands it to every stepper it builds; a stepper is built from the run's
+config alone, and a step takes only the state, its transform and the
+curve's winding.  It transforms each accepted state once: that rfft
+feeds the H2 blow-up guard and the next step's V0 and stage 1, or the
+Picard free term, so at stride 1 the guard costs no transform of its
+own.  The march state is each curve's periodic part: on the chart torus
+a closed curve's winding W is a homotopy invariant, so the march reads
+W and the trend W*x of u0 once, at entry, and adds the trend back to
+each snapshot.  No chart-torus kernel reads its base
 point (the retraction and the tangent projection copy, the second
 fundamental form is zero, J rotates the vector), so W enters a step only
 as the constant part of v_x.  Off the chart torus W is zero.
@@ -295,12 +297,12 @@ def mode_cutoff(cfg, manifold, speed):
     ProjectedRK4 the explicit stages see an effective second-order
     operator; modes beyond the stability edge of the classical four-stage
     scheme must be masked or roundoff there is amplified by orders of
-    magnitude per step.  ``speed`` is the largest |v_x| of the data.  The
-    remainder terms carry the target's second fundamental form, so their
-    coefficient grows with its largest principal curvature (floored at
-    1, which leaves the sphere and the flat chart as they were).
-    DuhamelPicard ignores ``speed``: its propagator carries all of L, so
-    it keeps the dealias band.
+    magnitude per step; the edge is clamped to the band before int(), so
+    a dt too small for it (an inf edge) keeps the band.  ``speed`` is the
+    largest |v_x| of the data.  The remainder terms carry the target's
+    second fundamental form, so their coefficient grows with its largest
+    principal curvature (floored at 1).  DuhamelPicard ignores ``speed``:
+    its propagator carries all of L, so it keeps the dealias band.
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
@@ -309,7 +311,7 @@ def mode_cutoff(cfg, manifold, speed):
         coeff = (1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)) * max(
             manifold.principal_curvature, 1.0
         )
-        edge = int(np.sqrt(STABILITY_EDGE / (cfg.dt * coeff)) / TWO_PI)
+        edge = int(min(np.sqrt(STABILITY_EDGE / (cfg.dt * coeff)) / TWO_PI, keep))
         keep = min(keep, max(edge, 2))
     return keep
 
@@ -334,26 +336,28 @@ def stage_grid(n, keep):
 
 
 class _Stepper:
-    """Spectral precomputation and the stage slope for one (config, grid) pair.
+    """Spectral precomputation and the stage slope for one run.
 
-    The caller decides the band ``keep`` once per run
-    (:func:`mode_cutoff`); the stages run on the stage grid ``n``
-    (:func:`stage_grid` of the band; the curve grid ``n_curve`` for
-    DuhamelPicard, whose quadrature kernel lives on the curve's modes).
-    Stage 1 slopes the state's every (N/M)-th sample by :meth:`remainder`
-    from the state's first M/2 + 1 modes, so no slope runs on the curve
-    grid unless it is the stage grid.  ``d_pows`` holds the stage grid's
-    d/dx and its powers 1..3, or 1..2 when no slope term needs v_xxx, as
-    (orders, K) rows; :meth:`remainder` views them at the rank of its
-    coefficients, (d, K) or (B, d, K).  Every
-    slope is combined on the stage grid's modes only: the band ``mask``,
-    ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the
-    masked integrating factors over a full and a half step are rows over
-    them.  ``eps`` holds one level per member: B > 1 levels give the
-    integrating factors and the slope's multipliers a leading member axis,
-    (B, 1, K), for a (B, d, N) stack whose member i carries eps[i]; one
-    level gives them none, so it steps a (d, N) curve or a stack.  The
-    band and the derivative multipliers are shared by all members.
+    A stepper is built from the run's config alone: the curve grid
+    ``n_curve`` is ``cfg.N_g``, and each step reads dt and the Picard
+    settings from ``cfg``; the caller adds the target, the band ``keep``
+    it decides once per run (:func:`mode_cutoff`) and each member's eps.
+    The stages run on the stage grid ``n`` (:func:`stage_grid` of the
+    band; the curve grid for DuhamelPicard, whose quadrature kernel lives
+    on its modes).  Stage 1 slopes the state's every (N/M)-th sample by
+    :meth:`remainder` from the state's first M/2 + 1 modes, so no slope
+    runs on the curve grid unless it is the stage grid.  ``d_pows`` holds
+    the stage grid's d/dx and its powers 1..3, or 1..2 when no slope term
+    needs v_xxx, as (orders, K) rows; :meth:`remainder` views them at the
+    rank of its coefficients, (d, K) or (B, d, K).  Every slope is
+    combined on the stage grid's modes only: the band ``mask``, ``c_a0``
+    on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the masked
+    integrating factors over a full and a half step are rows over them.
+    ``eps`` holds one level per member: B > 1 levels give the integrating
+    factors and the slope's multipliers a leading member axis, (B, 1, K),
+    for a (B, d, N) stack whose member i carries eps[i]; one level gives
+    them none, so it steps a (d, N) curve or a stack.  The band and the
+    derivative multipliers are shared by all members.
 
     The stiff part L = a*d_x^3 - eps*d_x^4 is the same for every
     integrator; a DuhamelPicard stepper holds the masked quadrature that
@@ -370,7 +374,7 @@ class _Stepper:
     them: slopes, states and residuals leave a step as fresh arrays.
     """
 
-    def __init__(self, cfg, manifold, n, keep, eps):
+    def __init__(self, cfg, manifold, keep, eps):
         self.cfg, self.manifold, self.keep = cfg, manifold, keep
         eps = np.asarray(eps, dtype=float)
         self.eps = eps[:, None, None] if eps.size > 1 else eps.reshape(1, 1)
@@ -378,9 +382,9 @@ class _Stepper:
         # it, a stage makes 3 transform calls instead of 5
         self.third_order = bool(np.any(self.eps))
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
-        self.n_curve, self.work = n, {}
-        self.n = (n if cfg.integrator == "DuhamelPicard"
-                  else stage_grid(n, keep))
+        self.n_curve, self.work = cfg.N_g, {}
+        self.n = (cfg.N_g if cfg.integrator == "DuhamelPicard"
+                  else stage_grid(cfg.N_g, keep))
         # powers of d/dx, which drops the Nyquist mode
         d1 = spectral._derivative_multiplier(self.n, 1)
         self.d_pows = np.stack([d1, d1**2, d1**3][: 3 if self.third_order else 2])
@@ -482,21 +486,22 @@ class _Stepper:
         return self.mask * (out + self.c_a1 * a_hat if third else out)
 
 
-def _rk4_step(samples, cfg, st, coef, winding):
+def _rk4_step(samples, st, coef, winding):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
-    ``samples`` is the periodic part of one curve (d, N) or of a stack
-    (..., d, N) on the target (a state the march accepted, or u0 it
-    retracted), ``coef`` its rfft and ``winding`` its (d, 1) or
-    (..., d, 1) winding, or None for none.  The state V0 and the stage
-    slopes stay in coefficient space on the stage grid.  Stage 1 is the
-    remainder at the state's every (N/M)-th sample, on the target as the
-    state is, from V0, the first M/2 + 1 modes of ``coef``: no retraction
-    or transform of its own.  Each later stage point is
-    one irfft on the stage grid.  Returns the projected periodic part and
-    each curve's largest residual before projection.
+    A step takes only the state, its transform and its winding; dt and
+    every multiplier are the stepper ``st``'s.  The state ``samples`` is
+    the periodic part of one curve (d, N) or of a stack (..., d, N) on the
+    target (a state the march accepted, or u0 it retracted), ``coef`` its
+    rfft and ``winding`` its (d, 1) or (..., d, 1) winding, or None for
+    none.  V0 and the slopes stay on the stage grid's modes.  Stage 1 is
+    the remainder at the state's every (N/M)-th sample, on the target as
+    the state is, from V0, the first M/2 + 1 modes of ``coef``: no
+    retraction or transform of its own; each later stage point is one
+    irfft on the stage grid.  Returns the projected periodic part and each
+    curve's largest residual before projection.
     """
-    h = cfg.dt
+    h = st.cfg.dt
     v0 = coef[..., : st.n // 2 + 1]
     m1 = st.remainder(samples[..., :: samples.shape[-1] // st.n], v0, winding)
     half_v0, full_v0 = st.e_half * v0, st.e_full * v0
@@ -566,20 +571,20 @@ def _duhamel_quadrature(cfg, k):
     return nodes, kernel, decay(targets)
 
 
-def _picard_step(samples, cfg, st, coef, winding):
+def _picard_step(samples, st, coef, winding):
     """Solve the mild form on [0, dt]; (state at dt, residuals), as
     :func:`_rk4_step` returns them, for one curve.
 
-    ``coef`` is the rfft of the (1, d, N) periodic part ``samples`` and
-    ``winding`` its (d, 1) winding or None; the step appends its
-    iteration count to ``st.iterations``.  Each iteration advances all targets at once
-    from one stage slope of the (q, d, N) stack of node states.
+    dt, ``picard_tol`` and ``picard_max_iter`` are ``st.cfg``'s.  ``coef``
+    is the rfft of the (1, d, N) periodic part ``samples`` and ``winding``
+    its (d, 1) winding or None; the step appends its iteration count to
+    ``st.iterations``.  Each iteration advances all targets at once from
+    one stage slope of the (q, d, N) stack of node states.
     """
-    m, n, q = st.manifold, st.n, st.nodes.size
+    cfg, m, n, q = st.cfg, st.manifold, st.n, st.nodes.size
     # initial guess: the data propagated by exp(t L) alone
-    free = st.prop0[:, None, :] * coef
+    free = prev = st.prop0[:, None, :] * coef
     devs = spectral.irfft(free, n)
-    prev = free
 
     for iteration in range(1, cfg.picard_max_iter + 1):
         states = devs[:q]
@@ -640,8 +645,7 @@ def _extrinsic_h2(coef, winding):
 
 
 # The failures a march records in ``Trajectory.failure`` instead of raising.
-_GUARD_TRIPS = (OutOfTubularNeighborhood, NoContraction, StepSizeUnstable,
-               TangencyViolation)
+_GUARD_TRIPS = (OutOfTubularNeighborhood, NoContraction, StepSizeUnstable)
 
 
 def evolve(u0, cfg, stride=1):
@@ -688,16 +692,14 @@ def _march(u0, cfg, stride, levels=None):
     m = u0.manifold
     # the march state is C-contiguous (B, d, N) rows of each member's
     # periodic part; a snapshot is a member's transpose, plus the trend
-    state = np.ascontiguousarray(np.stack([u0.samples.T] * len(trajs)))
+    state = np.stack([u0.samples.T] * len(trajs))
     trend, winding = lift_trend(u0.samples.T, m)
     winds = winding.any()
     keep = run_band(cfg, u0)  # every stepper of the run shares it
 
-    # built once per set of live members
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None)  # built once per set of live members
     def stepper(members):
-        return _Stepper(cfg, m, u0.n, keep,
-                        [configs[i].epsilon for i in members])
+        return _Stepper(cfg, m, keep, [configs[i].epsilon for i in members])
 
     if cfg.integrator == "DuhamelPicard":
         step_fn, trajs[0].picard_iterations = _picard_step, stepper((0,)).iterations
@@ -711,10 +713,6 @@ def _march(u0, cfg, stride, levels=None):
                 freeze(i, exc)
             return trajs
     lift = winding if winds else None  # the slopes test no winding again
-
-    def advance(rows, coef, members):
-        return step_fn(rows, cfg, stepper(tuple(members)), coef, lift)
-
     if winds:
         state = state - trend
     live = list(range(len(trajs)))
@@ -723,7 +721,7 @@ def _march(u0, cfg, stride, levels=None):
     guard = _extrinsic_h2(coef, winding)  # indexed by member
     for k in range(1, n_steps + 1):
         try:
-            state, residuals = advance(state, coef, live)
+            state, residuals = step_fn(state, stepper(tuple(live)), coef, lift)
         except _GUARD_TRIPS as exc:
             if len(live) == 1:
                 freeze(live[0], exc)
@@ -732,7 +730,7 @@ def _march(u0, cfg, stride, levels=None):
             done = {}
             for j, i in enumerate(live):
                 try:
-                    done[j] = advance(state[j:j + 1], coef[j:j + 1], [i])
+                    done[j] = step_fn(state[j:j + 1], stepper((i,)), coef[j:j + 1], lift)
                 except _GUARD_TRIPS as trip:
                     freeze(i, trip)
             live = [live[j] for j in done]
@@ -749,8 +747,7 @@ def _march(u0, cfg, stride, levels=None):
         for j, i in enumerate(live):
             if blown[j]:
                 freeze(i, StepSizeUnstable(
-                    f"H2 norm grew {norms[j] / guard[i]:.1f}x within one stride"
-                ))
+                    f"H2 norm grew {norms[j] / guard[i]:.1f}x within one stride"))
             else:
                 trajs[i].times.append(k * cfg.dt)
                 rows = trend + state[j] if winds else state[j]

@@ -74,14 +74,19 @@ def _derivative_multiplier(n, order):
     return mult
 
 
+def check_order(k, name, low, high):
+    """Refuse an order ``k`` unless it is an integer in [low, high] (not a bool)."""
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and low <= k <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {k!r}")
+
+
 def spectral_derivative(f, order=1):
     """Differentiate a periodic sampled field along its sample axis.
 
     Exact for band-limited input.  Orders above 4 never occur in the flow
     and are rejected.
     """
-    if not (isinstance(order, (int, np.integer)) and 1 <= order <= 4):
-        raise ValueError(f"derivative order must be an integer in [1, 4], got {order!r}")
+    check_order(order, "derivative order", 1, 4)
     return _rows(_derivative(_rows(np.asarray(f, dtype=float)), order))
 
 

@@ -28,13 +28,12 @@ def constant_curve(n=32):
     return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)
 
 
-def periodic_step(rows, cfg, st, manifold):
+def periodic_step(rows, st, manifold):
     """``_rk4_step`` on the periodic part of (..., d, N) rows, as the march
     calls it: with the part's transform and the rows' winding."""
     trend, winding = lift_trend(rows, manifold)
     rows = rows - trend
-    return _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
-                     winding)[0]
+    return _rk4_step(rows, st, np.fft.rfft(rows, norm="forward"), winding)[0]
 
 
 def _record_shapes(monkeypatch, name):

@@ -602,6 +602,23 @@ def test_converge_grid_refuses_a_level_too_coarse_on_an_embedded_target(
     ["simulate"], ["converge", "--mode", "epsilon"],
     ["converge", "--mode", "dt"], ["converge", "--mode", "grid"],
 ], ids=["simulate", "converge-epsilon", "converge-dt", "converge-grid"])
+def test_a_dt_below_the_stability_edge_runs_on_the_dealias_band(tmp_path, argv):
+    # at dt = T = 4e-323 the float stability edge is inf; the run keeps the
+    # dealias band and writes its artifact
+    out = tmp_path / "out"
+    manifest = base_manifest(out, stride=1, config={
+        "a": 1.0, "b": 0.5, "dt": 4e-323, "T": 4e-323,
+        "initial_condition": "random_smooth:1"})
+    path = write_manifest(tmp_path, manifest)
+    assert main([argv[0], "--manifest", path, *argv[1:]]) == 0
+    artifact = "report.csv" if argv[0] == "simulate" else f"converge_{argv[2]}.csv"
+    assert (out / artifact).is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["converge", "--mode", "epsilon"],
+    ["converge", "--mode", "dt"], ["converge", "--mode", "grid"],
+], ids=["simulate", "converge-epsilon", "converge-dt", "converge-grid"])
 def test_config_error_leaves_no_output_dir(tmp_path, argv):
     out = tmp_path / "out"
     manifest = base_manifest(

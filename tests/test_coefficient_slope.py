@@ -85,18 +85,18 @@ def test_slope_matches_physical_space_reference(manifold, case):
     if case == "eps0-single":
         samples, speed = stage_points(manifold, [5])
         cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
-        st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, speed),
+        st = _Stepper(cfg, manifold, mode_cutoff(cfg, manifold, speed),
                       [cfg.epsilon])
     elif case == "mixed-stack":
         samples, speed = stage_points(manifold, [5, 6, 7])
         cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
-        st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, speed),
+        st = _Stepper(cfg, manifold, mode_cutoff(cfg, manifold, speed),
                       [0.0, 3e-5, 1e-4])
     else:
         samples, speed = stage_points(manifold, [5, 6])
         cfg = FlowConfig(a=0.7, b=0.5, epsilon=1e-2, N_g=64, dt=1e-4,
                          T=1e-4, integrator="DuhamelPicard", mode_cutoff=16)
-        st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, speed),
+        st = _Stepper(cfg, manifold, mode_cutoff(cfg, manifold, speed),
                       [cfg.epsilon])
     trend, winding = lift_trend(swap(samples), manifold)
     want = reference_slope(st, samples, swap(trend), winding[..., 0])
@@ -113,11 +113,11 @@ def test_step_transform_calls(fft_calls, eps, want):
     # adds one inverse per later stage point and its end
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=64, dt=1e-5, T=1e-5)
-    st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0),
+    st = _Stepper(cfg, SPHERE2, mode_cutoff(cfg, SPHERE2, 1.0),
                   [cfg.epsilon])
     before = len(fft_calls)
     rows = u0.samples.T
-    _rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"), np.zeros((3, 1)))
+    _rk4_step(rows, st, np.fft.rfft(rows, norm="forward"), np.zeros((3, 1)))
     assert len(fft_calls) - before == want
     # each accepted state is transformed once: the H2 guard at stride 1
     # and the next step's stage 1 share that rfft, so a step costs what it

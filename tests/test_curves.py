@@ -68,10 +68,20 @@ def test_the_shape_error_names_the_targets_ambient_width(manifold, samples):
     (lambda c: covariant_tower(c, -1), "order j"),
     (lambda c: sobolev_norm(c, -1), "order m"),
     (lambda c: identity_residuals(c, l_max=-1), "l_max"),
+    (lambda c: spectral.spectral_derivative(c.samples, True), "order"),
+    (lambda c: spectral.spectral_derivative(c.samples, False), "order"),
+    (lambda c: covariant_tower(c, True), "order j"),
+    (lambda c: covariant_tower(c, False), "order j"),
+    (lambda c: sobolev_norm(c, True), "order m"),
+    (lambda c: sobolev_norm(c, False), "order m"),
+    (lambda c: identity_residuals(c, l_max=True), "l_max"),
+    (lambda c: identity_residuals(c, l_max=False), "l_max"),
 ], ids=["derivative-1.5", "derivative-0", "tower-2.0", "tower-7",
         "sobolev-1.5", "sobolev-6", "identities-4", "identities-1.0",
         "derivative--1", "derivative-str", "tower--1", "sobolev--1",
-        "identities--1"])
+        "identities--1", "derivative-True", "derivative-False",
+        "tower-True", "tower-False", "sobolev-True", "sobolev-False",
+        "identities-True", "identities-False"])
 def test_an_order_out_of_range_or_not_an_integer_names_its_argument(call,
                                                                      name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):

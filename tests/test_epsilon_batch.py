@@ -155,11 +155,11 @@ def test_stacked_step_equals_member_steps(manifold):
     speed = float(np.max(np.abs(members[0].velocity())))
     stack = np.stack([u.samples.T for u in members])
     keep = mode_cutoff(cfg, manifold, speed)
-    st_stack = _Stepper(cfg, manifold, 128, keep, levels)
-    stepped = periodic_step(stack, cfg, st_stack, manifold)
+    st_stack = _Stepper(cfg, manifold, keep, levels)
+    stepped = periodic_step(stack, st_stack, manifold)
     for eps, u, got in zip(levels, members, stepped):
         cfg_eps = replace(cfg, epsilon=eps)
-        st = _Stepper(cfg_eps, manifold, 128,
+        st = _Stepper(cfg_eps, manifold,
                       mode_cutoff(cfg_eps, manifold, speed), [eps])
-        want = periodic_step(u.samples.T, cfg_eps, st, manifold)
+        want = periodic_step(u.samples.T, st, manifold)
         assert np.array_equal(got, want)

@@ -249,7 +249,7 @@ def test_batched_nonlinearity_matches_single_curves(manifold):
     # the raw state gives the checked regularized_rhs
     cfg = FlowConfig(a=0.7, b=0.3, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard", mode_cutoff=32)
-    st = _Stepper(cfg, manifold, 64, mode_cutoff(cfg, manifold, None),
+    st = _Stepper(cfg, manifold, mode_cutoff(cfg, manifold, None),
                   [cfg.epsilon])
     assert np.all(st.mask == 1.0)
     inflate = 1.0 if manifold is CHART_FLAT_TORUS2 else 1.0005
@@ -299,7 +299,7 @@ def _propagate(mult, f):
 def test_propagator_identity_at_zero_eps():
     # an eps = 0 member of a heat-only stack is not propagated on its band
     cfg = FlowConfig(a=0.0, b=0.0, epsilon=1e-2, N_g=64, dt=1e-3, T=1e-3)
-    st = _Stepper(cfg, SPHERE2, 64, spectral.dealias_keep(64), [0.0, 1e-2])
+    st = _Stepper(cfg, SPHERE2, spectral.dealias_keep(64), [0.0, 1e-2])
     assert np.array_equal(st.e_full[0], st.mask[None, :])
     assert np.array_equal(st.e_half[0], st.mask[None, :])
     # the eps = 1e-2 member beside it is damped
@@ -313,7 +313,7 @@ def test_propagator_single_mode_value():
     for integrator in ("DuhamelPicard", "ProjectedRK4"):
         cfg = FlowConfig(a=a, b=0.0, epsilon=eps, N_g=64, dt=dt, T=dt,
                          integrator=integrator)
-        st = _Stepper(cfg, SPHERE2, 64, spectral.dealias_keep(64), [eps])
+        st = _Stepper(cfg, SPHERE2, spectral.dealias_keep(64), [eps])
         mult = (st.prop0[-1] if integrator == "DuhamelPicard"
                 else st.e_full[0])
         x = spectral.grid(st.n)
@@ -503,7 +503,7 @@ def test_fused_quadrature_matches_per_target_loop():
     # inner weights
     cfg = FlowConfig(a=0.3, b=0.2, epsilon=1e-2, N_g=64, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard")
-    st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, None),
+    st = _Stepper(cfg, SPHERE2, mode_cutoff(cfg, SPHERE2, None),
                   [cfg.epsilon])
     q = cfg.quadrature_nodes
     k = spectral.wavenumbers(64)
@@ -623,7 +623,7 @@ def test_stage_forms_third_order_rows_only_when_used():
 
     def rows(cfg, eps=None):
         keep = mode_cutoff(cfg, SPHERE2, 1.0)
-        return _Stepper(cfg, SPHERE2, 64, keep,
+        return _Stepper(cfg, SPHERE2, keep,
                         eps or [cfg.epsilon]).d_pows.shape[0]
 
     assert rows(FlowConfig(**base)) == 2
@@ -709,12 +709,12 @@ def test_evolve_states_bitwise_equal_standalone_steps(manifold, integrator):
     if integrator != "DuhamelPicard":
         rows = manifold.retract(u0.samples)[0].T[None]
     keep = run_band(cfg, u0)
-    st = _Stepper(cfg, manifold, 64, keep, [cfg.epsilon])
+    st = _Stepper(cfg, manifold, keep, [cfg.epsilon])
     step = _picard_step if integrator == "DuhamelPicard" else _rk4_step
     rows = rows - trend
     for state in traj.states[1:]:
         coef = np.fft.rfft(rows, norm="forward")
-        rows = step(rows, cfg, st, coef, winding)[0]
+        rows = step(rows, st, coef, winding)[0]
         samples = (trend + rows[0] if winding.any() else rows[0]).T
         assert samples.tobytes() == state.samples.tobytes()
 
@@ -733,6 +733,15 @@ def test_evolve_blowup_guard_trips():
     traj = evolve(c, cfg, stride=10)
     assert traj.failure is not None
     assert len(traj.states) >= 1
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-309])
+def test_a_dt_too_small_for_the_stability_edge_keeps_the_dealias_band(dt):
+    # dt * coeff below 2.5 / DBL_MAX makes the float edge inf; the edge is
+    # clamped to the dealias band before it becomes an int
+    for manifold in (SPHERE2, CLIFFORD_TORUS2):
+        cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=dt, T=dt)
+        assert mode_cutoff(cfg, manifold, 1.0) == spectral.dealias_keep(64)
 
 
 def test_automatic_band_holds_on_clifford_torus():

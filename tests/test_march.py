@@ -21,6 +21,7 @@ from dcl.flow import (
     evolve,
     mode_cutoff,
 )
+from dcl.errors import TangencyViolation
 from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2
 from dcl.presets import great_circle, random_smooth
 
@@ -115,9 +116,9 @@ def test_step_checks_later_stages_and_its_end(on_target_checks, tube_checks):
     # retract their points, and the step end the state it accepts
     u0 = random_smooth(SPHERE2, 64, seed=5, decay=1.0, amplitude=0.2)
     cfg = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1e-5)
-    st = _Stepper(cfg, SPHERE2, 64, mode_cutoff(cfg, SPHERE2, 1.0), [0.0])
+    st = _Stepper(cfg, SPHERE2, mode_cutoff(cfg, SPHERE2, 1.0), [0.0])
     rows = u0.samples.T
-    flow._rk4_step(rows, cfg, st, np.fft.rfft(rows, norm="forward"),
+    flow._rk4_step(rows, st, np.fft.rfft(rows, norm="forward"),
                    np.zeros((3, 1)))
     assert len(on_target_checks) == 0
     assert len(tube_checks) == 4
@@ -162,6 +163,23 @@ def test_u0_outside_the_tube_fails_every_member_at_entry(levels):
                                 "6.000e-01 >= tubular radius 5.000e-01")
         assert len(traj.states) == 1 and traj.states[0] is far
         assert traj.times == [0.0] and traj.step_residuals == []
+
+
+@pytest.mark.parametrize("levels", [None, [0.0, 1e-4]])
+def test_the_march_records_only_what_a_step_can_raise(monkeypatch, levels):
+    # a step trips the tube, contraction or step-size guards; the tangency
+    # guard belongs to the checked references, which no step calls, so an
+    # error of that type from a step is a fault and leaves the march
+    def tangency(*args):
+        raise TangencyViolation("raised by a step")
+
+    monkeypatch.setattr(flow, "_rk4_step", tangency)
+    cfg = FlowConfig(a=1.0, b=0.5, N_g=32, dt=1e-5, T=2e-5)
+    with pytest.raises(TangencyViolation, match="raised by a step"):
+        _march(great_circle(32), cfg, 1, levels)
+    if levels is None:
+        with pytest.raises(TangencyViolation, match="raised by a step"):
+            evolve(great_circle(32), cfg)
 
 
 # ---------------------------------------------------------------------------

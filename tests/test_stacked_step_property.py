@@ -47,12 +47,11 @@ def test_stacked_step_equals_member_steps(manifold, eps, seed):
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=0.0, N_g=N, dt=1e-5, T=1e-5)
     speed = float(np.max(np.abs(members[0].velocity())))
     stack = np.stack([u.samples.T for u in members])
-    st_stack = _Stepper(cfg, manifold, N, mode_cutoff(cfg, manifold, speed),
-                        eps)
-    stepped = periodic_step(stack, cfg, st_stack, manifold)
+    st_stack = _Stepper(cfg, manifold, mode_cutoff(cfg, manifold, speed), eps)
+    stepped = periodic_step(stack, st_stack, manifold)
     for level, u, got in zip(eps, members, stepped):
         cfg_level = replace(cfg, epsilon=level)
-        st = _Stepper(cfg_level, manifold, N,
+        st = _Stepper(cfg_level, manifold,
                       mode_cutoff(cfg_level, manifold, speed), [level])
-        want = periodic_step(u.samples.T, cfg_level, st, manifold)
+        want = periodic_step(u.samples.T, st, manifold)
         assert np.array_equal(got, want)

@@ -39,11 +39,11 @@ def test_stepper_stage_grid_follows_the_band():
     speed = float(np.max(np.abs(u0.velocity())))
     cfg = FlowConfig(a=1.0, b=0.5, N_g=4096, dt=1e-6, T=1e-6)
     keep = mode_cutoff(cfg, SPHERE2, speed)
-    st = _Stepper(cfg, SPHERE2, 4096, keep, [cfg.epsilon])
+    st = _Stepper(cfg, SPHERE2, keep, [cfg.epsilon])
     assert keep == 46 and st.n == 256 and st.n_curve == 4096
     assert st.mask.shape == (129,) and st.mask.sum() == keep + 1
     for eps in ([0.0], [0.0, 1e-4, 5e-5]):
-        assert _Stepper(cfg, SPHERE2, 4096, keep, eps).n == 256
+        assert _Stepper(cfg, SPHERE2, keep, eps).n == 256
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -52,7 +52,7 @@ def test_stage_grid_is_curve_grid_for_a_wide_pinned_band(n):
         cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-5, T=1e-5,
                          mode_cutoff=cutoff)
         keep = mode_cutoff(cfg, SPHERE2, 5.0)
-        assert _Stepper(cfg, SPHERE2, n, keep, [cfg.epsilon]).n == n
+        assert _Stepper(cfg, SPHERE2, keep, [cfg.epsilon]).n == n
 
 
 def test_forward_coefficients_move_between_grids_by_a_slice():
@@ -80,7 +80,7 @@ def test_picard_stages_stay_on_curve_grid(a, cutoff):
     # the Picard kernel lives on the curve's modes, whatever the band
     cfg = FlowConfig(a=a, epsilon=1e-2, N_g=256, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard", mode_cutoff=cutoff)
-    st = _Stepper(cfg, SPHERE2, 256, mode_cutoff(cfg, SPHERE2, None),
+    st = _Stepper(cfg, SPHERE2, mode_cutoff(cfg, SPHERE2, None),
                   [cfg.epsilon])
     assert st.n == st.n_curve == 256
     assert st.mask.sum() <= 256 // 4 + 1

@@ -130,10 +130,11 @@ REFERENCE = {
 class ReferenceStepper(_Stepper):
     """The stepper with the earlier slope; the precomputation is shared."""
 
-    def __init__(self, cfg, manifold, n, keep, eps):
-        super().__init__(cfg, manifold, n, keep, eps)
+    def __init__(self, cfg, manifold, keep, eps):
+        super().__init__(cfg, manifold, keep, eps)
         orders = 3 if self.third_order else 2
-        d1s = {g: spectral._derivative_multiplier(g, 1) for g in {n, self.n}}
+        d1s = {g: spectral._derivative_multiplier(g, 1)
+               for g in {self.n_curve, self.n}}
         self.derivs = {g: np.stack([d1, d1**2, d1**3][:orders])
                        for g, d1 in d1s.items()}
 
@@ -250,8 +251,8 @@ def stage_point(coef, n, members):
 
 
 def steppers(cfg, manifold, eps, keep):
-    return (_Stepper(cfg, manifold, N, keep, eps),
-            ReferenceStepper(cfg, REFERENCE[manifold], N, keep, eps))
+    return (_Stepper(cfg, manifold, keep, eps),
+            ReferenceStepper(cfg, REFERENCE[manifold], keep, eps))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -271,8 +272,8 @@ def test_rk4_stage_kernels_keep_their_bits(target, a, b, layout):
     same_bits(st.remainder(*stage1, lift), ref.remainder(*stage1, winding))
     stage = stage_point(coef, st.n, 1)
     same_bits(st.slope(stage, lift), ref.slope(stage, winding))
-    got = _rk4_step(state, cfg, st, coef, lift)
-    want = _rk4_step(state, cfg, ref, coef, winding)
+    got = _rk4_step(state, st, coef, lift)
+    want = _rk4_step(state, ref, coef, winding)
     for g, w in zip(got, want):
         same_bits(g, w)
 
@@ -296,8 +297,8 @@ def test_stage1_on_the_stage_grid_is_the_curve_grids_on_band_limited_states(
     u0 = random_smooth(manifold, n, seed, decay=decay, amplitude=amplitude)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=1e-6, T=1e-6)
     keep = run_band(cfg, u0)
-    st = _Stepper(cfg, manifold, n, keep, [eps])
-    ref = ReferenceStepper(cfg, REFERENCE[manifold], n, keep, [eps])
+    st = _Stepper(cfg, manifold, keep, [eps])
+    ref = ReferenceStepper(cfg, REFERENCE[manifold], keep, [eps])
     assert st.n <= n // 8
     trend, winding = lift_trend(u0.samples.T, manifold)
     state, _ = manifold._retract(u0.samples.T - trend)
@@ -320,8 +321,8 @@ def test_picard_stage_kernels_keep_their_bits(target, a, b):
     assert st.n == N
     nodes = stage_point(coef, N, 4)  # the (q, d, N) stack of node states
     same_bits(st.slope(nodes, lift), ref.slope(nodes, winding))
-    got = _picard_step(state[None], cfg, st, coef[None], lift)
-    want = _picard_step(state[None], cfg, ref, coef[None], winding)
+    got = _picard_step(state[None], st, coef[None], lift)
+    want = _picard_step(state[None], ref, coef[None], winding)
     for g, w in zip(got, want):
         same_bits(g, w)
     assert st.iterations == ref.iterations

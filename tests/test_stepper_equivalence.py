@@ -137,7 +137,7 @@ def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay):
         assert np.array_equal(u0.winding(), [1.0, 0.0])
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps, N_g=n, dt=dt, T=dt)
     speed = float(np.max(np.abs(u0.velocity())))
-    st = _Stepper(cfg, manifold, n, mode_cutoff(cfg, manifold, speed),
+    st = _Stepper(cfg, manifold, mode_cutoff(cfg, manifold, speed),
                   [cfg.epsilon])
     if n == 1024:
         assert st.n == 256
@@ -149,7 +149,7 @@ def test_step_matches_physical_space_reference(manifold, eps, n, dt, decay):
     trend, winding = lift_trend(u0.samples.T, manifold)
     periodic = u0.samples.T - trend
     coef = np.fft.rfft(periodic, norm="forward")
-    got = _rk4_step(periodic, cfg, st, coef, winding)
+    got = _rk4_step(periodic, st, coef, winding)
     want = ref.rk4_step(u0, cfg)
     assert np.max(np.abs(got[0].T - (want[0].samples - u0.trend()))) <= 1e-13
     assert abs(got[1] - want[1]) <= 1e-13

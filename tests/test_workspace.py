@@ -47,11 +47,11 @@ def big_case(eps):
     u0 = random_smooth(SPHERE2, BIG, seed=11, decay=1.1, amplitude=0.18)
     cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps[0], N_g=BIG, dt=1e-6, T=1e-6)
     keep = run_band(cfg, u0)
-    st = _Stepper(cfg, SPHERE2, BIG, keep, eps)
+    st = _Stepper(cfg, SPHERE2, keep, eps)
     rows = u0.samples.T if len(eps) == 1 else np.stack([u0.samples.T] * len(eps))
     rows = np.ascontiguousarray(rows)
     coef = np.fft.rfft(rows, norm="forward")
-    _rk4_step(rows, cfg, st, coef, None)  # the first use makes the buffers
+    _rk4_step(rows, st, coef, None)  # the first use makes the buffers
     return st, rows, coef, cfg
 
 
@@ -73,7 +73,7 @@ def test_warmed_stage1_and_step_allocate_a_few_rows(layout):
     stage1 = peak_bytes(lambda: st.remainder(
         rows[..., :: BIG // st.n], coef[..., : st.n // 2 + 1], None))
     assert stage1 <= members * ROW // 2, stage1
-    step = peak_bytes(lambda: _rk4_step(rows, cfg, st, coef, None))
+    step = peak_bytes(lambda: _rk4_step(rows, st, coef, None))
     assert step <= 3 * members * ROW, step
 
 
@@ -139,7 +139,7 @@ def test_a_reused_stepper_gives_a_fresh_steppers_bits(target, eps):
     manifold = TARGETS[target]
     cfg = FlowConfig(a=0.7, b=0.3, epsilon=eps[0], N_g=N, dt=1e-5, T=1e-5,
                      mode_cutoff=6)
-    st = _Stepper(cfg, manifold, N, 6, eps)
+    st = _Stepper(cfg, manifold, 6, eps)
     assert (st.n_curve, st.n) == (N, 32)
     for rows, winding in inputs(manifold, len(eps)):
         lift = winding if winding.any() else None
@@ -150,12 +150,12 @@ def test_a_reused_stepper_gives_a_fresh_steppers_bits(target, eps):
         v0 = coef[..., : st.n // 2 + 1]
         calls = [lambda s: s.remainder(rows[..., :: N // st.n], v0, lift),
                  lambda s: s.slope(stage, lift),
-                 lambda s: _rk4_step(rows, cfg, s, coef, lift),
+                 lambda s: _rk4_step(rows, s, coef, lift),
                  lambda s: _step_end(s, st.e_full * v0),
                  lambda s: s.remainder(rows[..., :: N // st.n], v0, lift)]
         for call in calls:
             got = call(st)
-            want = call(_Stepper(cfg, manifold, N, 6, eps))
+            want = call(_Stepper(cfg, manifold, 6, eps))
             got, want = (x if isinstance(x, tuple) else (x,) for x in (got, want))
             for g, w in zip(got, want):
                 same_bits(g, w)
@@ -168,14 +168,14 @@ def test_a_reused_picard_stepper_gives_a_fresh_steppers_bits(target):
     manifold = TARGETS[target]
     cfg = FlowConfig(a=0.7, b=0.3, epsilon=1e-2, N_g=N, dt=1e-4, T=1e-4,
                      integrator="DuhamelPicard", quadrature_nodes=4)
-    st = _Stepper(cfg, manifold, N, 16, [cfg.epsilon])
+    st = _Stepper(cfg, manifold, 16, [cfg.epsilon])
     curves = [curve_rows(manifold, seed) for seed in (5, 6, 5)]
     for rows, winding in curves:
         lift = winding if winding.any() else None
         coef = np.fft.rfft(rows, norm="forward")[None]
-        got = _picard_step(rows[None], cfg, st, coef, lift)
-        want = _picard_step(rows[None], cfg,
-                            _Stepper(cfg, manifold, N, 16, [cfg.epsilon]),
+        got = _picard_step(rows[None], st, coef, lift)
+        want = _picard_step(rows[None],
+                            _Stepper(cfg, manifold, 16, [cfg.epsilon]),
                             coef, lift)
         for g, w in zip(got, want):
             same_bits(g, w)
