@@ -22,8 +22,9 @@ from .manifolds import CHART_FLAT_TORUS2, ON_MANIFOLD_TOL, by_name
 
 
 def is_grid_size(n):
-    """Whether ``n`` is a curve grid: a power of two >= 16."""
-    return n >= 16 and not n & (n - 1)
+    """Whether ``n`` is a curve grid: an integer, not a bool, power of two >= 16."""
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= 16 and not n & (n - 1))
 
 
 @dataclass
@@ -204,9 +205,12 @@ def resample(curve, n):
     Exact for band-limited curves; winding lifts are handled by
     detrending.  Upsampled points are re-projected to the target (the
     interpolant of on-manifold samples is off-manifold at truncation
-    level).  A coarser grid cannot carry the curve, and raises ValueError,
-    if its samples read back another winding or leave the target's tube.
+    level).  A size that is not a grid raises ValueError before any
+    transform; so does a coarser grid that cannot carry the curve, whose
+    samples read back another winding or leave the target's tube.
     """
+    if not is_grid_size(n):
+        raise ValueError(f"grid size must be a power of two >= 16, got {n!r}")
     if n == curve.n:
         return curve
     m = curve.manifold

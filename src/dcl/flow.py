@@ -29,11 +29,11 @@ Integrators
                    curve (d, N) or on a stack (B, d, N) whose members may
                    carry their own eps.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
-                   by the propagator exp(t*L) of the same L; requires
-                   eps > 0.  Each iteration evaluates the nonlinearity at
-                   all Gauss nodes in one call of the RK4 stage slope (5
-                   calls on 8 rows), on the dealias band; a step that
-                   does not contract fails with NoContraction.
+                   by the propagator exp(t*L) of the stepper's one symbol
+                   of L; requires eps > 0.  Each iteration evaluates the
+                   nonlinearity at all Gauss nodes in one call of the RK4
+                   stage slope (5 calls on 8 rows), on the dealias band; a
+                   step that does not contract fails with NoContraction.
                    States may sit slightly off the target (inside the
                    tube); at a = b = 0 their normal part then decays
                    monotonically (``dcl verify --suite maxprinciple``).
@@ -170,9 +170,9 @@ class FlowConfig:
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
 
-    def n_steps(self):
-        if self.T == 0:
-            return 0
+    def n_steps(self, stride=1):
+        """The steps of dt to T, of which T must be a multiple to 1e-9
+        relative; ``stride``, an integer >= 1 (not a bool), must divide them."""
         ratio = self.T / self.dt
         if not math.isfinite(ratio):
             raise ValueError("T / dt overflows; T is too large for this dt")
@@ -180,8 +180,12 @@ class FlowConfig:
             raise ValueError(f"T = {self.T!r} over dt = {self.dt!r} takes "
                              f"more than MAX_STEPS = {MAX_STEPS} steps")
         steps = int(round(ratio))
-        if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
+        if abs(steps * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError("T must be an integer multiple of dt")
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError("stride must be a positive integer")
+        if steps % stride:
+            raise ValueError(f"stride {stride} does not divide the step count {steps}")
         return steps
 
 
@@ -359,12 +363,12 @@ class _Stepper:
     them none, so it steps a (d, N) curve or a stack.  The band and the
     derivative multipliers are shared by all members.
 
-    The stiff part L = a*d_x^3 - eps*d_x^4 is the same for every
-    integrator; a DuhamelPicard stepper holds the masked quadrature that
-    propagates it (``nodes``, ``kernel``, ``prop0``) in place of the
-    integrating factors, and each step's count in ``iterations``.  The
-    pointwise terms are not formed when their coefficient is zero:
-    b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
+    The stiff part L = a*d_x^3 - eps*d_x^4 is every integrator's, its
+    symbol built here once; a DuhamelPicard stepper holds the masked
+    quadrature that propagates it (``nodes``, ``kernel``, ``prop0``) in
+    place of the integrating factors, and each step's count in
+    ``iterations``.  The pointwise terms are not formed when their
+    coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
     ``work`` is the workspace: :meth:`buffer` makes each array of
     :meth:`remainder` (stage grid) and of the step end's irfft (curve grid)
@@ -390,6 +394,9 @@ class _Stepper:
         self.d_pows = np.stack([d1, d1**2, d1**3][: 3 if self.third_order else 2])
         k = spectral.wavenumbers(self.n)
         self.mask = (k <= keep).astype(float)
+        # L's symbol k3 - eps k4; odd orders have no real Nyquist mode (n even)
+        k3, k4 = cfg.a * (1j * TWO_PI * k) ** 3, (TWO_PI * k) ** 4
+        k3[-1] = k3[-1].real
         # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
         # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
         self.c_a0 = -cfg.a * d1
@@ -397,15 +404,13 @@ class _Stepper:
             self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
             self.c_a1 = self.eps * d1
         if cfg.integrator == "DuhamelPicard":
-            self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(cfg, k)
+            self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(cfg, k3, k4)
             # in place: the build holds one kernel, not two
             self.kernel *= self.mask
             self.prop0 *= self.mask
             self.iterations = []
         else:
-            lam = cfg.a * (1j * TWO_PI * k) ** 3 - self.eps * (TWO_PI * k) ** 4
-            # odd-order multipliers have no real Nyquist representative (n even)
-            lam[..., -1] = lam[..., -1].real
+            lam = k3 - self.eps * k4
             self.e_full = np.exp(cfg.dt * lam) * self.mask
             self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
@@ -534,25 +539,22 @@ def _step_end(st, coef):
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_quadrature(cfg, k):
-    """Gauss nodes, fused quadrature kernel and propagator at wavenumbers ``k``.
+def _duhamel_quadrature(cfg, k3, k4):
+    """Gauss nodes, fused quadrature kernel and propagator of L's symbol.
 
+    ``k3`` and ``k4`` are the stepper's symbol of L = a d_x^3 - eps d_x^4
+    over its modes m (:class:`_Stepper`): L's symbol is k3 - eps k4.
     Targets s_i are the q Gauss nodes of [0, dt] and dt.  ``kernel[i, j, m]``
-    maps mode k[m] of the nonlinearity at node j to the Duhamel integral at
+    maps mode m of the nonlinearity at node j to the Duhamel integral at
     s_i (inner Gauss rule on [0, s_i] of the Lagrange interpolant, times
     the propagator over s_i - tau); the propagator over s_i is returned as
-    the third item.  The propagator exp(t L) is that of the steppers' L:
-    exp(-eps t (2 pi k)^4) exp(a t (2 pi i k)^3), whose odd-order factor
-    has no real Nyquist representative (its last entry is 1, as in
-    :class:`_Stepper`).  That factor is formed only at a != 0, where the
-    kernel is complex; at a = 0 it is the real heat kernel.
+    the third item.  The propagator exp(t L) is exp(-eps t k4) exp(t k3),
+    whose odd-order factor is formed only at a != 0, where the kernel is
+    complex; at a = 0 it is the real heat kernel.
     """
     q = cfg.quadrature_nodes
     nodes, _ = spectral.gauss_legendre(q, 0.0, cfg.dt)
     targets = np.append(nodes, cfg.dt)
-    k4 = (TWO_PI * k) ** 4
-    k3 = cfg.a * (1j * TWO_PI * k) ** 3
-    k3[..., -1] = k3[..., -1].real
 
     def decay(t):
         out = np.exp(-cfg.epsilon * t[..., None] * k4)
@@ -677,9 +679,7 @@ def _march(u0, cfg, stride, levels=None):
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
-    n_steps = cfg.n_steps()
-    if stride < 1 or (n_steps and n_steps % stride):
-        raise ValueError("stride must divide the step count")
+    n_steps = cfg.n_steps(stride)
     configs = ([cfg] if levels is None
                else [replace(cfg, epsilon=eps) for eps in levels])
     trajs = [Trajectory(times=[0.0], states=[u0], config=c) for c in configs]

@@ -23,6 +23,15 @@ def chart_coordinates(pts):
     return np.stack([y1, y2], axis=-1)
 
 
+def stiff_symbol(cfg, k):
+    """The stepper's symbol of L at wavenumbers ``k``, as
+    ``_duhamel_quadrature`` takes it: a (2 pi i k)^3 with a real Nyquist
+    entry, and (2 pi k)^4."""
+    k3 = cfg.a * (1j * spectral.TWO_PI * k) ** 3
+    k3[-1] = k3[-1].real
+    return k3, (spectral.TWO_PI * k) ** 4
+
+
 def constant_curve(n=32):
     """The north pole held for all n samples: a curve with no velocity."""
     return ClosedCurve(np.tile([0.0, 0.0, 1.0], (n, 1)), SPHERE2)

@@ -486,6 +486,17 @@ def test_converge_epsilon_level_underflow_is_config_error(tmp_path, epsilon,
     assert not out.exists()
 
 
+def test_horizon_off_the_dt_grid_below_one_exits_2(tmp_path, capsys):
+    # 1e-10 is 3.33 steps of 3e-11; the run used to end at 9e-11 and exit 0
+    out = tmp_path / "out"
+    manifest = base_manifest(
+        out, stride=1, config={"dt": 3e-11, "T": 1e-10,
+                               "initial_condition": "random_smooth:1"})
+    assert main(["simulate", "--manifest", write_manifest(tmp_path, manifest)]) == 2
+    assert "T must be an integer multiple of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_manifest_is_config_error(tmp_path):
     assert main(["simulate", "--manifest", str(tmp_path / "nope.json")]) == 2
 

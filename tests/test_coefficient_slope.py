@@ -10,6 +10,7 @@ target.  Both are kept here only to pin the faster forms in ``dcl.flow``.
 
 import numpy as np
 import pytest
+from conftest import stiff_symbol
 
 from dcl import spectral
 from dcl.curves import lift_trend
@@ -163,7 +164,7 @@ def test_fused_quadrature_bitwise_equals_per_target_rules(q, dt):
                      integrator="DuhamelPicard", quadrature_nodes=q)
     k = spectral.wavenumbers(64)
     mask = (k <= 12).astype(float)
-    nodes, kernel, decay = _duhamel_quadrature(cfg, k)
+    nodes, kernel, decay = _duhamel_quadrature(cfg, *stiff_symbol(cfg, k))
     for got, want in zip((nodes, kernel * mask, decay * mask),
                          reference_quadrature(cfg, k, mask)):
         assert np.array_equal(got, want)

@@ -12,6 +12,7 @@ from dcl.curves import (
     curvature_apply,
     h1_distance,
     identity_residuals,
+    is_grid_size,
     resample,
     sobolev_norm,
     sup_distance,
@@ -355,6 +356,14 @@ def test_resample_band_limited_exact():
     assert sup_distance(fine, exact) <= 1e-12
     back = resample(fine, 32)
     assert sup_distance(back, c) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 24, 16.0, True, -16], ids=repr)
+def test_resample_refuses_a_size_that_is_not_a_grid(n):
+    # refused before any transform, on a 16-sample curve that 16.0 equals
+    assert not is_grid_size(n)
+    with pytest.raises(ValueError, match="grid size must be a power of two >= 16, got"):
+        resample(great_circle(16), n)
 
 
 def test_resample_chart_keeps_winding():

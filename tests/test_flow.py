@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import constant_curve
+from conftest import constant_curve, stiff_symbol
 
 from dcl import spectral
 from dcl.curves import (
@@ -332,7 +332,7 @@ def test_propagator_underflow_mode():
         cfg = FlowConfig(a=a, b=0.0, epsilon=1.0, N_g=64, dt=1.0, T=1.0,
                          integrator="DuhamelPicard")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _, kernel, prop0 = _duhamel_quadrature(cfg, k)
+            _, kernel, prop0 = _duhamel_quadrature(cfg, *stiff_symbol(cfg, k))
         assert np.all(np.isfinite(kernel))
         assert np.all(prop0[:, 0] == 1.0) and np.all(prop0[-1, 1:] == 0.0)
         out = _propagate(prop0[-1], np.sin(TWO_PI * spectral.grid(64)))
@@ -345,7 +345,7 @@ def test_propagator_norm_nonincreasing():
     cfg = FlowConfig(a=0.3, b=0.0, epsilon=1e-2, N_g=64, dt=1e-1, T=1e-1,
                      integrator="DuhamelPicard")
     k = spectral.wavenumbers(64)
-    nodes, _, prop0 = _duhamel_quadrature(cfg, k)
+    nodes, _, prop0 = _duhamel_quadrature(cfg, *stiff_symbol(cfg, k))
     assert np.all(np.diff(np.append(nodes, cfg.dt)) > 0)
     mags = np.abs(prop0)
     assert np.all(mags <= 1.0) and np.all(np.diff(mags, axis=0) <= 0)
@@ -554,7 +554,7 @@ def test_picard_evolve_builds_quadrature_once(monkeypatch):
     assert keep == 16 and st.mask.sum() == keep + 1
     k = spectral.wavenumbers(64)
     mask = (k <= keep).astype(float)
-    nodes, kernel, decay = _duhamel_quadrature(cfg, k)
+    nodes, kernel, decay = _duhamel_quadrature(cfg, *stiff_symbol(cfg, k))
     want = nodes, kernel * mask, decay * mask
     for got, ref in zip((st.nodes, st.kernel, st.prop0), want):
         assert np.array_equal(got, ref)
@@ -682,10 +682,45 @@ def test_evolve_conserves_speed_on_great_circle():
     assert drift <= 1e-9
 
 
-def test_evolve_stride_must_divide():
+@pytest.mark.parametrize("stride,message", [
+    (3, "stride 3 does not divide the step count 10"),
+    (0, "stride must be a positive integer"),
+    (-1, "stride must be a positive integer"),
+    (True, "stride must be a positive integer"),
+    (2.0, "stride must be a positive integer"),
+    (np.float64(2.0), "stride must be a positive integer"),
+], ids=["3", "0", "-1", "True", "2.0", "float64-2.0"])
+def test_evolve_stride_must_divide(stride, message):
+    # the library refuses the strides a manifest may not carry
     cfg = FlowConfig(a=0.0, b=0.0, epsilon=0.0, N_g=32, dt=1e-3, T=1e-2)
-    with pytest.raises(ValueError):
-        evolve(great_circle(32), cfg, stride=3)
+    with pytest.raises(ValueError, match=message):
+        evolve(great_circle(32), cfg, stride=stride)
+
+
+def test_evolve_takes_a_numpy_integer_stride():
+    cfg = FlowConfig(a=0.0, b=0.0, epsilon=0.0, N_g=32, dt=1e-3, T=1e-2)
+    traj = evolve(great_circle(32), cfg, stride=np.int64(5))
+    assert traj.failure is None and len(traj.states) == 3
+
+
+def test_n_steps_needs_a_multiple_of_dt_to_relative_roundoff():
+    # the horizon is a multiple of dt to 1e-9 relative, whatever the scale
+    # of dt: below T = 1 an absolute 1e-9 took a fraction of a step as none
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(m=st.floats(1.0, 9.99), e=st.integers(-300, 0),
+               k=st.integers(1, 1000))
+    def multiples(m, e, k):
+        dt = m * 10.0**e
+        assert FlowConfig(dt=dt, T=k * dt).n_steps() == k
+        with pytest.raises(ValueError, match="T must be an integer multiple of dt"):
+            FlowConfig(dt=dt, T=(k + 0.5) * dt).n_steps()
+
+    multiples()
+    with pytest.raises(ValueError, match="T must be an integer multiple of dt"):
+        FlowConfig(dt=2e-9, T=5e-9).n_steps()
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
