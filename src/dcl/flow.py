@@ -342,40 +342,40 @@ def stage_grid(n, keep):
 class _Stepper:
     """Spectral precomputation and the stage slope for one run.
 
-    A stepper is built from the run's config alone: the curve grid
-    ``n_curve`` is ``cfg.N_g``, and each step reads dt and the Picard
-    settings from ``cfg``; the caller adds the target, the band ``keep``
-    it decides once per run (:func:`mode_cutoff`) and each member's eps.
-    The stages run on the stage grid ``n`` (:func:`stage_grid` of the
-    band; the curve grid for DuhamelPicard, whose quadrature kernel lives
-    on its modes).  Stage 1 slopes the state's every (N/M)-th sample by
-    :meth:`remainder` from the state's first M/2 + 1 modes, so no slope
-    runs on the curve grid unless it is the stage grid.  ``d_pows`` holds
-    the stage grid's d/dx and its powers 1..3, or 1..2 when no slope term
-    needs v_xxx, as (orders, K) rows; :meth:`remainder` views them at the
-    rank of its coefficients, (d, K) or (B, d, K).  Every slope is
-    combined on the stage grid's modes only: the band ``mask``, ``c_a0``
-    on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the masked
-    integrating factors over a full and a half step are rows over them.
-    ``eps`` holds one level per member: B > 1 levels give the integrating
-    factors and the slope's multipliers a leading member axis, (B, 1, K),
-    for a (B, d, N) stack whose member i carries eps[i]; one level gives
-    them none, so it steps a (d, N) curve or a stack.  The band and the
-    derivative multipliers are shared by all members.
+    A stepper is built from the run's config alone, and each step reads dt
+    and the Picard settings from ``cfg``; the caller adds the target, the
+    band ``keep`` it decides once per run (:func:`mode_cutoff`) and each
+    member's eps.  It holds one grid, the stage grid ``n``
+    (:func:`stage_grid` of the band; the curve grid for DuhamelPicard, whose
+    quadrature kernel lives on its modes); a step ends on the grid of the
+    state it was given.  Stage 1 slopes the state's every (N/M)-th sample by
+    :meth:`remainder` from the state's first M/2 + 1 modes, so no slope runs
+    on the curve grid unless it is the stage grid.  ``d_pows`` holds the
+    stage grid's d/dx and its powers 1..3, or 1..2 when no slope term needs
+    v_xxx, as (orders, K) rows; :meth:`remainder` views them at the rank of
+    its coefficients, (d, K) or (B, d, K).  Every slope is combined on the
+    stage grid's modes only: the band ``mask``, ``c_a0`` on A0 = A(v_x, v_x),
+    ``c_a1`` on A1 (eps term only) and the masked integrating factors over
+    a full and a half step are rows over them.  ``eps`` holds one level per
+    member: B > 1 levels give the integrating factors and the slope's
+    multipliers a leading member axis, (B, 1, K), for a (B, d, N) stack
+    whose member i carries eps[i]; one level gives them none, so it steps a
+    (d, N) curve or a stack.  The band and the derivative multipliers are
+    shared by all members.
 
-    The stiff part L = a*d_x^3 - eps*d_x^4 is every integrator's, its
-    symbol built here once; a DuhamelPicard stepper holds the masked
-    quadrature that propagates it (``nodes``, ``kernel``, ``prop0``) in
-    place of the integrating factors, and each step's count in
-    ``iterations``.  The pointwise terms are not formed when their
-    coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
+    The stiff part L = a*d_x^3 - eps*d_x^4 is every integrator's, its symbol
+    built here once, k3 = a d1^3 from the d/dx table; a DuhamelPicard
+    stepper holds the masked quadrature that propagates it (``nodes``,
+    ``kernel``, ``prop0``) in place of the integrating factors, and each
+    step's count in ``iterations``.  The pointwise terms are not formed when
+    their coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
     ``work`` is the workspace: :meth:`buffer` makes each array of
-    :meth:`remainder` (stage grid) and of the step end's irfft (curve grid)
-    by np.empty on first use, keyed by (name, shape), as one stepper may
-    take a curve or stacks.  ``_march`` builds one stepper per set of live
-    members, so the buffers live as long as the march.  No result aliases
-    them: slopes, states and residuals leave a step as fresh arrays.
+    :meth:`remainder` and of the step end's irfft by np.empty on first use,
+    keyed by (name, shape), as one stepper may take a curve or stacks, on
+    any grid.  ``_march`` builds one stepper per set of live members, so the
+    buffers live as long as the march.  No result aliases them: slopes,
+    states and residuals leave a step as fresh arrays.
     """
 
     def __init__(self, cfg, manifold, keep, eps):
@@ -386,7 +386,7 @@ class _Stepper:
         # it, a stage makes 3 transform calls instead of 5
         self.third_order = bool(np.any(self.eps))
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
-        self.n_curve, self.work = cfg.N_g, {}
+        self.work = {}
         self.n = (cfg.N_g if cfg.integrator == "DuhamelPicard"
                   else stage_grid(cfg.N_g, keep))
         # powers of d/dx, which drops the Nyquist mode
@@ -394,9 +394,8 @@ class _Stepper:
         self.d_pows = np.stack([d1, d1**2, d1**3][: 3 if self.third_order else 2])
         k = spectral.wavenumbers(self.n)
         self.mask = (k <= keep).astype(float)
-        # L's symbol k3 - eps k4; odd orders have no real Nyquist mode (n even)
-        k3, k4 = cfg.a * (1j * TWO_PI * k) ** 3, (TWO_PI * k) ** 4
-        k3[-1] = k3[-1].real
+        # L's symbol k3 - eps k4; k3 takes d/dx's Nyquist 0 from its table
+        k3, k4 = cfg.a * d1**3, (TWO_PI * k) ** 4
         # a t2 = -a (D A0 + A1) and -eps D t2 = eps D (D A0 + A1); a member
         # at eps = 0 adds 0 * d1^2 and 0 * d1, which leaves it as is
         self.c_a0 = -cfg.a * d1
@@ -503,8 +502,8 @@ def _rk4_step(samples, st, coef, winding):
     the remainder at the state's every (N/M)-th sample, on the target as
     the state is, from V0, the first M/2 + 1 modes of ``coef``: no
     retraction or transform of its own; each later stage point is one
-    irfft on the stage grid.  Returns the projected periodic part and each
-    curve's largest residual before projection.
+    irfft on the stage grid.  Returns the projected periodic part on the
+    grid of ``samples`` and each curve's largest residual before projection.
     """
     h = st.cfg.dt
     v0 = coef[..., : st.n // 2 + 1]
@@ -520,18 +519,17 @@ def _rk4_step(samples, st, coef, winding):
     end = full_v0 + (h / 6.0) * (
         st.e_full * m1 + 2.0 * (st.e_half * (m2 + m3)) + m4
     )
-    return _step_end(st, end)
+    return _step_end(st, end, samples.shape[-1])
 
 
-def _step_end(st, coef):
-    """Guarded projection of the curve-grid irfft of stage-grid modes
-    ``coef``; (samples, residuals before), as the next stage 1 takes it."""
-    m, n = st.manifold, st.n_curve
+def _step_end(st, coef, n):
+    """Guarded projection of the irfft of stage-grid modes ``coef`` onto
+    ``n`` points, the step state's grid; (samples, residuals before)."""
     pre = spectral.irfft(coef, n, st.buffer("pre", coef.shape[:-1] + (n,)))
     if not np.isfinite(pre).all():
         raise StepSizeUnstable("non-finite state")
-    proj, sq = m._retract(pre)
-    return proj, m._residual(sq).max(axis=-1)
+    proj, sq = st.manifold._retract(pre)
+    return proj, st.manifold._residual(sq).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +619,10 @@ BLOWUP_FACTOR = 10.0
 @lru_cache(maxsize=None)
 def _parseval_weights(n, low, high):
     """Read-only Parseval weights of D^low..D^high on the rfft modes of n:
-    the sum of k2^j, k2 = (2 pi k)^2, j = low..high, with the Nyquist k2
-    dropped (as odd-order derivatives drop it) and the modes that have a
+    the sum of k2^j, j = low..high, k2 = |d/dx|^2 from :mod:`spectral`'s
+    table (0 at Nyquist, as odd orders drop it), and the modes that have a
     conjugate twin doubled, for the power of forward coefficients."""
-    k2 = (TWO_PI * spectral.wavenumbers(n)) ** 2
-    k2[-1] = 0.0
+    k2 = np.abs(spectral._derivative_multiplier(n, 1)) ** 2
     weights = sum(k2**j for j in range(low, high + 1))
     weights[1:-1] *= 2.0
     weights.setflags(write=False)

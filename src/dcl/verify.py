@@ -15,7 +15,7 @@ import numpy as np
 
 from . import presets, spectral
 from .curves import _commutator_residuals, identity_residuals
-from .flow import FlowConfig, dispersive_rhs, evolve
+from .flow import FlowConfig, _assemble, dispersive_rhs, evolve
 from .invariants import (
     oracle_latitude_circle,
     oracle_latitude_velocity,
@@ -140,7 +140,11 @@ def suite_oracles(grids=(128,), seed=0):
     }.items():
         state = oracle_latitude_circle(theta, 0.37, a, b, n)
         u_t = oracle_latitude_velocity(theta, 0.37, a, b, n)
-        rhs = dispersive_rhs(state, a, b)
+        # one check, no dispersive_rhs guard: the exact circle's v_xxx has a
+        # roundoff normal part near eps (pi N)^3, past it from N = 2048 on
+        m, v = state.manifold, state.samples.T
+        m._require_on(v)
+        rhs = _assemble(m, v, a, b).T
         # the analytic residual is supported on a handful of modes; beyond
         # them only FFT roundoff amplified by k^3 remains, so restrict
         residual = spectral.l2_norm(spectral.lowpass(u_t - rhs, 8))
@@ -191,21 +195,13 @@ def suite_maxprinciple(seed=0):
 def suite_smoothing(seed=0):
     eps_grid = np.logspace(-3, -1, 40)
     t_grid = np.logspace(-3, -1, 40)
-    modes = np.arange(1, 4097)
-    best = 0.0
-    worst_excess = 0.0
+    w = spectral.TWO_PI * np.arange(1, 4097)
     c_num = smoothing_constant_numeric()
-    for eps in eps_grid:
-        for t in t_grid:
-            et = eps * t
-            vals = (spectral.TWO_PI * modes) ** 3 * np.exp(
-                -et * (spectral.TWO_PI * modes) ** 4
-            ) * et**0.75
-            top = float(np.max(vals))
-            best = max(best, top)
-            worst_excess = max(worst_excess, top - c_num)
+    # the bound reads eps and t only through their product
+    best = max(float(np.max(w**3 * np.exp(-et * w**4) * et**0.75))
+               for et in np.outer(eps_grid, t_grid).ravel())
     checks = [
-        Check("bound_never_exceeded", worst_excess, 1e-12, "max"),
+        Check("bound_never_exceeded", max(0.0, best - c_num), 1e-12, "max"),
         Check("bound_sharpness", abs(best - c_num) / c_num, 0.01, "max"),
         Check(
             "scalar_constant_numeric_vs_exact",

@@ -4,21 +4,27 @@ The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
 stages run on the smallest grid that dealiases the band by the N/4 rule:
 stage 1 at the state's every (N/M)-th sample, from the first M/2 + 1
 modes of the march's transform of it.  Only that transform and the step
-end transform all N curve samples.
+end transform all N curve samples, and the step end follows the grid of
+the state the step was given.
 """
 
 import numpy as np
 import pytest
 
+from dcl.curves import lift_trend
 from dcl.flow import (
     FlowConfig,
+    _parseval_weights,
+    _rk4_step,
     _Stepper,
     evolve,
     mode_cutoff,
+    run_band,
     stage_grid,
 )
-from dcl.manifolds import SPHERE2
+from dcl.manifolds import CHART_FLAT_TORUS2, CLIFFORD_TORUS2, SPHERE2
 from dcl.presets import random_smooth
+from dcl.spectral import TWO_PI
 
 
 def smallest_power_of_two(n, keep):
@@ -40,7 +46,7 @@ def test_stepper_stage_grid_follows_the_band():
     cfg = FlowConfig(a=1.0, b=0.5, N_g=4096, dt=1e-6, T=1e-6)
     keep = mode_cutoff(cfg, SPHERE2, speed)
     st = _Stepper(cfg, SPHERE2, keep, [cfg.epsilon])
-    assert keep == 46 and st.n == 256 and st.n_curve == 4096
+    assert keep == 46 and st.n == 256 and cfg.N_g == 4096
     assert st.mask.shape == (129,) and st.mask.sum() == keep + 1
     for eps in ([0.0], [0.0, 1e-4, 5e-5]):
         assert _Stepper(cfg, SPHERE2, keep, eps).n == 256
@@ -82,7 +88,7 @@ def test_picard_stages_stay_on_curve_grid(a, cutoff):
                      integrator="DuhamelPicard", mode_cutoff=cutoff)
     st = _Stepper(cfg, SPHERE2, mode_cutoff(cfg, SPHERE2, None),
                   [cfg.epsilon])
-    assert st.n == st.n_curve == 256
+    assert st.n == cfg.N_g == 256
     assert st.mask.sum() <= 256 // 4 + 1
 
 
@@ -100,3 +106,44 @@ def test_step_transforms_curve_grid_only_at_march_and_step_end(fft_calls):
     step = stages + [("irfft", n), ("rfft", n)]
     assert len(step) == 16
     assert fft_calls[-(1 + 2 * 16):] == [("rfft", n)] + 2 * step
+
+
+@pytest.mark.parametrize("eps", [[0.0], [1e-4], [0.0, 1e-4]],
+                         ids=["eps0", "eps", "stack"])
+@pytest.mark.parametrize("manifold", [SPHERE2, CLIFFORD_TORUS2, CHART_FLAT_TORUS2],
+                         ids=["Sphere2", "CliffordTorus2", "chart-winding"])
+def test_a_step_returns_its_state_on_the_grid_it_was_given(manifold, eps):
+    # the step end's irfft goes onto the grid of the state, so a step of
+    # the state's every (N/M)-th sample and first M/2 + 1 modes returns
+    # every (N/M)-th sample of the step of the curve-grid state
+    n = 1024
+    u0 = random_smooth(manifold, n, 5, decay=1.0, amplitude=0.2)
+    cfg = FlowConfig(a=1.0, b=0.5, epsilon=eps[0], N_g=n, dt=1e-6, T=1e-6)
+    st = _Stepper(cfg, manifold, run_band(cfg, u0), eps)
+    trend, winding = lift_trend(u0.samples.T, manifold)
+    rows, _ = manifold._retract(u0.samples.T - trend)
+    state = np.stack([rows] * len(eps))
+    coef = np.fft.rfft(state, norm="forward")
+    lift = winding if winding.any() else None
+    assert (lift is not None) == (manifold is CHART_FLAT_TORUS2)
+    m = st.n
+    assert m < n
+    fine, _ = _rk4_step(state, st, coef, lift)
+    coarse, _ = _rk4_step(state[..., :: n // m].copy(), st,
+                          coef[..., : m // 2 + 1].copy(), lift)
+    assert fine.shape == (len(eps), manifold.ambient_dim, n)
+    assert coarse.shape == (len(eps), manifold.ambient_dim, m)
+    scale = max(1.0, float(np.max(np.abs(state))))
+    assert np.max(np.abs(coarse - fine[..., :: n // m])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [16, 64, 4096])
+@pytest.mark.parametrize("low,high", [(0, 1), (1, 3)])
+def test_parseval_weights_drop_the_nyquist_k2_and_double_twinned_modes(n, low, high):
+    k2 = (TWO_PI * np.arange(n // 2 + 1)) ** 2
+    k2[-1] = 0.0
+    want = sum(k2**j for j in range(low, high + 1))
+    want[1:-1] *= 2.0
+    got = _parseval_weights(n, low, high)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable

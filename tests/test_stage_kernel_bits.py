@@ -135,7 +135,7 @@ class ReferenceStepper(_Stepper):
         super().__init__(cfg, manifold, keep, eps)
         orders = 3 if self.third_order else 2
         d1s = {g: spectral._derivative_multiplier(g, 1)
-               for g in {self.n_curve, self.n}}
+               for g in {cfg.N_g, self.n}}
         self.derivs = {g: np.stack([d1, d1**2, d1**3][:orders])
                        for g, d1 in d1s.items()}
 
@@ -267,7 +267,7 @@ def test_rk4_stage_kernels_keep_their_bits(target, a, b, layout):
     cfg = FlowConfig(a=a, b=b, epsilon=eps[0], N_g=N, dt=1e-5, T=1e-5,
                      mode_cutoff=6)
     st, ref = steppers(cfg, manifold, eps, 6)
-    assert (st.n_curve, st.n) == (N, 32)
+    assert (cfg.N_g, st.n) == (N, 32)
     # stage 1 as the step calls it and a stage point, both on the stage grid
     stage1 = state[..., :: N // st.n], coef[..., : st.n // 2 + 1]
     same_bits(st.remainder(*stage1, lift), ref.remainder(*stage1, winding))

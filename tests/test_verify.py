@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcl import curves, verify
+from dcl.cli import main
 from dcl.curves import identity_residuals
 from dcl.flow import evolve
 from dcl.verify import SUITES, Check, run_suite, suite_identities
@@ -14,6 +15,21 @@ def test_all_suites_pass(suite):
     checks = run_suite(suite, grids=(64, 128), seed=0)
     failed = [c.line() for c in checks if not c.passed]
     assert not failed, "\n".join(failed)
+
+
+@pytest.mark.parametrize("n", [2048, 65536])
+def test_oracle_suite_holds_on_every_accepted_grid(n):
+    # the exact circles' unmasked v_xxx carries a roundoff normal part near
+    # eps (pi N)^3, which trips dispersive_rhs's guard from N = 2048 on;
+    # the suite checks each exact state once and lowpasses the residual
+    checks = run_suite("oracles", grids=(n,), seed=0)
+    failed = [c.line() for c in checks if not c.passed]
+    assert len(checks) == 4 and not failed, "\n".join(failed)
+
+
+def test_cli_oracle_suite_exits_0_on_a_fine_grid(capsys):
+    assert main(["verify", "--suite", "oracles", "--grids", "2048"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
 
 
 def test_unknown_suite_raises():

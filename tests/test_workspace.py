@@ -140,7 +140,7 @@ def test_a_reused_stepper_gives_a_fresh_steppers_bits(target, eps):
     cfg = FlowConfig(a=0.7, b=0.3, epsilon=eps[0], N_g=N, dt=1e-5, T=1e-5,
                      mode_cutoff=6)
     st = _Stepper(cfg, manifold, 6, eps)
-    assert (st.n_curve, st.n) == (N, 32)
+    assert (cfg.N_g, st.n) == (N, 32)
     for rows, winding in inputs(manifold, len(eps)):
         lift = winding if winding.any() else None
         coef = np.fft.rfft(rows, norm="forward")
@@ -151,7 +151,7 @@ def test_a_reused_stepper_gives_a_fresh_steppers_bits(target, eps):
         calls = [lambda s: s.remainder(rows[..., :: N // st.n], v0, lift),
                  lambda s: s.slope(stage, lift),
                  lambda s: _rk4_step(rows, s, coef, lift),
-                 lambda s: _step_end(s, st.e_full * v0),
+                 lambda s: _step_end(s, st.e_full * v0, N),
                  lambda s: s.remainder(rows[..., :: N // st.n], v0, lift)]
         for call in calls:
             got = call(st)
