@@ -12,21 +12,15 @@ evaluated on the nearest-point projection of the state.
 
 Integrators
 -----------
-``ProjectedRK4``   Classical four-stage explicit step taken in the frame of
-                   the integrating factor exp(t*L) with L = a*d_x^3 -
-                   eps*d_x^4 (the constant-coefficient stiff part, handled
-                   exactly), with nearest-point projection at every stage
-                   and at the step end.  When a = eps = 0 the factor is the
-                   identity and this is the literal projected RK4.  Without
-                   the factor the third-derivative term makes every mode
-                   above a handful linearly unstable at production step
-                   sizes, so the factor is what makes an explicit scheme
-                   viable at all.  The stages run on the stage grid
-                   (:func:`stage_grid`), which the band sets, not N,
-                   stage 1 at every (N/M)-th state sample (:func:`_rk4_step`).
-                   A step makes 16 transforms, or 24 if a member has eps > 0
-                   (:meth:`_Stepper.remainder`).  The step acts on one
-                   curve (d, N) or on a stack (B, d, N) whose members may
+``ProjectedRK4``   Classical four-stage explicit step in the frame of the
+                   integrating factor exp(t*L), L = a*d_x^3 - eps*d_x^4 (the
+                   constant-coefficient stiff part, handled exactly), with
+                   nearest-point projection at every stage and at the step
+                   end; at a = eps = 0 the literal projected RK4.  The
+                   stages run on the stage grid (:func:`stage_grid`), which
+                   the band sets, not N.  A step makes 16 transforms, or 24
+                   if a member has eps > 0 (:meth:`_Stepper.remainder`), on
+                   one curve (d, N) or a stack (B, d, N) whose members may
                    carry their own eps.
 ``DuhamelPicard``  Fixed-point iteration on the mild (Duhamel) form driven
                    by the propagator exp(t*L) of the stepper's one symbol
@@ -40,38 +34,31 @@ Integrators
 
 ``_march`` is the one step loop: ``evolve`` is its single member, and
 ``epsilon_continuation`` marches the eps = 0 baseline and every level as
-one stack with per-member guards.  It decides the run's band once and
-hands it to every stepper it builds; a stepper is built from the run's
-config alone, and a step takes only the state, its transform and the
-curve's winding.  It transforms each accepted state once: that rfft
-feeds the H2 blow-up guard and the next step's V0 and stage 1, or the
-Picard free term, so at stride 1 the guard costs no transform of its
-own.  The march state is each curve's periodic part: on the chart torus
-a closed curve's winding W is a homotopy invariant, so the march reads
-W and the trend W*x of u0 once, at entry, and adds the trend back to
-each snapshot.  No chart-torus kernel reads its base
-point (the retraction and the tangent projection copy, the second
-fundamental form is zero, J rotates the vector), so W enters a step only
-as the constant part of v_x.  Off the chart torus W is zero.
+one stack with per-member guards.  It decides the run's band once, for
+every stepper it builds, and transforms each accepted state once: that
+rfft feeds the H2 blow-up guard and the next step's V0 and stage 1, or
+the Picard free term.  The march state is each curve's periodic part: on
+the chart torus a closed curve's winding W is a homotopy invariant, so
+the march reads W and the trend W*x of u0 once and adds the trend back
+to each snapshot.  No chart-torus kernel reads its base point, so W
+enters a step only as the constant part of v_x; off the chart torus W
+is zero.  The march checks only what can fail: the tube check in each
+retraction (of u0, a stage point, a step end, the snapshots), the
+non-finite check of each step end and Picard iteration, and the H2
+guard; a retraction is on the target by construction (property-tested).
 
-The march checks only what can fail: the tube check in each retraction
-(of u0, a stage point, a step end), the non-finite check of each step
-end and Picard iteration, and the H2 guard.  A retraction is on the
-target by construction (property-tested), so nothing checks it again.
-
-The march stores every state, stage point and slope in the row layout
-(..., d, N) of :mod:`spectral` and transforms them by its
-:func:`spectral.rfft` and :func:`spectral.irfft`; the stepper's
-multipliers are rows over their modes.  States, their transforms, the
-guards and the snapshots stay on the N curve samples; every stage point,
-stage 1's every (N/M)-th sample of the state included, lives on the M
-stage samples, and every slope, once taken, on the stage grid's modes.
-``_march`` is where the layout changes: it takes u0 as (N, d) once and
-returns each snapshot as the transpose of its member's row state.  The
-public references ``dispersive_rhs`` and ``regularized_rhs`` stay
-(N, d): each makes its one check (an on-target check, or the
-retraction's tube check) and one call of :func:`_assemble`, the one
-unchecked assembly of the reference RHS.
+Fields are stored in the row layout (..., d, N) of :mod:`spectral` and
+transformed by its :func:`spectral.rfft` and :func:`spectral.irfft`; the
+stepper's multipliers are rows over their modes.  A ProjectedRK4 march
+whose stage grid M is below N carries the band, not the curve: it keeps
+u0's every (N/M)-th sample and first M/2 + 1 modes, and every step end,
+its rfft, the H2 guard and every stage then live on the M stage samples.
+The snapshots reach the N curve samples once, when the march returns
+(:func:`_curve_snapshots`).  DuhamelPicard, whose states may sit off the
+target, and every run with M = N march on the curve grid.  ``_march``
+takes u0 as (N, d) and returns each snapshot as (N, d); so do the public
+references ``dispersive_rhs`` and ``regularized_rhs``, each with one check
+and one call of :func:`_assemble`, the one unchecked assembly.
 
 Products of fields are cubic, so the automatic band dealiases them by
 the N/4 rule (a pinned ``mode_cutoff`` is used as given: above N/4 it
@@ -106,13 +93,11 @@ RHS_TANGENCY_TOL = 1e-6
 MAX_STEPS = 10**7
 
 # The largest curve grid and Gauss rule a run may ask for: a larger value is
-# a configuration error rather than a failed allocation.  The largest array
-# of any run is DuhamelPicard's quadrature kernel, (q + 1) q (N_g/2 + 1)
-# complex entries, 528 MiB at both bounds (its build, which holds the
-# propagator factors of every target beside it, peaks near 1.04 GiB, 16
-# times the 67 MiB measured at N_g = 4096).  The grid bound is shared by
-# every integrator, so it also limits RK4 runs, whose arrays take a
-# few MiB at 2^16: a grid study from N_g = 4096 may have 5 levels, not 6.
+# a configuration error rather than a failed allocation.  The largest array,
+# DuhamelPicard's quadrature kernel of (q + 1) q (N_g/2 + 1) complex entries,
+# takes 528 MiB at both bounds (its build peaks near 1.04 GiB, 16 times the
+# 67 MiB measured at N_g = 4096).  RK4 runs share the grid bound: a grid
+# study from N_g = 4096 may have 5 levels, not 6.
 MAX_N_G = 2**16
 MAX_QUADRATURE_NODES = 32
 
@@ -191,7 +176,9 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run plus per-step diagnostics."""
+    """Snapshots of one run plus per-step diagnostics: ``step_residuals``
+    holds each step's largest residual before projection over the points
+    it ended on, the M stage samples when the march carries the band."""
 
     times: list
     states: list
@@ -298,15 +285,15 @@ def mode_cutoff(cfg, manifold, speed):
     """Highest retained frequency for one run on ``manifold``.
 
     A pinned ``cfg.mode_cutoff`` wins, else the dealias band.  For
-    ProjectedRK4 the explicit stages see an effective second-order
-    operator; modes beyond the stability edge of the classical four-stage
-    scheme must be masked or roundoff there is amplified by orders of
-    magnitude per step; the edge is clamped to the band before int(), so
-    a dt too small for it (an inf edge) keeps the band.  ``speed`` is the
-    largest |v_x| of the data.  The remainder terms carry the target's
-    second fundamental form, so their coefficient grows with its largest
-    principal curvature (floored at 1).  DuhamelPicard ignores ``speed``:
-    its propagator carries all of L, so it keeps the dealias band.
+    ProjectedRK4 the explicit stages see an effective second-order operator
+    whose modes beyond the classical four-stage scheme's stability edge must
+    be masked, or roundoff there grows by orders of magnitude per step; the
+    edge is clamped to the band before int(), so a dt too small for it (an
+    inf edge) keeps the band.  Its coefficient grows with ``speed``, the
+    largest |v_x| of the data, and with the largest principal curvature of
+    the target (floored at 1), whose second fundamental form the remainder
+    terms carry.  DuhamelPicard ignores ``speed``: its propagator carries
+    all of L, so it keeps the dealias band.
     """
     if cfg.mode_cutoff:
         return cfg.mode_cutoff
@@ -342,40 +329,31 @@ def stage_grid(n, keep):
 class _Stepper:
     """Spectral precomputation and the stage slope for one run.
 
-    A stepper is built from the run's config alone, and each step reads dt
-    and the Picard settings from ``cfg``; the caller adds the target, the
-    band ``keep`` it decides once per run (:func:`mode_cutoff`) and each
-    member's eps.  It holds one grid, the stage grid ``n``
-    (:func:`stage_grid` of the band; the curve grid for DuhamelPicard, whose
-    quadrature kernel lives on its modes); a step ends on the grid of the
-    state it was given.  Stage 1 slopes the state's every (N/M)-th sample by
-    :meth:`remainder` from the state's first M/2 + 1 modes, so no slope runs
-    on the curve grid unless it is the stage grid.  ``d_pows`` holds the
-    stage grid's d/dx and its powers 1..3, or 1..2 when no slope term needs
-    v_xxx, as (orders, K) rows; :meth:`remainder` views them at the rank of
-    its coefficients, (d, K) or (B, d, K).  Every slope is combined on the
-    stage grid's modes only: the band ``mask``, ``c_a0`` on A0 = A(v_x, v_x),
-    ``c_a1`` on A1 (eps term only) and the masked integrating factors over
-    a full and a half step are rows over them.  ``eps`` holds one level per
-    member: B > 1 levels give the integrating factors and the slope's
-    multipliers a leading member axis, (B, 1, K), for a (B, d, N) stack
-    whose member i carries eps[i]; one level gives them none, so it steps a
-    (d, N) curve or a stack.  The band and the derivative multipliers are
-    shared by all members.
+    Built from the run's config alone (each step reads dt and the Picard
+    settings from ``cfg``), the target, the run's band ``keep``
+    (:func:`mode_cutoff`) and each member's eps.  It holds one grid, the
+    stage grid ``n`` (:func:`stage_grid` of the band; the curve grid for
+    DuhamelPicard, whose quadrature kernel lives on its modes), and every
+    slope is combined on its modes: ``d_pows`` (d/dx and its powers 1..3,
+    or 1..2 when no term needs v_xxx, as (orders, K) rows), the band
+    ``mask``, ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only)
+    and the masked integrating factors over a full and a half step.  B > 1
+    levels of ``eps`` give the factors and the multipliers a leading member
+    axis, (B, 1, K), for a (B, d, N) stack whose member i carries eps[i];
+    one level steps a (d, N) curve or a stack.
 
-    The stiff part L = a*d_x^3 - eps*d_x^4 is every integrator's, its symbol
-    built here once, k3 = a d1^3 from the d/dx table; a DuhamelPicard
-    stepper holds the masked quadrature that propagates it (``nodes``,
-    ``kernel``, ``prop0``) in place of the integrating factors, and each
-    step's count in ``iterations``.  The pointwise terms are not formed when
-    their coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
+    L = a*d_x^3 - eps*d_x^4 is every integrator's, its symbol built here
+    once, k3 = a d1^3 from the d/dx table; a DuhamelPicard stepper holds the
+    masked quadrature that propagates it (``nodes``, ``kernel``, ``prop0``)
+    in place of the integrating factors, and each step's count in
+    ``iterations``.  The pointwise terms are not formed when their
+    coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
     ``work`` is the workspace: :meth:`buffer` makes each array of
     :meth:`remainder` and of the step end's irfft by np.empty on first use,
-    keyed by (name, shape), as one stepper may take a curve or stacks, on
-    any grid.  ``_march`` builds one stepper per set of live members, so the
-    buffers live as long as the march.  No result aliases them: slopes,
-    states and residuals leave a step as fresh arrays.
+    keyed by (name, shape).  ``_march`` builds one stepper per set of live
+    members, so the buffers live as long as the march.  No result aliases
+    them: slopes, states and residuals leave a step as fresh arrays.
     """
 
     def __init__(self, cfg, manifold, keep, eps):
@@ -420,22 +398,16 @@ class _Stepper:
         return self.work[name, shape]
 
     def slope(self, samples, winding):
-        """Masked stage-grid rfft coefficients of the remainder at a stage.
-
-        ``samples`` are (d, N) or (B, d, N) periodic parts and ``winding``
-        is (d, 1) or (B, d, 1), or None for none (the march decides that
-        once).  The stage points are retracted (tube check, then P, on
-        the target by construction); :meth:`remainder` then takes P and
-        its rfft, one transform call more than it makes itself.
-        """
+        """Masked stage-grid rfft coefficients of the remainder at stage
+        points ``samples``, (d, N) or (B, d, N) periodic parts of winding
+        (d, 1) or (B, d, 1), or None: :meth:`remainder` at their retraction
+        (tube check, then P) and its rfft, one transform call more."""
         proj, _ = self.manifold._retract(samples)
         return self.remainder(proj, spectral.rfft(proj), winding)
 
     def remainder(self, proj, coef, winding):
-        """The slope at an on-target periodic part ``proj`` on the stage grid,
-        from its modes ``coef``: its rfft, or at stage 1, where ``proj`` is
-        the state's every (N/M)-th sample, the state's first M/2 + 1 modes.
-        Unchecked: ``proj`` is a retraction, of a stage point or the state.
+        """The slope at an on-target periodic part ``proj`` on the stage grid
+        (a retraction, so unchecked) from its M/2 + 1 modes ``coef``.
 
         The remainder is the RHS minus L v, assembled at P = ``proj``
         without cancelling large terms (A is the second fundamental form
@@ -448,12 +420,12 @@ class _Stepper:
         multipliers on rfft coefficients; the rest,
         J s1 + b |v_x|^2 v_x - a A1 (plus eps A(S2, v_x)), is pointwise.
 
-        When every member has eps = 0, two transform calls
-        on 4 rows: [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed
-        pointwise for A(S2, v_x): four calls on 7 rows, [v_x, v_xx,
-        v_xxx], A0, D A0 and [A1, rest], all on the stage grid.  One
-        |v_x|^2 serves A0 = -|v_x|^2 P on the sphere and the cubic term;
-        ``rest`` is summed in place, in one product buffer with A0 or A1.
+        When every member has eps = 0, two transform calls on 4 rows:
+        [v_x, v_xx] and [A0, rest].  Otherwise t2 is needed pointwise for
+        A(S2, v_x): four calls on 7 rows, [v_x, v_xx, v_xxx], A0, D A0 and
+        [A1, rest].  One |v_x|^2 serves A0 = -|v_x|^2 P on the sphere and
+        the cubic term; ``rest`` is summed in place, in one product buffer
+        with A0 or A1.
         """
         cfg, m, third = self.cfg, self.manifold, self.third_order
         ws, shape, n = self.buffer, proj.shape, self.n
@@ -493,17 +465,15 @@ class _Stepper:
 def _rk4_step(samples, st, coef, winding):
     """Integrating-factor RK4 on rfft coefficients (Trefethen, Program 27).
 
-    A step takes only the state, its transform and its winding; dt and
-    every multiplier are the stepper ``st``'s.  The state ``samples`` is
-    the periodic part of one curve (d, N) or of a stack (..., d, N) on the
-    target (a state the march accepted, or u0 it retracted), ``coef`` its
-    rfft and ``winding`` its (d, 1) or (..., d, 1) winding, or None for
-    none.  V0 and the slopes stay on the stage grid's modes.  Stage 1 is
-    the remainder at the state's every (N/M)-th sample, on the target as
-    the state is, from V0, the first M/2 + 1 modes of ``coef``: no
-    retraction or transform of its own; each later stage point is one
-    irfft on the stage grid.  Returns the projected periodic part on the
-    grid of ``samples`` and each curve's largest residual before projection.
+    dt and every multiplier are the stepper ``st``'s.  ``samples`` is the
+    on-target periodic part (d, N) or (..., d, N) of a state the march
+    accepted or retracted, ``coef`` its rfft and ``winding`` its (d, 1) or
+    (..., d, 1) winding, or None.  V0, the first M/2 + 1 modes of ``coef``,
+    and the slopes stay on the stage grid's modes.  Stage 1 is the remainder
+    at the state's every (N/M)-th sample, from V0, with no retraction or
+    transform of its own; each later stage point is one irfft on the stage
+    grid.  Returns the projected periodic part on the grid of ``samples``
+    and each curve's largest residual before projection.
     """
     h = st.cfg.dt
     v0 = coef[..., : st.n // 2 + 1]
@@ -630,13 +600,10 @@ def _parseval_weights(n, low, high):
 
 
 def _extrinsic_h2(coef, winding):
-    """H2 norm of the velocity by plain spectral derivatives.
-
-    Valid for states slightly off the target (unlike the covariant norm),
-    which is all the blow-up guard needs.  By Parseval on the rfft
-    ``coef`` of the periodic part of N samples: |W|^2 plus the power of
-    D^j of it for j = 1..3.  One norm per curve of a (..., d, N) stack.
-    """
+    """H2 norm of the velocity by Parseval on the rfft ``coef`` of a periodic
+    part, on any grid: |W|^2 plus the power of D^j of it for j = 1..3, one
+    norm per curve of a stack.  Valid slightly off the target (unlike the
+    covariant norm), as the blow-up guard needs."""
     n = 2 * (coef.shape[-1] - 1)
     power = _ambient_sum(coef.real**2 + coef.imag**2) * _parseval_weights(n, 1, 3)
     total = _dot(winding, winding)[..., 0] + power.sum(axis=-1)
@@ -670,9 +637,9 @@ def _march(u0, cfg, stride, levels=None):
     raises, or whose H2 norm grows BLOWUP_FACTOR-fold within a stride, is
     frozen with its failure, and the others march on as a smaller stack.
     For ProjectedRK4 the march starts from the retraction of u0 (a u0
-    outside the tube freezes every member with that failure); snapshot
-    0 is u0 as given.  The band of every integrator is decided here,
-    once, by :func:`run_band`.
+    outside the tube freezes every member with that failure) and carries
+    the band when the stage grid is coarser (see the module docstring);
+    snapshot 0 is u0 as given.  :func:`run_band` decides the band here.
     """
     if u0.n != cfg.N_g:
         raise ValueError(f"curve grid {u0.n} does not match config N_g={cfg.N_g}")
@@ -715,7 +682,12 @@ def _march(u0, cfg, stride, levels=None):
     live = list(range(len(trajs)))
     # one transform per state: the H2 guard and the next step share it
     coef = spectral.rfft(state)
+    n = stepper(tuple(live)).n
+    band = n < cfg.N_g  # the march carries the stage grid, not the curve
+    if band:
+        state, coef = state[..., :: cfg.N_g // n].copy(), coef[..., : n // 2 + 1].copy()
     guard = _extrinsic_h2(coef, winding)  # indexed by member
+    modes = [[] for _ in trajs]  # each member's snapshots' modes, if band
     for k in range(1, n_steps + 1):
         try:
             state, residuals = step_fn(state, stepper(tuple(live)), coef, lift)
@@ -747,6 +719,9 @@ def _march(u0, cfg, stride, levels=None):
                     f"H2 norm grew {norms[j] / guard[i]:.1f}x within one stride"))
             else:
                 trajs[i].times.append(k * cfg.dt)
+                if band:
+                    modes[i].append(coef[j])
+                    continue
                 rows = trend + state[j] if winds else state[j]
                 trajs[i].states.append(u0.with_samples(rows.T))
         guard[live] = norms
@@ -755,7 +730,33 @@ def _march(u0, cfg, stride, levels=None):
             live, state, coef = [live[j] for j in kept], state[kept], coef[kept]
             if not live:
                 break
+    if band and any(modes):
+        _curve_snapshots(u0, trajs, modes, trend if winds else None)
     return trajs
+
+
+def _curve_snapshots(u0, trajs, modes, trend):
+    """Append each member's snapshots from their stage-grid ``modes``: one
+    batched irfft onto the curve grid and one tube-checked retraction, plus
+    ``trend`` unless None.  A snapshot outside the tube cuts its member's
+    times and states there and becomes its failure."""
+    m, ends = u0.manifold, np.cumsum([0] + [len(rows) for rows in modes])
+    pre = spectral.irfft(np.stack([row for rows in modes for row in rows]), u0.n)
+    try:
+        curves, _ = m._retract(pre)
+    except OutOfTubularNeighborhood:
+        curves = None  # each row alone finds each member's first exit
+    for traj, start, end in zip(trajs, ends, ends[1:]):
+        for s in range(start, end):
+            try:
+                curve = curves[s] if curves is not None else m._retract(pre[s])[0]
+            except OutOfTubularNeighborhood as exc:
+                t = traj.times[len(traj.states)]
+                del traj.times[len(traj.states):]
+                traj.failure = f"{type(exc).__name__}: {exc} at t = {t!r}"
+                break
+            rows = curve if trend is None else trend + curve
+            traj.states.append(u0.with_samples(rows.T))
 
 
 def epsilon_continuation(u0, cfg, eps_list):
@@ -764,9 +765,8 @@ def epsilon_continuation(u0, cfg, eps_list):
     Rows are ordered by eps (largest first).  Per-run failures are
     recorded in their row; the table is returned regardless.  All runs use
     the projected RK4 stepper so that the eps = 0 baseline is admissible.
-    The baseline and the levels march as one (B, d, N) stack with
-    per-member integrating factors and guards: a level that trips a guard
-    is frozen with the failure it alone hits while the others march on.
+    The baseline and the levels march as one stack (:func:`_march`): a
+    level that trips a guard alone is frozen while the others march on.
     """
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):

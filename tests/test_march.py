@@ -20,9 +20,11 @@ from dcl.flow import (
     _Stepper,
     evolve,
     mode_cutoff,
+    run_band,
+    stage_grid,
 )
 from dcl.errors import TangencyViolation
-from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2
+from dcl.manifolds import CHART_FLAT_TORUS2, SPHERE2, _Manifold
 from dcl.presets import great_circle, random_smooth
 
 # the guard-trip input of test_epsilon_batch, and a healthy sphere run
@@ -235,6 +237,8 @@ def test_snapshots_keep_the_winding_of_u0(integrator):
 # property that carrying the band and a stride-free guard must keep
 STRIDE_U0 = random_smooth(SPHERE2, 64, seed=3, decay=1.0, amplitude=0.2)
 STRIDE_CFG = FlowConfig(a=1.0, b=0.5, N_g=64, dt=1e-5, T=1.2e-4)
+BAND_U0 = random_smooth(SPHERE2, 256, seed=3, decay=1.0, amplitude=0.2)
+BAND_CFG = replace(STRIDE_CFG, N_g=256)
 STRIDE_CASES = {
     "rk4-sphere": (STRIDE_U0, STRIDE_CFG, None),
     "picard-sphere": (STRIDE_U0, replace(STRIDE_CFG, epsilon=1e-2,
@@ -243,6 +247,9 @@ STRIDE_CASES = {
         random_smooth(CHART_FLAT_TORUS2, 64, seed=3, decay=1.0, amplitude=0.2),
         replace(STRIDE_CFG, epsilon=1e-4), None),
     "rk4-levels": (STRIDE_U0, STRIDE_CFG, [0.0, 1e-4, 5e-5]),
+    # the band state: a stage grid of 64 points under a curve grid of 256
+    "rk4-band": (BAND_U0, BAND_CFG, None),
+    "rk4-band-levels": (BAND_U0, BAND_CFG, [0.0, 1e-4, 5e-5]),
 }
 
 
@@ -261,3 +268,56 @@ def test_snapshots_do_not_depend_on_the_stride(case):
             assert got.times == want.times[::stride]
             assert ([s.samples.tobytes() for s in got.states]
                     == [s.samples.tobytes() for s in want.states[::stride]])
+
+
+def test_band_cases_march_on_the_stage_grid():
+    # the stride cases above at N = 64 march on the curve grid, M = N
+    keep = run_band(BAND_CFG, BAND_U0)
+    assert stage_grid(BAND_CFG.N_g, keep) == 64 < BAND_CFG.N_g
+    assert stage_grid(STRIDE_CFG.N_g, run_band(STRIDE_CFG, STRIDE_U0)) == 64
+
+
+# ---------------------------------------------------------------------------
+# The band state: snapshots reach the curve grid when the march returns
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_snapshot_outside_the_tube_cuts_only_its_member(monkeypatch, stride):
+    # the curve-grid retraction of the snapshots runs once, after the loop:
+    # a snapshot it finds outside the tube ends its member's trajectory
+    # there, as a tube exit at its step would, and no other member's
+    levels = [0.0, 1e-4, 5e-5]
+    wants = _march(BAND_U0, BAND_CFG, stride, levels)
+    assert all(t.failure is None and len(t.states) == 1 + 12 // stride
+               for t in wants)
+    bad = wants[1].states[2].samples.T  # member 1's second snapshot
+    retract, hits = _Manifold._retract, []
+
+    def leave_the_tube(self, rows, sq=None):
+        # the bad snapshot's curve-grid rows, and only they, move out to
+        # distance 0.6 before the real retraction sees them
+        if rows.shape[-1] != bad.shape[-1]:
+            return retract(self, rows, sq)
+        hit = np.all(np.abs(rows - bad) < 1e-9, axis=(-2, -1))
+        hits.append(int(np.sum(hit)))
+        if hit.any():
+            rows = np.where(hit[..., None, None], 1.6 * rows, rows)
+        return retract(self, rows, sq)
+
+    monkeypatch.setattr(_Manifold, "_retract", leave_the_tube)
+    trajs = _march(BAND_U0, BAND_CFG, stride, levels)
+    alone = evolve(BAND_U0, replace(BAND_CFG, epsilon=levels[1]), stride)
+    assert sum(hits) >= 1
+    for got, want in zip(trajs, wants):
+        if got is not trajs[1]:
+            assert_same_trajectory(got, want)
+    for got in (trajs[1], alone):
+        t = wants[1].times[2]
+        assert got.failure == ("OutOfTubularNeighborhood: Sphere2: distance "
+                               f"6.000e-01 >= tubular radius 5.000e-01 at t = {t!r}")
+        assert got.times == wants[1].times[:2]
+        assert ([s.samples.tobytes() for s in got.states]
+                == [s.samples.tobytes() for s in wants[1].states[:2]])
+        # every step was accepted on the stage grid
+        assert got.step_residuals == wants[1].step_residuals

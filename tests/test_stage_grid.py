@@ -3,15 +3,18 @@
 The stability clamp, not N, sets the band of a ProjectedRK4 run, so the
 stages run on the smallest grid that dealiases the band by the N/4 rule:
 stage 1 at the state's every (N/M)-th sample, from the first M/2 + 1
-modes of the march's transform of it.  Only that transform and the step
-end transform all N curve samples, and the step end follows the grid of
-the state the step was given.
+modes of the march's transform of it.  The step end follows the grid of
+the state the step was given, and the march gives it the stage grid: only
+u0's transform and the one batched irfft of the snapshots, when the march
+returns, transform all N curve samples.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dcl.curves import lift_trend
+from dcl.curves import h1_distance, lift_trend, resample
 from dcl.flow import (
     FlowConfig,
     _parseval_weights,
@@ -98,14 +101,16 @@ def test_step_transforms_curve_grid_only_at_march_and_step_end(fft_calls):
     cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=1e-6, T=2e-6)
     traj = evolve(u0, cfg)
     assert traj.failure is None and traj.final.n == n
-    # stage 1 slopes the state on the stage grid from the first modes of
-    # the rfft the march made of it: [v_x, v_xx] and [A0, rest]; stages
-    # 2-4 first transform their point back
+    # stage 1 slopes the state on the stage grid from the modes of the
+    # rfft the march made of it: [v_x, v_xx] and [A0, rest]; stages 2-4
+    # first transform their point back; the step ends on the stage grid
     stages = [("irfft", m), ("rfft", m)] + 3 * [
         ("irfft", m), ("rfft", m), ("irfft", m), ("rfft", m)]
-    step = stages + [("irfft", n), ("rfft", n)]
+    step = stages + [("irfft", m), ("rfft", m)]
     assert len(step) == 16
-    assert fft_calls[-(1 + 2 * 16):] == [("rfft", n)] + 2 * step
+    # the march's only curve-grid calls: u0's rfft, and one irfft of every
+    # snapshot's modes when it returns
+    assert fft_calls[-(2 + 2 * 16):] == [("rfft", n)] + 2 * step + [("irfft", n)]
 
 
 @pytest.mark.parametrize("eps", [[0.0], [1e-4], [0.0, 1e-4]],
@@ -135,6 +140,31 @@ def test_a_step_returns_its_state_on_the_grid_it_was_given(manifold, eps):
     assert coarse.shape == (len(eps), manifold.ambient_dim, m)
     scale = max(1.0, float(np.max(np.abs(state))))
     assert np.max(np.abs(coarse - fine[..., :: n // m])) <= 1e-14 * scale
+
+
+def test_the_band_state_is_as_accurate_as_the_curve_grid_state():
+    # the march carries each state on the stage grid; a march that carries
+    # it on the curve grid (each step of the N-point state from its full
+    # rfft) stands as close to a finer reference: N doubled, dt / 16 and
+    # the same band
+    n, steps, dt = 1024, 50, 1e-6
+    u0 = random_smooth(SPHERE2, n, seed=11, decay=1.1, amplitude=0.18)
+    cfg = FlowConfig(a=1.0, b=0.5, N_g=n, dt=dt, T=steps * dt)
+    keep = run_band(cfg, u0)
+    st = _Stepper(cfg, SPHERE2, keep, [cfg.epsilon])
+    assert (keep, st.n) == (47, 256)
+    state, _ = SPHERE2._retract(u0.samples.T)
+    for _ in range(steps):
+        state, _ = _rk4_step(state, st, np.fft.rfft(state, norm="forward"), None)
+    curve = u0.with_samples(state.T)
+    band = evolve(u0, cfg, stride=steps).final
+    fine = replace(cfg, N_g=2 * n, dt=dt / 16, mode_cutoff=keep)
+    ref = evolve(resample(u0, 2 * n), fine, stride=16 * steps)
+    assert ref.failure is None
+    ref = u0.with_samples(ref.final.samples[::2])
+    to_ref = [h1_distance(c, ref) for c in (band, curve)]
+    assert to_ref[0] == pytest.approx(to_ref[1], rel=5e-4)
+    assert h1_distance(band, curve) < 0.1 * to_ref[1]
 
 
 @pytest.mark.parametrize("n", [16, 64, 4096])
