@@ -39,7 +39,7 @@ from .flow import MAX_N_G, FlowConfig, epsilon_continuation, evolve, run_band
 from .invariants import energy_report, trajectory_reports
 from .manifolds import by_name
 from .presets import make_initial, read_json
-from .verify import SUITES, run_suite
+from .verify import IDENTITY_GRIDS, SUITES, run_suite
 
 CSV_COLUMNS = (
     "t", "l2_ux", "E", "h1", "h2", "h3", "off_manifold", "nt_quantity"
@@ -395,6 +395,12 @@ def main(argv=None):
                 raise ConfigError(f"--grids must list powers of two from 16 to "
                                   f"{MAX_N_G}, two distinct for 'identities'; got "
                                   f"{args.grids!r}")
+            low, high, top = IDENTITY_GRIDS
+            if args.suite == "identities" and not (low <= min(grids) <= high
+                                                   and max(grids) <= top):
+                raise ConfigError(
+                    f"--suite identities resolves its data on a coarse grid from {low} to "
+                    f"{high} and a fine grid up to {top}; got {args.grids!r}")
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")
             return cmd_verify(args.suite, grids, args.seed)

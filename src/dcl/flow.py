@@ -49,7 +49,7 @@ guard; a retraction is on the target by construction (property-tested).
 
 Fields are stored in the row layout (..., d, N) of :mod:`spectral` and
 transformed by its :func:`spectral.rfft` and :func:`spectral.irfft`; the
-stepper's multipliers are rows over their modes.  A ProjectedRK4 march
+RK4 multipliers fit the shapes they multiply.  A ProjectedRK4 march
 whose stage grid M is below N carries the band, not the curve: it keeps
 u0's every (N/M)-th sample and first M/2 + 1 modes, and every step end,
 its rfft, the H2 guard and every stage then live on the M stage samples.
@@ -329,18 +329,15 @@ def stage_grid(n, keep):
 class _Stepper:
     """Spectral precomputation and the stage slope for one run.
 
-    Built from the run's config alone (each step reads dt and the Picard
-    settings from ``cfg``), the target, the run's band ``keep``
-    (:func:`mode_cutoff`) and each member's eps.  It holds one grid, the
-    stage grid ``n`` (:func:`stage_grid` of the band; the curve grid for
-    DuhamelPicard, whose quadrature kernel lives on its modes), and every
-    slope is combined on its modes: ``d_pows`` (d/dx and its powers 1..3,
-    or 1..2 when no term needs v_xxx, as (orders, K) rows), the band
-    ``mask``, ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only)
-    and the masked integrating factors over a full and a half step.  B > 1
-    levels of ``eps`` give the factors and the multipliers a leading member
-    axis, (B, 1, K), for a (B, d, N) stack whose member i carries eps[i];
-    one level steps a (d, N) curve or a stack.
+    Built from the run's config (dt and the Picard settings are ``cfg``'s),
+    the target, the band ``keep`` (:func:`mode_cutoff`) and each member's
+    eps.  It holds one grid ``n``: the stage grid (:func:`stage_grid`), or
+    the curve grid for DuhamelPicard, whose quadrature kernel lives on its
+    modes.  Its multipliers are rows over those modes: ``d_pows`` (d/dx to
+    the powers 1..3, or 1..2 when no term needs v_xxx), the band ``mask``,
+    ``c_a0`` on A0 = A(v_x, v_x), ``c_a1`` on A1 (eps term only) and the
+    masked integrating factors over a full and a half step; B > 1 levels
+    of ``eps`` give them a member axis, (B, 1, K): member i carries eps[i].
 
     L = a*d_x^3 - eps*d_x^4 is every integrator's, its symbol built here
     once, k3 = a d1^3 from the d/dx table; a DuhamelPicard stepper holds the
@@ -349,11 +346,11 @@ class _Stepper:
     ``iterations``.  The pointwise terms are not formed when their
     coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
-    ``work`` is the workspace: :meth:`buffer` makes each array of
-    :meth:`remainder` and of the step end's irfft by np.empty on first use,
-    keyed by (name, shape).  ``_march`` builds one stepper per set of live
-    members, so the buffers live as long as the march.  No result aliases
-    them: slopes, states and residuals leave a step as fresh arrays.
+    ``work`` holds, keyed by (name, shape) and made once by :meth:`buffer`,
+    each array of :meth:`remainder` and of the step end's irfft, and each
+    RK4 multiplier fitted to the shape and dtype it multiplies, so that no
+    product broadcasts or casts.  Picard keeps rows: fitted to its nodes they
+    would rival its kernel.  No slope, state or residual aliases ``work``.
     """
 
     def __init__(self, cfg, manifold, keep, eps):
@@ -364,9 +361,8 @@ class _Stepper:
         # it, a stage makes 3 transform calls instead of 5
         self.third_order = bool(np.any(self.eps))
         self.cubic, self.dispersive = cfg.b != 0, cfg.a != 0
-        self.work = {}
-        self.n = (cfg.N_g if cfg.integrator == "DuhamelPicard"
-                  else stage_grid(cfg.N_g, keep))
+        self.work, self.picard = {}, cfg.integrator == "DuhamelPicard"
+        self.n = cfg.N_g if self.picard else stage_grid(cfg.N_g, keep)
         # powers of d/dx, which drops the Nyquist mode
         d1 = spectral._derivative_multiplier(self.n, 1)
         self.d_pows = np.stack([d1, d1**2, d1**3][: 3 if self.third_order else 2])
@@ -380,7 +376,7 @@ class _Stepper:
         if self.third_order:
             self.c_a0 = self.c_a0 + self.eps * self.d_pows[1]
             self.c_a1 = self.eps * d1
-        if cfg.integrator == "DuhamelPicard":
+        if self.picard:
             self.nodes, self.kernel, self.prop0 = _duhamel_quadrature(cfg, k3, k4)
             # in place: the build holds one kernel, not two
             self.kernel *= self.mask
@@ -391,10 +387,14 @@ class _Stepper:
             self.e_full = np.exp(cfg.dt * lam) * self.mask
             self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
-    def buffer(self, name, shape, dtype=float):
-        """The workspace array ``name`` of ``shape``, np.empty on first use."""
+    def buffer(self, name, shape, dtype=float, row=None):
+        """The workspace array ``name`` of ``shape``: np.empty, or the multiplier
+        ``row`` broadcast and cast to it, made once (Picard's rows as they are)."""
+        if row is not None and self.picard:
+            return row
         if (name, shape) not in self.work:
-            self.work[name, shape] = np.empty(shape, dtype)
+            self.work[name, shape] = (np.empty(shape, dtype) if row is None
+                                      else np.broadcast_to(row, shape).astype(dtype))
         return self.work[name, shape]
 
     def slope(self, samples, winding):
@@ -430,7 +430,8 @@ class _Stepper:
         cfg, m, third = self.cfg, self.manifold, self.third_order
         ws, shape, n = self.buffer, proj.shape, self.n
         modes = coef.shape
-        d_pows = self.d_pows.reshape((-1,) + (1,) * (coef.ndim - 1) + modes[-1:])
+        d_pows = ws("d_pows", self.d_pows.shape[:1] + modes, complex, self.d_pows.reshape(
+            (-1,) + (1,) * (coef.ndim - 1) + modes[-1:]))
         lin = np.multiply(d_pows, coef, out=ws("lin", d_pows.shape[:1] + modes, complex))
         rows = spectral.irfft(lin, n, ws("rows", lin.shape[:1] + shape))
         vx, vxx = rows[0], rows[1]
@@ -456,10 +457,12 @@ class _Stepper:
             np.subtract(rows[2], s2, out=s2)
             s2 -= a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
-            rest += np.multiply(self.eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
+            eps = ws("eps", shape, float, self.eps)
+            rest += np.multiply(eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
         a_hat, rest_hat = spectral.rfft(pair, ws("hat", (2,) + modes, complex))
-        out = rest_hat + self.c_a0 * (a0_hat if third else a_hat)
-        return self.mask * (out + self.c_a1 * a_hat if third else out)
+        out = rest_hat + ws("c_a0", modes, complex, self.c_a0) * (a0_hat if third else a_hat)
+        mask = ws("mask", modes, complex, self.mask)
+        return mask * (out + ws("c_a1", modes, complex, self.c_a1) * a_hat if third else out)
 
 
 def _rk4_step(samples, st, coef, winding):
@@ -478,17 +481,17 @@ def _rk4_step(samples, st, coef, winding):
     h = st.cfg.dt
     v0 = coef[..., : st.n // 2 + 1]
     m1 = st.remainder(samples[..., :: samples.shape[-1] // st.n], v0, winding)
-    half_v0, full_v0 = st.e_half * v0, st.e_full * v0
+    e_half = st.buffer("e_half", v0.shape, complex, st.e_half)
+    e_full = st.buffer("e_full", v0.shape, complex, st.e_full)
+    half_v0, full_v0 = e_half * v0, e_full * v0
 
     def slope(coef):
         return st.slope(spectral.irfft(coef, st.n), winding)
 
-    m2 = slope(st.e_half * (v0 + (0.5 * h) * m1))
+    m2 = slope(e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
-    m4 = slope(full_v0 + h * (st.e_half * m3))
-    end = full_v0 + (h / 6.0) * (
-        st.e_full * m1 + 2.0 * (st.e_half * (m2 + m3)) + m4
-    )
+    m4 = slope(full_v0 + h * (e_half * m3))
+    end = full_v0 + (h / 6.0) * (e_full * m1 + 2.0 * (e_half * (m2 + m3)) + m4)
     return _step_end(st, end, samples.shape[-1])
 
 
@@ -558,7 +561,7 @@ def _picard_step(samples, st, coef, winding):
 
     for iteration in range(1, cfg.picard_max_iter + 1):
         states = devs[:q]
-        if not np.all(np.isfinite(states)):
+        if not np.isfinite(states).all():
             raise StepSizeUnstable("non-finite state")
         f_hat = st.slope(states, winding)
         coef = free + np.einsum("ijk,jdk->idk", st.kernel, f_hat)

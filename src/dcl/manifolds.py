@@ -29,9 +29,11 @@ Public methods take (..., d) points.  The kernels (``_sq_norms``,
 ``_require_on``, ``_tangent``, ``_sff``, ``_j``) and ``_ambient_sum``
 take the row layout (..., d, N) of the flow and the reports: the
 components on axis -2, the samples on the contiguous last axis, so each
-component is one unstrided row.  ``_Manifold._rows`` is the one
-conversion: it views (..., d) points as (..., d, 1), rows of one
-sample, and each public method drops that axis again on the way out.
+component is one unstrided row.  ``_ambient_sum`` is one reduction and
+the sphere's ``_j`` two products of rows gathered by ``take``: neither
+loops over the strided rows of a (B, d, N) stack.  ``_Manifold._rows`` is
+the one conversion: it views (..., d) points as (..., d, 1), rows of
+one sample, and each public method drops that axis again on the way out.
 
 Convention note: ``second_fundamental_form`` returns the normal component
 of the ambient directional derivative D_X Y (for the sphere this is
@@ -48,21 +50,13 @@ from .errors import OutOfTubularNeighborhood, PointOffManifold
 from .spectral import TWO_PI
 
 ON_MANIFOLD_TOL = 1e-8
+UP, DOWN = (1, 2, 0), (2, 0, 1)  # the cross product's index rows
 
 
 def _ambient_sum(p):
-    """Sum over the ambient axis -2 of (..., d, N) rows as whole-row adds.
-
-    p0 + p1, then + p2 and so on: for d <= 4 these are the additions of
-    the component sum ``.sum(axis=-1)`` of the (..., d) points in its
-    order, so the result is bitwise the same (save a point of -0.0
-    entries, which sums to -0.0 here and to 0.0 there), while a
-    reduction over an axis this short costs about five times as much.
-    """
-    out = p[..., 0, :] + p[..., 1, :]
-    for i in range(2, p.shape[-2]):
-        out += p[..., i, :]
-    return out
+    """Sum over the ambient axis -2 of (..., d, N) rows: p0 + p1 + ... in
+    order, bitwise, signed zeros included, since -0.0 adds exactly."""
+    return np.add.reduce(p, axis=-2, initial=-0.0)
 
 
 def _dot(a, b):
@@ -204,14 +198,8 @@ class Sphere2(_Manifold):
         return np.multiply(-xy, base, out=out)
 
     def _j(self, base, vec, out=None):
-        # base x vec, one component row at a time into one output: no
-        # gathered copies of the inputs (np.cross costs twice as much)
-        out = np.empty(vec.shape) if out is None else out
-        for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-            row = out[..., c, :]
-            np.multiply(base[..., i, :], vec[..., j, :], out=row)
-            row -= base[..., j, :] * vec[..., i, :]
-        return out
+        return np.subtract(base.take(UP, -2) * vec.take(DOWN, -2),
+                           base.take(DOWN, -2) * vec.take(UP, -2), out=out)
 
 
 class CliffordTorus2(_Manifold):

@@ -86,6 +86,9 @@ def suite_projections(grids=(64,), seed=0):
 # from the quadrature roundoff floor; a residual that is *exact* at both
 # resolutions satisfies the spectral-decay requirement vacuously.
 PAIRING_FLOOR = 1e-13
+# ``dcl verify``'s identities grids: coarse 64 (data resolved) to 512 (commutator
+# slope above roundoff), fine up to 2048 (j-pairing roundoff below the floor)
+IDENTITY_GRIDS = (64, 512, 2048)
 
 
 def _decade_check(name, coarse, fine):

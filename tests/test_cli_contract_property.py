@@ -1,4 +1,5 @@
-"""Property: ``dcl.cli.main`` returns 0, 2 or 3 on any manifest, never raises.
+"""Property: ``dcl.cli.main`` returns 0, 2 or 3 on any manifest, never raises,
+and ``dcl verify --suite identities`` passes or refuses its grids, never fails.
 
 Hypothesis starts from a valid manifest (N in 16..64, at most 3 steps)
 and drops keys, adds unknown ones and replaces values by values of the
@@ -8,10 +9,12 @@ overflowing or longer than ``flow.MAX_STEPS`` steps (a config error),
 never a longer valid one.
 """
 
+import io
 import json
 import os
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -229,3 +232,33 @@ def test_converge_epsilon_levels_are_checked_in_order(capsys):
         tracemalloc.stop()
     assert status == 2 and peak < 2**20
     assert "epsilon level 1066 underflows to 0" in capsys.readouterr().err
+
+
+GRIDS = [2**k for k in range(4, 17)]  # every grid --grids takes, 16 to 65536
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(grids=st.lists(st.sampled_from(GRIDS), min_size=2, max_size=3, unique=True),
+       seed=st.integers(0, 2))
+@example(grids=[16, 32], seed=0)
+@example(grids=[1024, 2048], seed=0)
+@example(grids=[64, 4096], seed=0)
+@example(grids=[4096, 65536], seed=1)
+@example(grids=[2048, 64], seed=2)
+@example(grids=[512, 2048], seed=1)
+def test_identity_suite_passes_or_refuses_its_grids(grids, seed):
+    # a coarse grid from 64 to 512 and a fine grid up to 2048 resolve the
+    # suite's data and its floor, and it passes there on correct code;
+    # other grids exit 2 with one config error line that names the range
+    argv = ["verify", "--suite", "identities", "--grids", ",".join(map(str, grids)),
+            "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if 64 <= min(grids) <= 512 and max(grids) <= 2048:
+        assert code == 0 and "FAIL" not in out.getvalue() and err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue() == (
+            "config error: --suite identities resolves its data on a coarse grid "
+            f"from 64 to 512 and a fine grid up to 2048; got {argv[4]!r}\n")

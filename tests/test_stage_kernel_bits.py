@@ -9,7 +9,9 @@ before those changes: ``_Stepper.slope`` and ``_Stepper.remainder``,
 ``Sphere2._j``, ``_require_on``, ``_require_tube``, and the ``_sff``,
 ``_j`` and ``_project`` kernels they call.  Every output must match it
 bit for bit, signs of zeros included, on all three targets, and every
-check must raise the same exception with the same message.
+check must raise the same exception with the same message.  The
+component sum and the sphere's cross product are held to their row-by-row
+forms as int64 words, on rows full of signed zeros.
 """
 
 import numpy as np
@@ -37,6 +39,7 @@ from dcl.manifolds import (
     ChartFlatTorus2,
     CliffordTorus2,
     Sphere2,
+    _ambient_sum,
     _dot,
 )
 from dcl.presets import random_smooth
@@ -380,3 +383,48 @@ def test_checks_raise_as_they_did(manifold):
     # no constraint, so its checks pass whatever the points
     want = {None, PointOffManifold, OutOfTubularNeighborhood}
     assert outcomes == (want if d != 2 else {None})
+
+
+def row_adds(p):
+    """The sequential row adds p0 + p1, then + p2 and so on."""
+    out = p[..., 0, :] + p[..., 1, :]
+    for i in range(2, p.shape[-2]):
+        out += p[..., i, :]
+    return out
+
+
+def nine_op_j(base, vec, out):
+    """Sphere2's base x vec as nine row operations into one output."""
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        row = out[..., c, :]
+        np.multiply(base[..., i, :], vec[..., j, :], out=row)
+        row -= base[..., j, :] * vec[..., i, :]
+    return out
+
+
+def signed_zero_rows(rng, shape):
+    """Rows of +0.0, -0.0 and products of them, so that many sums are -0.0."""
+    zeros = rng.choice([0.0, -0.0], size=shape)
+    values = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape) * rng.standard_normal(shape)
+    return np.where(rng.random(shape) < 0.7, zeros, values)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("B", [1, 4, 8])
+def test_ambient_sum_and_cross_keep_signed_zeros(B, d):
+    # compared as int64 words: a -0.0 that comes out as +0.0 fails here
+    rng = np.random.default_rng(100 * B + d)
+    p = signed_zero_rows(rng, (B, d, N))
+    want = row_adds(p)
+    assert np.signbit(want).any() and (want == 0.0).any() and not np.signbit(want).all()
+    assert np.array_equal(_ambient_sum(p).view(np.int64), want.view(np.int64))
+    one = np.ascontiguousarray(p[..., :1])  # the public operators' one-sample rows
+    assert np.array_equal(_ambient_sum(one).view(np.int64), row_adds(one).view(np.int64))
+    if d == 3:
+        base, vec = signed_zero_rows(rng, (B, 3, N)), signed_zero_rows(rng, (B, 3, N))
+        out = np.empty((B, 3, N))
+        got = SPHERE2._j(base, vec, out=out)
+        want = nine_op_j(base, vec, np.empty((B, 3, N)))
+        assert got is out
+        assert np.signbit(want).any()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
