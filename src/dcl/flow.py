@@ -48,17 +48,18 @@ non-finite check of each step end and Picard iteration, and the H2
 guard; a retraction is on the target by construction (property-tested).
 
 Fields are stored in the row layout (..., d, N) of :mod:`spectral` and
-transformed by its :func:`spectral.rfft` and :func:`spectral.irfft`; the
-RK4 multipliers fit the shapes they multiply.  A ProjectedRK4 march
-whose stage grid M is below N carries the band, not the curve: it keeps
-u0's every (N/M)-th sample and first M/2 + 1 modes, and every step end,
-its rfft, the H2 guard and every stage then live on the M stage samples.
-The snapshots reach the N curve samples once, when the march returns
-(:func:`_curve_snapshots`).  DuhamelPicard, whose states may sit off the
-target, and every run with M = N march on the curve grid.  ``_march``
-takes u0 as (N, d) and returns each snapshot as (N, d); so do the public
-references ``dispersive_rhs`` and ``regularized_rhs``, each with one check
-and one call of :func:`_assemble`, the one unchecked assembly.
+transformed by its :func:`spectral.rfft` and :func:`spectral.irfft`; a
+step takes every array and fitted multiplier from one stage plan per
+state shape (:meth:`_Stepper.plan`).  A ProjectedRK4 march whose stage
+grid M is below N carries the band: it keeps u0's every (N/M)-th sample
+and first M/2 + 1 modes, and every step end, its rfft, the H2 guard and
+every stage then live on the M stage samples.  The snapshots reach the N
+curve samples once, when the march returns (:func:`_curve_snapshots`).
+DuhamelPicard, whose states may sit off the target, and every run with
+M = N march on the curve grid.  ``_march`` takes u0 as (N, d) and returns
+each snapshot as (N, d); so do the public references ``dispersive_rhs``
+and ``regularized_rhs``, each with one check and one call of
+:func:`_assemble`, the one unchecked assembly.
 
 Products of fields are cubic, so the automatic band dealiases them by
 the N/4 rule (a pinned ``mode_cutoff`` is used as given: above N/4 it
@@ -69,17 +70,14 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import spectral
 from .curves import h1_distance, is_grid_size, lift_trend, lifted_velocity
-from .errors import (
-    NoContraction,
-    OutOfTubularNeighborhood,
-    StepSizeUnstable,
-    TangencyViolation,
-)
+from .errors import (NoContraction, OutOfTubularNeighborhood, StepSizeUnstable,
+                     TangencyViolation)
 from .manifolds import _ambient_sum, _dot
 from .spectral import TWO_PI
 
@@ -120,9 +118,8 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.integrator not in INTEGRATORS:
-            raise ValueError(
-                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
-            )
+            raise ValueError(f"integrator must be one of {INTEGRATORS}, "
+                             f"got {self.integrator!r}")
         for name in ("a", "b", "epsilon", "dt", "T", "picard_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -247,10 +244,8 @@ def dispersive_rhs(curve, a, b):
     res = float(np.abs(rows - m._tangent(v, rows)).max())
     scale = max(1.0, float(np.max(np.abs(rows))))
     if res > RHS_TANGENCY_TOL * scale:
-        raise TangencyViolation(
-            f"rhs normal component {res:.3e} exceeds "
-            f"{RHS_TANGENCY_TOL:.0e} * {scale:.3e}; raise the resolution"
-        )
+        raise TangencyViolation(f"rhs normal component {res:.3e} exceeds "
+                                f"{RHS_TANGENCY_TOL:.0e} * {scale:.3e}; raise the resolution")
     return rows.T
 
 
@@ -299,9 +294,8 @@ def mode_cutoff(cfg, manifold, speed):
         return cfg.mode_cutoff
     keep = spectral.dealias_keep(cfg.N_g)
     if cfg.integrator != "DuhamelPicard":
-        coeff = (1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0)) * max(
-            manifold.principal_curvature, 1.0
-        )
+        coeff = ((1.0 + 4.0 * abs(cfg.a) * max(speed, 1.0))
+                 * max(manifold.principal_curvature, 1.0))
         edge = int(min(np.sqrt(STABILITY_EDGE / (cfg.dt * coeff)) / TWO_PI, keep))
         keep = min(keep, max(edge, 2))
     return keep
@@ -346,11 +340,8 @@ class _Stepper:
     ``iterations``.  The pointwise terms are not formed when their
     coefficient is zero: b |v_x|^2 v_x at b = 0 and a A1 at a = 0.
 
-    ``work`` holds, keyed by (name, shape) and made once by :meth:`buffer`,
-    each array of :meth:`remainder` and of the step end's irfft, and each
-    RK4 multiplier fitted to the shape and dtype it multiplies, so that no
-    product broadcasts or casts.  Picard keeps rows: fitted to its nodes they
-    would rival its kernel.  No slope, state or residual aliases ``work``.
+    ``work`` maps each state shape to its stage plan (:meth:`plan`); no
+    slope, state or residual aliases it.
     """
 
     def __init__(self, cfg, manifold, keep, eps):
@@ -387,15 +378,34 @@ class _Stepper:
             self.e_full = np.exp(cfg.dt * lam) * self.mask
             self.e_half = np.exp(0.5 * cfg.dt * lam) * self.mask
 
-    def buffer(self, name, shape, dtype=float, row=None):
-        """The workspace array ``name`` of ``shape``: np.empty, or the multiplier
-        ``row`` broadcast and cast to it, made once (Picard's rows as they are)."""
-        if row is not None and self.picard:
-            return row
-        if (name, shape) not in self.work:
-            self.work[name, shape] = (np.empty(shape, dtype) if row is None
-                                      else np.broadcast_to(row, shape).astype(dtype))
-        return self.work[name, shape]
+    def plan(self, shape):
+        """The stage plan of states of ``shape`` (..., d, N), made on first
+        use: the arrays of a step on stage rows shape[:-1] + (n,), its end's
+        ``pre`` of ``shape``, and each multiplier fitted to the shape and dtype
+        it multiplies, so that no product broadcasts or casts.  Picard keeps
+        rows: fitted to its nodes they would rival its kernel."""
+        if shape not in self.work:
+            k, p, lead = self.n // 2 + 1, len(self.d_pows), shape[:-1]
+            stage, modes = lead + (self.n,), lead + (k,)
+
+            def fit(row, to, dtype=complex):
+                return row if self.picard else np.broadcast_to(row, to).astype(dtype)
+            plan = self.work[shape] = SimpleNamespace(
+                d_pows=fit(self.d_pows.reshape((p,) + (1,) * len(lead) + (k,)),
+                           (p,) + modes),
+                mask=fit(self.mask, modes), c_a0=fit(self.c_a0, modes),
+                lin=np.empty((p,) + modes, complex), rows=np.empty((p,) + stage),
+                pair=np.empty((2,) + stage), hat=np.empty((2,) + modes, complex),
+                coef=np.empty(modes, complex),
+                **{name: np.empty(stage) for name in ("tmp", "a01", "s1")})
+            if self.third_order:
+                plan.eps, plan.c_a1 = fit(self.eps, stage, float), fit(self.c_a1, modes)
+                plan.s2, plan.da0, plan.a0_hat = (np.empty(stage),
+                                                  *np.empty((2,) + modes, complex))
+            if not self.picard:
+                plan.e_half, plan.e_full = fit(self.e_half, modes), fit(self.e_full, modes)
+                plan.point, plan.pre = np.empty(stage), np.empty(shape)
+        return self.work[shape]
 
     def slope(self, samples, winding):
         """Masked stage-grid rfft coefficients of the remainder at stage
@@ -403,7 +413,8 @@ class _Stepper:
         (d, 1) or (B, d, 1), or None: :meth:`remainder` at their retraction
         (tube check, then P) and its rfft, one transform call more."""
         proj, _ = self.manifold._retract(samples)
-        return self.remainder(proj, spectral.rfft(proj), winding)
+        coef = spectral.rfft(proj, self.plan(samples.shape).coef)
+        return self.remainder(proj, coef, winding)
 
     def remainder(self, proj, coef, winding):
         """The slope at an on-target periodic part ``proj`` on the stage grid
@@ -427,42 +438,35 @@ class _Stepper:
         the cubic term; ``rest`` is summed in place, in one product buffer
         with A0 or A1.
         """
-        cfg, m, third = self.cfg, self.manifold, self.third_order
-        ws, shape, n = self.buffer, proj.shape, self.n
-        modes = coef.shape
-        d_pows = ws("d_pows", self.d_pows.shape[:1] + modes, complex, self.d_pows.reshape(
-            (-1,) + (1,) * (coef.ndim - 1) + modes[-1:]))
-        lin = np.multiply(d_pows, coef, out=ws("lin", d_pows.shape[:1] + modes, complex))
-        rows = spectral.irfft(lin, n, ws("rows", lin.shape[:1] + shape))
+        cfg, m, third, n = self.cfg, self.manifold, self.third_order, self.n
+        p = self.plan(proj.shape)
+        rows = spectral.irfft(np.multiply(p.d_pows, coef, out=p.lin), n, p.rows)
         vx, vxx = rows[0], rows[1]
         if winding is not None:
-            vx = np.add(winding, vx, out=ws("vx", shape))
+            vx += winding  # in place: rows[0] is read only as v_x
         # [A0, rest], or [A1, rest] with the eps term: one rfft of one buffer
-        pair, tmp = ws("pair", (2,) + shape), ws("tmp", shape)
+        pair, tmp = p.pair, p.tmp
         sq = (_ambient_sum(np.multiply(vx, vx, out=tmp))[..., None, :]
               if self.cubic else None)
-        a0 = m._sff(proj, vx, vx, out=ws("a0", shape) if third else pair[0], xy=sq)
-        s1 = np.subtract(vxx, a0, out=ws("s1", shape))
+        a0 = m._sff(proj, vx, vx, out=p.a01 if third else pair[0], xy=sq)
+        s1 = np.subtract(vxx, a0, out=p.s1)
         rest = m._j(proj, s1, out=pair[1])
         if self.cubic:
             rest += np.multiply(cfg.b * sq, vx, out=tmp)
         if self.dispersive or third:
-            a1 = m._sff(proj, s1, vx, out=pair[0] if third else ws("a1", shape))
+            a1 = m._sff(proj, s1, vx, out=pair[0] if third else p.a01)
         if self.dispersive:
             rest -= np.multiply(cfg.a, a1, out=tmp)
         if third:
-            a0_hat = spectral.rfft(a0, ws("a0_hat", modes, complex))
-            s2 = spectral.irfft(np.multiply(d_pows[0], a0_hat, out=ws("da0", modes, complex)),
-                                n, ws("s2", shape))
+            a0_hat = spectral.rfft(a0, p.a0_hat)
+            s2 = spectral.irfft(np.multiply(p.d_pows[0], a0_hat, out=p.da0), n, p.s2)
             np.subtract(rows[2], s2, out=s2)
             s2 -= a1
             # a member at eps = 0 adds 0 * (...), which leaves it as is
-            eps = ws("eps", shape, float, self.eps)
-            rest += np.multiply(eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
-        a_hat, rest_hat = spectral.rfft(pair, ws("hat", (2,) + modes, complex))
-        out = rest_hat + ws("c_a0", modes, complex, self.c_a0) * (a0_hat if third else a_hat)
-        mask = ws("mask", modes, complex, self.mask)
-        return mask * (out + ws("c_a1", modes, complex, self.c_a1) * a_hat if third else out)
+            rest += np.multiply(p.eps, m._sff(proj, s2, vx, out=tmp), out=tmp)
+        a_hat, rest_hat = spectral.rfft(pair, p.hat)
+        out = rest_hat + p.c_a0 * (a0_hat if third else a_hat)
+        return p.mask * (out + p.c_a1 * a_hat if third else out)
 
 
 def _rk4_step(samples, st, coef, winding):
@@ -478,27 +482,25 @@ def _rk4_step(samples, st, coef, winding):
     grid.  Returns the projected periodic part on the grid of ``samples``
     and each curve's largest residual before projection.
     """
-    h = st.cfg.dt
+    h, p = st.cfg.dt, st.plan(samples.shape)
     v0 = coef[..., : st.n // 2 + 1]
     m1 = st.remainder(samples[..., :: samples.shape[-1] // st.n], v0, winding)
-    e_half = st.buffer("e_half", v0.shape, complex, st.e_half)
-    e_full = st.buffer("e_full", v0.shape, complex, st.e_full)
-    half_v0, full_v0 = e_half * v0, e_full * v0
+    half_v0, full_v0 = p.e_half * v0, p.e_full * v0
 
     def slope(coef):
-        return st.slope(spectral.irfft(coef, st.n), winding)
+        return st.slope(spectral.irfft(coef, st.n, p.point), winding)
 
-    m2 = slope(e_half * (v0 + (0.5 * h) * m1))
+    m2 = slope(p.e_half * (v0 + (0.5 * h) * m1))
     m3 = slope(half_v0 + (0.5 * h) * m2)
-    m4 = slope(full_v0 + h * (e_half * m3))
-    end = full_v0 + (h / 6.0) * (e_full * m1 + 2.0 * (e_half * (m2 + m3)) + m4)
+    m4 = slope(full_v0 + h * (p.e_half * m3))
+    end = full_v0 + (h / 6.0) * (p.e_full * m1 + 2.0 * (p.e_half * (m2 + m3)) + m4)
     return _step_end(st, end, samples.shape[-1])
 
 
 def _step_end(st, coef, n):
     """Guarded projection of the irfft of stage-grid modes ``coef`` onto
     ``n`` points, the step state's grid; (samples, residuals before)."""
-    pre = spectral.irfft(coef, n, st.buffer("pre", coef.shape[:-1] + (n,)))
+    pre = spectral.irfft(coef, n, st.plan(coef.shape[:-1] + (n,)).pre)
     if not np.isfinite(pre).all():
         raise StepSizeUnstable("non-finite state")
     proj, sq = st.manifold._retract(pre)
@@ -576,10 +578,8 @@ def _picard_step(samples, st, coef, winding):
             # a copy: a view would keep the whole node stack alive
             end = devs[-1:].copy()
             return end, m._residual(m._sq_norms(end)).max(axis=-1)
-    raise NoContraction(
-        f"no fixed point after {cfg.picard_max_iter} iterations "
-        f"(last update {delta:.3e}); reduce dt for this epsilon"
-    )
+    raise NoContraction(f"no fixed point after {cfg.picard_max_iter} iterations "
+                        f"(last update {delta:.3e}); reduce dt for this epsilon")
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ its derivative rows pre-shaped; the checks reduce with ``ndarray.max``
 and one comparison; the Duhamel kernel is one contraction over all
 targets.  The reference below is a verbatim copy of the formulation
 before those changes: ``_Stepper.slope`` and ``_Stepper.remainder``,
-``Sphere2._j``, ``_require_on``, ``_require_tube``, and the ``_sff``,
-``_j`` and ``_project`` kernels they call.  Every output must match it
-bit for bit, signs of zeros included, on all three targets, and every
-check must raise the same exception with the same message.  The
-component sum and the sphere's cross product are held to their row-by-row
-forms as int64 words, on rows full of signed zeros.
+``Sphere2._j``, ``_require_on``, ``_require_tube``, the ``_sff``, ``_j``
+and ``_project`` kernels they call, and ``_tangent``.  Every output must
+match it bit for bit on all three targets, and every check must raise the
+same exception with the same message.  Signs of zeros are held as int64
+words: the kernels, the stage slope and the RK4 step on curves in a
+coordinate plane, whose rows hold +0.0 and -0.0, and the component sum
+and the sphere's cross product against their row-by-row forms on rows
+full of signed zeros.
 """
 
 import numpy as np
@@ -70,6 +72,9 @@ class _ReferenceChecks:
 
 
 class ReferenceSphere2(_ReferenceChecks, Sphere2):
+    def _tangent(self, base, vec):
+        return vec - _dot(vec, base)[..., None, :] * base
+
     def _project(self, pts, norm):
         if np.any(norm < 1e-12):
             raise OutOfTubularNeighborhood(
@@ -91,6 +96,11 @@ class ReferenceSphere2(_ReferenceChecks, Sphere2):
 
 
 class ReferenceCliffordTorus2(_ReferenceChecks, CliffordTorus2):
+    def _tangent(self, base, vec):
+        tau1, tau2 = self._frame(base)
+        return (_dot(vec, tau1)[..., None, :] * tau1
+                + _dot(vec, tau2)[..., None, :] * tau2)
+
     def _project(self, pts, norm):
         if np.any(norm < 1e-12):
             raise OutOfTubularNeighborhood(
@@ -114,6 +124,9 @@ class ReferenceCliffordTorus2(_ReferenceChecks, CliffordTorus2):
 
 
 class ReferenceChartFlatTorus2(_ReferenceChecks, ChartFlatTorus2):
+    def _tangent(self, base, vec):
+        return vec.copy()
+
     def _sff(self, base, x, y):
         return np.zeros_like(base)
 
@@ -428,3 +441,75 @@ def test_ambient_sum_and_cross_keep_signed_zeros(B, d):
         assert got is out
         assert np.signbit(want).any()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# signed zeros through the stage kernels
+# ---------------------------------------------------------------------------
+
+
+def same_words(got, want):
+    """Bit equality as int64 words: a -0.0 where +0.0 is due fails."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+def plane_rows(target, rng):
+    """(d, N) rows of a curve in a coordinate plane of its target: the
+    sphere's equator, the Clifford torus's circle at phi2 = 0 and the
+    chart's line y = 0, traversed at a varying speed, with the row off the
+    plane a random mix of +0.0 and -0.0 and roundoff zeros made exact."""
+    manifold = CHART_FLAT_TORUS2 if target.startswith("chart") else {
+        "Sphere2": SPHERE2, "CliffordTorus2": CLIFFORD_TORUS2}[target]
+    x = spectral.grid(N)
+    theta = TWO_PI * x + 0.3 * np.sin(TWO_PI * x)
+    zeros = rng.choice([0.0, -0.0], size=N)
+    r = CliffordTorus2.radius
+    rows = np.stack({3: [np.cos(theta), np.sin(theta), zeros],
+                     4: [r * np.cos(theta), r * np.sin(theta), np.full(N, r), zeros],
+                     2: [theta / TWO_PI, zeros]}[manifold.ambient_dim])
+    rows = np.where(np.abs(rows) < 1e-15, np.copysign(0.0, rows), rows)
+    if target == "chart-unwound":
+        rows = rows - lift_trend(rows, manifold)[0]
+    return manifold, rows
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("target", TARGETS)
+def test_stage_kernels_keep_signed_zeros(target, eps):
+    rng = np.random.default_rng(7)
+    manifold, rows = plane_rows(target, rng)
+    ref = REFERENCE[manifold]
+    trend, winding = lift_trend(rows, manifold)
+    assert winding.any() == (target == "chart-winding")
+    state, _ = manifold._retract(rows - trend)
+    zero = state == 0.0
+    assert np.signbit(state[zero]).any() and not np.signbit(state[zero]).all()
+    # the kernels, on the curve and on vectors full of signed zeros
+    vec, other = signed_zero_rows(rng, state.shape), signed_zero_rows(rng, state.shape)
+    norm = np.sqrt(manifold._sq_norms(state))
+    outputs = []
+    for kernel, args in (("_project", (state, norm)), ("_tangent", (state, vec)),
+                         ("_sff", (state, vec, vec)), ("_sff", (state, vec, other)),
+                         ("_j", (state, vec))):
+        got = getattr(manifold, kernel)(*args)
+        same_words(got, getattr(ref, kernel)(*args))
+        outputs.append(got)
+    assert any(np.signbit(out[out == 0.0]).any() for out in outputs)
+    # the stage slope and one RK4 step, with the stages on a 32-point grid
+    lift = winding if winding.any() else None
+    coef = np.fft.rfft(state, norm="forward")
+    cfg = FlowConfig(a=0.7, b=0.3, epsilon=eps, N_g=N, dt=1e-5, T=1e-5,
+                     mode_cutoff=6)
+    st, ref_st = steppers(cfg, manifold, [eps], 6)
+    stage1 = state[..., :: N // st.n], coef[..., : st.n // 2 + 1]
+    got = st.remainder(*stage1, lift)
+    same_words(got, ref_st.remainder(*stage1, winding))
+    stage = stage_point(coef, st.n, 1)
+    assert (stage == 0.0).any()
+    same_words(st.slope(stage, lift), ref_st.slope(stage, winding))
+    for g, w in zip(_rk4_step(state, st, coef, lift),
+                    _rk4_step(state, ref_st, coef, winding)):
+        same_words(g, w)

@@ -1,11 +1,12 @@
 """The stepper's workspace: fewer allocations, and no state leaks through it.
 
 A ``_Stepper`` keeps the arrays of its stage slopes and step ends in
-``work``, keyed by (name, shape), and reuses them from call to call.  A
-warmed stepper's stage 1 and step at N = 4096 must allocate only a few
-(d, N) rows; one stepper fed alternating grids, ranks and curves must
-return bitwise what a fresh stepper returns; and nothing a step returns
-may share memory with a workspace buffer.
+``work``, one stage plan per state shape, and reuses them from call to
+call.  A warmed stepper's stage 1 and step at N = 4096 must allocate only
+a few (d, N) rows; further steps of one shape must make no new array, and
+a new shape exactly one plan; one stepper fed alternating grids, ranks
+and curves must return bitwise what a fresh stepper returns; and nothing
+a step returns may share memory with a workspace buffer.
 """
 
 import tracemalloc
@@ -113,13 +114,15 @@ def stage_point(rows, n):
 
 
 def workspace_of(st):
-    return list(st.work.values())
+    """Every array of every stage plan of ``st``, keyed by (shape, name)."""
+    return {(shape, name): array for shape, plan in st.work.items()
+            for name, array in vars(plan).items()}
 
 
 def fresh_arrays(st, results):
     """No result shares memory with a buffer of ``st``'s workspace."""
     for r in results:
-        for buf in workspace_of(st):
+        for buf in workspace_of(st).values():
             assert not np.shares_memory(r, buf)
 
 
@@ -181,6 +184,92 @@ def test_a_reused_picard_stepper_gives_a_fresh_steppers_bits(target):
             same_bits(g, w)
         fresh_arrays(st, got)
     assert workspace_of(st)
+
+
+# ---------------------------------------------------------------------------
+# one plan per state shape
+# ---------------------------------------------------------------------------
+
+
+def same_arrays(before, after):
+    """``after`` holds the very arrays of ``before``, and no other."""
+    assert after.keys() == before.keys()
+    for key, array in before.items():
+        assert after[key] is array, key
+
+
+@pytest.mark.parametrize("eps", [[0.0], [1e-3], [0.0, 1e-3]],
+                         ids=["eps0", "eps", "stack"])
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_warmed_shape_makes_no_array_and_a_new_shape_one_plan(target, eps):
+    manifold = TARGETS[target]
+    cfg = FlowConfig(a=0.7, b=0.3, epsilon=eps[0], N_g=N, dt=1e-5, T=1e-5,
+                     mode_cutoff=6)
+    st = _Stepper(cfg, manifold, 6, eps)
+    rows, winding = inputs(manifold, len(eps))[0]
+    lift = winding if winding.any() else None  # ChartFlatTorus2 winds
+    # the state of a march that carries the band: the stage grid's samples
+    band = np.ascontiguousarray(rows[..., :: N // st.n])
+    coef = np.fft.rfft(band, norm="forward")
+    stage = stage_point(rows, st.n)
+
+    def steps():
+        for _ in range(2):
+            _rk4_step(band, st, coef, lift)
+            st.slope(stage, lift)
+            st.remainder(band, coef, lift)
+
+    steps()
+    assert list(st.work) == [band.shape]
+    plan = st.work[band.shape]
+    modes = band.shape[:-1] + (st.n // 2 + 1,)
+    for name in ("mask", "c_a0", "e_half", "e_full") + ("c_a1",) * st.third_order:
+        fitted = getattr(plan, name)
+        assert fitted.shape == modes and fitted.dtype == complex, name
+        assert not np.shares_memory(fitted, getattr(st, name)), name
+    assert hasattr(plan, "eps") == st.third_order
+    warmed = workspace_of(st)
+    steps()
+    same_arrays(warmed, workspace_of(st))
+    # a new shape: two members of the one level, or the two levels' states
+    # on the curve grid, whose stages reuse the stage grid's plan
+    if len(eps) == 1:
+        other = np.stack([band, band])
+        other_lift = None if lift is None else np.stack([lift, lift])
+    else:
+        other, other_lift = rows, lift
+    other_coef = np.fft.rfft(other, norm="forward")
+    _rk4_step(other, st, other_coef, other_lift)
+    assert list(st.work) == [band.shape, other.shape]
+    grown = workspace_of(st)
+    same_arrays(warmed, {k: v for k, v in grown.items() if k[0] == band.shape})
+    _rk4_step(other, st, other_coef, other_lift)
+    steps()
+    same_arrays(grown, workspace_of(st))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 3e-2])
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_picard_plan_keeps_the_steppers_own_rows(target, eps):
+    manifold = TARGETS[target]
+    cfg = FlowConfig(a=0.7, b=0.3, epsilon=eps, N_g=N, dt=1e-4, T=1e-4,
+                     integrator="DuhamelPicard", quadrature_nodes=4)
+    st = _Stepper(cfg, manifold, 16, [eps])
+    rows, winding = curve_rows(manifold, 5)
+    lift = winding if winding.any() else None
+    coef = np.fft.rfft(rows, norm="forward")[None]
+    _picard_step(rows[None], st, coef, lift)
+    (shape,) = st.work
+    assert shape == (4,) + rows.shape  # the (q, d, N) node stack
+    plan = st.work[shape]
+    for name in ("mask", "c_a0", "c_a1", "eps"):
+        assert getattr(plan, name) is getattr(st, name), name
+    assert plan.d_pows.base is st.d_pows and plan.d_pows.shape == (3, 1, 1, N // 2 + 1)
+    # no integrating factors, stage points or step end on the Picard path
+    assert not any(hasattr(plan, name) for name in ("e_half", "e_full", "point", "pre"))
+    warmed = workspace_of(st)
+    _picard_step(rows[None], st, coef, lift)
+    same_arrays(warmed, workspace_of(st))
 
 
 @pytest.mark.parametrize("integrator,eps", [("ProjectedRK4", 0.0),
